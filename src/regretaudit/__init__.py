@@ -35,7 +35,6 @@ from .core import (
     PriceGrid,
     Transcript,
     TranscriptParseError,
-    TranscriptRecord,
     TranscriptValidationError,
     Violation,
     read_transcript,

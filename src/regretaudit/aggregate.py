@@ -9,29 +9,22 @@ with a modified error margin that also pays for the estimation error.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import IO, Sequence, Union
 
 import numpy as np
 
-from .audit import (
-    AuditReport,
-    _curve_from_dense,
-    _densify,
-    _report_from_curve,
-    discretization_loss,
-)
+from .audit import AuditReport, audit_with_margin
 from .core import (
     AuditConfig,
-    PriceDistribution,
     PriceGrid,
     Transcript,
-    TranscriptParseError,
-    TranscriptRecord,
+    TranscriptValidationError,
+    raise_violations,
+    read_records,
+    validate_series,
 )
-from .core import _parse_header  # reduced files share the full format's header
 
 
 @dataclass(frozen=True)
@@ -171,42 +164,44 @@ def audit_aggregated(
     InsufficientData instead of a verdict when rho_prime reaches the claimed
     support floor.
     """
-    posted = list(int(p) for p in prices)
+    posted = np.asarray(prices, dtype=np.int64)
+    alloc = np.asarray(allocations, dtype=float)
     T = len(posted)
     if T < 1:
         raise ValueError("empty transcript")
-    if len(allocations) != T:
+    if len(alloc) != T:
         raise ValueError("prices and allocations must have equal length")
+    violations = validate_series(grid, posted, alloc)
+    if violations:
+        raise TranscriptValidationError(violations)
     k = len(grid)
     delta = config.confidence_alpha
     rho_prime = _rho_prime(drift, T, k, delta)
     if rho_prime >= drift.support_floor:
         return InsufficientData(rho_prime, drift.support_floor)
     est = estimate_distributions(posted, grid, drift, delta)
-    records = []
-    for t in range(T):
-        freqs = est.freqs[t]
-        keep = freqs >= rho_prime
-        keep[posted[t]] = True
-        support = np.flatnonzero(keep)
-        probs = freqs[support]
-        probs = probs / probs.sum()
-        records.append(
-            TranscriptRecord(
-                t + 1,
-                posted[t],
-                float(allocations[t]),
-                PriceDistribution(support.tolist(), probs.tolist()),
-            )
-        )
-    transcript = Transcript(grid, records)
-    dense = _densify(transcript)
-    curve = _curve_from_dense(dense)
+    transcript = Transcript(
+        grid, posted, alloc, np.arange(T), _estimated_table(est.freqs, posted, rho_prime)
+    )
     delta_margin = aggregated_error_margin(
         T, k, grid.max_level, rho_prime, drift.support_floor, delta
     )
-    gap = discretization_loss(grid) if config.endogenous else 0.0
-    return _report_from_curve(curve, config, delta_margin, T, gap, "aggregated")
+    return audit_with_margin(transcript, config, delta_margin, "aggregated")
+
+
+def _estimated_table(freqs: np.ndarray, posted: np.ndarray, rho_prime: float) -> np.ndarray:
+    """Each round's windowed frequencies, renormalized over its estimated support."""
+    T = len(posted)
+    keep = freqs >= rho_prime
+    keep[np.arange(T), posted] = True
+    # Each row's total sums its kept entries alone, as a (m,) vector would:
+    # zeros in between would regroup numpy's unrolled summation.
+    sizes = keep.sum(axis=1)
+    totals = np.empty(T)
+    for m in np.unique(sizes).tolist():
+        rows = np.flatnonzero(sizes == m)
+        totals[rows] = freqs[rows][keep[rows]].reshape(-1, m).sum(axis=1)
+    return np.where(keep, freqs, 0.0) / totals[:, None]
 
 
 def drift_horizon_floor(gamma: float, k: int, delta: float) -> float:
@@ -264,28 +259,12 @@ def minimum_rounds_for_aggregated_audit(
 def read_price_series(source: Union[str, IO[str]]):
     """Read a reduced transcript (records may lack support/probs fields).
 
-    Returns (grid, posted indices, allocations). Full transcript files are
-    accepted; their distribution fields are ignored.
+    Returns (grid, posted indices, allocations), validated like a full
+    transcript's. Full transcript files are accepted; their distribution
+    fields are ignored.
     """
-    if isinstance(source, (str, bytes)):
-        with open(source, "r", encoding="utf-8") as fh:
-            return read_price_series(fh)
-    lines = [ln for ln in (raw.rstrip("\n") for raw in source) if ln.strip()]
-    if not lines:
-        raise TranscriptParseError(1, "missing header line")
-    grid = _parse_header(lines[0], 1)
-    posted: list[int] = []
-    allocations: list[float] = []
-    for i, ln in enumerate(lines[1:]):
-        line_no = i + 2
-        try:
-            obj = json.loads(ln)
-        except json.JSONDecodeError as e:
-            raise TranscriptParseError(line_no, f"bad JSON: {e.msg}") from e
-        if not isinstance(obj, dict) or "posted" not in obj or "alloc" not in obj:
-            raise TranscriptParseError(line_no, 'record needs "posted" and "alloc"')
-        if obj.get("t") != i + 1:
-            raise TranscriptParseError(line_no, f"expected round {i + 1}, rounds must be contiguous")
-        posted.append(int(obj["posted"]))
-        allocations.append(float(obj["alloc"]))
-    return grid, posted, allocations
+    grid, lines, (posted, alloc) = read_records(
+        source, {"posted": "an integer", "alloc": "a number"}
+    )
+    raise_violations(validate_series(grid, posted, alloc), lines)
+    return grid, posted, [float(a) for a in alloc]

@@ -22,53 +22,26 @@ from .core import AuditConfig, CostRange, PriceGrid, Transcript
 
 
 @dataclass(frozen=True)
-class _Dense:
-    """Array view of a transcript used by the numeric pipeline."""
-
-    levels: np.ndarray  # (k,)
-    probs: np.ndarray  # (T, k) dense distributions, 0 off support
-    support: np.ndarray  # (T, k) bool
-    posted: np.ndarray  # (T,) grid indices
-    alloc: np.ndarray  # (T,)
-
-
-def _densify(transcript: Transcript) -> _Dense:
-    k = len(transcript.grid)
-    T = len(transcript)
-    probs = np.zeros((T, k))
-    support = np.zeros((T, k), dtype=bool)
-    posted = np.empty(T, dtype=np.int64)
-    alloc = np.empty(T)
-    for t, rec in enumerate(transcript.records):
-        idx = list(rec.distribution.support)
-        probs[t, idx] = rec.distribution.probs
-        support[t, idx] = True
-        posted[t] = rec.posted_index
-        alloc[t] = rec.allocation
-    return _Dense(np.asarray(transcript.grid.levels, dtype=float), probs, support, posted, alloc)
-
-
-@dataclass(frozen=True)
 class AllocationEstimate:
     """Per-round, per-price allocation estimates x-hat (may exceed 1)."""
 
     values: np.ndarray  # (T, k)
 
-    def at(self, t: int, p: int) -> float:
-        return float(self.values[t - 1, p])
 
-
-def _estimate_allocations_dense(d: _Dense) -> np.ndarray:
-    T, k = d.probs.shape
+def _estimate_allocations(transcript: Transcript, probs: np.ndarray) -> np.ndarray:
+    """The x-hat table of a transcript whose dense distributions are `probs`."""
+    T, k = probs.shape
     rows = np.arange(T)
+    posted = transcript.posted
     scatter = np.zeros((T, k))
-    scatter[rows, d.posted] = d.alloc / d.probs[rows, d.posted]
+    scatter[rows, posted] = transcript.alloc / probs[rows, posted]
     # Supported prices keep their propensity value (the posted one) or 0;
     # unsupported prices inherit the nearest supported lower price, else 1.
+    support = probs > 0
     out = np.empty((T, k))
     carry = np.ones(T)
     for j in range(k):
-        carry = np.where(d.support[:, j], scatter[:, j], carry)
+        carry = np.where(support[:, j], scatter[:, j], carry)
         out[:, j] = carry
     return out
 
@@ -77,7 +50,7 @@ def estimate_allocations(transcript: Transcript) -> AllocationEstimate:
     """Propensity-score allocation table with the pessimistic off-support fill."""
     if len(transcript) < 1:
         raise ValueError("empty transcript")
-    return AllocationEstimate(_estimate_allocations_dense(_densify(transcript)))
+    return AllocationEstimate(_estimate_allocations(transcript, transcript.dists()))
 
 
 @dataclass(frozen=True)
@@ -91,27 +64,16 @@ class AffineInCost:
         return self.slope * c + self.intercept
 
 
-def _pairwise_matrices(d: _Dense, xhat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Slope and intercept arrays of the substitution benefits, shape (k, k)."""
-    T = d.probs.shape[0]
-    m = d.probs.T @ xhat  # m[p, q] = sum_t pi_t(p) xhat_t(q)
-    own = np.diag(m)
-    slopes = (own[:, None] - m) / T
-    intercepts = (d.levels[None, :] * m - (d.levels * own)[:, None]) / T
-    return slopes, intercepts
-
-
 def pairwise_regret(
     estimate: AllocationEstimate, transcript: Transcript, p: int, q: int
 ) -> AffineInCost:
     """Average benefit of substituting price p with q, affine in cost."""
-    d = _densify(transcript)
-    T = d.probs.shape[0]
-    w = d.probs[:, p]
-    slope = float(np.dot(w, estimate.values[:, p] - estimate.values[:, q]) / T)
-    intercept = float(
-        np.dot(w, d.levels[q] * estimate.values[:, q] - d.levels[p] * estimate.values[:, p]) / T
-    )
+    T = len(transcript)
+    w = transcript.dist_table[transcript.dist_index, p]
+    lp, lq = transcript.grid.levels[p], transcript.grid.levels[q]
+    x = estimate.values
+    slope = float(np.dot(w, x[:, p] - x[:, q]) / T)
+    intercept = float(np.dot(w, lq * x[:, q] - lp * x[:, p]) / T)
     return AffineInCost(slope, intercept)
 
 
@@ -173,21 +135,27 @@ class PWLInCost:
         return tuple(int(np.argmax(row >= b)) for row, b in zip(vals, best))
 
 
-def _curve_from_dense(d: _Dense) -> PWLInCost:
-    xhat = _estimate_allocations_dense(d)
-    slopes, intercepts = _pairwise_matrices(d, xhat)
+def _curve(transcript: Transcript) -> PWLInCost:
+    probs = transcript.dists()
+    xhat = _estimate_allocations(transcript, probs)
+    levels = np.asarray(transcript.grid.levels, dtype=float)
+    T = len(transcript)
+    m = probs.T @ xhat  # m[p, q] = sum_t pi_t(p) xhat_t(q)
+    own = np.diag(m)
+    slopes = (own[:, None] - m) / T
+    intercepts = (levels[None, :] * m - (levels * own)[:, None]) / T
     bps: set[float] = set()
-    for p in range(len(d.levels)):
+    for p in range(len(levels)):
         env = _upper_envelope(slopes[p], intercepts[p])
         bps.update(c for _, c in env[1:])
-    return PWLInCost(tuple(d.levels), slopes, intercepts, tuple(sorted(bps)))
+    return PWLInCost(tuple(levels), slopes, intercepts, tuple(sorted(bps)))
 
 
 def regret_curve(transcript: Transcript) -> PWLInCost:
     """Estimated regret of the transcript as an explicit function of cost."""
     if len(transcript) < 1:
         raise ValueError("empty transcript")
-    return _curve_from_dense(_densify(transcript))
+    return _curve(transcript)
 
 
 def minimize_over_cost(curve: PWLInCost, cost_range: CostRange) -> tuple[float, float]:
@@ -207,11 +175,12 @@ def minimize_over_cost(curve: PWLInCost, cost_range: CostRange) -> tuple[float, 
     return best_c, best_v
 
 
-def _error_margin_dense(d: _Dense, alpha: float) -> float:
-    T, k = d.probs.shape
-    support_min = np.where(d.support, d.probs, np.inf).min(axis=1)
-    per_round = (1.0 / support_min + 1.0) ** 2
-    p_bar = float(d.levels[-1])
+def _error_margin(transcript: Transcript, alpha: float) -> float:
+    table = transcript.dist_table
+    T, k = len(transcript), table.shape[1]
+    support_min = np.where(table > 0, table, np.inf).min(axis=1)
+    per_round = ((1.0 / support_min + 1.0) ** 2)[transcript.dist_index]
+    p_bar = transcript.grid.max_level
     return (k * p_bar / T) * math.sqrt(2.0 * math.log(2.0 * k * k / alpha) * float(per_round.sum()))
 
 
@@ -225,7 +194,7 @@ def error_margin(transcript: Transcript, alpha: float) -> float:
         raise ValueError("alpha must be in (0, 1)")
     if len(transcript) < 1:
         raise ValueError("empty transcript")
-    return _error_margin_dense(_densify(transcript), alpha)
+    return _error_margin(transcript, alpha)
 
 
 def discretization_loss(grid: PriceGrid) -> float:
@@ -268,7 +237,7 @@ class AuditReport:
         }
 
     def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+        return json.dumps(self.to_dict(), indent=indent, allow_nan=False)
 
 
 def _verdict(regret: float, delta: float, d: float, r: float) -> str:
@@ -277,18 +246,18 @@ def _verdict(regret: float, delta: float, d: float, r: float) -> str:
     return "PASS" if regret + delta + d <= 2.0 * r else "FAIL"
 
 
-def _report_from_curve(
-    curve: PWLInCost,
-    config: AuditConfig,
-    delta: float,
-    rounds: int,
-    d: float,
-    provenance: str,
+def audit_with_margin(
+    transcript: Transcript, config: AuditConfig, delta: float, provenance: str
 ) -> AuditReport:
+    """The verdict on the transcript's estimated regret curve with the given
+    error margin: the exact audit's concentration margin, or the aggregated
+    audit's, whose distributions are estimates."""
+    curve = _curve(transcript)
     c_tilde, regret = minimize_over_cost(curve, config.cost_range)
     lo, hi = config.cost_range.lo, config.cost_range.hi
     sample_cs = sorted({lo, hi, c_tilde} | {b for b in curve.breakpoints if lo < b < hi})
     samples = tuple((c, curve.value(c)) for c in sample_cs)
+    d = discretization_loss(transcript.grid) if config.endogenous else 0.0
     return AuditReport(
         estimated_plausible_cost=c_tilde,
         estimated_regret=regret,
@@ -298,7 +267,7 @@ def _report_from_curve(
         curve_samples=samples,
         threshold_r=config.threshold_r,
         confidence_alpha=config.confidence_alpha,
-        rounds=rounds,
+        rounds=len(transcript),
         swap_at_optimum=curve.argmax_swap(c_tilde),
         provenance=provenance,
     )
@@ -312,8 +281,5 @@ def audit(transcript: Transcript, config: AuditConfig) -> AuditReport:
     """
     if len(transcript) < 1:
         raise ValueError("empty transcript")
-    d = _densify(transcript)
-    curve = _curve_from_dense(d)
-    delta = _error_margin_dense(d, config.confidence_alpha)
-    gap = discretization_loss(transcript.grid) if config.endogenous else 0.0
-    return _report_from_curve(curve, config, delta, len(transcript), gap, "exact")
+    delta = _error_margin(transcript, config.confidence_alpha)
+    return audit_with_margin(transcript, config, delta, "exact")

@@ -11,7 +11,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -23,8 +23,6 @@ from .core import (
     AuditConfig,
     CostRange,
     PriceGrid,
-    TranscriptParseError,
-    TranscriptValidationError,
     read_transcript,
     write_transcript,
 )
@@ -36,6 +34,7 @@ from .market import (
     manipulation_valuation_table,
 )
 from .oracles import (
+    GroundTruth,
     best_in_hindsight_regret,
     materialize_truth,
     true_calibrated_regret,
@@ -47,6 +46,7 @@ from .sellers import (
     mean_based_gamma,
     is_mean_based_violation,
     MWULearnerState,
+    payoff_tables,
     reward_bounds,
     simulate,
     strategy_from_config,
@@ -165,7 +165,7 @@ def cmd_simulate(args) -> int:
             )
         if args.emit_truth:
             for i in range(2):
-                opp = [r.posted_index for r in result.transcripts[1 - i].records]
+                opp = result.transcripts[1 - i].posted
                 truth = materialize_truth(oracle, grid.levels, opp, i)
                 figures.write_truth(
                     truth, os.path.join(config.out, f"truth_rep{rep}_seller{i + 1}.jsonl")
@@ -191,22 +191,14 @@ def _audit_config_from_args(args) -> AuditConfig:
 def cmd_audit(args) -> int:
     transcript = read_transcript(args.transcript)
     if args.h is not None:
-        transcript = type(transcript)(
-            PriceGrid(transcript.grid.levels, args.h), transcript.records
-        )
-    config = _audit_config_from_args(args)
-    report = audit(transcript, config)
+        transcript = replace(transcript, grid=PriceGrid(transcript.grid.levels, args.h))
+    truth = figures.read_truth(args.truth) if args.sweep and args.truth else None
+    report = audit(transcript, _audit_config_from_args(args))
     print(report.to_json(indent=2))
     if args.sweep:
         curve = regret_curve(transcript)
-        truth = dists = None
-        header = ["cost", "estimated_regret"]
-        if args.truth:
-            truth = figures.read_truth(args.truth)
-            from .audit import _densify
-
-            dists = _densify(transcript).probs
-            header.append("true_regret")
+        header = ["cost", "estimated_regret"] + (["true_regret"] if truth is not None else [])
+        dists = None if truth is None else transcript.dists()
         rows = figures.cost_sweep_rows(
             curve, args.cost_lo, args.cost_hi, args.sweep_points, truth, dists
         )
@@ -267,11 +259,8 @@ def cmd_figures(args) -> int:
     audit_cfg = config.audit or {"cost_lo": 0.1, "cost_hi": 0.9}
     lo, hi = audit_cfg.get("cost_lo", 0.1), audit_cfg.get("cost_hi", 0.9)
     curve = regret_curve(first.transcripts[0])
-    opp = [r.posted_index for r in first.transcripts[1].records]
-    truth = materialize_truth(oracle, levels, opp, 0)
-    from .audit import _densify
-
-    dists = _densify(first.transcripts[0]).probs
+    truth = materialize_truth(oracle, levels, first.transcripts[1].posted, 0)
+    dists = first.transcripts[0].dists()
     sweep = figures.cost_sweep_rows(curve, lo, hi, args.sweep_points, truth, dists)
     figures.write_csv(
         os.path.join(config.out, "fig2_regret_vs_cost.csv"),
@@ -331,7 +320,7 @@ def cmd_manipulate_demo(args) -> int:
     manipulator = ManipulatorStrategy(schedule, grid)
     result = simulate(grid, (manipulator, learner), table, (0.0, 0.0), total, "expected", args.seed)
 
-    posted2 = np.array([r.posted_index for r in result.transcripts[1].records])
+    posted1, posted2 = (tr.posted for tr in result.transcripts)
     top = grid.levels.index(schedule.phase2_price)
     window_start = phase1 + math.ceil(3 * epsilon * phase1)
     freq_top = float((posted2[window_start - 1 :] == top).mean())
@@ -342,27 +331,20 @@ def cmd_manipulate_demo(args) -> int:
     totals = (float(result.payoffs[0].sum()), float(result.payoffs[1].sum()))
 
     lv = np.asarray(grid.levels)
-    regrets = []
-    for i in range(2):
-        opp = [r.posted_index for r in result.transcripts[1 - i].records]
-        truth = materialize_truth(table, grid.levels, opp, i)
-        util = lv[None, :] * truth.as_array()
-        regrets.append(best_in_hindsight_regret(util, result.payoffs[i]))
-    opp = [r.posted_index for r in result.transcripts[1].records]
-    truth1 = materialize_truth(table, grid.levels, opp, 0)
-    dists1 = np.zeros((total, len(grid)))
-    for t, rec in enumerate(result.transcripts[0].records):
-        dists1[t, list(rec.distribution.support)] = rec.distribution.probs
-    from .oracles import GroundTruth
-
-    cal1 = true_calibrated_regret(dists1, GroundTruth(grid.levels, truth1.as_array()), 0.0)
+    truths = [
+        materialize_truth(table, grid.levels, result.transcripts[1 - i].posted, i).as_array()
+        for i in range(2)
+    ]
+    regrets = [
+        best_in_hindsight_regret(lv[None, :] * truths[i], result.payoffs[i]) for i in range(2)
+    ]
+    # Float truth: the table's exact demands would take the Fraction path.
+    truth1 = GroundTruth(grid.levels, truths[0])
+    cal1 = true_calibrated_regret(result.transcripts[0].dists(), truth1, 0.0)
 
     gamma = mean_based_gamma(args.eta, total)
     violations = 0
-    from .sellers import payoff_tables
-
     _, _, _, util2 = payoff_tables(table, grid, (0.0, 0.0))
-    posted1 = np.array([r.posted_index for r in result.transcripts[0].records])
     state = MWULearnerState(np.zeros(len(grid)), args.eta)
     norm = 1.0 / (hi - lo)
     for t in range(total):
@@ -496,10 +478,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (TranscriptParseError, TranscriptValidationError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as e:
+    except (ValueError, OSError) as e:  # parse and validation errors included
         print(f"error: {e}", file=sys.stderr)
         return 1
 

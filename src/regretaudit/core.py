@@ -1,8 +1,10 @@
 """Shared domain types, transcript validation, and transcript persistence.
 
-A transcript is the sole input an auditor gets: one record per round holding
-the posted price (as a grid index), the allocation observed at that price,
-and the sparse price distribution the price was drawn from.
+A transcript is the sole input an auditor gets: per round, the posted price
+(as a grid index), the allocation observed at that price, and the price
+distribution the price was drawn from. It is held as columns, with the
+distributions dictionary-encoded: a table of the distinct ones plus one id
+per round.
 """
 
 from __future__ import annotations
@@ -10,8 +12,10 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator, Sequence, Union
+from bisect import bisect_right
+from dataclasses import dataclass, replace
+from itertools import accumulate, chain
+from typing import IO, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -41,17 +45,30 @@ class TranscriptValidationError(ValueError):
         super().__init__(f"invalid transcript: {lines}{more}")
 
 
+class RoundOrderError(TranscriptParseError, TranscriptValidationError):
+    """A record's "t" is not the next round number: both a parse error of its
+    line and a "round" violation, so callers catching either see it."""
+
+    def __init__(self, line_no: int, t: int, expected: int):
+        message = f"expected round {expected}, rounds must be contiguous"
+        TranscriptValidationError.__init__(self, [Violation(t, "round", message, line_no)])
+        self.line_no = line_no
+
+
 @dataclass(frozen=True)
 class Violation:
-    """One invariant breach, naming the round (None for grid-level issues) and field."""
+    """One invariant breach, naming the round (None for grid-level issues),
+    the field and, for a file, the line."""
 
     round: int | None
     field: str
     message: str
+    line: int | None = None
 
     def __str__(self) -> str:
         where = "grid" if self.round is None else f"round {self.round}"
-        return f"{where}: {self.field}: {self.message}"
+        at = "" if self.line is None else f"line {self.line}: "
+        return f"{at}{where}: {self.field}: {self.message}"
 
 
 @dataclass(frozen=True)
@@ -79,11 +96,16 @@ class PriceGrid:
         if not self.levels:
             out.append(Violation(None, "levels", "grid is empty"))
             return out
+        if not all(math.isfinite(v) for v in self.levels):
+            out.append(Violation(None, "levels", "non-finite price level"))
         if any(v < 0 for v in self.levels):
             out.append(Violation(None, "levels", "negative price level"))
         if any(b <= a for a, b in zip(self.levels, self.levels[1:])):
             out.append(Violation(None, "levels", "levels not strictly increasing"))
-        if self.continuum_upper is not None and self.levels[-1] > self.continuum_upper:
+        h = self.continuum_upper
+        if h is not None and not math.isfinite(h):
+            out.append(Violation(None, "continuum_upper", "non-finite continuum upper bound"))
+        elif h is not None and self.levels[-1] > h:
             out.append(
                 Violation(None, "continuum_upper", "max level exceeds continuum upper bound")
             )
@@ -128,64 +150,96 @@ class PriceDistribution:
         out[list(self.support)] = self.probs
         return out
 
-    def violations(self, round_no: int, k: int) -> list[Violation]:
-        out: list[Violation] = []
-        if not self.support:
-            out.append(Violation(round_no, "support", "empty support"))
-            return out
-        if any(i < 0 or i >= k for i in self.support):
-            out.append(Violation(round_no, "support", f"index outside grid of size {k}"))
-        if len(set(self.support)) != len(self.support):
-            out.append(Violation(round_no, "support", "duplicate indices"))
-        if any(b <= a for a, b in zip(self.support, self.support[1:])):
-            out.append(Violation(round_no, "support", "indices not sorted"))
-        if any(p <= 0 for p in self.probs):
-            out.append(Violation(round_no, "probs", "non-positive probability"))
-        elif any(p < MIN_SUPPORT_PROB for p in self.probs):
-            out.append(
-                Violation(round_no, "probs", f"probability below {MIN_SUPPORT_PROB:g} rejected")
-            )
-        if abs(math.fsum(self.probs) - 1.0) > PROB_SUM_TOL:
-            out.append(Violation(round_no, "probs", "probabilities do not sum to 1"))
-        return out
+    def draw(self, u: float) -> int | None:
+        """The first support index whose cumulative probability exceeds u,
+        or None when rounding leaves u above them all."""
+        m = bisect_right(tuple(accumulate(self.probs)), u)
+        return self.support[m] if m < len(self.support) else None
 
 
-@dataclass(frozen=True, slots=True)
-class TranscriptRecord:
-    """One round: posted price index, observed allocation there, and the distribution used."""
-
-    round: int
-    posted_index: int
-    allocation: float
-    distribution: PriceDistribution
-
-    def violations(self, k: int) -> list[Violation]:
-        out = self.distribution.violations(self.round, k)
-        if self.round < 1:
-            out.append(Violation(self.round, "round", "round numbers start at 1"))
-        if self.posted_index not in self.distribution.support:
-            out.append(Violation(self.round, "posted_index", "posted price outside support"))
-        if not (0.0 <= self.allocation <= 1.0):
-            out.append(Violation(self.round, "allocation", "allocation out of [0,1]"))
-        return out
+def _sparse_problem(support: tuple, probs: tuple, k: int) -> tuple[str, str] | None:
+    """The first breach that a dense row cannot hold: unsorted or repeated
+    indices, an index off the grid, or a probability that is not positive."""
+    if list(support) != sorted(set(support)):
+        duplicate = len(set(support)) != len(support)
+        return "support", "duplicate indices" if duplicate else "indices not sorted"
+    if support and (support[0] < 0 or support[-1] >= k):
+        return "support", f"index outside grid of size {k}"
+    if probs and min(probs) <= 0:
+        return "probs", "non-positive probability"
+    return None
 
 
-@dataclass(frozen=True)
+def _encode_distributions(pairs: Iterable[tuple], k: int, lines: Sequence[int] | None = None):
+    """Dictionary-encode the per-round (support, probs) pairs.
+
+    Returns (T,) ids into an (n, k) table of the n distinct distributions in
+    order of first appearance. Each distinct pair is checked once, where it
+    first appears; `lines[t]` is round t's line in a file.
+    """
+    ids: dict[tuple, int] = {}
+    index = []
+    for t, (support, probs) in enumerate(pairs, 1):
+        key = (tuple(support), tuple(probs))
+        d = ids.get(key)
+        if d is None:
+            line = None if lines is None else lines[t]
+            if len(key[0]) != len(key[1]):
+                raise TranscriptParseError(line, "support and probs have different lengths")
+            problem = _sparse_problem(*key, k)
+            if problem is not None:
+                raise TranscriptValidationError([Violation(t, *problem, line)])
+            d = ids[key] = len(ids)
+        index.append(d)
+    table = np.zeros((len(ids), k))
+    rows = np.repeat(np.arange(len(ids)), [len(support) for support, _ in ids])
+    table[rows, list(chain.from_iterable(s for s, _ in ids))] = list(chain.from_iterable(p for _, p in ids))
+    return np.asarray(index, dtype=np.int64), table
+
+
+@dataclass(frozen=True, eq=False)
 class Transcript:
-    """A grid plus the per-round records for rounds 1..T."""
+    """A grid plus per-round columns for rounds 1..T.
+
+    Round t posted grid index posted[t-1], observed alloc[t-1] there, and
+    drew the price from dist_table[dist_index[t-1]], a dense row over the
+    grid that is 0 off the support. The table holds each distinct
+    distribution once, in order of first appearance: a handful for a
+    Q-learner, one per round for a multiplicative-weights learner.
+    """
 
     grid: PriceGrid
-    records: tuple[TranscriptRecord, ...]
+    posted: np.ndarray  # (T,) int64
+    alloc: np.ndarray  # (T,) float64
+    dist_index: np.ndarray  # (T,) int64
+    dist_table: np.ndarray  # (n, k) float64
 
-    def __init__(self, grid: PriceGrid, records: Iterable[TranscriptRecord]):
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "records", tuple(records))
+    def __post_init__(self):
+        columns = {"posted": np.int64, "alloc": float, "dist_index": np.int64, "dist_table": float}
+        for name, dtype in columns.items():
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        if not len(self.posted) == len(self.alloc) == len(self.dist_index):
+            raise ValueError("posted, alloc and dist_index need one entry per round")
+
+    @staticmethod
+    def from_rounds(grid: PriceGrid, posted, alloc, dists: Iterable[PriceDistribution]) -> "Transcript":
+        """Columns from per-round values; each distinct distribution is checked
+        once, for what its dense row cannot hold (see validate for the rest)."""
+        pairs = ((d.support, d.probs) for d in dists)
+        return Transcript(grid, posted, alloc, *_encode_distributions(pairs, len(grid)))
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.posted)
 
-    def __iter__(self) -> Iterator[TranscriptRecord]:
-        return iter(self.records)
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Transcript):
+            return NotImplemented
+        pairs = zip((self.posted, self.alloc, self.dists()), (other.posted, other.alloc, other.dists()))
+        return self.grid == other.grid and all(np.array_equal(a, b) for a, b in pairs)
+
+    def dists(self) -> np.ndarray:
+        """The per-round distributions as dense rows, (T, k)."""
+        return self.dist_table[self.dist_index]
 
 
 @dataclass(frozen=True)
@@ -220,57 +274,109 @@ def validate(transcript: Transcript) -> list[Violation]:
     """Check every invariant; returns violations as data, never raises.
 
     An empty list means the transcript is well-formed. T=0 transcripts are
-    valid here (the audit rejects them separately).
+    valid here (the audit rejects them separately). Each distinct
+    distribution is checked once and its breaches are reported at every
+    round that drew from it.
     """
-    out = transcript.grid.violations()
-    k = len(transcript.grid)
-    for pos, rec in enumerate(transcript.records):
-        if rec.round != pos + 1:
-            out.append(
-                Violation(rec.round, "round", f"expected round {pos + 1}, rounds must be contiguous")
-            )
-        out.extend(rec.violations(k))
+    t = transcript
+    return _violations(t.grid, t.posted, t.alloc, t.dist_index, t.dist_table)
+
+
+def validate_series(grid: PriceGrid, posted, alloc) -> list[Violation]:
+    """validate for price series without distributions: the posted prices
+    must lie on the grid and the allocations in [0, 1]."""
+    return _violations(grid, np.asarray(posted, dtype=np.int64), np.asarray(alloc, dtype=float))
+
+
+def _violations(grid, posted, alloc, dist_index=None, dist_table=None) -> list[Violation]:
+    out = grid.violations()
+    on_grid = (posted >= 0) & (posted < len(grid))
+    problems: dict[int, list[tuple[str, str]]] = {}
+    if dist_table is None:
+        posted_ok, outside = on_grid, f"grid of size {len(grid)}"
+    else:
+        problems = _row_problems(dist_table)
+        posted_ok, outside = np.zeros(len(posted), dtype=bool), "support"
+        posted_ok[on_grid] = dist_table[dist_index[on_grid], posted[on_grid]] != 0
+    alloc_ok = (alloc >= 0.0) & (alloc <= 1.0)
+    bad = ~(posted_ok & alloc_ok)
+    if problems:
+        bad |= np.isin(dist_index, list(problems))
+    for r in np.flatnonzero(bad).tolist():
+        t = r + 1
+        if problems:
+            out.extend(Violation(t, f, m) for f, m in problems.get(int(dist_index[r]), ()))
+        if not posted_ok[r]:
+            out.append(Violation(t, "posted_index", f"posted price outside {outside}"))
+        if not alloc_ok[r]:
+            out.append(Violation(t, "allocation", "allocation out of [0,1]"))
+    return out
+
+
+def _row_problems(table: np.ndarray) -> dict[int, list[tuple[str, str]]]:
+    """(field, message) breaches of each distinct distribution that has any."""
+    finite = np.isfinite(table).all(axis=1)
+    empty = ~table.any(axis=1)
+    negative = (table < 0).any(axis=1)
+    tiny = ((table > 0) & (table < MIN_SUPPORT_PROB)).any(axis=1)
+    summed = zip(table.tolist(), finite & ~empty)
+    off_sum = np.array([ok and abs(math.fsum(row) - 1.0) > PROB_SUM_TOL for row, ok in summed], bool)
+    out = {}
+    for d in np.flatnonzero(empty | ~finite | negative | tiny | off_sum).tolist():
+        row = out[d] = []
+        if empty[d]:
+            row.append(("support", "empty support"))
+        elif not finite[d]:
+            row.append(("probs", "non-finite probability"))
+        elif negative[d]:
+            row.append(("probs", "non-positive probability"))
+        elif tiny[d]:
+            row.append(("probs", f"probability below {MIN_SUPPORT_PROB:g} rejected"))
+        if off_sum[d]:
+            row.append(("probs", "probabilities do not sum to 1"))
     return out
 
 
 # ---------------------------------------------------------------------------
-# Persistence: line-oriented JSON, one record per line, floats with 17
-# significant digits so that read(write(x)) == x bit-exactly.
+# Persistence: line-oriented JSON, a grid header and then one record per
+# round, floats with 17 significant digits so that read(write(x)) == x
+# bit-exactly. Transcripts, reduced transcripts (t/posted/alloc) and
+# ground-truth sidecars (t/x) share the header and the reader.
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    if math.isinf(x) or math.isnan(x):
+def format_float(x: float) -> str:
+    if not math.isfinite(x):
         raise ValueError("non-finite float in transcript")
     return format(float(x), ".17g")
 
 
-def _header_line(grid: PriceGrid) -> str:
-    levels = ", ".join(_fmt(v) for v in grid.levels)
-    h = "null" if grid.continuum_upper is None else _fmt(grid.continuum_upper)
-    return f'{{"grid": [{levels}], "continuum_upper": {h}}}'
-
-
-def _record_line(rec: TranscriptRecord) -> str:
-    sup = ", ".join(str(i) for i in rec.distribution.support)
-    pr = ", ".join(_fmt(p) for p in rec.distribution.probs)
-    return (
-        f'{{"t": {rec.round}, "posted": {rec.posted_index}, "alloc": {_fmt(rec.allocation)}, '
-        f'"support": [{sup}], "probs": [{pr}]}}'
-    )
+def write_records(sink: Union[str, IO[str]], grid: PriceGrid, lines: Iterable[str]) -> None:
+    """Write the grid header and then `lines`, each ending in a newline."""
+    if isinstance(sink, (str, bytes)):
+        with open(sink, "w", encoding="utf-8") as fh:
+            write_records(fh, grid, lines)
+        return
+    levels = ", ".join(format_float(v) for v in grid.levels)
+    h = "null" if grid.continuum_upper is None else format_float(grid.continuum_upper)
+    sink.write(f'{{"grid": [{levels}], "continuum_upper": {h}}}\n')
+    sink.writelines(lines)
 
 
 def write_transcript(transcript: Transcript, sink: Union[str, IO[str]]) -> None:
     """Serialize to the line-oriented JSON format. Caller guarantees validity."""
-    if isinstance(sink, (str, bytes)):
-        with open(sink, "w", encoding="utf-8") as fh:
-            write_transcript(transcript, fh)
-        return
-    sink.write(_header_line(transcript.grid))
-    sink.write("\n")
-    for rec in transcript.records:
-        sink.write(_record_line(rec))
-        sink.write("\n")
+    dists = []
+    for row in transcript.dist_table.tolist():
+        support = [i for i, p in enumerate(row) if p]
+        sup = ", ".join(map(str, support))
+        pr = ", ".join(format_float(row[i]) for i in support)
+        dists.append(f'"support": [{sup}], "probs": [{pr}]')
+    columns = (transcript.posted.tolist(), transcript.alloc.tolist(), transcript.dist_index.tolist())
+    lines = (
+        f'{{"t": {t}, "posted": {p}, "alloc": {format_float(a)}, {dists[d]}}}\n'
+        for t, (p, a, d) in enumerate(zip(*columns), 1)
+    )
+    write_records(sink, transcript.grid, lines)
 
 
 def dumps_transcript(transcript: Transcript) -> str:
@@ -279,50 +385,90 @@ def dumps_transcript(transcript: Transcript) -> str:
     return buf.getvalue()
 
 
-def _parse_header(line: str, line_no: int) -> PriceGrid:
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as e:
-        raise TranscriptParseError(line_no, f"bad JSON: {e.msg}") from e
-    if not isinstance(obj, dict) or "grid" not in obj:
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a number")
+
+
+# One decoder for every reader: the NaN and Infinity tokens are not JSON.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+_INT = frozenset({int})
+_NUMBER = frozenset({int, float})
+_I64 = 2**63
+
+# Value kinds of record fields, named as the parse error states them. JSON
+# true and false are not numbers here.
+_KINDS = {
+    "an integer": lambda v: type(v) is int and -_I64 <= v < _I64,
+    "a number": lambda v: type(v) is float or (type(v) is int and -_I64 <= v < _I64),
+    "a list of integers": lambda v: type(v) is list and _INT.issuperset(map(type, v)),
+    "a list of numbers": lambda v: type(v) is list and _NUMBER.issuperset(map(type, v)),
+}
+
+
+def _grid_of(header, line_no: int) -> PriceGrid:
+    if not isinstance(header, dict) or "grid" not in header:
         raise TranscriptParseError(line_no, 'header must be an object with a "grid" key')
-    levels = obj["grid"]
-    if not isinstance(levels, list) or not all(isinstance(v, (int, float)) for v in levels):
+    levels, h = header["grid"], header.get("continuum_upper")
+    if not _KINDS["a list of numbers"](levels):
         raise TranscriptParseError(line_no, '"grid" must be a list of numbers')
-    h = obj.get("continuum_upper")
-    if h is not None and not isinstance(h, (int, float)):
+    if h is not None and not _KINDS["a number"](h):
         raise TranscriptParseError(line_no, '"continuum_upper" must be a number or null')
-    return PriceGrid(levels, h)
+    grid = PriceGrid(levels, h)
+    raise_violations(grid.violations(), [line_no])
+    return grid
 
 
-def _parse_record(line: str, line_no: int) -> TranscriptRecord:
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as e:
-        raise TranscriptParseError(line_no, f"bad JSON: {e.msg}") from e
-    if not isinstance(obj, dict):
-        raise TranscriptParseError(line_no, "record must be a JSON object")
-    try:
-        t = obj["t"]
-        posted = obj["posted"]
-        alloc = obj["alloc"]
-        support = obj["support"]
-        probs = obj["probs"]
-    except KeyError as e:
-        raise TranscriptParseError(line_no, f"record missing key {e.args[0]!r}") from e
-    if not isinstance(t, int) or not isinstance(posted, int):
-        raise TranscriptParseError(line_no, '"t" and "posted" must be integers')
-    if not isinstance(alloc, (int, float)):
-        raise TranscriptParseError(line_no, '"alloc" must be a number')
-    if not isinstance(support, list) or not all(isinstance(i, int) for i in support):
-        raise TranscriptParseError(line_no, '"support" must be a list of integers')
-    if not isinstance(probs, list) or not all(isinstance(p, (int, float)) for p in probs):
-        raise TranscriptParseError(line_no, '"probs" must be a list of numbers')
-    try:
-        dist = PriceDistribution(support, probs)
-    except ValueError as e:
-        raise TranscriptParseError(line_no, str(e)) from e
-    return TranscriptRecord(t, posted, float(alloc), dist)
+def read_records(
+    source: Union[str, IO[str]], fields: dict[str, str]
+) -> tuple[PriceGrid, list[int], list[list]]:
+    """Read a line-oriented JSON file: a grid header, then one record per round.
+
+    `source` is a path or an open text handle; blank lines are skipped. Each
+    record must be an object whose "t" counts 1, 2, ... and whose `fields`
+    (name -> kind, see _KINDS) hold values of their kind; other keys are
+    ignored. Returns the grid, the line numbers (the header's first, then
+    round t's at index t) and one list per field. Malformed input raises
+    TranscriptParseError naming its line; an invalid grid or a "t" out of
+    order raises TranscriptValidationError, also naming the line.
+    """
+    if isinstance(source, (str, bytes)):
+        with open(source, "r", encoding="utf-8") as fh:
+            return read_records(fh, fields)
+    checks = [(name, _KINDS[kind], kind) for name, kind in {"t": "an integer", **fields}.items()]
+    columns: list[list] = [[] for _ in checks]
+    lines: list[int] = []
+    for line_no, line in enumerate(source, 1):
+        if line.isspace():
+            continue
+        try:
+            obj = _DECODER.decode(line)
+        except ValueError as e:
+            raise TranscriptParseError(line_no, f"bad JSON: {getattr(e, 'msg', e)}") from e
+        if not lines:
+            grid = _grid_of(obj, line_no)
+        elif type(obj) is not dict:
+            raise TranscriptParseError(line_no, "record must be a JSON object")
+        else:
+            for (name, ok, kind), column in zip(checks, columns):
+                value = obj.get(name)
+                if not ok(value):
+                    problem = f'"{name}" must be {kind}' if name in obj else f"missing key {name!r}"
+                    raise TranscriptParseError(line_no, problem)
+                column.append(value)
+            if columns[0][-1] != len(lines):
+                raise RoundOrderError(line_no, columns[0][-1], len(lines))
+        lines.append(line_no)
+    if not lines:
+        raise TranscriptParseError(1, "missing header line")
+    return grid, lines, columns[1:]
+
+
+def raise_violations(violations: Sequence[Violation], lines: Sequence[int]) -> None:
+    """Raise TranscriptValidationError for any violations, each naming its
+    line: round t's is lines[t], the grid's the header's, lines[0]."""
+    if violations:
+        raise TranscriptValidationError([replace(v, line=lines[v.round or 0]) for v in violations])
 
 
 def read_transcript(source: Union[str, IO[str]]) -> Transcript:
@@ -332,18 +478,13 @@ def read_transcript(source: Union[str, IO[str]]) -> Transcript:
     TranscriptValidationError on invariant breaches. An empty record section
     yields a valid T=0 transcript.
     """
-    if isinstance(source, (str, bytes)):
-        with open(source, "r", encoding="utf-8") as fh:
-            return read_transcript(fh)
-    lines = [ln for ln in (raw.rstrip("\n") for raw in source) if ln.strip()]
-    if not lines:
-        raise TranscriptParseError(1, "missing header line")
-    grid = _parse_header(lines[0], 1)
-    records = [_parse_record(ln, i + 2) for i, ln in enumerate(lines[1:])]
-    transcript = Transcript(grid, records)
-    violations = validate(transcript)
-    if violations:
-        raise TranscriptValidationError(violations)
+    kinds = ("an integer", "a number", "a list of integers", "a list of numbers")
+    grid, lines, (posted, alloc, support, probs) = read_records(
+        source, dict(zip(("posted", "alloc", "support", "probs"), kinds))
+    )
+    dists = _encode_distributions(zip(support, probs), len(grid), lines)
+    transcript = Transcript(grid, posted, alloc, *dists)
+    raise_violations(validate(transcript), lines)
     return transcript
 
 

@@ -7,15 +7,20 @@ external references inside the SVG files.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from typing import IO, Sequence, Union
 
 import numpy as np
 
-from .core import Transcript, TranscriptParseError
-from .core import _fmt, _parse_header
-from .oracles import GroundTruth
+from .core import (
+    PriceGrid,
+    Transcript,
+    TranscriptParseError,
+    format_float,
+    read_records,
+    write_records,
+)
+from .oracles import GroundTruth, true_calibrated_regret
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
 
@@ -26,33 +31,22 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
 
 
 def write_truth(truth: GroundTruth, sink: Union[str, IO[str]]) -> None:
-    if isinstance(sink, (str, bytes)):
-        with open(sink, "w", encoding="utf-8") as fh:
-            write_truth(truth, fh)
-        return
-    levels = ", ".join(_fmt(float(v)) for v in truth.levels)
-    sink.write(f'{{"grid": [{levels}], "continuum_upper": null}}\n')
-    for t in range(truth.rounds):
-        row = ", ".join(_fmt(float(v)) for v in truth.row(t))
-        sink.write(f'{{"t": {t + 1}, "x": [{row}]}}\n')
+    rows = (", ".join(map(format_float, truth.row(t))) for t in range(truth.rounds))
+    write_records(
+        sink,
+        PriceGrid(truth.levels),
+        (f'{{"t": {t}, "x": [{row}]}}\n' for t, row in enumerate(rows, 1)),
+    )
 
 
 def read_truth(source: Union[str, IO[str]]) -> GroundTruth:
-    if isinstance(source, (str, bytes)):
-        with open(source, "r", encoding="utf-8") as fh:
-            return read_truth(fh)
-    lines = [ln for ln in (raw.rstrip("\n") for raw in source) if ln.strip()]
-    if not lines:
-        raise TranscriptParseError(1, "missing header line")
-    grid = _parse_header(lines[0], 1)
-    rows = []
-    for i, ln in enumerate(lines[1:]):
-        try:
-            obj = json.loads(ln)
-        except json.JSONDecodeError as e:
-            raise TranscriptParseError(i + 2, f"bad JSON: {e.msg}") from e
-        rows.append([float(v) for v in obj["x"]])
-    return GroundTruth(grid.levels, np.asarray(rows, dtype=float))
+    grid, lines, (rows,) = read_records(source, {"x": "a list of numbers"})
+    k = len(grid)
+    for t, row in enumerate(rows, 1):
+        if len(row) != k:
+            raise TranscriptParseError(lines[t], f'"x" must have {k} entries, one per price')
+    values = np.array(rows, dtype=float).reshape(len(rows), k)
+    return GroundTruth(grid.levels, values)
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +215,7 @@ def pair_heatmap_counts(
     k = len(transcript_pairs[0][0].grid)
     counts = np.zeros((k, k), dtype=np.int64)
     for t1, t2 in transcript_pairs:
-        for r1, r2 in zip(t1.records[-last_rounds:], t2.records[-last_rounds:]):
-            counts[r1.posted_index, r2.posted_index] += 1
+        np.add.at(counts, (t1.posted[-last_rounds:], t2.posted[-last_rounds:]), 1)
     return counts
 
 
@@ -235,8 +228,6 @@ def cost_sweep_rows(
     distributions: np.ndarray | None = None,
 ):
     """(cost, estimated regret[, true regret]) rows for a regret-vs-cost figure."""
-    from .oracles import true_calibrated_regret
-
     cs = np.linspace(cost_lo, cost_hi, points)
     est = curve.values(cs)
     rows = []
@@ -255,17 +246,14 @@ def horizon_rows(
     horizons: Sequence[int],
 ):
     """True regret at the given costs for truncated prefixes of a transcript."""
-    from .audit import _densify
-    from .oracles import true_calibrated_regret
-
-    dense = _densify(transcript)
+    dists = transcript.dists()
     rows = []
     values = truth.as_array()
     for h in horizons:
         tr = GroundTruth(truth.levels, values[:h])
         row = [int(h)]
         for c in costs:
-            row.append(float(true_calibrated_regret(dense.probs[:h], tr, float(c))))
+            row.append(float(true_calibrated_regret(dists[:h], tr, float(c))))
         rows.append(row)
     return rows
 

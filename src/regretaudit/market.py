@@ -17,12 +17,6 @@ from typing import IO, Sequence, Union
 Numeric = Union[int, float, Fraction]
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, str):
-        return Fraction(x)
-    return Fraction(x)
-
-
 @dataclass(frozen=True)
 class DiscreteValuationTable:
     """Joint distribution of buyer valuations (v1, v2) over discrete levels.
@@ -82,10 +76,10 @@ class DiscreteValuationTable:
             with open(source, "r", encoding="utf-8") as fh:
                 obj = json.load(fh)
         return DiscreteValuationTable(
-            v1_levels=tuple(_as_fraction(v) for v in obj["v1_levels"]),
-            v2_levels=tuple(_as_fraction(v) for v in obj["v2_levels"]),
-            joint_probs=tuple(tuple(_as_fraction(p) for p in row) for row in obj["probs"]),
-            epsilon=_as_fraction(obj.get("epsilon", 0)),
+            v1_levels=tuple(Fraction(v) for v in obj["v1_levels"]),
+            v2_levels=tuple(Fraction(v) for v in obj["v2_levels"]),
+            joint_probs=tuple(tuple(Fraction(p) for p in row) for row in obj["probs"]),
+            epsilon=Fraction(obj.get("epsilon", 0)),
         )
 
 
@@ -97,7 +91,7 @@ def manipulation_valuation_table(epsilon: Numeric = 0) -> DiscreteValuationTable
     (v1, 3) rows; it must stay at most 1/40 for all entries to be
     non-negative.
     """
-    e = _as_fraction(epsilon)
+    e = Fraction(epsilon)
     z = Fraction(0)
     probs = (
         (z, z, z, Fraction(67, 600) + e / 3),
@@ -118,8 +112,8 @@ def discrete_demand(
     short, and flips a fair coin on ties, so
     x1 = Pr[v1 - v2 > p1 - p2] + (1/2) Pr[v1 - v2 = p1 - p2] and x2 = 1 - x1.
     """
-    p1 = _as_fraction(p1)
-    p2 = _as_fraction(p2)
+    p1 = Fraction(p1)
+    p2 = Fraction(p2)
     admissible = set(table.price_levels)
     if p1 not in admissible or p2 not in admissible:
         raise ValueError(f"prices must lie on the construction grid {sorted(admissible)}")
@@ -186,27 +180,23 @@ class PayoffMatrix:
     def pair(self, i: int, j: int) -> tuple[Numeric, Numeric]:
         return self.seller1[i][j], self.seller2[i][j]
 
-    @property
-    def max_payoff(self) -> Numeric:
-        return max(
-            max(max(row) for row in self.seller1),
-            max(max(row) for row in self.seller2),
-        )
+
+def demand_table(oracle, levels: Sequence[Numeric]):
+    """Both sellers' demands at every price pair: x1[i][j], x2[i][j] =
+    oracle.demand(levels[i], levels[j]); exact where the oracle is exact."""
+    pairs = [[oracle.demand(p1, p2) for p2 in levels] for p1 in levels]
+    x1 = tuple(tuple(x for x, _ in row) for row in pairs)
+    x2 = tuple(tuple(x for _, x in row) for row in pairs)
+    return x1, x2
 
 
 def expected_payoff_matrix(oracle, levels: Sequence[Numeric], costs: Sequence[Numeric]) -> PayoffMatrix:
     """payoff_i(p1, p2) = (p_i - c_i) * x_i(p1, p2); exact where the oracle is exact."""
     c1, c2 = costs
-    m1, m2 = [], []
-    for p1 in levels:
-        row1, row2 = [], []
-        for p2 in levels:
-            x1, x2 = oracle.demand(p1, p2)
-            row1.append((p1 - c1) * x1)
-            row2.append((p2 - c2) * x2)
-        m1.append(tuple(row1))
-        m2.append(tuple(row2))
-    return PayoffMatrix(tuple(levels), tuple(m1), tuple(m2))
+    x1, x2 = demand_table(oracle, levels)
+    m1 = tuple(tuple((p1 - c1) * x for x in row) for p1, row in zip(levels, x1))
+    m2 = tuple(tuple((p2 - c2) * x for p2, x in zip(levels, row)) for row in x2)
+    return PayoffMatrix(tuple(levels), m1, m2)
 
 
 def best_pure_equilibrium(matrix: PayoffMatrix):

@@ -19,7 +19,8 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .core import PriceDistribution, PriceGrid, Transcript, TranscriptRecord
+from .core import PriceDistribution, PriceGrid, Transcript
+from .market import demand_table
 
 Numeric = Union[int, float, Fraction]
 
@@ -60,20 +61,13 @@ class SwapMap:
 def materialize_truth(oracle, levels: Sequence[Numeric], opponent_indices: Sequence[int], seller: int) -> GroundTruth:
     """Build per-round allocation vectors from a demand oracle and the
     opponent's realized price trace (as grid indices)."""
-    k = len(levels)
-    table = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            x1, x2 = oracle.demand(levels[i], levels[j]) if seller == 0 else oracle.demand(levels[j], levels[i])
-            row.append(x1 if seller == 0 else x2)
-        table.append(row)
-    exact = any(isinstance(v, Fraction) for row in table for v in row)
-    if exact:
-        values = tuple(tuple(table[p][j] for p in range(k)) for j in opponent_indices)
-        return GroundTruth(tuple(levels), values)
-    arr = np.asarray(table, dtype=float)  # arr[own, opp]
-    return GroundTruth(tuple(levels), arr[:, np.asarray(opponent_indices, dtype=int)].T.copy())
+    x1, x2 = demand_table(oracle, levels)
+    # by_opp[j][p]: the seller's demand at own price p against opponent price j.
+    by_opp = tuple(zip(*x1)) if seller == 0 else x2
+    if any(isinstance(v, Fraction) for row in by_opp for v in row):
+        return GroundTruth(tuple(levels), tuple(by_opp[j] for j in opponent_indices))
+    opp = np.asarray(opponent_indices, dtype=int)
+    return GroundTruth(tuple(levels), np.asarray(by_opp, dtype=float)[opp])
 
 
 # ---------------------------------------------------------------------------
@@ -385,15 +379,9 @@ def sample_transcript(
     """Draw posted prices from the given schedule and read allocations off the
     ground truth; the audit-side view of a fixed environment."""
     rng = np.random.default_rng(seed)
-    records = []
-    for t, dist in enumerate(distributions):
-        u = rng.random()
-        acc = 0.0
-        posted = dist.support[-1]
-        for i, p in zip(dist.support, dist.probs):
-            acc += p
-            if u < acc:
-                posted = i
-                break
-        records.append(TranscriptRecord(t + 1, posted, float(truth.row(t)[posted]), dist))
-    return Transcript(grid, records)
+    posted = []
+    for dist in distributions:
+        a = dist.draw(rng.random())
+        posted.append(dist.support[-1] if a is None else a)
+    alloc = [float(truth.row(t)[p]) for t, p in enumerate(posted)]
+    return Transcript.from_rounds(grid, posted, alloc, distributions)

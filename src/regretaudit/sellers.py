@@ -17,7 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import PriceDistribution, PriceGrid, Transcript, TranscriptRecord
+from .core import PriceDistribution, PriceGrid, Transcript
+from .market import demand_table
 
 # Weights this far below the leader are dropped from the emitted support;
 # core rejects probabilities under 1e-15, so the support must stay explicit.
@@ -200,7 +201,6 @@ class QLearnerStrategy:
         self._dist = greedy_distribution(
             len(state.q_values), state.explore_eps, int(state.q_values.argmax())
         )
-        self._cdf_cache: dict[int, np.ndarray] = {}
 
     @staticmethod
     def standard(
@@ -217,15 +217,6 @@ class QLearnerStrategy:
     def distribution(self) -> PriceDistribution:
         return self._dist
 
-    def dense_cdf(self, k: int) -> np.ndarray:
-        # Epsilon-greedy distributions are interned per argmax, so identity
-        # is a stable cache key.
-        cached = self._cdf_cache.get(id(self._dist))
-        if cached is None:
-            cached = np.cumsum(self._dist.dense(k))
-            self._cdf_cache[id(self._dist)] = cached
-        return cached
-
     def observe(self, posted: int, utility: float, utility_vector) -> None:
         self.state, self._dist = q_step(self.state, utility, posted)
 
@@ -240,7 +231,6 @@ class MWUStrategy:
         self.reward_lo = reward_lo
         self.reward_hi = reward_hi
         self._dist = mwu_distribution(state)
-        self._cdf: np.ndarray | None = None
 
     @staticmethod
     def fresh(k: int, step_size: float, reward_lo: float, reward_hi: float) -> "MWUStrategy":
@@ -249,32 +239,20 @@ class MWUStrategy:
     def distribution(self) -> PriceDistribution:
         return self._dist
 
-    def dense_cdf(self, k: int) -> np.ndarray:
-        if self._cdf is None:
-            self._cdf = np.cumsum(self._dist.dense(k))
-        return self._cdf
-
     def observe(self, posted: int, utility: float, utility_vector) -> None:
         rewards = (np.asarray(utility_vector, float) - self.reward_lo) / (
             self.reward_hi - self.reward_lo
         )
         self.state, self._dist = mwu_step(self.state, rewards)
-        self._cdf = None
 
 
 class FixedPriceStrategy:
     def __init__(self, index: int):
         self.index = index
         self._dist = PriceDistribution.point_mass(index)
-        self._cdf: np.ndarray | None = None
 
     def distribution(self) -> PriceDistribution:
         return self._dist
-
-    def dense_cdf(self, k: int) -> np.ndarray:
-        if self._cdf is None:
-            self._cdf = np.cumsum(self._dist.dense(k))
-        return self._cdf
 
     def observe(self, posted: int, utility: float, utility_vector) -> None:
         pass
@@ -293,18 +271,12 @@ class ManipulatorStrategy:
         self._dists = {
             level: PriceDistribution.point_mass(idx) for level, idx in self._indices.items()
         }
-        self._cdfs = {
-            level: np.cumsum(d.dense(len(grid))) for level, d in self._dists.items()
-        }
 
     def _level(self) -> float:
         return manipulator_next(self.schedule, self._round)
 
     def distribution(self) -> PriceDistribution:
         return self._dists[self._level()]
-
-    def dense_cdf(self, k: int) -> np.ndarray:
-        return self._cdfs[self._level()]
 
     def observe(self, posted: int, utility: float, utility_vector) -> None:
         self._round += 1
@@ -330,17 +302,12 @@ def _stream(seed: int, tag: int) -> np.random.Generator:
 
 def payoff_tables(oracle, grid: PriceGrid, costs: Sequence[float]):
     """Per-seller allocation and utility tables indexed [own price, opponent price]."""
-    k = len(grid)
-    lv = grid.levels
-    a1 = np.empty((k, k))
-    a2 = np.empty((k, k))
-    for i in range(k):
-        for j in range(k):
-            x1, x2 = oracle.demand(lv[i], lv[j])
-            a1[i, j] = float(x1)
-            a2[j, i] = float(x2)
-    u1 = (np.asarray(lv) - costs[0])[:, None] * a1
-    u2 = (np.asarray(lv) - costs[1])[:, None] * a2
+    x1, x2 = demand_table(oracle, grid.levels)
+    a1 = np.array(x1, dtype=float)
+    a2 = np.array(x2, dtype=float).T
+    lv = np.asarray(grid.levels)
+    u1 = (lv - costs[0])[:, None] * a1
+    u2 = (lv - costs[1])[:, None] * a2
     return a1, a2, u1, u2
 
 
@@ -401,11 +368,11 @@ def simulate(
     payoffs = (np.empty(rounds), np.empty(rounds))
 
     for t in range(rounds):
+        current = [strat.distribution() for strat in strategies]
         actions = []
-        for i, strat in enumerate(strategies):
-            cdf = strat.dense_cdf(k)
-            a = int(np.searchsorted(cdf, action_u[i][t], side="right"))
-            actions.append(min(a, k - 1))
+        for i, dist in enumerate(current):
+            a = dist.draw(action_u[i][t])
+            actions.append(k - 1 if a is None else a)
         if realized:
             vecs = _realized_vectors(
                 oracle, lv, actions, buyer_u[t], diff_cells
@@ -420,19 +387,12 @@ def simulate(
             util = float(util_vecs[i][a])
             posteds[i].append(a)
             allocs[i].append(alloc)
-            dists[i].append(strat.distribution())
+            dists[i].append(current[i])
             payoffs[i][t] = util
             strat.observe(a, util, util_vecs[i])
 
     transcripts = tuple(
-        Transcript(
-            grid,
-            [
-                TranscriptRecord(t + 1, posteds[i][t], allocs[i][t], dists[i][t])
-                for t in range(rounds)
-            ],
-        )
-        for i in range(2)
+        Transcript.from_rounds(grid, posteds[i], allocs[i], dists[i]) for i in range(2)
     )
     return SimulationResult(transcripts, payoffs)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from regretaudit.core import PriceDistribution, PriceGrid, Transcript, TranscriptRecord
+from regretaudit.core import PriceDistribution, PriceGrid, Transcript
 from regretaudit.oracles import GroundTruth
 
 
@@ -36,11 +36,7 @@ def random_instance(rng: np.random.Generator, k: int, rounds: int):
 
 
 def transcript_from(grid, dists, posted, allocs) -> Transcript:
-    records = [
-        TranscriptRecord(t + 1, int(posted[t]), float(allocs[t]), dists[t])
-        for t in range(len(dists))
-    ]
-    return Transcript(grid, records)
+    return Transcript.from_rounds(grid, posted, allocs, dists)
 
 
 def sample_posted(rng: np.random.Generator, dists) -> list[int]:

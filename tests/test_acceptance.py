@@ -35,7 +35,6 @@ from regretaudit.core import (
     PriceDistribution,
     PriceGrid,
     Transcript,
-    TranscriptRecord,
 )
 from regretaudit.market import (
     UniformDuopoly,
@@ -211,11 +210,9 @@ def test_criterion_04_concentration():
     for seed in range(n_transcripts):
         u = np.random.default_rng((9000, seed)).random(rounds)
         posted = np.minimum((cums <= u[:, None]).sum(axis=1), last_support)
-        records = [
-            TranscriptRecord(t + 1, int(posted[t]), float(values[t, posted[t]]), dists[t])
-            for t in range(rounds)
-        ]
-        transcript = Transcript(grid, records)
+        transcript = Transcript.from_rounds(
+            grid, posted, values[np.arange(rounds), posted], dists
+        )
         if delta is None:
             delta = error_margin(transcript, alpha=0.05)
         estimate = regret_curve(transcript).value(c)
@@ -308,7 +305,7 @@ def test_criterion_06_manipulation(manipulation_run):
     phase1 = schedule.phase1_rounds
     lv = np.asarray(grid.levels)
 
-    posted = [np.array([r.posted_index for r in tr.records]) for tr in result.transcripts]
+    posted = [tr.posted for tr in result.transcripts]
     window_start = phase1 + math.ceil(3 * MANIP_EPSILON * phase1)
     freq_top = float((posted[1][window_start - 1 :] == 3).mean())
 
@@ -355,20 +352,6 @@ DESK_ROUNDS = 200_000
 DESK_SEEDS = 20
 DESK_TRUE_COST = 0.1
 DESK_GRID = PriceGrid([round(0.05 * i, 2) for i in range(1, 20)])
-
-
-def dense_distributions(transcript: Transcript) -> np.ndarray:
-    """The recorded distributions as a (T, k) array.
-
-    Epsilon-greedy distributions are interned, so each distinct object is
-    densified once.
-    """
-    dists = [rec.distribution for rec in transcript.records]
-    distinct = {id(d): d for d in dists}
-    row = {key: i for i, key in enumerate(distinct)}
-    index = np.fromiter((row[id(d)] for d in dists), dtype=np.int64, count=len(dists))
-    table = np.array([d.dense(len(transcript.grid)) for d in distinct.values()])
-    return table[index]
 
 
 def estimator_pair_sd(probs: np.ndarray, alloc: np.ndarray, levels, costs) -> np.ndarray:
@@ -420,8 +403,8 @@ def desk_run(seed: int) -> dict:
     s2 = QLearnerStrategy.standard(grid, 0.2)
     result = simulate(grid, (s1, s2), env, (DESK_TRUE_COST, 0.2), DESK_ROUNDS, "expected", seed=seed)
     seller1, seller2 = result.transcripts
-    last1 = [r.posted_index for r in seller1.records[-10:]]
-    last2 = [r.posted_index for r in seller2.records[-10:]]
+    last1 = seller1.posted[-10:].tolist()
+    last2 = seller2.posted[-10:].tolist()
     modal = Counter(zip(last1, last2)).most_common(1)[0][0]
     curve = regret_curve(seller1)
     c_tilde, plausible = minimize_over_cost(curve, CostRange(DESK_TRUE_COST, 0.9))
@@ -429,13 +412,12 @@ def desk_run(seed: int) -> dict:
     # Under expected feedback the oracle allocations are the exact ground
     # truth, and under full support the pessimistic completion is the truth
     # itself, so true_calibrated_regret is exactly the audit's target.
-    probs = dense_distributions(seller1)
+    probs = seller1.dists()
     assert (probs > 0).all(), "criterion 7 needs full-support distributions"
-    posted1 = np.array([r.posted_index for r in seller1.records])
-    truth = materialize_truth(env, grid.levels, [r.posted_index for r in seller2.records], 0)
+    posted1 = seller1.posted
+    truth = materialize_truth(env, grid.levels, seller2.posted, 0)
     alloc = truth.as_array()
-    recorded = np.array([r.allocation for r in seller1.records])
-    assert np.array_equal(alloc[np.arange(len(posted1)), posted1], recorded)
+    assert np.array_equal(alloc[np.arange(len(posted1)), posted1], seller1.alloc)
 
     costs = (c_tilde, DESK_TRUE_COST)
     sd_sums = estimator_sd_sum(probs, alloc, grid.levels, costs)
@@ -548,15 +530,9 @@ def test_criterion_08_aggregated_audit():
     result = simulate(grid, learners, table, (0.0, 0.0), rounds, "expected", seed=11)
 
     # Per-step sup-norm drift of both learners' distributions stays under eta.
-    drift_ok = True
-    for tr in result.transcripts:
-        prev = tr.records[0].distribution.dense(4)
-        for rec in tr.records[1:]:
-            cur = rec.distribution.dense(4)
-            if np.abs(cur - prev).max() > eta + 1e-12:
-                drift_ok = False
-                break
-            prev = cur
+    drift_ok = all(
+        np.abs(np.diff(tr.dists(), axis=0)).max() <= eta + 1e-12 for tr in result.transcripts
+    )
 
     transcript = result.transcripts[0]
     config = AuditConfig(CostRange(0.0, 1.0), threshold_r=6e-3, confidence_alpha=0.05)
@@ -564,9 +540,7 @@ def test_criterion_08_aggregated_audit():
 
     gamma = math.log(1.0 / eta) / math.log(rounds)  # drift rate: T ** -gamma = eta
     drift = DriftAssumption.rate(gamma, support_floor=0.3)
-    posted = [r.posted_index for r in transcript.records]
-    allocs = [r.allocation for r in transcript.records]
-    agg_report = audit_aggregated(posted, allocs, grid, drift, config)
+    agg_report = audit_aggregated(transcript.posted, transcript.alloc, grid, drift, config)
 
     same_verdict = agg_report.verdict == exact_report.verdict
     gap = abs(agg_report.estimated_regret - exact_report.estimated_regret)

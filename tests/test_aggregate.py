@@ -75,9 +75,8 @@ class TestEstimateDistributions:
             learner = MWUStrategy.fresh(4, eta, *reward_bounds(tab, grid, (0, 0)))
             res = simulate(grid, (FixedPriceStrategy(1), learner), tab, (0, 0), T, "expected", seed)
             tr = res.transcripts[1]
-            posted = [r.posted_index for r in tr.records]
-            est = estimate_distributions(posted, grid, drift, delta)
-            true = np.stack([r.distribution.dense(4) for r in tr.records])
+            est = estimate_distributions(tr.posted, grid, drift, delta)
+            true = tr.dists()
             err = float(np.abs(est.freqs - true).max())
             hits += err <= bound
         assert hits >= 95

@@ -1,5 +1,6 @@
 import itertools
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
@@ -107,8 +108,7 @@ class TestPairwiseRegret:
                 for c in rng.uniform(0, 1.5, size=3):
                     direct = 0.0
                     for t in order:
-                        rec = tr.records[t]
-                        pi_p = rec.distribution.prob_of(p)
+                        pi_p = tr.dist_table[tr.dist_index[t], p]
                         direct += pi_p * (
                             (levels[q] - c) * est.values[t, q]
                             - (levels[p] - c) * est.values[t, p]
@@ -250,10 +250,17 @@ class TestDiscretizationLoss:
 
 class TestAudit:
     def test_empty_transcript_rejected(self):
-        tr = Transcript(PriceGrid([1.0]), [])
+        tr = Transcript.from_rounds(PriceGrid([1.0]), [], [], [])
         cfg = AuditConfig(CostRange(0.0, 1.0), 0.1, 0.05)
         with pytest.raises(ValueError):
             audit(tr, cfg)
+
+    def test_report_json_is_strict(self, rng):
+        report = audit(random_transcript(rng), AuditConfig(CostRange(0.0, 1.0), 0.1, 0.05))
+        assert json.loads(report.to_json())["rounds"] == 30
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                replace(report, error_margin=bad).to_json()
 
     def test_best_responder_passes_when_margin_small(self, rng):
         # Static demand, mass 0.9 on the better price: regret is just the

@@ -53,7 +53,7 @@ class TestSimulateCommand:
         # --rounds is the total; phase 1 is ceil(420 / 2.1) = 200 rounds of
         # the low price, then the high price through round 421.
         assert len(tr) == 421
-        levels = [tr.grid.levels[r.posted_index] for r in tr.records]
+        levels = [tr.grid.levels[p] for p in tr.posted]
         assert set(levels[:200]) == {1.0}
         assert set(levels[200:]) == {3.0}
 
@@ -257,6 +257,74 @@ class TestAggregatedCommand:
         )
         assert code == 1
         assert "insufficient data" in capsys.readouterr().err
+
+
+class TestMalformedInputs:
+    """Malformed input exits 1 naming its line, and is never audited."""
+
+    AUDIT_FLAGS = ["--cost-lo", "0", "--cost-hi", "0.5"]
+
+    @staticmethod
+    def reduced_file(path, round_no, bad, rounds=2000):
+        lines = ['{"grid": [0.5, 1.0, 1.5], "continuum_upper": null}']
+        for t in range(1, rounds + 1):
+            lines.append(bad if t == round_no else f'{{"t": {t}, "posted": {t % 3}, "alloc": 0.5}}')
+        path.write_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize(
+        "round_no, bad",
+        [
+            (1000, '{"t": 1000, "posted": -1, "alloc": 0.5}'),
+            (1000, '{"t": 1000, "posted": 7, "alloc": 0.5}'),
+            (1000, '{"t": 1000, "posted": 1, "alloc": 7}'),
+            (1, '{"t": true, "posted": 1, "alloc": 0.5}'),
+            (1000, '{"t": 1000, "posted": false, "alloc": 0.5}'),
+        ],
+        ids=["posted-negative", "posted-off-grid", "alloc-above-one", "t-bool", "posted-bool"],
+    )
+    def test_reduced_file(self, tmp_path, capsys, round_no, bad):
+        path = tmp_path / "reduced.jsonl"
+        self.reduced_file(path, round_no, bad)
+        flags = ["--drift-gamma", "0.7", "--support-floor", "0.9"]
+        code = main(["audit-aggregated", str(path), *self.AUDIT_FLAGS, *flags])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert f"line {round_no + 1}" in captured.err
+
+    def test_nan_probability(self, tmp_path, capsys):
+        path = tmp_path / "nan.jsonl"
+        record = '{{"t": {t}, "posted": 1, "alloc": 0.5, "support": [0, 1], "probs": {probs}}}'
+        lines = ['{"grid": [0.4, 0.8], "continuum_upper": null}']
+        lines += [record.format(t=t, probs="[0.5, 0.5]") for t in range(1, 6)]
+        lines.append(record.format(t=6, probs="[NaN, 1.0]"))
+        path.write_text("\n".join(lines) + "\n")
+        code = main(["audit", str(path), *self.AUDIT_FLAGS])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "line 7" in captured.err
+
+    @pytest.mark.parametrize(
+        "bad",
+        ['{"t": 3, "y": [1.0, 0.5]}', '{"t": 3, "x": ["a", 0.5]}', '{"t": 3, "x": [1.0]}'],
+        ids=["missing-x", "non-numeric-x", "short-x"],
+    )
+    def test_truth_sidecar(self, tmp_path, rng, capsys, bad):
+        path = tmp_path / "t.jsonl"
+        write_best_responder_transcript(path, rng, rounds=5)
+        truth = tmp_path / "truth.jsonl"
+        lines = ['{"grid": [0.4, 0.8], "continuum_upper": null}']
+        lines += [f'{{"t": {t}, "x": [1.0, 0.55]}}' for t in range(1, 6)]
+        lines[3] = bad
+        truth.write_text("\n".join(lines) + "\n")
+        sweep = tmp_path / "sweep.csv"
+        code = main(
+            ["audit", str(path), *self.AUDIT_FLAGS, "--sweep", str(sweep), "--truth", str(truth)]
+        )
+        assert code == 1
+        assert "line 4" in capsys.readouterr().err
+        assert not sweep.exists()
 
 
 class TestFiguresCommand:

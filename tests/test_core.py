@@ -1,4 +1,7 @@
 
+import io
+import math
+
 import numpy as np
 import pytest
 
@@ -9,27 +12,34 @@ from regretaudit.core import (
     PriceGrid,
     Transcript,
     TranscriptParseError,
-    TranscriptRecord,
     TranscriptValidationError,
+    Violation,
     dumps_transcript,
     loads_transcript,
+    read_records,
     read_transcript,
     validate,
+    validate_series,
     write_transcript,
 )
 
 from conftest import dyadic_distribution, transcript_from
 
 
+HEADER = '{"grid": [1.0, 2.0], "continuum_upper": null}\n'
+
+
+def record_line(t, posted=0, alloc=0.5, support="[0]", probs="[1.0]"):
+    return (
+        f'{{"t": {t}, "posted": {posted}, "alloc": {alloc}, '
+        f'"support": {support}, "probs": {probs}}}\n'
+    )
+
+
 def make_simple_transcript():
     grid = PriceGrid([0.3, 0.5, 0.7])
     dist = PriceDistribution((0, 1), (0.5, 0.5))
-    records = [
-        TranscriptRecord(1, 0, 0.9, dist),
-        TranscriptRecord(2, 1, 0.4, dist),
-        TranscriptRecord(3, 1, 0.2, dist),
-    ]
-    return Transcript(grid, records)
+    return Transcript.from_rounds(grid, [0, 1, 1], [0.9, 0.4, 0.2], [dist] * 3)
 
 
 class TestValidate:
@@ -39,7 +49,7 @@ class TestValidate:
     def test_posted_outside_support_names_round(self):
         grid = PriceGrid([0.3, 0.5])
         dist = PriceDistribution((0,), (1.0,))
-        tr = Transcript(grid, [TranscriptRecord(1, 1, 0.5, dist)])
+        tr = Transcript.from_rounds(grid, [1], [0.5], [dist])
         violations = validate(tr)
         assert len(violations) == 1
         assert violations[0].round == 1
@@ -48,35 +58,36 @@ class TestValidate:
     def test_allocation_out_of_range_names_round_two(self):
         grid = PriceGrid([0.3, 0.5])
         dist = PriceDistribution((0,), (1.0,))
-        tr = Transcript(
-            grid,
-            [TranscriptRecord(1, 0, 0.5, dist), TranscriptRecord(2, 0, 1.2, dist)],
-        )
+        tr = Transcript.from_rounds(grid, [0, 0], [0.5, 1.2], [dist, dist])
         violations = validate(tr)
         assert [(v.round, v.field) for v in violations] == [(2, "allocation")]
         assert "allocation out of [0,1]" in violations[0].message
 
     def test_probability_below_support_threshold_rejected(self):
         dist = PriceDistribution((0, 1), (1e-16, 1.0 - 1e-16))
-        tr = Transcript(PriceGrid([1.0, 2.0]), [TranscriptRecord(1, 1, 0.5, dist)])
+        tr = Transcript.from_rounds(PriceGrid([1.0, 2.0]), [1], [0.5], [dist])
         assert any(v.field == "probs" for v in validate(tr))
 
     def test_probs_must_sum_to_one(self):
         dist = PriceDistribution((0, 1), (0.6, 0.6))
-        tr = Transcript(PriceGrid([1.0, 2.0]), [TranscriptRecord(1, 0, 0.5, dist)])
+        tr = Transcript.from_rounds(PriceGrid([1.0, 2.0]), [0], [0.5], [dist])
         assert any("sum" in v.message for v in validate(tr))
 
     def test_unsorted_or_duplicate_support(self):
-        tr = Transcript(
-            PriceGrid([1.0, 2.0]),
-            [TranscriptRecord(1, 1, 0.5, PriceDistribution((1, 0), (0.5, 0.5)))],
-        )
-        assert any(v.field == "support" for v in validate(tr))
-        tr = Transcript(
-            PriceGrid([1.0, 2.0]),
-            [TranscriptRecord(1, 0, 0.5, PriceDistribution((0, 0), (0.5, 0.5)))],
-        )
-        assert any("duplicate" in v.message for v in validate(tr))
+        # A dense row cannot hold these, so building the columns rejects them.
+        grid = PriceGrid([1.0, 2.0])
+        with pytest.raises(TranscriptValidationError) as err:
+            Transcript.from_rounds(grid, [1], [0.5], [PriceDistribution((1, 0), (0.5, 0.5))])
+        assert any(v.field == "support" for v in err.value.violations)
+        with pytest.raises(TranscriptValidationError) as err:
+            Transcript.from_rounds(grid, [0], [0.5], [PriceDistribution((0, 0), (0.5, 0.5))])
+        assert any("duplicate" in v.message for v in err.value.violations)
+        for support, message in (("[1, 0]", "not sorted"), ("[0, 0]", "duplicate")):
+            with pytest.raises(TranscriptValidationError) as err:
+                loads_transcript(HEADER + record_line(1, support=support, probs="[0.5, 0.5]"))
+            [v] = err.value.violations
+            assert (v.round, v.field, v.line) == (1, "support", 2)
+            assert message in v.message
 
     def test_grid_violations(self):
         assert any(v.field == "levels" for v in PriceGrid([2.0, 1.0]).violations())
@@ -87,16 +98,74 @@ class TestValidate:
         assert PriceGrid([0.5, 2.0], 2.0).violations() == []
 
     def test_non_contiguous_rounds(self):
-        grid = PriceGrid([1.0])
-        dist = PriceDistribution((0,), (1.0,))
-        tr = Transcript(grid, [TranscriptRecord(1, 0, 0.5, dist), TranscriptRecord(3, 0, 0.5, dist)])
-        assert any(v.field == "round" and v.round == 3 for v in validate(tr))
+        # Columns number rounds by position, so the reader checks "t".
+        with pytest.raises(TranscriptValidationError) as err:
+            loads_transcript(HEADER + record_line(1) + record_line(3))
+        assert any(v.field == "round" and v.round == 3 for v in err.value.violations)
+
+    def test_violations_in_round_order_once_per_round(self):
+        # Distribution A breaks the sum, B is fine; A's breach is reported at
+        # every round that drew from it, before that round's own breaches.
+        grid = PriceGrid([1.0, 2.0])
+        a = PriceDistribution((0, 1), (0.6, 0.6))
+        b = PriceDistribution.point_mass(0)
+        tr = Transcript.from_rounds(grid, [0, 1, 1, 0], [0.5, 1.5, 2.0, 0.5], [a, b, a, b])
+        assert len(tr.dist_table) == 2
+        assert validate(tr) == [
+            Violation(1, "probs", "probabilities do not sum to 1"),
+            Violation(2, "posted_index", "posted price outside support"),
+            Violation(2, "allocation", "allocation out of [0,1]"),
+            Violation(3, "probs", "probabilities do not sum to 1"),
+            Violation(3, "allocation", "allocation out of [0,1]"),
+        ]
+
+    def test_matches_per_round_reference(self, rng):
+        # The old per-round loop, for finite positive probabilities.
+        grid = PriceGrid([0.5, 1.0, 1.5, 2.0])
+        dists = [dyadic_distribution(rng, 4) for _ in range(6)]
+        dists += [PriceDistribution(d.support, [p * 1.25 for p in d.probs]) for d in dists[:3]]
+        dists.append(PriceDistribution((0, 1), (1e-16, 1.0 - 1e-16)))
+        for _ in range(20):
+            rounds = [dists[i] for i in rng.integers(0, len(dists), size=30)]
+            posted = rng.integers(0, 4, size=30).tolist()
+            alloc = rng.uniform(-0.2, 1.2, size=30).tolist()
+            expected = []
+            for t, (d, p, a) in enumerate(zip(rounds, posted, alloc), 1):
+                if min(d.probs) < 1e-15:
+                    expected.append(Violation(t, "probs", "probability below 1e-15 rejected"))
+                if abs(math.fsum(d.probs) - 1.0) > 1e-12:
+                    expected.append(Violation(t, "probs", "probabilities do not sum to 1"))
+                if p not in d.support:
+                    expected.append(Violation(t, "posted_index", "posted price outside support"))
+                if not 0.0 <= a <= 1.0:
+                    expected.append(Violation(t, "allocation", "allocation out of [0,1]"))
+            assert validate(Transcript.from_rounds(grid, posted, alloc, rounds)) == expected
+
+    def test_non_finite_values(self):
+        grid = PriceGrid([1.0, 2.0])
+        nan = float("nan")
+        tr = Transcript.from_rounds(grid, [0], [0.5], [PriceDistribution((0, 1), (nan, 1.0))])
+        assert [(v.round, v.field) for v in validate(tr)] == [(1, "probs")]
+        tr = Transcript.from_rounds(grid, [0], [nan], [PriceDistribution.point_mass(0)])
+        assert [(v.round, v.field) for v in validate(tr)] == [(1, "allocation")]
+        assert [v.field for v in PriceGrid([nan, 1.0]).violations()] == ["levels"]
+        inf = float("inf")
+        assert [v.field for v in PriceGrid([1.0], inf).violations()] == ["continuum_upper"]
+
+    def test_series_posted_must_lie_on_grid(self):
+        grid = PriceGrid([1.0, 2.0, 3.0])
+        violations = validate_series(grid, [0, -1, 3, 2], [0.5, 0.5, 0.5, 7.0])
+        assert [(v.round, v.field) for v in violations] == [
+            (2, "posted_index"),
+            (3, "posted_index"),
+            (4, "allocation"),
+        ]
 
 
 class TestPersistence:
     def test_one_round_round_trip(self):
         grid = PriceGrid([0.3, 0.5, 0.7])
-        tr = Transcript(grid, [TranscriptRecord(1, 1, 0.4, PriceDistribution((1,), (1.0,)))])
+        tr = Transcript.from_rounds(grid, [1], [0.4], [PriceDistribution((1,), (1.0,))])
         text = dumps_transcript(tr)
         assert len(text.strip().split("\n")) == 2
         assert loads_transcript(text) == tr
@@ -164,6 +233,46 @@ class TestPersistence:
                 validate(tr)
             except (TranscriptParseError, TranscriptValidationError):
                 pass
+
+    def test_nan_and_infinity_tokens_are_parse_errors(self):
+        for token in ("NaN", "Infinity", "-Infinity"):
+            with pytest.raises(TranscriptParseError) as err:
+                loads_transcript(HEADER + record_line(1, probs=f"[{token}]"))
+            assert err.value.line_no == 2
+        # 1e400 is valid JSON that parses to inf; validation rejects it.
+        with pytest.raises(TranscriptValidationError) as err:
+            loads_transcript(HEADER + record_line(1, probs="[1e400]"))
+        assert [(v.round, v.field, v.line) for v in err.value.violations] == [(1, "probs", 2)]
+
+    def test_booleans_are_not_integers(self):
+        for line in (record_line("true"), record_line(1, posted="false"), record_line(1, alloc="true")):
+            with pytest.raises(TranscriptParseError) as err:
+                loads_transcript(HEADER + line)
+            assert err.value.line_no == 2
+
+    def test_violations_name_physical_lines(self):
+        text = HEADER + "\n" + record_line(1) + "  \n" + record_line(2, alloc=1.5)
+        with pytest.raises(TranscriptValidationError) as err:
+            loads_transcript(text)
+        [v] = err.value.violations
+        assert (v.round, v.field, v.line) == (2, "allocation", 5)
+        assert "line 5" in str(err.value)
+
+    def test_read_records_columns(self):
+        text = HEADER + '{"t": 1, "posted": 1, "x": [0.5]}\n\n{"t": 2, "posted": 0, "x": []}\n'
+        grid, lines, columns = read_records(io.StringIO(text), {"posted": "an integer"})
+        assert grid == PriceGrid([1.0, 2.0])
+        assert lines == [1, 2, 4]
+        assert columns == [[1, 0]]
+
+    def test_distinct_distributions_stored_once(self):
+        grid = PriceGrid([1.0, 2.0])
+        a = PriceDistribution((0, 1), (0.25, 0.75))
+        b = PriceDistribution.point_mass(1)
+        tr = Transcript.from_rounds(grid, [0, 1, 1, 1], [0.1, 0.2, 0.3, 0.4], [a, b, a, a])
+        assert tr.dist_index.tolist() == [0, 1, 0, 0]
+        assert tr.dist_table.tolist() == [[0.25, 0.75], [0.0, 1.0]]
+        assert loads_transcript(dumps_transcript(tr)) == tr
 
     def test_file_round_trip(self, tmp_path):
         tr = make_simple_transcript()

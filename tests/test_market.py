@@ -8,6 +8,7 @@ from regretaudit.market import (
     DiscreteValuationTable,
     UniformDuopoly,
     best_pure_equilibrium,
+    demand_table,
     discrete_demand,
     expected_payoff_matrix,
     manipulation_valuation_table,
@@ -50,6 +51,15 @@ def affine_payoffs(eps_probe=F(1, 100)):
 class TestDiscreteMarket:
     def test_payoff_matrix_matches_published_entries_exactly(self):
         assert affine_payoffs() == EXPECTED_AFFINE
+
+    def test_demand_table_is_exact_and_indexed_by_price_pair(self):
+        tab = manipulation_valuation_table(F(1, 100))
+        levels = [F(1), F(2), F(3)]
+        x1, x2 = demand_table(tab, levels)
+        for i, p1 in enumerate(levels):
+            for j, p2 in enumerate(levels):
+                assert (x1[i][j], x2[i][j]) == tab.demand(p1, p2)
+                assert type(x1[i][j]) is Fraction and type(x2[i][j]) is Fraction
 
     def test_entries_are_affine_in_tilt(self):
         # A third probe point confirms affinity, not just two-point agreement.

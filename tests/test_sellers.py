@@ -144,7 +144,7 @@ class TestSimulate:
         grid, tab = self.grid_and_table()
         res = simulate(grid, (FixedPriceStrategy(1), FixedPriceStrategy(2)), tab, (0, 0), 3, seed=1)
         for tr in res.transcripts:
-            assert all(len(r.distribution.support) == 1 for r in tr.records)
+            assert ((tr.dists() > 0).sum(axis=1) == 1).all()
         x1 = float(tab.demand(1, 2)[0])
         assert res.payoffs[0].tolist() == pytest.approx([x1, x1, x1])
 
@@ -166,8 +166,7 @@ class TestSimulate:
         q1 = QLearnerStrategy.standard(grid, 0.1)
         q2 = QLearnerStrategy.standard(grid, 0.2)
         res = simulate(grid, (q1, q2), env, (0.1, 0.2), 300, "realized", seed=5)
-        a1 = np.array([r.allocation for r in res.transcripts[0].records])
-        a2 = np.array([r.allocation for r in res.transcripts[1].records])
+        a1, a2 = (tr.alloc for tr in res.transcripts)
         assert set(np.unique(a1)) <= {0.0, 1.0}
         assert np.all(a1 + a2 <= 1.0)
 
@@ -182,8 +181,7 @@ class TestSimulate:
             "realized",
             seed=9,
         )
-        a1 = np.array([r.allocation for r in res.transcripts[0].records])
-        a2 = np.array([r.allocation for r in res.transcripts[1].records])
+        a1, a2 = (tr.alloc for tr in res.transcripts)
         assert np.all(a1 + a2 == 1.0)
         # Sale frequency tracks the expected split, 0.615 for seller 1.
         assert abs(a1.mean() - 0.615) < 0.06
@@ -208,9 +206,9 @@ class TestSimulate:
         )
         top = 3
         window_start = phase1 + math.ceil(3 * epsilon * phase1)
-        posted = np.array([r.posted_index for r in res.transcripts[1].records])
+        posted = res.transcripts[1].posted
         assert (posted[window_start - 1 :] == top).mean() >= 0.9
-        probs = [r.distribution.prob_of(top) for r in res.transcripts[1].records]
+        probs = res.transcripts[1].dists()[:, top]
         settled = next(t for t in range(phase1, len(probs)) if probs[t] >= 0.95)
         assert settled - phase1 <= 10 * epsilon * phase1
         assert all(p >= 0.95 for p in probs[settled:])
@@ -231,7 +229,7 @@ class TestSimulate:
             "realized",
             seed=4,
         )
-        posted = np.array([r.posted_index for r in res.transcripts[1].records])
+        posted = res.transcripts[1].posted
         window_start = phase1 + math.ceil(3 * 0.005 * phase1)
         assert (posted[window_start - 1 :] == 3).mean() >= 0.9
 
