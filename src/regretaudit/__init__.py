@@ -68,8 +68,6 @@ from .oracles import (
 )
 from .sellers import (
     ManipulatorSchedule,
-    MWULearnerState,
-    QLearnerState,
     SimulationResult,
     is_mean_based_violation,
     manipulator_next,

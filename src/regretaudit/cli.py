@@ -43,9 +43,8 @@ from .sellers import (
     ManipulatorSchedule,
     ManipulatorStrategy,
     MWUStrategy,
-    mean_based_gamma,
     is_mean_based_violation,
-    MWULearnerState,
+    mean_based_gamma,
     payoff_tables,
     reward_bounds,
     simulate,
@@ -91,7 +90,7 @@ def duopoly_config(rounds: int = 200_000, replications: int = 20, seed: int = 0,
         replications=replications,
         seed=seed,
         out=out,
-        audit={"cost_lo": 0.1, "cost_hi": 0.9, "r": DEFAULT_THRESHOLD, "alpha": 0.05},
+        audit={"cost_lo": 0.1, "cost_hi": 0.9},
     )
 
 
@@ -188,10 +187,19 @@ def _audit_config_from_args(args) -> AuditConfig:
     )
 
 
+def _bounded_grid(levels, h: float) -> PriceGrid:
+    """The grid embedded in [0, h] by --h, which must hold every level."""
+    grid = PriceGrid(levels, h)
+    problems = grid.violations()
+    if problems:
+        raise ValueError(f"--h {h:g}: " + "; ".join(v.message for v in problems))
+    return grid
+
+
 def cmd_audit(args) -> int:
     transcript = read_transcript(args.transcript)
     if args.h is not None:
-        transcript = replace(transcript, grid=PriceGrid(transcript.grid.levels, args.h))
+        transcript = replace(transcript, grid=_bounded_grid(transcript.grid.levels, args.h))
     truth = figures.read_truth(args.truth) if args.sweep and args.truth else None
     report = audit(transcript, _audit_config_from_args(args))
     print(report.to_json(indent=2))
@@ -209,7 +217,7 @@ def cmd_audit(args) -> int:
 def cmd_audit_aggregated(args) -> int:
     grid, posted, allocations = read_price_series(args.transcript)
     if args.h is not None:
-        grid = PriceGrid(grid.levels, args.h)
+        grid = _bounded_grid(grid.levels, args.h)
     if args.drift_eps is not None:
         drift = DriftAssumption.explicit(args.drift_eps, args.support_floor)
     elif args.drift_gamma is not None:
@@ -342,16 +350,14 @@ def cmd_manipulate_demo(args) -> int:
     truth1 = GroundTruth(grid.levels, truths[0])
     cal1 = true_calibrated_regret(result.transcripts[0].dists(), truth1, 0.0)
 
+    # The learner's cumulative rewards before each round: a running sum of
+    # its normalized rewards, added in the order the simulator added them.
     gamma = mean_based_gamma(args.eta, total)
-    violations = 0
     _, _, _, util2 = payoff_tables(table, grid, (0.0, 0.0))
-    state = MWULearnerState(np.zeros(len(grid)), args.eta)
-    norm = 1.0 / (hi - lo)
-    for t in range(total):
-        if is_mean_based_violation(state, int(posted2[t]), gamma, total):
-            violations += 1
-        rewards = (util2[:, posted1[t]] - lo) * norm
-        state = MWULearnerState(state.cumulative_rewards + rewards, args.eta)
+    rewards = learner.rewards(util2[:, posted1].T)
+    before = np.vstack([np.zeros((1, len(grid))), np.cumsum(rewards, axis=0)[:-1]])
+    flags = is_mean_based_violation(before, result.transcripts[1].dists(), posted2, gamma, total)
+    violations = int(flags.sum())
 
     summary = {
         "phase1_rounds": phase1,
@@ -417,7 +423,6 @@ def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--replications", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
-    p.add_argument("--sweep-points", type=int, default=81)
 
 
 def _add_audit_flags(p: argparse.ArgumentParser) -> None:
@@ -460,6 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("figures", help="simulate and emit figure CSV/SVG files")
     _add_experiment_flags(p)
+    p.add_argument("--sweep-points", type=int, default=81)
     p.set_defaults(func=cmd_figures)
 
     p = sub.add_parser("manipulate-demo", help="steer a mean-based learner to supra-competitive prices")

@@ -396,13 +396,22 @@ _INT = frozenset({int})
 _NUMBER = frozenset({int, float})
 _I64 = 2**63
 
+
+def _numbers(v) -> bool:
+    """A list of floats and of integers that fit in 64 bits."""
+    if type(v) is not list:
+        return False
+    types = set(map(type, v))
+    return types <= _NUMBER and (int not in types or all(-_I64 <= x < _I64 for x in v if type(x) is int))
+
+
 # Value kinds of record fields, named as the parse error states them. JSON
-# true and false are not numbers here.
+# true and false are not numbers here, and integers must fit in 64 bits.
 _KINDS = {
     "an integer": lambda v: type(v) is int and -_I64 <= v < _I64,
     "a number": lambda v: type(v) is float or (type(v) is int and -_I64 <= v < _I64),
     "a list of integers": lambda v: type(v) is list and _INT.issuperset(map(type, v)),
-    "a list of numbers": lambda v: type(v) is list and _NUMBER.issuperset(map(type, v)),
+    "a list of numbers": _numbers,
 }
 
 

@@ -3,15 +3,16 @@
 Strategies: stateless Q-learning with an epsilon-greedy policy, a
 multiplicative-weights learner (full feedback, the canonical mean-based
 no-regret algorithm), fixed prices, and the two-phase manipulator schedule.
-Each round the simulator records, per seller, the posted price, the observed
-allocation, and the price distribution it was drawn from, which is exactly
-what the audit consumes.
+A learner owns its state and updates it with a pure function over arrays
+(`q_step`, `mwu_step`). Each round the simulator records, per seller, the
+posted price, the observed allocation, and the price distribution it was
+drawn from, which is exactly what the audit consumes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -28,26 +29,6 @@ _MWU_SUPPORT_PRUNE = 1e-12
 # ---------------------------------------------------------------------------
 # Q-learning
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class QLearnerState:
-    """Stateless Q-learning: one continuation-payoff estimate per grid price."""
-
-    q_values: np.ndarray
-    learning_rate: float
-    discount: float
-    explore_eps: float
-    rng_stream: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "q_values", np.asarray(self.q_values, dtype=float))
-        if not (0 < self.learning_rate <= 1):
-            raise ValueError("learning_rate must be in (0, 1]")
-        if not (0 <= self.discount < 1):
-            raise ValueError("discount must be in [0, 1)")
-        if not (0 <= self.explore_eps <= 1):
-            raise ValueError("explore_eps must be in [0, 1]")
 
 
 def optimistic_q_init(grid: PriceGrid, cost: float, discount: float) -> np.ndarray:
@@ -68,16 +49,54 @@ def greedy_distribution(k: int, explore_eps: float, argmax_index: int) -> PriceD
 
 
 def q_step(
-    state: QLearnerState, observed_utility: float, posted: int
-) -> tuple[QLearnerState, PriceDistribution]:
-    """One bandit update: only the posted price's entry moves, bootstrapping
-    from the prior-step table, and the next epsilon-greedy distribution is
-    drawn from the updated table (lowest index wins argmax ties)."""
-    q = state.q_values.copy()
-    target = observed_utility + state.discount * float(q.max())
-    q[posted] = (1.0 - state.learning_rate) * q[posted] + state.learning_rate * target
-    new_state = replace(state, q_values=q)
-    return new_state, greedy_distribution(len(q), state.explore_eps, int(q.argmax()))
+    q_values: np.ndarray, observed_utility: float, posted: int, learning_rate: float, discount: float
+) -> np.ndarray:
+    """One bandit update, returned as a new table: only the posted price's
+    entry moves, bootstrapping from the prior-step table."""
+    q = q_values.copy()
+    target = observed_utility + discount * float(q.max())
+    q[posted] = (1.0 - learning_rate) * q[posted] + learning_rate * target
+    return q
+
+
+class QLearnerStrategy:
+    """Stateless Q-learning: one continuation-payoff estimate per grid price.
+
+    Bandit feedback: consumes only the posted price's utility. Plays the
+    epsilon-greedy distribution of its current table, lowest index winning
+    argmax ties.
+    """
+
+    def __init__(
+        self, q_values, learning_rate: float = 0.05, discount: float = 0.99, explore_eps: float = 0.01
+    ):
+        if not (0 < learning_rate <= 1):
+            raise ValueError("learning_rate must be in (0, 1]")
+        if not (0 <= discount < 1):
+            raise ValueError("discount must be in [0, 1)")
+        if not (0 <= explore_eps <= 1):
+            raise ValueError("explore_eps must be in [0, 1]")
+        self.q_values = np.asarray(q_values, dtype=float)
+        self.learning_rate = learning_rate
+        self.discount = discount
+        self.explore_eps = explore_eps
+
+    @staticmethod
+    def standard(grid: PriceGrid, cost: float, *, init=None, **params) -> "QLearnerStrategy":
+        """Every entry starts at `init`, by default optimistically at the
+        highest attainable continuation payoff; `params` as in the constructor."""
+        learner = QLearnerStrategy(np.zeros(len(grid)), **params)
+        if init is None:
+            init = optimistic_q_init(grid, cost, learner.discount)
+        learner.q_values = np.asarray(init, dtype=float)
+        return learner
+
+    def distribution(self) -> PriceDistribution:
+        q = self.q_values
+        return greedy_distribution(len(q), self.explore_eps, int(q.argmax()))
+
+    def observe(self, posted: int, utility: float, utility_vector) -> None:
+        self.q_values = q_step(self.q_values, utility, posted, self.learning_rate, self.discount)
 
 
 # ---------------------------------------------------------------------------
@@ -85,37 +104,52 @@ def q_step(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MWULearnerState:
-    """Cumulative reward per price; weights are (1 + step_size) ** cumulative."""
-
-    cumulative_rewards: np.ndarray
-    step_size: float
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "cumulative_rewards", np.asarray(self.cumulative_rewards, dtype=float)
-        )
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
-
-
-def mwu_distribution(state: MWULearnerState) -> PriceDistribution:
-    sigma = state.cumulative_rewards
-    w = np.exp((sigma - sigma.max()) * math.log1p(state.step_size))
+def mwu_distribution(cumulative_rewards, step_size: float) -> PriceDistribution:
+    """Weights (1 + step_size) ** cumulative reward, normalized."""
+    sigma = np.asarray(cumulative_rewards, dtype=float)
+    w = np.exp((sigma - sigma.max()) * math.log1p(step_size))
     probs = w / w.sum()
     return PriceDistribution.from_dense(probs, keep_above=_MWU_SUPPORT_PRUNE)
 
 
-def mwu_step(
-    state: MWULearnerState, full_feedback_rewards: Sequence[float]
-) -> tuple[MWULearnerState, PriceDistribution]:
-    """Add one reward per price (each in [0, 1]) and reweight."""
+def mwu_step(cumulative_rewards, full_feedback_rewards: Sequence[float]) -> np.ndarray:
+    """Add one reward per price (each in [0, 1]), returned as a new array."""
     r = np.asarray(full_feedback_rewards, dtype=float)
     if r.min() < -1e-12 or r.max() > 1.0 + 1e-12:
         raise ValueError("rewards must lie in [0, 1] after normalization")
-    new_state = replace(state, cumulative_rewards=state.cumulative_rewards + r)
-    return new_state, mwu_distribution(new_state)
+    return cumulative_rewards + r
+
+
+class MWUStrategy:
+    """Multiplicative weights: one cumulative reward per price.
+
+    Full feedback: consumes the whole utility vector, normalized to [0, 1]
+    by the reward bounds.
+    """
+
+    def __init__(self, cumulative_rewards, step_size: float, reward_lo: float, reward_hi: float):
+        if step_size <= 0:
+            raise ValueError("step_size must be positive")
+        if reward_hi <= reward_lo:
+            raise ValueError("reward bounds must satisfy lo < hi")
+        self.cumulative_rewards = np.asarray(cumulative_rewards, dtype=float)
+        self.step_size = step_size
+        self.reward_lo = reward_lo
+        self.reward_hi = reward_hi
+
+    @staticmethod
+    def fresh(k: int, step_size: float, reward_lo: float, reward_hi: float) -> "MWUStrategy":
+        return MWUStrategy(np.zeros(k), step_size, reward_lo, reward_hi)
+
+    def rewards(self, utility_vectors) -> np.ndarray:
+        """Utilities mapped onto [0, 1], elementwise, for any number of rounds."""
+        return (np.asarray(utility_vectors, float) - self.reward_lo) / (self.reward_hi - self.reward_lo)
+
+    def distribution(self) -> PriceDistribution:
+        return mwu_distribution(self.cumulative_rewards, self.step_size)
+
+    def observe(self, posted: int, utility: float, utility_vector) -> None:
+        self.cumulative_rewards = mwu_step(self.cumulative_rewards, self.rewards(utility_vector))
 
 
 def mean_based_gamma(step_size: float, horizon: int) -> float:
@@ -140,16 +174,16 @@ def mean_based_gamma(step_size: float, horizon: int) -> float:
     return hi
 
 
-def is_mean_based_violation(
-    state: MWULearnerState, posted: int, gamma: float, horizon: int
-) -> bool:
-    """True when the posted price trails the cumulative-reward leader by more
-    than gamma * horizon yet was posted with probability above gamma."""
-    sigma = state.cumulative_rewards
-    if float(sigma.max() - sigma[posted]) <= gamma * horizon:
-        return False
-    prob = mwu_distribution(state).prob_of(posted)
-    return prob > gamma
+def is_mean_based_violation(cumulative_rewards, probs, posted, gamma: float, horizon: int) -> np.ndarray:
+    """Per round, rounds on the leading axis: True when the posted price
+    trails the cumulative-reward leader by more than gamma * horizon yet was
+    posted with probability above gamma. `cumulative_rewards` and `probs`
+    (dense over the grid) are the learner's before the round."""
+    sigma = np.asarray(cumulative_rewards, dtype=float)
+    index = np.asarray(posted)[..., None]
+    gap = sigma.max(axis=-1) - np.take_along_axis(sigma, index, axis=-1)[..., 0]
+    prob = np.take_along_axis(np.asarray(probs, dtype=float), index, axis=-1)[..., 0]
+    return (gap > gamma * horizon) & (prob > gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -189,61 +223,8 @@ def manipulator_next(schedule: ManipulatorSchedule, round_no: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Strategy wrappers driven by the simulator
+# Fixed-price and manipulator strategies
 # ---------------------------------------------------------------------------
-
-
-class QLearnerStrategy:
-    """Bandit feedback: consumes only the posted price's utility."""
-
-    def __init__(self, state: QLearnerState):
-        self.state = state
-        self._dist = greedy_distribution(
-            len(state.q_values), state.explore_eps, int(state.q_values.argmax())
-        )
-
-    @staticmethod
-    def standard(
-        grid: PriceGrid,
-        cost: float,
-        learning_rate: float = 0.05,
-        discount: float = 0.99,
-        explore_eps: float = 0.01,
-        init: np.ndarray | None = None,
-    ) -> "QLearnerStrategy":
-        q0 = optimistic_q_init(grid, cost, discount) if init is None else np.asarray(init, float)
-        return QLearnerStrategy(QLearnerState(q0, learning_rate, discount, explore_eps))
-
-    def distribution(self) -> PriceDistribution:
-        return self._dist
-
-    def observe(self, posted: int, utility: float, utility_vector) -> None:
-        self.state, self._dist = q_step(self.state, utility, posted)
-
-
-class MWUStrategy:
-    """Full feedback: consumes the whole utility vector, normalized to [0, 1]."""
-
-    def __init__(self, state: MWULearnerState, reward_lo: float, reward_hi: float):
-        if reward_hi <= reward_lo:
-            raise ValueError("reward bounds must satisfy lo < hi")
-        self.state = state
-        self.reward_lo = reward_lo
-        self.reward_hi = reward_hi
-        self._dist = mwu_distribution(state)
-
-    @staticmethod
-    def fresh(k: int, step_size: float, reward_lo: float, reward_hi: float) -> "MWUStrategy":
-        return MWUStrategy(MWULearnerState(np.zeros(k), step_size), reward_lo, reward_hi)
-
-    def distribution(self) -> PriceDistribution:
-        return self._dist
-
-    def observe(self, posted: int, utility: float, utility_vector) -> None:
-        rewards = (np.asarray(utility_vector, float) - self.reward_lo) / (
-            self.reward_hi - self.reward_lo
-        )
-        self.state, self._dist = mwu_step(self.state, rewards)
 
 
 class FixedPriceStrategy:
@@ -439,13 +420,12 @@ def strategy_from_config(
     cost = costs[seller_index]
     if kind == "q":
         init = config.get("init")
+        keys = ("learning_rate", "discount", "explore_eps")
         return QLearnerStrategy.standard(
             grid,
             cost,
-            learning_rate=config.get("learning_rate", 0.05),
-            discount=config.get("discount", 0.99),
-            explore_eps=config.get("explore_eps", 0.01),
             init=None if init is None else np.full(len(grid), float(init)),
+            **{key: config[key] for key in keys if key in config},
         )
     if kind == "mwu":
         lo, hi = reward_bounds(oracle, grid, costs, feedback_mode)

@@ -326,6 +326,54 @@ class TestMalformedInputs:
         assert "line 4" in capsys.readouterr().err
         assert not sweep.exists()
 
+    @pytest.mark.parametrize(
+        "sidecar, line_no, text",
+        [
+            (False, 3, '{"t": 2, "posted": 1, "alloc": 0.5, "support": [0, 1], "probs": [HUGE, 0.5]}'),
+            (False, 1, '{"grid": [0.4, HUGE], "continuum_upper": null}'),
+            (True, 4, '{"t": 3, "x": [1.0, HUGE]}'),
+        ],
+        ids=["probs", "grid", "truth-x"],
+    )
+    def test_huge_integer(self, tmp_path, rng, capsys, sidecar, line_no, text):
+        # An integer too large for a float is malformed input, not a crash.
+        path = tmp_path / "t.jsonl"
+        write_best_responder_transcript(path, rng, rounds=5)
+        target, lines, flags = path, path.read_text().splitlines(), []
+        if sidecar:
+            target = tmp_path / "truth.jsonl"
+            lines = lines[:1] + [f'{{"t": {t}, "x": [1.0, 0.55]}}' for t in range(1, 6)]
+            flags = ["--sweep", str(tmp_path / "sweep.csv"), "--truth", str(target)]
+        lines[line_no - 1] = text.replace("HUGE", "1" + "0" * 400)
+        target.write_text("\n".join(lines) + "\n")
+        code = main(["audit", str(path), *self.AUDIT_FLAGS, *flags])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert f"line {line_no}:" in captured.err
+
+    @pytest.mark.parametrize("endogenous", [False, True], ids=["plain", "endogenous"])
+    @pytest.mark.parametrize("command", ["audit", "audit-aggregated"])
+    def test_continuum_bound_below_top_price(self, tmp_path, capsys, command, endogenous):
+        # --h must hold every grid level, here 1.0, before anything is audited.
+        path = tmp_path / "t.jsonl"
+        lines = ['{"grid": [0.5, 1.0], "continuum_upper": null}']
+        record = '{{"t": {t}, "posted": {p}, "alloc": 0.5, "support": [0, 1], "probs": [0.5, 0.5]}}'
+        lines += [record.format(t=t, p=t % 2) for t in range(1, 2001)]
+        path.write_text("\n".join(lines) + "\n")
+        flags = ["--endogenous"] if endogenous else []
+        if command == "audit-aggregated":
+            flags += ["--drift-gamma", "0.7", "--support-floor", "0.9"]
+        code = main([command, str(path), *self.AUDIT_FLAGS, *flags, "--h", "0.2"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "--h 0.2: max level exceeds continuum upper bound" in captured.err
+        code = main([command, str(path), *self.AUDIT_FLAGS, *flags, "--h", "1.0"])
+        assert code in (0, 2)
+        report = json.loads(capsys.readouterr().out)
+        assert report["d"] == (0.5 if endogenous else 0.0)
+
 
 class TestFiguresCommand:
     def test_emits_csv_and_self_contained_svg(self, tmp_path):

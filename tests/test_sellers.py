@@ -9,9 +9,7 @@ from regretaudit.sellers import (
     FixedPriceStrategy,
     ManipulatorSchedule,
     ManipulatorStrategy,
-    MWULearnerState,
     MWUStrategy,
-    QLearnerState,
     QLearnerStrategy,
     greedy_distribution,
     is_mean_based_violation,
@@ -30,22 +28,19 @@ from regretaudit.sellers import (
 
 class TestQLearner:
     def test_full_overwrite(self):
-        state = QLearnerState(np.array([5.0, 5.0]), learning_rate=1.0, discount=0.0, explore_eps=0.0)
-        new, _ = q_step(state, observed_utility=2.0, posted=0)
-        assert new.q_values.tolist() == [2.0, 5.0]
+        new = q_step(np.array([5.0, 5.0]), observed_utility=2.0, posted=0, learning_rate=1.0, discount=0.0)
+        assert new.tolist() == [2.0, 5.0]
 
     def test_single_step_arithmetic(self):
-        state = QLearnerState(np.array([1.0, 3.0]), learning_rate=0.5, discount=0.5, explore_eps=0.0)
-        new, _ = q_step(state, observed_utility=1.0, posted=0)
+        new = q_step(np.array([1.0, 3.0]), observed_utility=1.0, posted=0, learning_rate=0.5, discount=0.5)
         # (1 - a) * 1 + a * (1 + 0.5 * 3), recomputed by hand
-        assert new.q_values[0] == pytest.approx(0.5 * 1 + 0.5 * (1 + 0.5 * 3))
-        assert new.q_values[1] == 3.0
+        assert new[0] == pytest.approx(0.5 * 1 + 0.5 * (1 + 0.5 * 3))
+        assert new[1] == 3.0
 
     def test_only_posted_entry_moves_and_uses_prior_max(self):
-        state = QLearnerState(np.array([2.0, 9.0, 4.0]), 0.25, 0.8, 0.0)
-        new, _ = q_step(state, observed_utility=0.5, posted=2)
-        assert new.q_values[0] == 2.0 and new.q_values[1] == 9.0
-        assert new.q_values[2] == pytest.approx(0.75 * 4.0 + 0.25 * (0.5 + 0.8 * 9.0))
+        new = q_step(np.array([2.0, 9.0, 4.0]), 0.5, 2, 0.25, 0.8)
+        assert new[0] == 2.0 and new[1] == 9.0
+        assert new[2] == pytest.approx(0.75 * 4.0 + 0.25 * (0.5 + 0.8 * 9.0))
 
     def test_epsilon_greedy_distribution(self):
         dist = greedy_distribution(19, 0.01, 3)
@@ -55,46 +50,53 @@ class TestQLearner:
         assert sum(dist.probs) == pytest.approx(1.0, abs=1e-12)
 
     def test_argmax_tie_breaks_low(self):
-        state = QLearnerState(np.array([3.0, 3.0]), 0.5, 0.0, 0.2)
-        _, dist = q_step(state, observed_utility=3.0, posted=1)
+        learner = QLearnerStrategy(np.array([3.0, 3.0]), 0.5, 0.0, 0.2)
+        learner.observe(posted=1, utility=3.0, utility_vector=None)
+        dist = learner.distribution()
         assert dist.prob_of(0) > dist.prob_of(1)
 
     def test_state_validation(self):
         with pytest.raises(ValueError):
-            QLearnerState(np.zeros(2), learning_rate=0.0, discount=0.5, explore_eps=0.1)
+            QLearnerStrategy(np.zeros(2), learning_rate=0.0, discount=0.5, explore_eps=0.1)
         with pytest.raises(ValueError):
-            QLearnerState(np.zeros(2), learning_rate=0.5, discount=1.0, explore_eps=0.1)
+            QLearnerStrategy(np.zeros(2), learning_rate=0.5, discount=1.0, explore_eps=0.1)
 
     def test_optimistic_init(self):
         grid = PriceGrid([0.5, 0.95])
         q0 = optimistic_q_init(grid, cost=0.1, discount=0.99)
         assert q0.tolist() == pytest.approx([85.0, 85.0])
 
+    def test_standard_starts_optimistic_with_constructor_defaults(self):
+        grid = PriceGrid([0.5, 0.95])
+        learner = QLearnerStrategy.standard(grid, 0.1)
+        assert learner.q_values.tolist() == optimistic_q_init(grid, 0.1, 0.99).tolist()
+        assert (learner.learning_rate, learner.discount, learner.explore_eps) == (0.05, 0.99, 0.01)
+        learner = QLearnerStrategy.standard(grid, 0.1, discount=0.5, init=np.array([1.0, 2.0]))
+        assert learner.q_values.tolist() == [1.0, 2.0] and learner.discount == 0.5
+
 
 class TestMWU:
     def test_uniform_rewards_keep_uniform_distribution(self):
-        state = MWULearnerState(np.zeros(3), 0.1)
-        new, dist = mwu_step(state, [0.5, 0.5, 0.5])
+        dist = mwu_distribution(mwu_step(np.zeros(3), [0.5, 0.5, 0.5]), 0.1)
         assert dist.probs == pytest.approx((1 / 3, 1 / 3, 1 / 3))
 
     def test_weight_ratio_follows_cumulative_gap(self):
-        state = MWULearnerState(np.array([2.0, 5.0]), 0.1)
-        dist = mwu_distribution(state)
+        dist = mwu_distribution(np.array([2.0, 5.0]), 0.1)
         assert dist.prob_of(1) / dist.prob_of(0) == pytest.approx(1.1**3)
 
     def test_reward_range_enforced(self):
-        state = MWULearnerState(np.zeros(2), 0.1)
+        cumulative = np.zeros(2)
         with pytest.raises(ValueError):
-            mwu_step(state, [0.5, 1.5])
+            mwu_step(cumulative, [0.5, 1.5])
         with pytest.raises(ValueError):
-            mwu_step(state, [-0.2, 0.5])
+            mwu_step(cumulative, [-0.2, 0.5])
 
     def test_consecutive_distribution_drift_bounded_by_step(self, rng):
-        state = MWULearnerState(np.zeros(4), 0.05)
-        prev = mwu_distribution(state).dense(4)
+        cumulative = np.zeros(4)
+        prev = mwu_distribution(cumulative, 0.05).dense(4)
         for _ in range(500):
-            state, dist = mwu_step(state, rng.random(4))
-            cur = dist.dense(4)
+            cumulative = mwu_step(cumulative, rng.random(4))
+            cur = mwu_distribution(cumulative, 0.05).dense(4)
             assert np.abs(cur - prev).max() <= 0.05 + 1e-12
             prev = cur
 
@@ -102,24 +104,55 @@ class TestMWU:
         horizon = 100
         gamma = 0.1
         # Trailing by 2 * gamma * horizon while posted with prob 0.5.
-        state = MWULearnerState(np.array([0.0, 2 * gamma * horizon]), step_size=1e-9)
-        assert is_mean_based_violation(state, posted=0, gamma=gamma, horizon=horizon)
-        state = MWULearnerState(np.array([5.0, 5.0]), step_size=1e-9)
-        assert not is_mean_based_violation(state, posted=0, gamma=gamma, horizon=horizon)
+        cumulative = np.array([0.0, 2 * gamma * horizon])
+        probs = mwu_distribution(cumulative, 1e-9).dense(2)
+        assert is_mean_based_violation(cumulative, probs, posted=0, gamma=gamma, horizon=horizon)
+        cumulative = np.array([5.0, 5.0])
+        probs = mwu_distribution(cumulative, 1e-9).dense(2)
+        assert not is_mean_based_violation(cumulative, probs, posted=0, gamma=gamma, horizon=horizon)
+
+    def test_mean_based_violation_over_rounds(self):
+        # Rounds on the leading axis give the per-round flags of the rows.
+        cumulative = np.array([[0.0, 20.0], [5.0, 5.0], [0.0, 20.0]])
+        probs = np.array([[0.5, 0.5], [0.5, 0.5], [0.05, 0.95]])
+        flags = is_mean_based_violation(cumulative, probs, np.array([0, 0, 0]), 0.1, 100)
+        assert flags.tolist() == [True, False, False]
 
     def test_hedge_run_never_violates_its_own_gamma(self, rng):
         horizon = 2000
         eta = 0.1
         gamma = mean_based_gamma(eta, horizon)
         assert (1 + eta) ** (-gamma * horizon) <= gamma * (1 + 1e-9)
-        state = MWULearnerState(np.zeros(3), eta)
+        cumulative = np.zeros(3)
         violations = 0
         for _ in range(horizon):
-            dist = mwu_distribution(state)
+            dist = mwu_distribution(cumulative, eta)
             posted = int(rng.choice(dist.support, p=np.array(dist.probs) / sum(dist.probs)))
-            violations += is_mean_based_violation(state, posted, gamma, horizon)
-            state, _ = mwu_step(state, rng.random(3))
+            violations += is_mean_based_violation(cumulative, dist.dense(3), posted, gamma, horizon)
+            cumulative = mwu_step(cumulative, rng.random(3))
         assert violations == 0
+
+
+class TestLearnerState:
+    def test_pure_steps_leave_inputs_unchanged(self):
+        q = np.array([2.0, 9.0, 4.0])
+        new_q = q_step(q, 0.5, 2, 0.25, 0.8)
+        assert q.tolist() == [2.0, 9.0, 4.0] and new_q is not q
+        cumulative = np.array([1.0, 2.0])
+        rewards = np.array([0.25, 0.75])
+        new_cumulative = mwu_step(cumulative, rewards)
+        assert cumulative.tolist() == [1.0, 2.0] and rewards.tolist() == [0.25, 0.75]
+        assert new_cumulative.tolist() == [1.25, 2.75]
+
+    def test_bad_parameter_fails_at_construction(self):
+        with pytest.raises(ValueError, match="explore_eps"):
+            QLearnerStrategy(np.zeros(2), explore_eps=1.5)
+        with pytest.raises(ValueError, match="step_size"):
+            MWUStrategy(np.zeros(2), 0.0, 0.0, 1.0)
+        with pytest.raises(ValueError, match="reward bounds"):
+            MWUStrategy.fresh(2, 0.1, 1.0, 1.0)
+        with pytest.raises(ValueError, match="learning_rate"):
+            strategy_from_config({"kind": "q", "learning_rate": 2.0}, PriceGrid([0.5, 1.0]), None, (0.1, 0.1), 0, 10)
 
 
 class TestManipulator:
@@ -232,6 +265,32 @@ class TestSimulate:
         posted = res.transcripts[1].posted
         window_start = phase1 + math.ceil(3 * 0.005 * phase1)
         assert (posted[window_start - 1 :] == 3).mean() >= 0.9
+
+    def test_running_reward_sum_replays_learner_states(self):
+        # The manipulation demo's vectorized path: an exclusive running sum
+        # of the learner's normalized rewards equals, bit for bit, the state
+        # that stepping mwu_step round by round reaches, and the recorded
+        # distributions are the ones those states give.
+        grid, tab = self.grid_and_table()
+        sched = ManipulatorSchedule.standard(200)
+        learner = MWUStrategy.fresh(4, 2.0, *reward_bounds(tab, grid, (0, 0)))
+        res = simulate(
+            grid, (ManipulatorStrategy(sched, grid), learner), tab, (0, 0), sched.total_rounds, seed=3
+        )
+        _, _, _, u2 = payoff_tables(tab, grid, (0, 0))
+        rewards = learner.rewards(u2[:, res.transcripts[0].posted].T)
+        before = np.vstack([np.zeros((1, 4)), np.cumsum(rewards, axis=0)[:-1]])
+        dists, posted = res.transcripts[1].dists(), res.transcripts[1].posted
+        cumulative = np.zeros(4)
+        for t in range(sched.total_rounds):
+            assert np.array_equal(before[t], cumulative)
+            assert np.array_equal(dists[t], mwu_distribution(cumulative, 2.0).dense(4))
+            cumulative = mwu_step(cumulative, rewards[t])
+        assert np.array_equal(cumulative, learner.cumulative_rewards)
+        horizon = sched.total_rounds
+        flags = is_mean_based_violation(before, dists, posted, 1e-4, horizon)
+        one_by_one = [is_mean_based_violation(before[t], dists[t], p, 1e-4, horizon) for t, p in enumerate(posted)]
+        assert flags.any() and flags.tolist() == [bool(f) for f in one_by_one]
 
     def test_strategy_from_config_kinds(self):
         grid, tab = self.grid_and_table()
