@@ -196,7 +196,15 @@ def _bounded_grid(levels, h: float) -> PriceGrid:
     return grid
 
 
+def _check_sweep_points(points: int) -> None:
+    # A ValueError exits 1 like other bad input; an argparse error would exit
+    # 2, the FAIL verdict's code.
+    if points < 1:
+        raise ValueError("--sweep-points must be at least 1")
+
+
 def cmd_audit(args) -> int:
+    _check_sweep_points(args.sweep_points)
     transcript = read_transcript(args.transcript)
     if args.h is not None:
         transcript = replace(transcript, grid=_bounded_grid(transcript.grid.levels, args.h))
@@ -233,6 +241,7 @@ def cmd_audit_aggregated(args) -> int:
 
 
 def cmd_figures(args) -> int:
+    _check_sweep_points(args.sweep_points)
     config = _config_from_args(args)
     os.makedirs(config.out, exist_ok=True)
     grid, oracle, costs = build_environment(config.environment)

@@ -150,11 +150,11 @@ class PriceDistribution:
         out[list(self.support)] = self.probs
         return out
 
-    def draw(self, u: float) -> int | None:
-        """The first support index whose cumulative probability exceeds u,
-        or None when rounding leaves u above them all."""
+    def draw(self, u: float) -> int:
+        """The first support index whose cumulative probability exceeds u;
+        the last one when rounding leaves u above them all."""
         m = bisect_right(tuple(accumulate(self.probs)), u)
-        return self.support[m] if m < len(self.support) else None
+        return self.support[min(m, len(self.support) - 1)]
 
 
 def _sparse_problem(support: tuple, probs: tuple, k: int) -> tuple[str, str] | None:

@@ -16,7 +16,9 @@ from .core import (
     PriceGrid,
     Transcript,
     TranscriptParseError,
+    Violation,
     format_float,
+    raise_violations,
     read_records,
     write_records,
 )
@@ -46,6 +48,11 @@ def read_truth(source: Union[str, IO[str]]) -> GroundTruth:
         if len(row) != k:
             raise TranscriptParseError(lines[t], f'"x" must have {k} entries, one per price')
     values = np.array(rows, dtype=float).reshape(len(rows), k)
+    in_range = ((values >= 0.0) & (values <= 1.0)).all(axis=1)  # false for NaN and inf
+    raise_violations(
+        [Violation(r + 1, "x", "allocation out of [0,1]") for r in np.flatnonzero(~in_range).tolist()],
+        lines,
+    )
     return GroundTruth(grid.levels, values)
 
 

@@ -13,6 +13,7 @@ float is a dyadic rational), so equality assertions are meaningful.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence, Union
@@ -84,14 +85,27 @@ def _dense_dists(distributions, k: int) -> np.ndarray:
     return out
 
 
-def _sparse_dists(distributions, k: int) -> list[list[tuple[int, Fraction]]]:
-    out = []
+def _sparse_rows(distributions):
+    """Per round, the (index, probability) pairs of positive probability."""
+    if isinstance(distributions, np.ndarray):
+        distributions = distributions.tolist()
     for dist in distributions:
         if isinstance(dist, PriceDistribution):
-            out.append([(i, Fraction(p)) for i, p in zip(dist.support, dist.probs)])
+            yield zip(dist.support, dist.probs)
         else:
-            out.append([(i, Fraction(p)) for i, p in enumerate(dist) if p > 0])
-    return out
+            yield [(i, p) for i, p in enumerate(dist) if p > 0]
+
+
+def _sparse_dists(distributions, k: int) -> list[list[tuple[int, Fraction]]]:
+    return [[(i, Fraction(p)) for i, p in row] for row in _sparse_rows(distributions)]
+
+
+def _exact_sum(values) -> Fraction:
+    """Exact sum, as integers over the least common denominator (a power of
+    two when every value is a float)."""
+    ratios = [(v if type(v) is float else Fraction(v)).as_integer_ratio() for v in values]
+    den = math.lcm(*(d for _, d in ratios))
+    return Fraction(sum(n * (den // d) for n, d in ratios), den)
 
 
 def _wants_exact(truth: GroundTruth, cost: Numeric) -> bool:
@@ -121,18 +135,35 @@ def calibrated_regret_of_swap(distributions, truth: GroundTruth, cost: Numeric, 
     return total / len(sparse)
 
 
-def _exact_pairwise_utility(distributions, truth: GroundTruth, cost: Fraction):
-    """u[p][q] = sum_t pi_t(p) (level_q - c) x_t(q), exact."""
+def _exact_pair_sums(distributions, truth: GroundTruth) -> tuple[list[list[Fraction]], int]:
+    """M[p][q] = sum_t pi_t(p) x_t(q), exact, and the number of rounds.
+
+    Rounds that share a truth row share x_t, so pi_t(p) is summed once per
+    row and the sum multiplies that row: T*s exact additions plus
+    rows*k^2 products, where s is the support size. Rows are told apart
+    by identity, which is cheap to hash; materialize_truth shares one row
+    object between the rounds at each opponent price, so it has at most k.
+    """
     k = len(truth.levels)
-    levels = [Fraction(v) for v in truth.levels]
-    sparse = _sparse_dists(distributions, k)
-    u = [[Fraction(0)] * k for _ in range(k)]
-    for t, row in enumerate(sparse):
-        x = [Fraction(v) for v in truth.row(t)]
+    groups: dict[int, tuple[Sequence, list[list]]] = {}
+    T = 0
+    for t, row in enumerate(_sparse_rows(distributions)):
+        x = truth.row(t)
+        group = groups.get(id(x))
+        if group is None:
+            # The group holds x, so no other row can take its id meanwhile.
+            group = groups[id(x)] = (x, [[] for _ in range(k)])
         for p, prob in row:
-            for q in range(k):
-                u[p][q] += prob * (levels[q] - cost) * x[q]
-    return u, len(sparse)
+            group[1][p].append(prob)
+        T += 1
+    m = [[Fraction(0)] * k for _ in range(k)]
+    for row, probs in groups.values():
+        x = [Fraction(v) for v in row]
+        for p, values in enumerate(probs):
+            if values:
+                total = _exact_sum(values)
+                m[p] = [acc + total * v for acc, v in zip(m[p], x)]
+    return m, T
 
 
 def true_calibrated_regret(distributions, truth: GroundTruth, cost: Numeric) -> Numeric:
@@ -143,10 +174,14 @@ def true_calibrated_regret(distributions, truth: GroundTruth, cost: Numeric) -> 
     the posted price.
     """
     if _wants_exact(truth, cost):
-        cost = Fraction(cost)
-        u, T = _exact_pairwise_utility(distributions, truth, cost)
-        k = len(truth.levels)
-        return sum(max(u[p][q] - u[p][p] for q in range(k)) for p in range(k)) / T
+        # u[p][q] = (l_q - c) M[p][q]: the cost enters once per pair.
+        m, T = _exact_pair_sums(distributions, truth)
+        c = Fraction(cost)
+        margins = [Fraction(v) - c for v in truth.levels]
+        k = len(margins)
+        return sum(
+            max(margins[q] * m[p][q] for q in range(k)) - margins[p] * m[p][p] for p in range(k)
+        ) / T
     values = truth.as_array()
     T, k = values.shape
     probs = _dense_dists(distributions, k)
@@ -379,9 +414,6 @@ def sample_transcript(
     """Draw posted prices from the given schedule and read allocations off the
     ground truth; the audit-side view of a fixed environment."""
     rng = np.random.default_rng(seed)
-    posted = []
-    for dist in distributions:
-        a = dist.draw(rng.random())
-        posted.append(dist.support[-1] if a is None else a)
+    posted = [dist.draw(rng.random()) for dist in distributions]
     alloc = [float(truth.row(t)[p]) for t, p in enumerate(posted)]
     return Transcript.from_rounds(grid, posted, alloc, distributions)

@@ -327,7 +327,6 @@ def simulate(
     """
     if feedback_mode not in ("expected", "realized"):
         raise ValueError("feedback_mode must be 'expected' or 'realized'")
-    k = len(grid)
     lv = np.asarray(grid.levels)
     a1, a2, u1, u2 = payoff_tables(oracle, grid, costs)
     alloc_tables = (a1, a2)
@@ -350,10 +349,7 @@ def simulate(
 
     for t in range(rounds):
         current = [strat.distribution() for strat in strategies]
-        actions = []
-        for i, dist in enumerate(current):
-            a = dist.draw(action_u[i][t])
-            actions.append(k - 1 if a is None else a)
+        actions = [dist.draw(action_u[i][t]) for i, dist in enumerate(current)]
         if realized:
             vecs = _realized_vectors(
                 oracle, lv, actions, buyer_u[t], diff_cells

@@ -307,8 +307,15 @@ class TestMalformedInputs:
 
     @pytest.mark.parametrize(
         "bad",
-        ['{"t": 3, "y": [1.0, 0.5]}', '{"t": 3, "x": ["a", 0.5]}', '{"t": 3, "x": [1.0]}'],
-        ids=["missing-x", "non-numeric-x", "short-x"],
+        [
+            '{"t": 3, "y": [1.0, 0.5]}',
+            '{"t": 3, "x": ["a", 0.5]}',
+            '{"t": 3, "x": [1.0]}',
+            '{"t": 3, "x": [1e400, 0.5]}',
+            '{"t": 3, "x": [7, 0.5]}',
+            '{"t": 3, "x": [1.0, -0.5]}',
+        ],
+        ids=["missing-x", "non-numeric-x", "short-x", "x-1e400", "x-above-one", "x-negative"],
     )
     def test_truth_sidecar(self, tmp_path, rng, capsys, bad):
         path = tmp_path / "t.jsonl"
@@ -325,6 +332,23 @@ class TestMalformedInputs:
         assert code == 1
         assert "line 4" in capsys.readouterr().err
         assert not sweep.exists()
+
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["audit", "figures"])
+    def test_sweep_points_below_one(self, tmp_path, rng, capsys, command, points):
+        out = tmp_path / "out"
+        if command == "audit":
+            path = tmp_path / "t.jsonl"
+            write_best_responder_transcript(path, rng, rounds=5)
+            argv = ["audit", str(path), *self.AUDIT_FLAGS, "--sweep", str(out)]
+        else:
+            argv = ["figures", "--rounds", "50", "--replications", "1", "--out", str(out)]
+        code = main([*argv, "--sweep-points", points])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "error: --sweep-points must be at least 1" in captured.err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "sidecar, line_no, text",

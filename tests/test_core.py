@@ -299,3 +299,13 @@ class TestConfigTypes:
     def test_distribution_structural_check(self):
         with pytest.raises(ValueError):
             PriceDistribution((0, 1), (1.0,))
+
+    def test_draw_past_last_cumulative_probability(self):
+        # The probabilities sum to 1 - 2**-52, so u = 1 - 2**-53 lies above
+        # every cumulative probability; the draw is the last support index,
+        # which here is not the top of the grid.
+        dist = PriceDistribution((1, 2), (0.5, 0.5 - 2**-52))
+        assert math.fsum(dist.probs) == 1 - 2**-52
+        assert dist.draw(0.25) == 1
+        assert dist.draw(0.5) == 2
+        assert dist.draw(1 - 2**-53) == 2

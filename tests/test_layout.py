@@ -2,14 +2,21 @@
 
 Imports sit at module level, so a module's dependencies are visible at its
 top, and no module imports another module's private (underscore) names.
+The functions the benchmark's traced run wraps keep their names, modules
+and the parameter it reads.
 """
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "regretaudit"
+from regretaudit.core import write_transcript
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "regretaudit"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -54,3 +61,25 @@ def test_rules_catch_offending_source():
     )
     assert function_local_imports(tree) == [3]
     assert private_imports(tree) == [(1, "_fmt")]
+
+
+def traced_layers() -> list[str]:
+    """The keys of LAYERS in perfbench/tracing.py, read from its source."""
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["LAYERS"]:
+            return [ast.literal_eval(key) for key in node.value.keys]
+    raise AssertionError("perfbench/tracing.py assigns no LAYERS")
+
+
+def resolves_to_function(name: str) -> bool:
+    module, attr = name.rsplit(".", 1)
+    return inspect.isfunction(getattr(importlib.import_module(f"regretaudit.{module}"), attr, None))
+
+
+def test_traced_layers_resolve_to_functions():
+    layers = traced_layers()
+    assert layers
+    assert [name for name in layers if not resolves_to_function(name)] == []
+    # The traced run counts the bytes written from this argument.
+    assert "sink" in inspect.signature(write_transcript).parameters

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regretaudit.core import PriceDistribution, PriceGrid
 from regretaudit.market import manipulation_valuation_table
@@ -27,6 +29,22 @@ from regretaudit.oracles import (
 from conftest import random_instance
 
 F = Fraction
+
+# One round's distribution over the four table prices, as a dense row.
+# Dyadic rows are float sixteenths, passed as PriceDistribution; the others
+# are integer weights over their total, passed as rows of Fractions.
+dyadic_row = st.lists(st.integers(0, 16), min_size=3, max_size=3).map(
+    lambda cuts: [(b - a) / 16 for a, b in zip([0, *sorted(cuts)], [*sorted(cuts), 16])]
+)
+rational_row = (
+    st.lists(st.integers(0, 6), min_size=4, max_size=4)
+    .filter(any)
+    .map(lambda w: [F(v, sum(w)) for v in w])
+)
+
+
+def as_distribution(row):
+    return PriceDistribution.from_dense(row) if isinstance(row[0], float) else row
 
 
 class TestCalibratedRegret:
@@ -60,6 +78,33 @@ class TestCalibratedRegret:
         truth = materialize_truth(tab, levels, [1] * 6, 0)
         regret = true_calibrated_regret(dists, truth, 0)
         assert regret == F(77, 100) - F(123, 200)  # 0.155
+
+    @settings(derandomize=True, deadline=None, max_examples=60, database=None)
+    @given(
+        rounds=st.lists(
+            st.tuples(st.integers(0, 3), st.one_of(dyadic_row, rational_row)),
+            min_size=1,
+            max_size=12,
+        ),
+        seller=st.integers(0, 1),
+        cost=st.fractions(min_value=0, max_value=3, max_denominator=20),
+    )
+    def test_exact_path_on_repeated_truth_rows(self, rounds, seller, cost):
+        # materialize_truth gives each round the row of the opponent's price,
+        # so the k=4 truth repeats rows whenever a trace revisits a price.
+        levels = tuple(F(v) for v in range(4))
+        opponent = [j for j, _ in rounds]
+        truth = materialize_truth(manipulation_valuation_table(F(1, 100)), levels, opponent, seller)
+        dists = [as_distribution(row) for _, row in rounds]
+        exact = true_calibrated_regret(dists, truth, cost)
+        assert isinstance(exact, Fraction)
+        assert exact == max(
+            calibrated_regret_of_swap(dists, truth, cost, SwapMap(sigma))
+            for sigma in itertools.product(range(4), repeat=4)
+        )
+        dense = np.array([[float(p) for p in row] for _, row in rounds])
+        fast = true_calibrated_regret(dense, GroundTruth(levels, truth.as_array()), float(cost))
+        assert fast == pytest.approx(float(exact), abs=1e-12)
 
     def test_float_and_exact_paths_agree(self, rng):
         _, dists, truth = random_instance(rng, k=3, rounds=4)
