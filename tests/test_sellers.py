@@ -1,9 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from regretaudit.core import PriceGrid
+from regretaudit.core import PriceGrid, Transcript, dumps_transcript
 from regretaudit.market import UniformDuopoly, manipulation_valuation_table
 from regretaudit.sellers import (
     FixedPriceStrategy,
@@ -323,3 +324,82 @@ class TestSimulate:
                 assert a1[i, j] == pytest.approx(float(x1))
                 assert a2[j, i] == pytest.approx(float(x2))
                 assert u1[i, j] == pytest.approx(grid.levels[i] * float(x1))
+
+
+class TestPinnedOutput:
+    """The simulator's transcripts, pinned before distributions became dense
+    rows. These runs use only IEEE basic arithmetic, so the digests do not
+    depend on the CPU; MWU uses np.exp and is pinned by its reference instead."""
+
+    DUOPOLY = PriceGrid([round(0.05 * i, 2) for i in range(1, 20)])
+    TABLE = PriceGrid([0.0, 1.0, 2.0, 3.0])
+    DIGESTS = {
+        "q-q-expected": (
+            "bb0d8960de7d0fc727a25e0ffb7ece9fd25ec815b0b9b0bd1674a958b2505e82",
+            "829186b9bbac6775caefb475836270c0f808df35afe3b33345f3903a6d91df5e",
+        ),
+        "q-q-realized": (
+            "125d16e67ab5badac71fac4f51d80e3678169204c681cba6695e7bfe1064a230",
+            "82417f504e40a2a1c7d17efb890b18b77f14614a2c87a5d75dc96bd938f2e15a",
+        ),
+        "q-q-greedy": (
+            "a3658f2c8da2acc6451c498935a3655f3db4888bed4a08b2105e03d38114a15c",
+            "753156d422cee168a1fab6ac47138ecc0eb3ab03cea30cd525fc76aece8ecae7",
+        ),
+        "fixed-q": (
+            "400bdcf3edf053c694738ab7fc646d68fec66c6cb649ba38ab44fd08eece68ff",
+            "b5124b7bcf9f5252f187097d5456beb439cf01ffa6d9f88f220cfb7cda6b6aec",
+        ),
+        "manipulator-fixed": (
+            "bffe3ca4a2168a391482a6651555b6414319ab9a46ac68df756418f8a1aecf59",
+            "0564fe887dddd0847501730e9beddb38a2a80059a0563339b4df8c4e8e16a62b",
+        ),
+    }
+
+    def run(self, name):
+        if name == "manipulator-fixed":
+            sched = ManipulatorSchedule.standard(190)
+            table = manipulation_valuation_table(0.005)
+            fixed = strategy_from_config({"kind": "fixed", "index": 2}, self.TABLE, table, (0, 0), 1, 400)
+            strategies = (ManipulatorStrategy(sched, self.TABLE), fixed)
+            return simulate(self.TABLE, strategies, table, (0.0, 0.0), sched.total_rounds, seed=11)
+        env, costs = UniformDuopoly(0.1, 0.2), (0.1, 0.2)
+        eps = 0.0 if name == "q-q-greedy" else 0.01
+        sellers = [QLearnerStrategy.standard(self.DUOPOLY, c, explore_eps=eps) for c in costs]
+        if name == "fixed-q":
+            sellers[0] = strategy_from_config({"kind": "fixed", "index": 11}, self.DUOPOLY, env, costs, 0, 400)
+        feedback = "realized" if name == "q-q-realized" else "expected"
+        return simulate(self.DUOPOLY, tuple(sellers), env, costs, 400, feedback, seed=7)
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_transcript_digests(self, name):
+        result = self.run(name)
+        assert [len(tr) for tr in result.transcripts] == [400, 400]
+        digests = tuple(hashlib.sha256(dumps_transcript(tr).encode()).hexdigest() for tr in result.transcripts)
+        assert digests == self.DIGESTS[name]
+
+    def test_mwu_distribution_is_pruned_and_renormalized(self, rng):
+        # Reference: keep entries above 1e-12, sum the kept ones in order
+        # (a running sum, whatever the Python version's sum() does), divide.
+        # Compared bit for bit through the row a transcript records.
+        pruned = ties = 0
+        for k in range(2, 20):
+            grid = PriceGrid(range(k))
+            for step_size in (0.1, 2.0):
+                for scale in (0.5, 10.0, None):
+                    if scale is None:
+                        sigma = rng.random(k) * 50.0
+                    else:
+                        sigma = rng.integers(0, 4, size=k) * scale
+                    w = np.exp((sigma - sigma.max()) * math.log1p(step_size))
+                    probs = w / w.sum()
+                    keep = probs > 1e-12
+                    total = 0.0
+                    for p in probs[keep].tolist():
+                        total += p
+                    expected = np.where(keep, probs / total, 0.0)
+                    row = Transcript.from_rounds(grid, [0], [0.0], [mwu_distribution(sigma, step_size)]).dists()[0]
+                    assert row.tobytes() == expected.tobytes()
+                    pruned += int(not keep.all())
+                    ties += int(len(np.unique(sigma)) < k)
+        assert pruned > 0 and ties > 0
