@@ -17,7 +17,6 @@ from .aggregate import (
 )
 from .audit import (
     AffineInCost,
-    AllocationEstimate,
     AuditReport,
     PWLInCost,
     audit,
@@ -31,7 +30,6 @@ from .audit import (
 from .core import (
     AuditConfig,
     CostRange,
-    PriceDistribution,
     PriceGrid,
     Transcript,
     TranscriptParseError,

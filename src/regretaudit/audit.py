@@ -21,13 +21,6 @@ import numpy as np
 from .core import AuditConfig, CostRange, PriceGrid, Transcript
 
 
-@dataclass(frozen=True)
-class AllocationEstimate:
-    """Per-round, per-price allocation estimates x-hat (may exceed 1)."""
-
-    values: np.ndarray  # (T, k)
-
-
 def _estimate_allocations(transcript: Transcript, probs: np.ndarray) -> np.ndarray:
     """The x-hat table of a transcript whose dense distributions are `probs`."""
     T, k = probs.shape
@@ -46,11 +39,12 @@ def _estimate_allocations(transcript: Transcript, probs: np.ndarray) -> np.ndarr
     return out
 
 
-def estimate_allocations(transcript: Transcript) -> AllocationEstimate:
-    """Propensity-score allocation table with the pessimistic off-support fill."""
+def estimate_allocations(transcript: Transcript) -> np.ndarray:
+    """Propensity-score allocation table x-hat, (T, k), with the pessimistic
+    off-support fill; entries may exceed 1."""
     if len(transcript) < 1:
         raise ValueError("empty transcript")
-    return AllocationEstimate(_estimate_allocations(transcript, transcript.dists()))
+    return _estimate_allocations(transcript, transcript.dists())
 
 
 @dataclass(frozen=True)
@@ -64,14 +58,12 @@ class AffineInCost:
         return self.slope * c + self.intercept
 
 
-def pairwise_regret(
-    estimate: AllocationEstimate, transcript: Transcript, p: int, q: int
-) -> AffineInCost:
-    """Average benefit of substituting price p with q, affine in cost."""
+def pairwise_regret(x: np.ndarray, transcript: Transcript, p: int, q: int) -> AffineInCost:
+    """Average benefit of substituting price p with q, affine in cost, from
+    the transcript's x-hat table `x` (see estimate_allocations)."""
     T = len(transcript)
     w = transcript.dist_table[transcript.dist_index, p]
     lp, lq = transcript.grid.levels[p], transcript.grid.levels[q]
-    x = estimate.values
     slope = float(np.dot(w, x[:, p] - x[:, q]) / T)
     intercept = float(np.dot(w, lq * x[:, q] - lp * x[:, p]) / T)
     return AffineInCost(slope, intercept)

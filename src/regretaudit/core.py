@@ -112,49 +112,13 @@ class PriceGrid:
         return out
 
 
-@dataclass(frozen=True)
-class PriceDistribution:
-    """Sparse distribution over grid indices: positive probability on `support` only."""
-
-    support: tuple[int, ...]
-    probs: tuple[float, ...]
-
-    def __init__(self, support: Iterable[int], probs: Iterable[float]):
-        sup = tuple(int(i) for i in support)
-        pr = tuple(float(p) for p in probs)
-        if len(sup) != len(pr):
-            raise ValueError("support and probs have different lengths")
-        object.__setattr__(self, "support", sup)
-        object.__setattr__(self, "probs", pr)
-
-    @staticmethod
-    def point_mass(index: int) -> "PriceDistribution":
-        return PriceDistribution((index,), (1.0,))
-
-    @staticmethod
-    def from_dense(probs: Sequence[float], keep_above: float = 0.0) -> "PriceDistribution":
-        """Build from a dense vector, keeping entries strictly above `keep_above`."""
-        support = [i for i, p in enumerate(probs) if p > keep_above]
-        kept = [probs[i] for i in support]
-        total = sum(kept)
-        return PriceDistribution(support, [p / total for p in kept])
-
-    def prob_of(self, index: int) -> float:
-        for i, p in zip(self.support, self.probs):
-            if i == index:
-                return p
-        return 0.0
-
-    def dense(self, k: int) -> np.ndarray:
-        out = np.zeros(k)
-        out[list(self.support)] = self.probs
-        return out
-
-    def draw(self, u: float) -> int:
-        """The first support index whose cumulative probability exceeds u;
-        the last one when rounding leaves u above them all."""
-        m = bisect_right(tuple(accumulate(self.probs)), u)
-        return self.support[min(m, len(self.support) - 1)]
+def draw(row: np.ndarray, u: float) -> int:
+    """The grid index a uniform u in [0, 1) picks from a dense distribution
+    row: the first whose running sum exceeds u, or the last nonzero one when
+    rounding leaves u above them all. Zeros add exactly to the running sum."""
+    probs = row.tolist()
+    m = bisect_right(list(accumulate(probs)), u)
+    return m if m < len(probs) else max(i for i, p in enumerate(probs) if p)
 
 
 def _sparse_problem(support: tuple, probs: tuple, k: int) -> tuple[str, str] | None:
@@ -170,12 +134,12 @@ def _sparse_problem(support: tuple, probs: tuple, k: int) -> tuple[str, str] | N
     return None
 
 
-def _encode_distributions(pairs: Iterable[tuple], k: int, lines: Sequence[int] | None = None):
-    """Dictionary-encode the per-round (support, probs) pairs.
+def _encode_distributions(pairs: Iterable[tuple], k: int, lines: Sequence[int]):
+    """Dictionary-encode a file's per-round (support, probs) pairs.
 
     Returns (T,) ids into an (n, k) table of the n distinct distributions in
     order of first appearance. Each distinct pair is checked once, where it
-    first appears; `lines[t]` is round t's line in a file.
+    first appears; `lines[t]` is round t's line in the file.
     """
     ids: dict[tuple, int] = {}
     index = []
@@ -183,7 +147,7 @@ def _encode_distributions(pairs: Iterable[tuple], k: int, lines: Sequence[int] |
         key = (tuple(support), tuple(probs))
         d = ids.get(key)
         if d is None:
-            line = None if lines is None else lines[t]
+            line = lines[t]
             if len(key[0]) != len(key[1]):
                 raise TranscriptParseError(line, "support and probs have different lengths")
             problem = _sparse_problem(*key, k)
@@ -222,11 +186,21 @@ class Transcript:
             raise ValueError("posted, alloc and dist_index need one entry per round")
 
     @staticmethod
-    def from_rounds(grid: PriceGrid, posted, alloc, dists: Iterable[PriceDistribution]) -> "Transcript":
-        """Columns from per-round values; each distinct distribution is checked
-        once, for what its dense row cannot hold (see validate for the rest)."""
-        pairs = ((d.support, d.probs) for d in dists)
-        return Transcript(grid, posted, alloc, *_encode_distributions(pairs, len(grid)))
+    def from_rounds(grid: PriceGrid, posted, alloc, rows) -> "Transcript":
+        """Columns from per-round values. `rows` holds each round's
+        distribution as a dense row over the grid: a (T, k) array or a
+        sequence of length-k rows. Rows are dictionary-encoded by their
+        bytes, in order of first appearance; validate checks their values."""
+        k = len(grid)
+        ids: dict[bytes, int] = {}
+        index = []
+        for row in rows:
+            row = np.asarray(row, dtype=float)
+            if row.shape != (k,):
+                raise ValueError(f"distribution row of shape {row.shape}, expected ({k},)")
+            index.append(ids.setdefault(row.tobytes(), len(ids)))
+        table = np.frombuffer(b"".join(ids), dtype=float).reshape(len(ids), k)
+        return Transcript(grid, posted, alloc, index, table)
 
     def __len__(self) -> int:
         return len(self.posted)

@@ -20,7 +20,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .core import PriceDistribution, PriceGrid, Transcript
+from .core import PriceGrid, Transcript, draw
 from .market import demand_table
 
 Numeric = Union[int, float, Fraction]
@@ -72,28 +72,18 @@ def materialize_truth(oracle, levels: Sequence[Numeric], opponent_indices: Seque
 
 
 # ---------------------------------------------------------------------------
-# Dense views and exactness dispatch
+# Sparse views and exactness dispatch
 # ---------------------------------------------------------------------------
 
 
-def _dense_dists(distributions, k: int) -> np.ndarray:
-    if isinstance(distributions, np.ndarray):
-        return distributions
-    out = np.zeros((len(distributions), k))
-    for t, dist in enumerate(distributions):
-        out[t, list(dist.support)] = dist.probs
-    return out
-
-
 def _sparse_rows(distributions):
-    """Per round, the (index, probability) pairs of positive probability."""
-    if isinstance(distributions, np.ndarray):
-        distributions = distributions.tolist()
-    for dist in distributions:
-        if isinstance(dist, PriceDistribution):
-            yield zip(dist.support, dist.probs)
-        else:
-            yield [(i, p) for i, p in enumerate(dist) if p > 0]
+    """Per round, the (index, probability) pairs of positive probability.
+
+    `distributions` holds one dense row per round, of floats or of Fractions:
+    a (T, k) array or a sequence of rows.
+    """
+    for row in np.asarray(distributions).tolist():
+        yield [(i, p) for i, p in enumerate(row) if p > 0]
 
 
 def _sparse_dists(distributions, k: int) -> list[list[tuple[int, Fraction]]]:
@@ -184,7 +174,7 @@ def true_calibrated_regret(distributions, truth: GroundTruth, cost: Numeric) -> 
         ) / T
     values = truth.as_array()
     T, k = values.shape
-    probs = _dense_dists(distributions, k)
+    probs = np.asarray(distributions, dtype=float)
     levels = np.asarray(truth.levels, dtype=float)
     m = probs.T @ values  # m[p, q] = sum_t pi_t(p) x_t(q)
     # gains[p, q] = sum_t pi_t(p) [(l_q - c) x_t(q) - (l_p - c) x_t(p)]
@@ -377,7 +367,7 @@ def indistinguishable_ground_truths(
     a: Numeric = 1,
     rounds: int = 8,
     mode: str = "uniform",
-) -> tuple[list[PriceDistribution], GroundTruth, GroundTruth]:
+) -> tuple[list[np.ndarray], GroundTruth, GroundTruth]:
     """Two ground truths that no transcript can tell apart.
 
     Every round's distribution avoids the top price. Both truths allocate
@@ -391,13 +381,14 @@ def indistinguishable_ground_truths(
     k = len(levels)
     if k < 2:
         raise ValueError("need at least two price levels")
+    row = np.zeros(k)
     if mode == "uniform":
-        dist = PriceDistribution(range(k - 1), [1.0 / (k - 1)] * (k - 1))
+        row[: k - 1] = 1.0 / (k - 1)
     elif mode == "point":
-        dist = PriceDistribution.point_mass(k - 2)
+        row[k - 2] = 1.0
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    distributions = [dist] * rounds
+    distributions = [row] * rounds
     a = Fraction(a)
     low = tuple(tuple([a] * (k - 1) + [Fraction(0)]) for _ in range(rounds))
     high = tuple(tuple([a] * (k - 1) + [a]) for _ in range(rounds))
@@ -407,13 +398,14 @@ def indistinguishable_ground_truths(
 
 def sample_transcript(
     grid: PriceGrid,
-    distributions: Sequence[PriceDistribution],
+    distributions: Sequence[np.ndarray],
     truth: GroundTruth,
     seed: int,
 ) -> Transcript:
-    """Draw posted prices from the given schedule and read allocations off the
-    ground truth; the audit-side view of a fixed environment."""
+    """Draw posted prices from the given schedule of dense rows and read
+    allocations off the ground truth; the audit-side view of a fixed
+    environment."""
     rng = np.random.default_rng(seed)
-    posted = [dist.draw(rng.random()) for dist in distributions]
+    posted = [draw(row, rng.random()) for row in distributions]
     alloc = [float(truth.row(t)[p]) for t, p in enumerate(posted)]
     return Transcript.from_rounds(grid, posted, alloc, distributions)

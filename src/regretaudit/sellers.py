@@ -18,11 +18,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import PriceDistribution, PriceGrid, Transcript
+from .core import PriceGrid, Transcript, draw
 from .market import demand_table
 
-# Weights this far below the leader are dropped from the emitted support;
-# core rejects probabilities under 1e-15, so the support must stay explicit.
+# Probabilities at most this small are dropped from the emitted row; core
+# rejects probabilities under 1e-15, so the support must stay explicit.
 _MWU_SUPPORT_PRUNE = 1e-12
 
 
@@ -38,14 +38,13 @@ def optimistic_q_init(grid: PriceGrid, cost: float, discount: float) -> np.ndarr
 
 
 @lru_cache(maxsize=None)
-def greedy_distribution(k: int, explore_eps: float, argmax_index: int) -> PriceDistribution:
-    """Epsilon-greedy distribution: explore uniformly with probability eps."""
-    if explore_eps == 0.0:
-        return PriceDistribution.point_mass(argmax_index)
-    base = explore_eps / k
-    probs = [base] * k
-    probs[argmax_index] += 1.0 - explore_eps
-    return PriceDistribution(range(k), probs)
+def greedy_distribution(k: int, explore_eps: float, argmax_index: int) -> np.ndarray:
+    """Epsilon-greedy row: explore uniformly with probability eps; eps 0 gives
+    the point mass. Cached and shared, so the row is read-only."""
+    row = np.full(k, explore_eps / k)
+    row[argmax_index] += 1.0 - explore_eps
+    row.flags.writeable = False
+    return row
 
 
 def q_step(
@@ -91,7 +90,7 @@ class QLearnerStrategy:
         learner.q_values = np.asarray(init, dtype=float)
         return learner
 
-    def distribution(self) -> PriceDistribution:
+    def distribution(self) -> np.ndarray:
         q = self.q_values
         return greedy_distribution(len(q), self.explore_eps, int(q.argmax()))
 
@@ -104,12 +103,17 @@ class QLearnerStrategy:
 # ---------------------------------------------------------------------------
 
 
-def mwu_distribution(cumulative_rewards, step_size: float) -> PriceDistribution:
-    """Weights (1 + step_size) ** cumulative reward, normalized."""
+def mwu_distribution(cumulative_rewards, step_size: float) -> np.ndarray:
+    """Weights (1 + step_size) ** cumulative reward, normalized, as a dense
+    row; probabilities at most 1e-12 are pruned and the rest renormalized."""
     sigma = np.asarray(cumulative_rewards, dtype=float)
     w = np.exp((sigma - sigma.max()) * math.log1p(step_size))
     probs = w / w.sum()
-    return PriceDistribution.from_dense(probs, keep_above=_MWU_SUPPORT_PRUNE)
+    keep = probs > _MWU_SUPPORT_PRUNE
+    # A running sum of the kept entries: np.sum adds in pairs from 8 entries
+    # up, and sum() of floats compensates from Python 3.12 on.
+    total = np.cumsum(probs[keep])[-1]
+    return np.where(keep, probs / total, 0.0)
 
 
 def mwu_step(cumulative_rewards, full_feedback_rewards: Sequence[float]) -> np.ndarray:
@@ -145,7 +149,7 @@ class MWUStrategy:
         """Utilities mapped onto [0, 1], elementwise, for any number of rounds."""
         return (np.asarray(utility_vectors, float) - self.reward_lo) / (self.reward_hi - self.reward_lo)
 
-    def distribution(self) -> PriceDistribution:
+    def distribution(self) -> np.ndarray:
         return mwu_distribution(self.cumulative_rewards, self.step_size)
 
     def observe(self, posted: int, utility: float, utility_vector) -> None:
@@ -228,12 +232,12 @@ def manipulator_next(schedule: ManipulatorSchedule, round_no: int) -> float:
 
 
 class FixedPriceStrategy:
-    def __init__(self, index: int):
+    def __init__(self, index: int, k: int):
         self.index = index
-        self._dist = PriceDistribution.point_mass(index)
+        self._row = greedy_distribution(k, 0.0, index)
 
-    def distribution(self) -> PriceDistribution:
-        return self._dist
+    def distribution(self) -> np.ndarray:
+        return self._row
 
     def observe(self, posted: int, utility: float, utility_vector) -> None:
         pass
@@ -245,19 +249,16 @@ class ManipulatorStrategy:
     def __init__(self, schedule: ManipulatorSchedule, grid: PriceGrid):
         self.schedule = schedule
         self._round = 1
-        self._indices = {
-            level: grid.levels.index(float(level))
+        self._rows = {
+            level: greedy_distribution(len(grid), 0.0, grid.levels.index(float(level)))
             for level in (schedule.phase1_price, schedule.phase2_price)
-        }
-        self._dists = {
-            level: PriceDistribution.point_mass(idx) for level, idx in self._indices.items()
         }
 
     def _level(self) -> float:
         return manipulator_next(self.schedule, self._round)
 
-    def distribution(self) -> PriceDistribution:
-        return self._dists[self._level()]
+    def distribution(self) -> np.ndarray:
+        return self._rows[self._level()]
 
     def observe(self, posted: int, utility: float, utility_vector) -> None:
         self._round += 1
@@ -349,7 +350,7 @@ def simulate(
 
     for t in range(rounds):
         current = [strat.distribution() for strat in strategies]
-        actions = [dist.draw(action_u[i][t]) for i, dist in enumerate(current)]
+        actions = [draw(row, action_u[i][t]) for i, row in enumerate(current)]
         if realized:
             vecs = _realized_vectors(
                 oracle, lv, actions, buyer_u[t], diff_cells
@@ -428,8 +429,8 @@ def strategy_from_config(
         return MWUStrategy.fresh(len(grid), config["step_size"], lo, hi)
     if kind == "fixed":
         if "index" in config:
-            return FixedPriceStrategy(int(config["index"]))
-        return FixedPriceStrategy(grid.levels.index(float(config["price"])))
+            return FixedPriceStrategy(int(config["index"]), len(grid))
+        return FixedPriceStrategy(grid.levels.index(float(config["price"])), len(grid))
     if kind == "manipulator":
         phase1 = int(config.get("phase1_rounds", math.ceil(rounds / 2.1)))
         schedule = ManipulatorSchedule(

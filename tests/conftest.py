@@ -1,8 +1,9 @@
 """Shared instance generators for the test suite.
 
-Random instances keep probabilities dyadic (n/16) so that per-round masses
-sum to exactly 1.0 in float arithmetic; exact-arithmetic oracles then see
-genuinely normalized distributions.
+Distributions are dense rows over the grid. Random instances keep
+probabilities dyadic (n/16) so that per-round masses sum to exactly 1.0 in
+float arithmetic; exact-arithmetic oracles then see genuinely normalized
+distributions.
 """
 
 from __future__ import annotations
@@ -10,19 +11,26 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from regretaudit.core import PriceDistribution, PriceGrid, Transcript
+from regretaudit.core import PriceGrid, Transcript
 from regretaudit.oracles import GroundTruth
 
 
-def dyadic_distribution(rng: np.random.Generator, k: int) -> PriceDistribution:
+def dense_row(k: int, support, probs) -> np.ndarray:
+    """A distribution over k grid prices: `probs` on `support`, 0 elsewhere."""
+    row = np.zeros(k)
+    row[list(support)] = probs
+    return row
+
+
+def dyadic_distribution(rng: np.random.Generator, k: int) -> np.ndarray:
     support_size = int(rng.integers(1, k + 1))
     support = sorted(rng.choice(k, size=support_size, replace=False).tolist())
     if support_size == 1:
-        return PriceDistribution(support, [1.0])
+        return dense_row(k, support, [1.0])
     cuts = sorted(rng.choice(np.arange(1, 16), size=support_size - 1, replace=False).tolist())
     edges = [0, *cuts, 16]
     probs = [(b - a) / 16.0 for a, b in zip(edges, edges[1:])]
-    return PriceDistribution(support, probs)
+    return dense_row(k, support, probs)
 
 
 def random_instance(rng: np.random.Generator, k: int, rounds: int):
@@ -40,10 +48,9 @@ def transcript_from(grid, dists, posted, allocs) -> Transcript:
 
 
 def sample_posted(rng: np.random.Generator, dists) -> list[int]:
-    out = []
-    for dist in dists:
-        out.append(int(rng.choice(dist.support, p=np.asarray(dist.probs) / sum(dist.probs))))
-    return out
+    # Zeros leave the running sums of p at the support unchanged, so this
+    # draws what choosing among the support alone would.
+    return [int(rng.choice(len(row), p=row / sum(row.tolist()))) for row in dists]
 
 
 @pytest.fixture

@@ -32,7 +32,6 @@ from regretaudit.audit import audit, error_margin, minimize_over_cost, regret_cu
 from regretaudit.core import (
     AuditConfig,
     CostRange,
-    PriceDistribution,
     PriceGrid,
     Transcript,
 )
@@ -63,7 +62,7 @@ from regretaudit.sellers import (
     simulate,
 )
 
-from conftest import random_instance, transcript_from
+from conftest import dense_row, random_instance, transcript_from
 
 F = Fraction
 
@@ -186,7 +185,7 @@ def concentration_environment():
             support = list(range(k))
         raw = env_rng.dirichlet(np.ones(len(support)))
         probs = 0.26 / len(support) + 0.74 * raw  # support minimum >= 0.052
-        dists.append(PriceDistribution(support, (probs / probs.sum()).tolist()))
+        dists.append(dense_row(k, support, (probs / probs.sum()).tolist()))
     lv = np.asarray(levels)
     t_idx = np.arange(rounds)[:, None]
     values = np.clip(0.95 - 0.9 * lv[None, :] + 0.05 * np.sin(t_idx / 50.0 + lv[None, :]), 0, 1)
@@ -200,9 +199,9 @@ def test_criterion_04_concentration():
     rounds, k = truth.as_array().shape
     c = 0.2
     target = float(true_pessimistic_regret(truth, dists, c))
-    dense = np.stack([d.dense(k) for d in dists])
+    dense = np.stack(dists)
     cums = np.cumsum(dense, axis=1)
-    last_support = np.array([d.support[-1] for d in dists])
+    last_support = np.array([np.flatnonzero(d)[-1] for d in dists])
     values = truth.as_array()
     delta = None
     exceed = 0
@@ -497,7 +496,7 @@ def test_estimator_pair_sd_matches_path_enumeration():
     grid = PriceGrid([0.5, 1.0, 1.5])
     probs = np.array([[0.25, 0.5, 0.25], [0.125, 0.375, 0.5], [0.5, 0.0625, 0.4375]])
     alloc = np.array([[0.9, 0.6, 0.2], [1.0, 0.5, 0.5], [0.7, 0.7, 0.1]])
-    dists = [PriceDistribution(range(3), row) for row in probs]
+    dists = list(probs)
     paths = list(itertools.product(range(3), repeat=3))
     assert len(paths) == 27
     weights = np.array([np.prod(probs[np.arange(3), path]) for path in paths])

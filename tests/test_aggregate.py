@@ -18,7 +18,6 @@ from regretaudit.audit import audit
 from regretaudit.core import (
     AuditConfig,
     CostRange,
-    PriceDistribution,
     PriceGrid,
     TranscriptParseError,
     dumps_transcript,
@@ -73,7 +72,7 @@ class TestEstimateDistributions:
         hits = 0
         for seed in range(100):
             learner = MWUStrategy.fresh(4, eta, *reward_bounds(tab, grid, (0, 0)))
-            res = simulate(grid, (FixedPriceStrategy(1), learner), tab, (0, 0), T, "expected", seed)
+            res = simulate(grid, (FixedPriceStrategy(1, 4), learner), tab, (0, 0), T, "expected", seed)
             tr = res.transcripts[1]
             est = estimate_distributions(tr.posted, grid, drift, delta)
             true = tr.dists()
@@ -116,7 +115,7 @@ class TestAggregatedAudit:
         grid = PriceGrid([0.5, 1.0, 1.5])
         rounds = 3000
         allocs = (0.4 + 0.2 * np.sin(np.arange(rounds))).clip(0, 1)
-        dists = [PriceDistribution.point_mass(1)] * rounds
+        dists = [np.array([0.0, 1.0, 0.0])] * rounds
         tr = transcript_from(grid, dists, [1] * rounds, allocs)
         cfg = AuditConfig(CostRange(0.1, 0.9), 0.1, 0.05)
         exact = audit(tr, cfg)
@@ -172,7 +171,7 @@ class TestReducedTranscript:
         assert g.levels == grid.levels
         assert posted == [0, 1]
         assert allocs == [0.25, 0.75]
-        dists = [PriceDistribution((0, 1), (0.5, 0.5))] * 2
+        dists = [np.array([0.5, 0.5])] * 2
         tr = transcript_from(grid, dists, [0, 1], [0.25, 0.75])
         g, posted, allocs = read_price_series(io.StringIO(dumps_transcript(tr)))
         assert posted == [0, 1]

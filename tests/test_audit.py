@@ -19,13 +19,12 @@ from regretaudit.audit import (
 from regretaudit.core import (
     AuditConfig,
     CostRange,
-    PriceDistribution,
     PriceGrid,
     Transcript,
 )
 from regretaudit.oracles import GroundTruth, pessimistic_allocation, true_pessimistic_regret
 
-from conftest import dyadic_distribution, random_instance, sample_posted, transcript_from
+from conftest import dense_row, dyadic_distribution, random_instance, sample_posted, transcript_from
 
 F = Fraction
 
@@ -41,21 +40,21 @@ def random_transcript(rng, k=4, rounds=30):
 class TestEstimateAllocations:
     def test_point_mass_fill(self):
         grid = PriceGrid([0.2, 0.5, 0.8, 0.9])
-        tr = transcript_from(grid, [PriceDistribution.point_mass(1)], [1], [0.4])
-        xhat = estimate_allocations(tr).values
+        tr = transcript_from(grid, [dense_row(4, (1,), (1.0,))], [1], [0.4])
+        xhat = estimate_allocations(tr)
         assert xhat.tolist() == [[1.0, 0.4, 0.4, 0.4]]
 
     def test_support_gap_uses_lower_neighbor(self):
         grid = PriceGrid([0.3, 0.5, 0.7])
-        tr = transcript_from(grid, [PriceDistribution.point_mass(1)], [1], [0.6])
-        xhat = estimate_allocations(tr).values
+        tr = transcript_from(grid, [dense_row(3, (1,), (1.0,))], [1], [0.6])
+        xhat = estimate_allocations(tr)
         assert xhat.tolist() == [[1.0, 0.6, 0.6]]
 
     def test_supported_but_not_posted_is_zero(self):
         grid = PriceGrid([0.3, 0.5, 0.7])
-        dist = PriceDistribution((0, 2), (0.5, 0.5))
+        dist = dense_row(3, (0, 2), (0.5, 0.5))
         tr = transcript_from(grid, [dist], [0], [0.8])
-        xhat = estimate_allocations(tr).values
+        xhat = estimate_allocations(tr)
         # Posted price propensity-weighted; the other supported price stays 0
         # and the unsupported middle price copies its lower neighbor.
         assert xhat.tolist() == [[1.6, 1.6, 0.0]]
@@ -68,12 +67,12 @@ class TestEstimateAllocations:
         for _ in range(30):
             probs = patterns[int(rng.integers(len(patterns)))]
             support = sorted(rng.choice(3, size=len(probs), replace=False).tolist())
-            dist = PriceDistribution(support, probs)
+            dist = dense_row(3, support, probs)
             x = np.sort(rng.random(3))[::-1]
             expectation = [F(0)] * 3
-            for a, pa in zip(dist.support, dist.probs):
+            for a, pa in zip(support, probs):
                 tr = transcript_from(grid, [dist], [a], [x[a]])
-                xhat = estimate_allocations(tr).values[0]
+                xhat = estimate_allocations(tr)[0]
                 for p in range(3):
                     expectation[p] += F(pa) * F(float(xhat[p]))
             truth = GroundTruth(grid.levels, (tuple(float(v) for v in x),))
@@ -90,7 +89,7 @@ class TestPairwiseRegret:
 
     def test_unit_allocations(self):
         grid = PriceGrid([1.0, 2.5])
-        tr = transcript_from(grid, [PriceDistribution.point_mass(0)], [0], [1.0])
+        tr = transcript_from(grid, [dense_row(2, (0,), (1.0,))], [0], [1.0])
         est = estimate_allocations(tr)
         term = pairwise_regret(est, tr, 0, 1)
         assert term.slope == pytest.approx(0.0, abs=1e-15)
@@ -110,8 +109,8 @@ class TestPairwiseRegret:
                     for t in order:
                         pi_p = tr.dist_table[tr.dist_index[t], p]
                         direct += pi_p * (
-                            (levels[q] - c) * est.values[t, q]
-                            - (levels[p] - c) * est.values[t, p]
+                            (levels[q] - c) * est[t, q]
+                            - (levels[p] - c) * est[t, p]
                         )
                     assert term(c) == pytest.approx(direct / T, abs=1e-12)
 
@@ -119,7 +118,7 @@ class TestPairwiseRegret:
 class TestRegretCurve:
     def test_single_price_grid_is_zero_function(self):
         grid = PriceGrid([1.0])
-        dist = PriceDistribution.point_mass(0)
+        dist = np.array([1.0])
         tr = transcript_from(grid, [dist] * 3, [0, 0, 0], [0.5, 0.6, 0.7])
         curve = regret_curve(tr)
         for c in (0.0, 0.5, 1.0):
@@ -162,7 +161,7 @@ class TestMinimize:
         # price gains (1 - c) * 1 - (2 - c) * 0.2 = 0.6 - 0.8c, decreasing
         # until it hits the stay-put line at c = 0.75.
         grid = PriceGrid([1.0, 2.0])
-        tr = transcript_from(grid, [PriceDistribution.point_mass(1)], [1], [0.2])
+        tr = transcript_from(grid, [np.array([0.0, 1.0])], [1], [0.2])
         return regret_curve(tr)
 
     def test_decreasing_piece_picks_upper_end(self):
@@ -177,7 +176,7 @@ class TestMinimize:
 
     def test_constant_function_ties_to_smallest_cost(self):
         grid = PriceGrid([1.0])
-        tr = transcript_from(grid, [PriceDistribution.point_mass(0)], [0], [0.5])
+        tr = transcript_from(grid, [np.array([1.0])], [0], [0.5])
         curve = regret_curve(tr)
         c, v = minimize_over_cost(curve, CostRange(0.2, 0.8))
         assert (c, v) == (0.2, 0.0)
@@ -204,7 +203,7 @@ class TestErrorMargin:
     @staticmethod
     def uniform_transcript(rounds=100, min_prob=0.5):
         grid = PriceGrid([0.5, 1.0])
-        dist = PriceDistribution((0, 1), (min_prob, 1.0 - min_prob))
+        dist = np.array([min_prob, 1.0 - min_prob])
         posted = [0] * rounds
         return transcript_from(grid, [dist] * rounds, posted, [0.5] * rounds)
 
@@ -268,7 +267,7 @@ class TestAudit:
         grid = PriceGrid([0.4, 0.8])
         x = (1.0, 0.55)
         rounds = 20_000
-        dist = PriceDistribution((0, 1), (0.1, 0.9))
+        dist = np.array([0.1, 0.9])
         posted = sample_posted(rng, [dist] * rounds)
         allocs = [x[p] for p in posted]
         tr = transcript_from(grid, [dist] * rounds, posted, allocs)
@@ -305,7 +304,7 @@ class TestAudit:
 
     def test_endogenous_adds_gap(self, rng):
         grid = PriceGrid([0.2, 0.5, 0.6], continuum_upper=1.0)
-        dist = PriceDistribution((0, 1, 2), (0.25, 0.25, 0.5))
+        dist = np.array([0.25, 0.25, 0.5])
         posted = sample_posted(rng, [dist] * 10)
         tr = transcript_from(grid, [dist] * 10, posted, [0.5] * 10)
         base = audit(tr, AuditConfig(CostRange(0.0, 0.5), 0.1, 0.05))
@@ -332,7 +331,7 @@ class TestWorkedExampleThresholds:
         grid = PriceGrid([0.4, 0.8])
         x = (1.0, 1.0 / 3.0)
         rounds = 100_000
-        dist = PriceDistribution((0, 1), (0.5, 0.5))
+        dist = np.array([0.5, 0.5])
         posted = sample_posted(rng, [dist] * rounds)
         tr = transcript_from(grid, [dist] * rounds, posted, [x[p] for p in posted])
         strict = audit(tr, AuditConfig(CostRange(0.2, 0.2), 6e-3, 0.05))
@@ -352,8 +351,8 @@ class TestEstimatorTargetsPessimisticRegret:
             slopes = np.zeros((k, k))
             intercepts = np.zeros((k, k))
             values = truth.as_array()
-            for path in itertools.product(*[d.support for d in dists]):
-                prob = float(np.prod([d.prob_of(a) for d, a in zip(dists, path)]))
+            for path in itertools.product(*[np.flatnonzero(d).tolist() for d in dists]):
+                prob = float(np.prod([d[a] for d, a in zip(dists, path)]))
                 tr = transcript_from(
                     grid_obj, dists, list(path), [values[t, a] for t, a in enumerate(path)]
                 )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from regretaudit.cli import main
-from regretaudit.core import PriceDistribution, PriceGrid, write_transcript
+from regretaudit.core import PriceGrid, write_transcript
 from regretaudit.sellers import greedy_distribution
 
 from conftest import sample_posted, transcript_from
@@ -15,7 +15,7 @@ def write_best_responder_transcript(path, rng, rounds=20_000):
     # regret is tiny and the margin fits under 2r at this horizon.
     grid = PriceGrid([0.4, 0.8])
     x = (1.0, 0.55)
-    dist = PriceDistribution((0, 1), (0.1, 0.9))
+    dist = np.array([0.1, 0.9])
     posted = sample_posted(rng, [dist] * rounds)
     allocs = [x[p] for p in posted]
     tr = transcript_from(grid, [dist] * rounds, posted, allocs)

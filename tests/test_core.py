@@ -8,12 +8,12 @@ import pytest
 from regretaudit.core import (
     AuditConfig,
     CostRange,
-    PriceDistribution,
     PriceGrid,
     Transcript,
     TranscriptParseError,
     TranscriptValidationError,
     Violation,
+    draw,
     dumps_transcript,
     loads_transcript,
     read_records,
@@ -23,7 +23,7 @@ from regretaudit.core import (
     write_transcript,
 )
 
-from conftest import dyadic_distribution, transcript_from
+from conftest import dense_row, dyadic_distribution, transcript_from
 
 
 HEADER = '{"grid": [1.0, 2.0], "continuum_upper": null}\n'
@@ -38,7 +38,7 @@ def record_line(t, posted=0, alloc=0.5, support="[0]", probs="[1.0]"):
 
 def make_simple_transcript():
     grid = PriceGrid([0.3, 0.5, 0.7])
-    dist = PriceDistribution((0, 1), (0.5, 0.5))
+    dist = dense_row(3, (0, 1), (0.5, 0.5))
     return Transcript.from_rounds(grid, [0, 1, 1], [0.9, 0.4, 0.2], [dist] * 3)
 
 
@@ -48,7 +48,7 @@ class TestValidate:
 
     def test_posted_outside_support_names_round(self):
         grid = PriceGrid([0.3, 0.5])
-        dist = PriceDistribution((0,), (1.0,))
+        dist = dense_row(2, (0,), (1.0,))
         tr = Transcript.from_rounds(grid, [1], [0.5], [dist])
         violations = validate(tr)
         assert len(violations) == 1
@@ -57,31 +57,24 @@ class TestValidate:
 
     def test_allocation_out_of_range_names_round_two(self):
         grid = PriceGrid([0.3, 0.5])
-        dist = PriceDistribution((0,), (1.0,))
+        dist = dense_row(2, (0,), (1.0,))
         tr = Transcript.from_rounds(grid, [0, 0], [0.5, 1.2], [dist, dist])
         violations = validate(tr)
         assert [(v.round, v.field) for v in violations] == [(2, "allocation")]
         assert "allocation out of [0,1]" in violations[0].message
 
     def test_probability_below_support_threshold_rejected(self):
-        dist = PriceDistribution((0, 1), (1e-16, 1.0 - 1e-16))
+        dist = np.array([1e-16, 1.0 - 1e-16])
         tr = Transcript.from_rounds(PriceGrid([1.0, 2.0]), [1], [0.5], [dist])
         assert any(v.field == "probs" for v in validate(tr))
 
     def test_probs_must_sum_to_one(self):
-        dist = PriceDistribution((0, 1), (0.6, 0.6))
+        dist = np.array([0.6, 0.6])
         tr = Transcript.from_rounds(PriceGrid([1.0, 2.0]), [0], [0.5], [dist])
         assert any("sum" in v.message for v in validate(tr))
 
     def test_unsorted_or_duplicate_support(self):
-        # A dense row cannot hold these, so building the columns rejects them.
-        grid = PriceGrid([1.0, 2.0])
-        with pytest.raises(TranscriptValidationError) as err:
-            Transcript.from_rounds(grid, [1], [0.5], [PriceDistribution((1, 0), (0.5, 0.5))])
-        assert any(v.field == "support" for v in err.value.violations)
-        with pytest.raises(TranscriptValidationError) as err:
-            Transcript.from_rounds(grid, [0], [0.5], [PriceDistribution((0, 0), (0.5, 0.5))])
-        assert any("duplicate" in v.message for v in err.value.violations)
+        # A dense row cannot hold these, so only a file can state them.
         for support, message in (("[1, 0]", "not sorted"), ("[0, 0]", "duplicate")):
             with pytest.raises(TranscriptValidationError) as err:
                 loads_transcript(HEADER + record_line(1, support=support, probs="[0.5, 0.5]"))
@@ -107,8 +100,8 @@ class TestValidate:
         # Distribution A breaks the sum, B is fine; A's breach is reported at
         # every round that drew from it, before that round's own breaches.
         grid = PriceGrid([1.0, 2.0])
-        a = PriceDistribution((0, 1), (0.6, 0.6))
-        b = PriceDistribution.point_mass(0)
+        a = np.array([0.6, 0.6])
+        b = np.array([1.0, 0.0])
         tr = Transcript.from_rounds(grid, [0, 1, 1, 0], [0.5, 1.5, 2.0, 0.5], [a, b, a, b])
         assert len(tr.dist_table) == 2
         assert validate(tr) == [
@@ -123,19 +116,19 @@ class TestValidate:
         # The old per-round loop, for finite positive probabilities.
         grid = PriceGrid([0.5, 1.0, 1.5, 2.0])
         dists = [dyadic_distribution(rng, 4) for _ in range(6)]
-        dists += [PriceDistribution(d.support, [p * 1.25 for p in d.probs]) for d in dists[:3]]
-        dists.append(PriceDistribution((0, 1), (1e-16, 1.0 - 1e-16)))
+        dists += [d * 1.25 for d in dists[:3]]
+        dists.append(dense_row(4, (0, 1), (1e-16, 1.0 - 1e-16)))
         for _ in range(20):
             rounds = [dists[i] for i in rng.integers(0, len(dists), size=30)]
             posted = rng.integers(0, 4, size=30).tolist()
             alloc = rng.uniform(-0.2, 1.2, size=30).tolist()
             expected = []
             for t, (d, p, a) in enumerate(zip(rounds, posted, alloc), 1):
-                if min(d.probs) < 1e-15:
+                if min(d[d > 0]) < 1e-15:
                     expected.append(Violation(t, "probs", "probability below 1e-15 rejected"))
-                if abs(math.fsum(d.probs) - 1.0) > 1e-12:
+                if abs(math.fsum(d) - 1.0) > 1e-12:
                     expected.append(Violation(t, "probs", "probabilities do not sum to 1"))
-                if p not in d.support:
+                if d[p] == 0:
                     expected.append(Violation(t, "posted_index", "posted price outside support"))
                 if not 0.0 <= a <= 1.0:
                     expected.append(Violation(t, "allocation", "allocation out of [0,1]"))
@@ -144,9 +137,9 @@ class TestValidate:
     def test_non_finite_values(self):
         grid = PriceGrid([1.0, 2.0])
         nan = float("nan")
-        tr = Transcript.from_rounds(grid, [0], [0.5], [PriceDistribution((0, 1), (nan, 1.0))])
+        tr = Transcript.from_rounds(grid, [0], [0.5], [np.array([nan, 1.0])])
         assert [(v.round, v.field) for v in validate(tr)] == [(1, "probs")]
-        tr = Transcript.from_rounds(grid, [0], [nan], [PriceDistribution.point_mass(0)])
+        tr = Transcript.from_rounds(grid, [0], [nan], [np.array([1.0, 0.0])])
         assert [(v.round, v.field) for v in validate(tr)] == [(1, "allocation")]
         assert [v.field for v in PriceGrid([nan, 1.0]).violations()] == ["levels"]
         inf = float("inf")
@@ -165,7 +158,7 @@ class TestValidate:
 class TestPersistence:
     def test_one_round_round_trip(self):
         grid = PriceGrid([0.3, 0.5, 0.7])
-        tr = Transcript.from_rounds(grid, [1], [0.4], [PriceDistribution((1,), (1.0,))])
+        tr = Transcript.from_rounds(grid, [1], [0.4], [dense_row(3, (1,), (1.0,))])
         text = dumps_transcript(tr)
         assert len(text.strip().split("\n")) == 2
         assert loads_transcript(text) == tr
@@ -175,7 +168,7 @@ class TestPersistence:
             k = int(rng.integers(1, 5))
             grid = PriceGrid(np.sort(rng.uniform(0, 3, size=k)).tolist())
             dists = [dyadic_distribution(rng, k) for _ in range(int(rng.integers(1, 6)))]
-            posted = [int(rng.choice(d.support)) for d in dists]
+            posted = [int(rng.choice(np.flatnonzero(d))) for d in dists]
             allocs = rng.random(len(dists))
             tr = transcript_from(grid, dists, posted, allocs)
             assert loads_transcript(dumps_transcript(tr)) == tr
@@ -267,8 +260,8 @@ class TestPersistence:
 
     def test_distinct_distributions_stored_once(self):
         grid = PriceGrid([1.0, 2.0])
-        a = PriceDistribution((0, 1), (0.25, 0.75))
-        b = PriceDistribution.point_mass(1)
+        a = np.array([0.25, 0.75])
+        b = np.array([0.0, 1.0])
         tr = Transcript.from_rounds(grid, [0, 1, 1, 1], [0.1, 0.2, 0.3, 0.4], [a, b, a, a])
         assert tr.dist_index.tolist() == [0, 1, 0, 0]
         assert tr.dist_table.tolist() == [[0.25, 0.75], [0.0, 1.0]]
@@ -297,15 +290,18 @@ class TestConfigTypes:
             AuditConfig(cr, threshold_r=0.1, confidence_alpha=1.5)
 
     def test_distribution_structural_check(self):
-        with pytest.raises(ValueError):
-            PriceDistribution((0, 1), (1.0,))
+        # Every round's row must have one entry per grid price.
+        grid = PriceGrid([1.0, 2.0])
+        for rows in ([np.array([1.0])], [[0.5, 0.5], [1.0]], np.ones((2, 3)) / 3):
+            with pytest.raises(ValueError):
+                Transcript.from_rounds(grid, [0, 0], [0.5, 0.5], rows)
 
     def test_draw_past_last_cumulative_probability(self):
         # The probabilities sum to 1 - 2**-52, so u = 1 - 2**-53 lies above
         # every cumulative probability; the draw is the last support index,
         # which here is not the top of the grid.
-        dist = PriceDistribution((1, 2), (0.5, 0.5 - 2**-52))
-        assert math.fsum(dist.probs) == 1 - 2**-52
-        assert dist.draw(0.25) == 1
-        assert dist.draw(0.5) == 2
-        assert dist.draw(1 - 2**-53) == 2
+        dist = dense_row(4, (1, 2), (0.5, 0.5 - 2**-52))
+        assert math.fsum(dist) == 1 - 2**-52
+        assert draw(dist, 0.25) == 1
+        assert draw(dist, 0.5) == 2
+        assert draw(dist, 1 - 2**-53) == 2

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regretaudit.core import PriceDistribution, PriceGrid
+from regretaudit.core import PriceGrid
 from regretaudit.market import manipulation_valuation_table
 from regretaudit.oracles import (
     GroundTruth,
@@ -26,13 +26,12 @@ from regretaudit.oracles import (
     true_pessimistic_regret,
 )
 
-from conftest import random_instance
+from conftest import dense_row, random_instance
 
 F = Fraction
 
-# One round's distribution over the four table prices, as a dense row.
-# Dyadic rows are float sixteenths, passed as PriceDistribution; the others
-# are integer weights over their total, passed as rows of Fractions.
+# One round's distribution over the four table prices, as a dense row:
+# float sixteenths, or integer weights over their total as Fractions.
 dyadic_row = st.lists(st.integers(0, 16), min_size=3, max_size=3).map(
     lambda cuts: [(b - a) / 16 for a, b in zip([0, *sorted(cuts)], [*sorted(cuts), 16])]
 )
@@ -41,10 +40,6 @@ rational_row = (
     .filter(any)
     .map(lambda w: [F(v, sum(w)) for v in w])
 )
-
-
-def as_distribution(row):
-    return PriceDistribution.from_dense(row) if isinstance(row[0], float) else row
 
 
 class TestCalibratedRegret:
@@ -65,7 +60,7 @@ class TestCalibratedRegret:
         x = (1.0, 0.6, 0.1)
         c = 0.5
         best = max(range(3), key=lambda p: (levels[p] - c) * x[p])
-        dists = [PriceDistribution.point_mass(best)] * 5
+        dists = [dense_row(3, (best,), (1.0,))] * 5
         truth = GroundTruth(levels, np.tile(np.array(x), (5, 1)))
         assert true_calibrated_regret(dists, truth, c) == pytest.approx(0.0, abs=1e-15)
 
@@ -74,7 +69,7 @@ class TestCalibratedRegret:
         # gains the published payoff gap every round.
         tab = manipulation_valuation_table(0)
         levels = (0, 1, 2, 3)
-        dists = [PriceDistribution.point_mass(1)] * 6
+        dists = [dense_row(4, (1,), (1.0,))] * 6
         truth = materialize_truth(tab, levels, [1] * 6, 0)
         regret = true_calibrated_regret(dists, truth, 0)
         assert regret == F(77, 100) - F(123, 200)  # 0.155
@@ -95,7 +90,7 @@ class TestCalibratedRegret:
         levels = tuple(F(v) for v in range(4))
         opponent = [j for j, _ in rounds]
         truth = materialize_truth(manipulation_valuation_table(F(1, 100)), levels, opponent, seller)
-        dists = [as_distribution(row) for _, row in rounds]
+        dists = [row for _, row in rounds]
         exact = true_calibrated_regret(dists, truth, cost)
         assert isinstance(exact, Fraction)
         assert exact == max(
@@ -109,22 +104,20 @@ class TestCalibratedRegret:
     def test_float_and_exact_paths_agree(self, rng):
         _, dists, truth = random_instance(rng, k=3, rounds=4)
         exact = true_calibrated_regret(dists, truth, F(1, 4))
-        fast = true_calibrated_regret(
-            np.stack([d.dense(3) for d in dists]), truth, 0.25
-        )
+        fast = true_calibrated_regret(np.stack(dists), truth, 0.25)
         assert float(exact) == pytest.approx(fast, abs=1e-12)
 
 
 class TestPessimisticAllocation:
     def test_full_support_is_identity(self, rng):
         _, _, truth = random_instance(rng, k=3, rounds=2)
-        dists = [PriceDistribution((0, 1, 2), (0.25, 0.25, 0.5))] * 2
+        dists = [np.array([0.25, 0.25, 0.5])] * 2
         z = pessimistic_allocation(truth, dists)
         assert np.array_equal(z.as_array(), truth.as_array())
 
     def test_fill_rule(self):
         truth = GroundTruth((0.3, 0.5, 0.7), ((0.9, 0.6, 0.2),))
-        dists = [PriceDistribution.point_mass(1)]
+        dists = [np.array([0.0, 1.0, 0.0])]
         z = pessimistic_allocation(truth, dists)
         assert z.values[0] == (1.0, 0.6, 0.6)
 
@@ -146,7 +139,7 @@ class TestPessimisticAllocation:
         for _ in range(200):
             completion = values.copy()
             for t, dist in enumerate(dists):
-                supported = set(dist.support)
+                supported = set(np.flatnonzero(dist).tolist())
                 hi = 1.0
                 for p in range(3):
                     if p in supported:
@@ -176,7 +169,7 @@ class TestPessimisticAllocation:
 
     def test_full_support_pessimistic_equals_calibrated(self, rng):
         _, _, truth = random_instance(rng, k=3, rounds=3)
-        dists = [PriceDistribution((0, 1, 2), (0.5, 0.25, 0.25))] * 3
+        dists = [np.array([0.5, 0.25, 0.25])] * 3
         c = 0.3
         assert true_pessimistic_regret(truth, dists, c) == true_calibrated_regret(
             dists, truth, c
@@ -196,7 +189,7 @@ class TestBestInHindsight:
             levels = np.asarray(truth.levels, dtype=float)
             values = truth.as_array()
             util = (levels[None, :] - c) * values
-            probs = np.stack([d.dense(3) for d in dists])
+            probs = np.stack(dists)
             realized = (probs * util).sum(axis=1)  # expected realized utility
             bih = best_in_hindsight_regret(util, realized)
             cal = true_calibrated_regret(probs, GroundTruth(truth.levels, values), c)
@@ -240,14 +233,14 @@ class TestReduction:
 
 class TestBruteForce:
     def test_point_mass_single_path(self):
-        dists = [PriceDistribution.point_mass(0)]
+        dists = [np.array([1.0, 0.0])]
         truth = GroundTruth((1.0, 2.0), ((0.5, 0.25),))
         val = brute_force_estimator_expectation(dists, truth, 0)
         # One path: posted 0, xhat = (0.5, 0.5 by fill); best swap 0 -> 1.
         assert val == F(2) * F(1, 2) - F(1) * F(1, 2)
 
     def test_two_round_product_law(self):
-        d = PriceDistribution((0, 1), (0.5, 0.5))
+        d = np.array([0.5, 0.5])
         truth = GroundTruth((1.0, 2.0), ((1.0, 0.5), (1.0, 0.5)))
         # Pairwise expectations should match the single-round ones: paths
         # factor across rounds, so the two-round value equals the one-round one.
@@ -267,7 +260,7 @@ class TestBruteForce:
         # Averaging the assembled estimate across paths sits strictly above
         # assembling the expected substitution benefits (the max is convex),
         # which is why the expectation is taken at the pairwise level.
-        d = PriceDistribution((0, 1), (0.5, 0.5))
+        d = np.array([0.5, 0.5])
         truth = GroundTruth((1.0, 2.0), ((1.0, 1.0),))
         exp = brute_force_estimator_expectation([d], truth, 0)
         avg = brute_force_realized_average([d], truth, 0)
@@ -276,7 +269,7 @@ class TestBruteForce:
         assert avg > exp
 
     def test_instance_too_large(self):
-        d = PriceDistribution((0, 1, 2), (0.25, 0.25, 0.5))
+        d = np.array([0.25, 0.25, 0.5])
         truth = GroundTruth((1.0, 2.0, 3.0), tuple(((1.0, 1.0, 1.0),) * 12))
         with pytest.raises(ValueError):
             brute_force_estimator_expectation([d] * 12, truth, 0)
@@ -318,7 +311,7 @@ class TestIndistinguishablePair:
         dists, low, high = indistinguishable_ground_truths(
             levels=obj["levels"], rounds=obj["rounds"]
         )
-        assert [list(d.support) for d in dists] == [
+        assert [np.flatnonzero(d).tolist() for d in dists] == [
             d["support"] for d in obj["distributions"]
         ]
         assert [[float(v) for v in row] for row in low.values] == obj["truth_low"]

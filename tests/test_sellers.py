@@ -26,6 +26,8 @@ from regretaudit.sellers import (
     strategy_from_config,
 )
 
+from conftest import sample_posted
+
 
 class TestQLearner:
     def test_full_overwrite(self):
@@ -45,16 +47,18 @@ class TestQLearner:
 
     def test_epsilon_greedy_distribution(self):
         dist = greedy_distribution(19, 0.01, 3)
-        assert dist.prob_of(3) == pytest.approx(0.99 + 0.01 / 19)
-        assert len(dist.support) == 19
-        assert min(dist.probs) == pytest.approx(0.01 / 19)
-        assert sum(dist.probs) == pytest.approx(1.0, abs=1e-12)
+        assert dist[3] == pytest.approx(0.99 + 0.01 / 19)
+        assert np.count_nonzero(dist) == 19
+        assert min(dist) == pytest.approx(0.01 / 19)
+        assert sum(dist) == pytest.approx(1.0, abs=1e-12)
+        assert not dist.flags.writeable  # cached and shared between rounds
+        assert greedy_distribution(4, 0.0, 2).tolist() == [0.0, 0.0, 1.0, 0.0]
 
     def test_argmax_tie_breaks_low(self):
         learner = QLearnerStrategy(np.array([3.0, 3.0]), 0.5, 0.0, 0.2)
         learner.observe(posted=1, utility=3.0, utility_vector=None)
         dist = learner.distribution()
-        assert dist.prob_of(0) > dist.prob_of(1)
+        assert dist[0] > dist[1]
 
     def test_state_validation(self):
         with pytest.raises(ValueError):
@@ -79,11 +83,11 @@ class TestQLearner:
 class TestMWU:
     def test_uniform_rewards_keep_uniform_distribution(self):
         dist = mwu_distribution(mwu_step(np.zeros(3), [0.5, 0.5, 0.5]), 0.1)
-        assert dist.probs == pytest.approx((1 / 3, 1 / 3, 1 / 3))
+        assert dist.tolist() == pytest.approx((1 / 3, 1 / 3, 1 / 3))
 
     def test_weight_ratio_follows_cumulative_gap(self):
         dist = mwu_distribution(np.array([2.0, 5.0]), 0.1)
-        assert dist.prob_of(1) / dist.prob_of(0) == pytest.approx(1.1**3)
+        assert dist[1] / dist[0] == pytest.approx(1.1**3)
 
     def test_reward_range_enforced(self):
         cumulative = np.zeros(2)
@@ -94,10 +98,10 @@ class TestMWU:
 
     def test_consecutive_distribution_drift_bounded_by_step(self, rng):
         cumulative = np.zeros(4)
-        prev = mwu_distribution(cumulative, 0.05).dense(4)
+        prev = mwu_distribution(cumulative, 0.05)
         for _ in range(500):
             cumulative = mwu_step(cumulative, rng.random(4))
-            cur = mwu_distribution(cumulative, 0.05).dense(4)
+            cur = mwu_distribution(cumulative, 0.05)
             assert np.abs(cur - prev).max() <= 0.05 + 1e-12
             prev = cur
 
@@ -106,10 +110,10 @@ class TestMWU:
         gamma = 0.1
         # Trailing by 2 * gamma * horizon while posted with prob 0.5.
         cumulative = np.array([0.0, 2 * gamma * horizon])
-        probs = mwu_distribution(cumulative, 1e-9).dense(2)
+        probs = mwu_distribution(cumulative, 1e-9)
         assert is_mean_based_violation(cumulative, probs, posted=0, gamma=gamma, horizon=horizon)
         cumulative = np.array([5.0, 5.0])
-        probs = mwu_distribution(cumulative, 1e-9).dense(2)
+        probs = mwu_distribution(cumulative, 1e-9)
         assert not is_mean_based_violation(cumulative, probs, posted=0, gamma=gamma, horizon=horizon)
 
     def test_mean_based_violation_over_rounds(self):
@@ -128,8 +132,8 @@ class TestMWU:
         violations = 0
         for _ in range(horizon):
             dist = mwu_distribution(cumulative, eta)
-            posted = int(rng.choice(dist.support, p=np.array(dist.probs) / sum(dist.probs)))
-            violations += is_mean_based_violation(cumulative, dist.dense(3), posted, gamma, horizon)
+            [posted] = sample_posted(rng, [dist])
+            violations += is_mean_based_violation(cumulative, dist, posted, gamma, horizon)
             cumulative = mwu_step(cumulative, rng.random(3))
         assert violations == 0
 
@@ -176,7 +180,7 @@ class TestSimulate:
 
     def test_fixed_strategies_produce_point_masses(self):
         grid, tab = self.grid_and_table()
-        res = simulate(grid, (FixedPriceStrategy(1), FixedPriceStrategy(2)), tab, (0, 0), 3, seed=1)
+        res = simulate(grid, (FixedPriceStrategy(1, 4), FixedPriceStrategy(2, 4)), tab, (0, 0), 3, seed=1)
         for tr in res.transcripts:
             assert ((tr.dists() > 0).sum(axis=1) == 1).all()
         x1 = float(tab.demand(1, 2)[0])
@@ -208,7 +212,7 @@ class TestSimulate:
         grid, tab = self.grid_and_table()
         res = simulate(
             grid,
-            (FixedPriceStrategy(1), FixedPriceStrategy(1)),
+            (FixedPriceStrategy(1, 4), FixedPriceStrategy(1, 4)),
             tab,
             (0, 0),
             400,
@@ -285,7 +289,7 @@ class TestSimulate:
         cumulative = np.zeros(4)
         for t in range(sched.total_rounds):
             assert np.array_equal(before[t], cumulative)
-            assert np.array_equal(dists[t], mwu_distribution(cumulative, 2.0).dense(4))
+            assert np.array_equal(dists[t], mwu_distribution(cumulative, 2.0))
             cumulative = mwu_step(cumulative, rewards[t])
         assert np.array_equal(cumulative, learner.cumulative_rewards)
         horizon = sched.total_rounds
