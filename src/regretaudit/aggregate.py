@@ -43,11 +43,11 @@ class DriftAssumption:
 
     def __post_init__(self):
         if self.mode == "explicit":
-            if self.epsilon is None or self.epsilon <= 0:
-                raise ValueError("explicit mode needs epsilon > 0")
+            if self.epsilon is None or not 0 < self.epsilon < math.inf:
+                raise ValueError("explicit mode needs a finite epsilon > 0")
         elif self.mode == "rate":
-            if self.gamma is None or self.gamma <= 0:
-                raise ValueError("rate mode needs gamma > 0")
+            if self.gamma is None or not 0 < self.gamma < math.inf:
+                raise ValueError("rate mode needs a finite gamma > 0")
         else:
             raise ValueError("mode must be 'explicit' or 'rate'")
         if not (0 < self.support_floor <= 1):
@@ -109,10 +109,13 @@ def estimate_distributions(
     eps = drift.step_drift(T)
     log_term = math.log(2.0 * T * k / delta)
     t_opt = (eps * log_term / 2.0) ** (1.0 / 3.0)
-    window = math.ceil(log_term / (2.0 * t_opt * t_opt))
+    # The window grows as the drift bound shrinks; a bound that underflows
+    # to 0 (T ** -gamma for a large gamma) balances at no finite window.
+    window = math.ceil(log_term / (2.0 * t_opt * t_opt)) if t_opt > 0 else math.inf
     if window > T:
         raise ValueError(
-            f"drift too large: window {window} exceeds the {T} available rounds"
+            f"the balancing window ({window} rounds at drift bound {eps:.3g} per step) "
+            f"exceeds the {T}-round horizon"
         )
     rho = (4.0 * eps * log_term) ** (1.0 / 3.0)
     onehot = np.zeros((T + 1, k))

@@ -11,7 +11,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -58,9 +58,16 @@ MANIPULATION_ETA = 2.0
 MANIPULATION_EPSILON = 0.005
 
 
+_CONFIG_KINDS = {"environment": dict, "strategies": list, "rounds": int, "replications": int,
+                 "seed": int, "out": str, "feedback": str, "audit": dict}
+_JSON_KINDS = {dict: "an object", list: "a list", int: "an integer", str: "a string"}
+
+
 @dataclass
 class ExperimentConfig:
-    """One simulation experiment: environment, strategies, horizon, replications."""
+    """One simulation experiment: environment, two strategies, horizon,
+    replications. Checked at construction, so build changed copies with
+    dataclasses.replace."""
 
     environment: dict
     strategies: list[dict]
@@ -72,13 +79,27 @@ class ExperimentConfig:
     audit: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for name, kind in _CONFIG_KINDS.items():
+            if type(getattr(self, name)) is not kind:
+                raise ValueError(f"config key {name!r} must be {_JSON_KINDS[kind]}")
         if self.replications < 1 or self.rounds < 1:
             raise ValueError("rounds and replications must be at least 1")
+        if len(self.strategies) != 2 or not all(type(s) is dict for s in self.strategies):
+            raise ValueError("config key 'strategies' must list exactly two strategy objects")
 
     @staticmethod
     def from_json(path: str) -> "ExperimentConfig":
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
+        if type(obj) is not dict:
+            raise ValueError(f"{path}: config must be a JSON object")
+        known = {f.name: f for f in fields(ExperimentConfig)}
+        for key in obj:
+            if key not in known:
+                raise ValueError(f"{path}: unknown config key {key!r}")
+        for name, f in known.items():
+            if name not in obj and f.default is MISSING and f.default_factory is MISSING:
+                raise ValueError(f"{path}: missing config key {name!r}")
         return ExperimentConfig(**obj)
 
 
@@ -121,6 +142,8 @@ def build_environment(spec: dict):
         grid = PriceGrid(spec.get("grid", MANIPULATION_GRID), spec.get("h"))
         return grid, table, (spec.get("cost1", 0.0), spec.get("cost2", 0.0))
     if kind == "table_file":
+        if "path" not in spec:
+            raise ValueError("table_file environment: missing key 'path'")
         table = DiscreteValuationTable.from_json(spec["path"])
         levels = spec.get("grid", [float(v) for v in table.price_levels])
         return PriceGrid(levels, spec.get("h")), table, (spec.get("cost1", 0.0), spec.get("cost2", 0.0))
@@ -205,11 +228,12 @@ def _check_sweep_points(points: int) -> None:
 
 def cmd_audit(args) -> int:
     _check_sweep_points(args.sweep_points)
+    config = _audit_config_from_args(args)
     transcript = read_transcript(args.transcript)
     if args.h is not None:
         transcript = replace(transcript, grid=_bounded_grid(transcript.grid.levels, args.h))
     truth = figures.read_truth(args.truth) if args.sweep and args.truth else None
-    report = audit(transcript, _audit_config_from_args(args))
+    report = audit(transcript, config)
     print(report.to_json(indent=2))
     if args.sweep:
         curve = regret_curve(transcript)
@@ -223,6 +247,7 @@ def cmd_audit(args) -> int:
 
 
 def cmd_audit_aggregated(args) -> int:
+    config = _audit_config_from_args(args)
     grid, posted, allocations = read_price_series(args.transcript)
     if args.h is not None:
         grid = _bounded_grid(grid.levels, args.h)
@@ -232,7 +257,7 @@ def cmd_audit_aggregated(args) -> int:
         drift = DriftAssumption.rate(args.drift_gamma, args.support_floor)
     else:
         raise ValueError("aggregated audit needs --drift-eps or --drift-gamma")
-    result = audit_aggregated(posted, allocations, grid, drift, _audit_config_from_args(args))
+    result = audit_aggregated(posted, allocations, grid, drift, config)
     if isinstance(result, InsufficientData):
         print(result.message, file=sys.stderr)
         return 1
@@ -406,23 +431,16 @@ def _config_from_args(args) -> ExperimentConfig:
         config = manipulation_config()
     else:
         config = duopoly_config()
-    if args.rounds is not None:
-        config.rounds = args.rounds
-        if config.strategies and config.strategies[0].get("kind") == "manipulator":
-            # Keep the two-phase structure: interpret --rounds as the total.
-            phase1 = math.ceil(args.rounds / 2.1)
-            spec = {k: v for k, v in config.strategies[0].items() if k != "phase2_rounds"}
-            config.strategies[0] = {**spec, "phase1_rounds": phase1}
-            config.rounds = ManipulatorSchedule.standard(phase1).total_rounds
-    if args.replications is not None:
-        config.replications = args.replications
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.out is not None:
-        config.out = args.out
-    if getattr(args, "feedback", None):
-        config.feedback = args.feedback
-    return config
+    flags = {name: getattr(args, name, None) for name in ("rounds", "replications", "seed", "out", "feedback")}
+    overrides = {name: value for name, value in flags.items() if value is not None}
+    if args.rounds is not None and config.strategies[0].get("kind") == "manipulator":
+        # Keep the two-phase structure: interpret --rounds as the total.
+        phase1 = math.ceil(args.rounds / 2.1)
+        spec = {k: v for k, v in config.strategies[0].items() if k != "phase2_rounds"}
+        overrides["strategies"] = [{**spec, "phase1_rounds": phase1}, *config.strategies[1:]]
+        overrides["rounds"] = ManipulatorSchedule.standard(phase1).total_rounds
+    # replace runs the construction checks again on the overridden values.
+    return replace(config, **overrides)
 
 
 def _add_experiment_flags(p: argparse.ArgumentParser) -> None:

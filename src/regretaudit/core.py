@@ -224,6 +224,9 @@ class CostRange:
     hi: float
 
     def __post_init__(self):
+        for name in ("lo", "hi"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"cost range {name} must be finite, got {getattr(self, name)}")
         if not (0 <= self.lo <= self.hi):
             raise ValueError(f"cost range requires 0 <= lo <= hi, got [{self.lo}, {self.hi}]")
 
@@ -238,8 +241,8 @@ class AuditConfig:
     endogenous: bool = False
 
     def __post_init__(self):
-        if self.threshold_r <= 0:
-            raise ValueError("threshold_r must be positive")
+        if not 0 < self.threshold_r < math.inf:
+            raise ValueError(f"threshold_r must be positive and finite, got {self.threshold_r}")
         if not (0 < self.confidence_alpha < 1):
             raise ValueError("confidence_alpha must be in (0, 1)")
 

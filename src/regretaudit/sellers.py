@@ -233,6 +233,8 @@ def manipulator_next(schedule: ManipulatorSchedule, round_no: int) -> float:
 
 class FixedPriceStrategy:
     def __init__(self, index: int, k: int):
+        if not (0 <= index < k):
+            raise ValueError(f"fixed price index {index} outside grid of size {k}")
         self.index = index
         self._row = greedy_distribution(k, 0.0, index)
 
@@ -425,11 +427,15 @@ def strategy_from_config(
             **{key: config[key] for key in keys if key in config},
         )
     if kind == "mwu":
+        if "step_size" not in config:
+            raise ValueError("mwu strategy: missing key 'step_size'")
         lo, hi = reward_bounds(oracle, grid, costs, feedback_mode)
         return MWUStrategy.fresh(len(grid), config["step_size"], lo, hi)
     if kind == "fixed":
         if "index" in config:
             return FixedPriceStrategy(int(config["index"]), len(grid))
+        if "price" not in config:
+            raise ValueError("fixed strategy: missing key 'price' or 'index'")
         return FixedPriceStrategy(grid.levels.index(float(config["price"])), len(grid))
     if kind == "manipulator":
         phase1 = int(config.get("phase1_rounds", math.ceil(rounds / 2.1)))

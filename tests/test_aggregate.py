@@ -56,9 +56,15 @@ class TestEstimateDistributions:
             assert est.freqs[i].sum() == pytest.approx(1.0)
 
     def test_drift_too_large_for_horizon(self):
+        # The balancing window grows as the drift bound shrinks: a small
+        # bound, or T ** -gamma for a large gamma, needs more rounds than
+        # the horizon has, and one that underflows to 0 needs unboundedly many.
         grid = PriceGrid([1.0, 2.0])
         with pytest.raises(ValueError):
             estimate_distributions([0] * 50, grid, DriftAssumption.explicit(1e-6, 0.5), 0.05)
+        for gamma, window in ((5.0, "715153369631"), (1e6, "inf")):
+            with pytest.raises(ValueError, match=rf"balancing window \({window} rounds .* exceeds the 3000-round horizon"):
+                estimate_distributions([0] * 3000, grid, DriftAssumption.rate(gamma, 0.9), 0.05)
 
     def test_mwu_errors_respect_lemma_bound(self, rng):
         # 100 seeded runs of a slow learner against a fixed opponent; the
@@ -191,3 +197,8 @@ class TestReducedTranscript:
             DriftAssumption.rate(-0.1, 0.5)
         with pytest.raises(ValueError):
             DriftAssumption("rate", gamma=0.5, support_floor=0.0)
+        for value in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite gamma"):
+                DriftAssumption.rate(value, 0.5)
+            with pytest.raises(ValueError, match="finite epsilon"):
+                DriftAssumption.explicit(value, 0.5)

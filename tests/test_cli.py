@@ -399,6 +399,89 @@ class TestMalformedInputs:
         assert report["d"] == (0.5 if endogenous else 0.0)
 
 
+    CONFIG = {
+        "environment": {"kind": "table"},
+        "strategies": [{"kind": "mwu", "step_size": 0.5}, {"kind": "q"}],
+        "rounds": 50,
+    }
+
+    @pytest.mark.parametrize(
+        "command, flags, config, message",
+        [
+            ("figures", ["--replications", "0"], None, "rounds and replications must be at least 1"),
+            ("simulate", ["--rounds", "0"], None, "rounds and replications must be at least 1"),
+            ("simulate", ["--rounds", "-5"], None, "rounds and replications must be at least 1"),
+            ("simulate", [], {"horizon": 5}, "unknown config key 'horizon'"),
+            ("simulate", [], {"rounds": None}, "missing config key 'rounds'"),
+            ("simulate", [], {"rounds": "50"}, "config key 'rounds' must be an integer"),
+            ("figures", [], {"strategies": [{"kind": "q"}]}, "exactly two strategy objects"),
+            ("simulate", [], {"strategies": [{"kind": "mwu"}, {"kind": "q"}]}, "missing key 'step_size'"),
+            ("simulate", [], {"strategies": [{"kind": "fixed"}, {"kind": "q"}]}, "missing key 'price' or 'index'"),
+            ("simulate", [], {"strategies": [{"kind": "fixed", "index": 4}, {"kind": "q"}]}, "index 4 outside grid"),
+            ("simulate", [], {"environment": {"kind": "table_file"}}, "missing key 'path'"),
+        ],
+        ids=[
+            "replications-0", "rounds-0", "rounds-negative", "unknown-key", "missing-key",
+            "rounds-string", "one-strategy", "mwu-no-step-size", "fixed-no-price",
+            "fixed-off-grid", "table-file-no-path",
+        ],
+    )
+    def test_experiment_config(self, tmp_path, capsys, command, flags, config, message):
+        # A bad experiment exits 1 before any transcript is written.
+        out = tmp_path / "out"
+        argv = [command, "--out", str(out), *flags]
+        if config is not None:
+            path = tmp_path / "config.json"
+            spec = {key: value for key, value in {**self.CONFIG, **config}.items() if value is not None}
+            path.write_text(json.dumps(spec))
+            argv += ["--config", str(path)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert not list(tmp_path.rglob("transcript_*"))
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--r", "inf"], "threshold_r must be positive and finite"),
+            (["--r", "nan"], "threshold_r must be positive and finite"),
+            (["--cost-hi", "inf"], "cost range hi must be finite"),
+        ],
+        ids=["r-inf", "r-nan", "cost-hi-inf"],
+    )
+    @pytest.mark.parametrize("command", ["audit", "audit-aggregated"])
+    def test_non_finite_audit_setting(self, tmp_path, capsys, command, flags, message):
+        path = tmp_path / "reduced.jsonl"
+        self.reduced_file(path, 0, None, rounds=3000)
+        drift = ["--drift-gamma", "0.7", "--support-floor", "0.9"] if command == "audit-aggregated" else []
+        code = main([command, str(path), *self.AUDIT_FLAGS, *drift, *flags])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+
+    @pytest.mark.parametrize(
+        "gamma, message",
+        [
+            ("1e6", "the balancing window (inf rounds at drift bound 0 per step) exceeds the 3000-round horizon"),
+            ("inf", "rate mode needs a finite gamma > 0"),
+            ("5", "drift bound 4.12e-18 per step) exceeds the 3000-round horizon"),
+        ],
+    )
+    def test_vanishing_drift_bound(self, tmp_path, capsys, gamma, message):
+        # T ** -gamma underflows to 0 at gamma 1e6; at gamma 5 it is 4e-18,
+        # whose balancing window is far beyond the horizon.
+        path = tmp_path / "reduced.jsonl"
+        self.reduced_file(path, 0, None, rounds=3000)
+        flags = ["--drift-gamma", gamma, "--support-floor", "0.9"]
+        code = main(["audit-aggregated", str(path), *self.AUDIT_FLAGS, *flags])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+
 class TestFiguresCommand:
     def test_emits_csv_and_self_contained_svg(self, tmp_path):
         out = tmp_path / "figs"

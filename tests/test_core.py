@@ -281,6 +281,9 @@ class TestConfigTypes:
         with pytest.raises(ValueError):
             CostRange(-0.1, 0.2)
         assert CostRange(0.1, 0.1).lo == 0.1
+        for lo, hi, name in ((0.1, math.inf, "hi"), (math.nan, 0.5, "lo"), (-math.inf, 0.5, "lo")):
+            with pytest.raises(ValueError, match=f"cost range {name} must be finite"):
+                CostRange(lo, hi)
 
     def test_audit_config_invariants(self):
         cr = CostRange(0.0, 1.0)
@@ -288,6 +291,11 @@ class TestConfigTypes:
             AuditConfig(cr, threshold_r=0.0, confidence_alpha=0.05)
         with pytest.raises(ValueError):
             AuditConfig(cr, threshold_r=0.1, confidence_alpha=1.5)
+        for r in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="threshold_r must be positive and finite"):
+                AuditConfig(cr, threshold_r=r, confidence_alpha=0.05)
+        with pytest.raises(ValueError):
+            AuditConfig(cr, threshold_r=0.1, confidence_alpha=math.nan)
 
     def test_distribution_structural_check(self):
         # Every round's row must have one entry per grid price.

@@ -2,18 +2,24 @@
 
 Every mutated file must either read back or be rejected with a
 TranscriptParseError or a TranscriptValidationError that names a line;
-no other exception may escape. The examples are derandomized, so the test
-is deterministic.
+no other exception may escape. Transcripts and reduced transcripts also go
+through the CLI: a rejected file exits 1 with nothing on stdout, and any
+file exits 0, 1 or 2 without an exception escaping. The examples are
+derandomized, so the test is deterministic.
 """
 
+import contextlib
 import io
+import os
 import re
+import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regretaudit.aggregate import read_price_series
+from regretaudit.cli import main
 from regretaudit.core import TranscriptParseError, TranscriptValidationError, loads_transcript
 from regretaudit.figures import read_truth
 
@@ -40,6 +46,11 @@ READERS = {
     "transcript": loads_transcript,
     "reduced": lambda text: read_price_series(io.StringIO(text)),
     "truth": lambda text: read_truth(io.StringIO(text)),
+}
+AUDIT_FLAGS = ["--cost-lo", "0", "--cost-hi", "0.5"]
+COMMANDS = {
+    "transcript": ["audit", *AUDIT_FLAGS],
+    "reduced": ["audit-aggregated", *AUDIT_FLAGS, "--drift-eps", "0.01", "--support-floor", "0.9"],
 }
 
 HUGE = "1" + "0" * 400
@@ -94,14 +105,36 @@ def test_mutated_file_reads_or_names_its_line(kind, mutations):
     for m in mutations:
         lines = mutate(lines, *m)
     text = "\n".join(lines) + "\n"
+    rejected = True
     try:
         READERS[kind](text)
+        rejected = False
     except TranscriptParseError as e:
         assert isinstance(e.line_no, int) and 1 <= e.line_no <= len(lines)
         assert f"line {e.line_no}" in str(e)
     except TranscriptValidationError as e:
         assert e.violations
         assert all(v.line is not None and 1 <= v.line <= len(lines) for v in e.violations)
+    if kind in COMMANDS:
+        code, out, err = run_cli(COMMANDS[kind], text)
+        assert "Traceback" not in err
+        if rejected:
+            assert (code, out) == (1, "")
+            assert err.startswith("error: ")
+        else:
+            assert code in (0, 1, 2)
+
+
+def run_cli(command, text):
+    """Exit code, stdout and stderr of the CLI on `text` as the input file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.jsonl")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command[0], path, *command[1:]])
+    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.mark.parametrize("kind", sorted(READERS))
