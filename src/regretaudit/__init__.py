@@ -24,7 +24,6 @@ from .audit import (
     error_margin,
     estimate_allocations,
     minimize_over_cost,
-    pairwise_regret,
     regret_curve,
 )
 from .core import (

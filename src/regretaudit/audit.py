@@ -21,30 +21,24 @@ import numpy as np
 from .core import AuditConfig, CostRange, PriceGrid, Transcript
 
 
-def _estimate_allocations(transcript: Transcript, probs: np.ndarray) -> np.ndarray:
-    """The x-hat table of a transcript whose dense distributions are `probs`."""
-    T, k = probs.shape
-    rows = np.arange(T)
-    posted = transcript.posted
-    scatter = np.zeros((T, k))
-    scatter[rows, posted] = transcript.alloc / probs[rows, posted]
-    # Supported prices keep their propensity value (the posted one) or 0;
-    # unsupported prices inherit the nearest supported lower price, else 1.
-    support = probs > 0
-    out = np.empty((T, k))
-    carry = np.ones(T)
-    for j in range(k):
-        carry = np.where(support[:, j], scatter[:, j], carry)
-        out[:, j] = carry
-    return out
-
-
 def estimate_allocations(transcript: Transcript) -> np.ndarray:
     """Propensity-score allocation table x-hat, (T, k), with the pessimistic
     off-support fill; entries may exceed 1."""
     if len(transcript) < 1:
         raise ValueError("empty transcript")
-    return _estimate_allocations(transcript, transcript.dists())
+    table, index, posted = transcript.dist_table, transcript.dist_index, transcript.posted
+    T, k = len(transcript), table.shape[1]
+    rows = np.arange(T)
+    scatter = np.zeros((T, k))
+    scatter[rows, posted] = transcript.alloc / table[index, posted]
+    # Supported prices keep their propensity value (the posted one) or 0;
+    # unsupported prices inherit the nearest supported lower price, else 1.
+    out = np.empty((T, k))
+    carry = np.ones(T)
+    for j in range(k):
+        carry = np.where((table[:, j] > 0)[index], scatter[:, j], carry)
+        out[:, j] = carry
+    return out
 
 
 @dataclass(frozen=True)
@@ -56,17 +50,6 @@ class AffineInCost:
 
     def __call__(self, c: float) -> float:
         return self.slope * c + self.intercept
-
-
-def pairwise_regret(x: np.ndarray, transcript: Transcript, p: int, q: int) -> AffineInCost:
-    """Average benefit of substituting price p with q, affine in cost, from
-    the transcript's x-hat table `x` (see estimate_allocations)."""
-    T = len(transcript)
-    w = transcript.dist_table[transcript.dist_index, p]
-    lp, lq = transcript.grid.levels[p], transcript.grid.levels[q]
-    slope = float(np.dot(w, x[:, p] - x[:, q]) / T)
-    intercept = float(np.dot(w, lq * x[:, q] - lp * x[:, p]) / T)
-    return AffineInCost(slope, intercept)
 
 
 def _upper_envelope(slopes: np.ndarray, intercepts: np.ndarray) -> list[tuple[int, float]]:
@@ -103,7 +86,6 @@ def _upper_envelope(slopes: np.ndarray, intercepts: np.ndarray) -> list[tuple[in
 class PWLInCost:
     """The estimated regret as a convex piecewise-linear function of cost."""
 
-    levels: tuple[float, ...]
     slopes: np.ndarray  # (k, k) substitution-benefit slopes
     intercepts: np.ndarray  # (k, k)
     breakpoints: tuple[float, ...]  # sorted costs where some per-p envelope changes leader
@@ -127,12 +109,12 @@ class PWLInCost:
         return tuple(int(np.argmax(row >= b)) for row, b in zip(vals, best))
 
 
-def _curve(transcript: Transcript) -> PWLInCost:
-    probs = transcript.dists()
-    xhat = _estimate_allocations(transcript, probs)
+def regret_curve(transcript: Transcript) -> PWLInCost:
+    """Estimated regret of the transcript as an explicit function of cost."""
+    xhat = estimate_allocations(transcript)
     levels = np.asarray(transcript.grid.levels, dtype=float)
     T = len(transcript)
-    m = probs.T @ xhat  # m[p, q] = sum_t pi_t(p) xhat_t(q)
+    m = transcript.dists().T @ xhat  # m[p, q] = sum_t pi_t(p) xhat_t(q)
     own = np.diag(m)
     slopes = (own[:, None] - m) / T
     intercepts = (levels[None, :] * m - (levels * own)[:, None]) / T
@@ -140,14 +122,7 @@ def _curve(transcript: Transcript) -> PWLInCost:
     for p in range(len(levels)):
         env = _upper_envelope(slopes[p], intercepts[p])
         bps.update(c for _, c in env[1:])
-    return PWLInCost(tuple(levels), slopes, intercepts, tuple(sorted(bps)))
-
-
-def regret_curve(transcript: Transcript) -> PWLInCost:
-    """Estimated regret of the transcript as an explicit function of cost."""
-    if len(transcript) < 1:
-        raise ValueError("empty transcript")
-    return _curve(transcript)
+    return PWLInCost(slopes, intercepts, tuple(sorted(bps)))
 
 
 def minimize_over_cost(curve: PWLInCost, cost_range: CostRange) -> tuple[float, float]:
@@ -167,15 +142,6 @@ def minimize_over_cost(curve: PWLInCost, cost_range: CostRange) -> tuple[float, 
     return best_c, best_v
 
 
-def _error_margin(transcript: Transcript, alpha: float) -> float:
-    table = transcript.dist_table
-    T, k = len(transcript), table.shape[1]
-    support_min = np.where(table > 0, table, np.inf).min(axis=1)
-    per_round = ((1.0 / support_min + 1.0) ** 2)[transcript.dist_index]
-    p_bar = transcript.grid.max_level
-    return (k * p_bar / T) * math.sqrt(2.0 * math.log(2.0 * k * k / alpha) * float(per_round.sum()))
-
-
 def error_margin(transcript: Transcript, alpha: float) -> float:
     """Concentration allowance added to the estimated regret before the verdict.
 
@@ -186,7 +152,12 @@ def error_margin(transcript: Transcript, alpha: float) -> float:
         raise ValueError("alpha must be in (0, 1)")
     if len(transcript) < 1:
         raise ValueError("empty transcript")
-    return _error_margin(transcript, alpha)
+    table = transcript.dist_table
+    T, k = len(transcript), table.shape[1]
+    support_min = np.where(table > 0, table, np.inf).min(axis=1)
+    per_round = ((1.0 / support_min + 1.0) ** 2)[transcript.dist_index]
+    p_bar = transcript.grid.max_level
+    return (k * p_bar / T) * math.sqrt(2.0 * math.log(2.0 * k * k / alpha) * float(per_round.sum()))
 
 
 def discretization_loss(grid: PriceGrid) -> float:
@@ -244,7 +215,7 @@ def audit_with_margin(
     """The verdict on the transcript's estimated regret curve with the given
     error margin: the exact audit's concentration margin, or the aggregated
     audit's, whose distributions are estimates."""
-    curve = _curve(transcript)
+    curve = regret_curve(transcript)
     c_tilde, regret = minimize_over_cost(curve, config.cost_range)
     lo, hi = config.cost_range.lo, config.cost_range.hi
     sample_cs = sorted({lo, hi, c_tilde} | {b for b in curve.breakpoints if lo < b < hi})
@@ -271,7 +242,5 @@ def audit(transcript: Transcript, config: AuditConfig) -> AuditReport:
     PASS means estimated plausible regret + error margin (+ discretization
     loss when the grid is endogenous) is at most twice the threshold.
     """
-    if len(transcript) < 1:
-        raise ValueError("empty transcript")
-    delta = _error_margin(transcript, config.confidence_alpha)
+    delta = error_margin(transcript, config.confidence_alpha)
     return audit_with_margin(transcript, config, delta, "exact")

@@ -235,15 +235,11 @@ def cost_sweep_rows(
     distributions: np.ndarray | None = None,
 ):
     """(cost, estimated regret[, true regret]) rows for a regret-vs-cost figure."""
-    cs = np.linspace(cost_lo, cost_hi, points)
-    est = curve.values(cs)
-    rows = []
-    for i, c in enumerate(cs):
-        row = [float(c), float(est[i])]
-        if truth is not None:
-            row.append(float(true_calibrated_regret(distributions, truth, float(c))))
-        rows.append(row)
-    return rows
+    cs = np.linspace(cost_lo, cost_hi, points).tolist()
+    columns = [cs, curve.values(cs).tolist()]
+    if truth is not None:
+        columns.append([float(v) for v in true_calibrated_regret(distributions, truth, cs)])
+    return [list(row) for row in zip(*columns)]
 
 
 def horizon_rows(
@@ -254,14 +250,12 @@ def horizon_rows(
 ):
     """True regret at the given costs for truncated prefixes of a transcript."""
     dists = transcript.dists()
-    rows = []
     values = truth.as_array()
+    costs = [float(c) for c in costs]
+    rows = []
     for h in horizons:
-        tr = GroundTruth(truth.levels, values[:h])
-        row = [int(h)]
-        for c in costs:
-            row.append(float(true_calibrated_regret(dists[:h], tr, float(c))))
-        rows.append(row)
+        prefix = GroundTruth(truth.levels, values[:h])
+        rows.append([int(h), *map(float, true_calibrated_regret(dists[:h], prefix, costs))])
     return rows
 
 

@@ -86,7 +86,7 @@ def _sparse_rows(distributions):
         yield [(i, p) for i, p in enumerate(row) if p > 0]
 
 
-def _sparse_dists(distributions, k: int) -> list[list[tuple[int, Fraction]]]:
+def _sparse_dists(distributions) -> list[list[tuple[int, Fraction]]]:
     return [[(i, Fraction(p)) for i, p in row] for row in _sparse_rows(distributions)]
 
 
@@ -98,8 +98,9 @@ def _exact_sum(values) -> Fraction:
     return Fraction(sum(n * (den // d) for n, d in ratios), den)
 
 
-def _wants_exact(truth: GroundTruth, cost: Numeric) -> bool:
-    if isinstance(cost, Fraction):
+def _wants_exact(truth: GroundTruth, costs: Sequence[Numeric] = ()) -> bool:
+    """Exact work for a truth that is not a float array, or for a Fraction cost."""
+    if any(isinstance(c, Fraction) for c in costs):
         return True
     values = truth.values
     return not (isinstance(values, np.ndarray) and values.dtype != object)
@@ -112,8 +113,7 @@ def _wants_exact(truth: GroundTruth, cost: Numeric) -> bool:
 
 def calibrated_regret_of_swap(distributions, truth: GroundTruth, cost: Numeric, swap: SwapMap) -> Numeric:
     """Average benefit of rerouting every posted price p to swap(p)."""
-    k = len(truth.levels)
-    sparse = _sparse_dists(distributions, k)
+    sparse = _sparse_dists(distributions)
     c = Fraction(cost)
     levels = [Fraction(v) for v in truth.levels]
     total = Fraction(0)
@@ -156,30 +156,32 @@ def _exact_pair_sums(distributions, truth: GroundTruth) -> tuple[list[list[Fract
     return m, T
 
 
-def true_calibrated_regret(distributions, truth: GroundTruth, cost: Numeric) -> Numeric:
+def true_calibrated_regret(distributions, truth: GroundTruth, cost: Union[Numeric, Sequence[Numeric]]):
     """Maximum average gain over all swap maps, via per-price decomposition.
 
     Decomposing (best replacement separately for each posted price) equals
     maximizing over all k^k swap maps because the objective is additive over
-    the posted price.
+    the posted price. The pair sums M do not depend on the cost, so a
+    sequence of costs is evaluated from one M and returns a list in order;
+    a single cost returns a Fraction on the exact path, else a float.
     """
-    if _wants_exact(truth, cost):
-        # u[p][q] = (l_q - c) M[p][q]: the cost enters once per pair.
-        m, T = _exact_pair_sums(distributions, truth)
-        c = Fraction(cost)
-        margins = [Fraction(v) - c for v in truth.levels]
-        k = len(margins)
-        return sum(
-            max(margins[q] * m[p][q] for q in range(k)) - margins[p] * m[p][p] for p in range(k)
-        ) / T
-    values = truth.as_array()
-    T, k = values.shape
-    probs = np.asarray(distributions, dtype=float)
-    levels = np.asarray(truth.levels, dtype=float)
-    m = probs.T @ values  # m[p, q] = sum_t pi_t(p) x_t(q)
-    # gains[p, q] = sum_t pi_t(p) [(l_q - c) x_t(q) - (l_p - c) x_t(p)]
-    gains = (levels[None, :] - cost) * m - ((levels - cost) * np.diag(m))[:, None]
-    return float(gains.max(axis=1).sum() / T)
+    costs = [cost] if np.ndim(cost) == 0 else list(cost)
+    if _wants_exact(truth, costs):
+        pairs, T = _exact_pair_sums(distributions, truth)
+        m = np.array(pairs, dtype=object)
+        levels = np.array([Fraction(v) for v in truth.levels], dtype=object)
+        cs = np.array([Fraction(c) for c in costs], dtype=object)
+    else:
+        values = truth.as_array()
+        T = values.shape[0]
+        m = np.asarray(distributions, dtype=float).T @ values  # m[p, q] = sum_t pi_t(p) x_t(q)
+        levels = np.asarray(truth.levels, dtype=float)
+        cs = np.asarray(costs, dtype=float)
+    # gains[i, p, q] = (l_q - c_i) M[p, q] - (l_p - c_i) M[p, p]
+    margins = levels[None, :] - cs[:, None]
+    gains = margins[:, None, :] * m - (margins * np.diag(m))[:, :, None]
+    regrets = (gains.max(axis=2).sum(axis=1) / T).tolist()
+    return regrets[0] if np.ndim(cost) == 0 else regrets
 
 
 def pessimistic_allocation(truth: GroundTruth, distributions) -> GroundTruth:
@@ -190,8 +192,8 @@ def pessimistic_allocation(truth: GroundTruth, distributions) -> GroundTruth:
     above it.
     """
     k = len(truth.levels)
-    sparse = _sparse_dists(distributions, k)
-    exact = not (isinstance(truth.values, np.ndarray) and truth.values.dtype != object)
+    sparse = _sparse_dists(distributions)
+    exact = _wants_exact(truth)
     rows = []
     for t, row in enumerate(sparse):
         supported = {i for i, _ in row}
@@ -284,7 +286,7 @@ def _estimator_fill(xhat_supported: dict[int, Fraction], supported: set[int], k:
 def _enumerate_paths(distributions, truth: GroundTruth):
     """Yield (path probability, per-round exact estimator tables)."""
     k = len(truth.levels)
-    sparse = _sparse_dists(distributions, k)
+    sparse = _sparse_dists(distributions)
     total_paths = 1
     for row in sparse:
         total_paths *= len(row)
@@ -309,7 +311,7 @@ def _enumerate_paths(distributions, truth: GroundTruth):
 def _pairwise_terms(distributions, tables, levels, cost: Fraction):
     """Substitution-benefit matrix of the estimator for one realization path."""
     k = len(levels)
-    sparse = _sparse_dists(distributions, k)
+    sparse = _sparse_dists(distributions)
     T = len(sparse)
     r = [[Fraction(0)] * k for _ in range(k)]
     for t, row in enumerate(sparse):

@@ -13,7 +13,6 @@ from regretaudit.audit import (
     error_margin,
     estimate_allocations,
     minimize_over_cost,
-    pairwise_regret,
     regret_curve,
 )
 from regretaudit.core import (
@@ -80,39 +79,41 @@ class TestEstimateAllocations:
             assert expectation == [F(v) for v in z.values[0]]
 
 
+def direct_term(tr, est, p, q, c, order):
+    """Average benefit of substituting p with q at cost c, summed round by
+    round in the given order."""
+    levels = tr.grid.levels
+    total = 0.0
+    for t in order:
+        pi_p = tr.dist_table[tr.dist_index[t], p]
+        total += pi_p * ((levels[q] - c) * est[t, q] - (levels[p] - c) * est[t, p])
+    return total / len(tr)
+
+
 class TestPairwiseRegret:
+    # The substitution-benefit lines are the curve's pieces: pieces(p)[q].
     def test_identical_substitution_is_zero(self, rng):
         tr = random_transcript(rng)
-        est = estimate_allocations(tr)
-        term = pairwise_regret(est, tr, 2, 2)
+        term = regret_curve(tr).pieces(2)[2]
         assert term.slope == 0 and term.intercept == 0
 
     def test_unit_allocations(self):
         grid = PriceGrid([1.0, 2.5])
         tr = transcript_from(grid, [dense_row(2, (0,), (1.0,))], [0], [1.0])
-        est = estimate_allocations(tr)
-        term = pairwise_regret(est, tr, 0, 1)
+        term = regret_curve(tr).pieces(0)[1]
         assert term.slope == pytest.approx(0.0, abs=1e-15)
         assert term.intercept == pytest.approx(2.5 - 1.0, abs=1e-15)
 
     def test_matches_reordered_summation(self, rng):
         tr = random_transcript(rng, k=3, rounds=5)
         est = estimate_allocations(tr)
-        levels = tr.grid.levels
-        T = len(tr)
-        order = rng.permutation(T)
+        curve = regret_curve(tr)
+        order = rng.permutation(len(tr))
         for p in range(3):
             for q in range(3):
-                term = pairwise_regret(est, tr, p, q)
+                term = curve.pieces(p)[q]
                 for c in rng.uniform(0, 1.5, size=3):
-                    direct = 0.0
-                    for t in order:
-                        pi_p = tr.dist_table[tr.dist_index[t], p]
-                        direct += pi_p * (
-                            (levels[q] - c) * est[t, q]
-                            - (levels[p] - c) * est[t, p]
-                        )
-                    assert term(c) == pytest.approx(direct / T, abs=1e-12)
+                    assert term(c) == pytest.approx(direct_term(tr, est, p, q, c, order), abs=1e-12)
 
 
 class TestRegretCurve:
@@ -128,11 +129,12 @@ class TestRegretCurve:
         tr = random_transcript(rng, k=5, rounds=40)
         curve = regret_curve(tr)
         est = estimate_allocations(tr)
+        order = range(len(tr))
         for c in rng.uniform(0, 2.5, size=100):
-            direct = sum(
-                max(pairwise_regret(est, tr, p, q)(c) for q in range(5)) for p in range(5)
-            )
-            assert curve.value(c) == pytest.approx(direct, abs=1e-10)
+            direct = [max(direct_term(tr, est, p, q, c, order) for q in range(5)) for p in range(5)]
+            assert curve.value(c) == pytest.approx(sum(direct), abs=1e-10)
+            best = [max(piece(c) for piece in curve.pieces(p)) for p in range(5)]
+            assert best == pytest.approx(direct, abs=1e-10)
 
     def test_convexity_and_slope_monotonicity(self, rng):
         for _ in range(10):
