@@ -58,9 +58,56 @@ MANIPULATION_ETA = 2.0
 MANIPULATION_EPSILON = 0.005
 
 
-_CONFIG_KINDS = {"environment": dict, "strategies": list, "rounds": int, "replications": int,
-                 "seed": int, "out": str, "feedback": str, "audit": dict}
-_JSON_KINDS = {dict: "an object", list: "a list", int: "an integer", str: "a string"}
+def _is_number(v) -> bool:
+    # JSON true/false parse to bool, a subclass of int: not numbers here.
+    return type(v) is int or (type(v) is float and math.isfinite(v))
+
+
+_NUMBER, _INTEGER, _STRING = "a finite number", "an integer", "a string"
+_JSON_KINDS = {
+    "an object": lambda v: type(v) is dict,
+    "a list": lambda v: type(v) is list,
+    _INTEGER: lambda v: type(v) is int,
+    _STRING: lambda v: type(v) is str,
+    _NUMBER: _is_number,
+    "a list of finite numbers": lambda v: type(v) is list and all(map(_is_number, v)),
+}
+_CONFIG_KINDS = {"environment": "an object", "strategies": "a list", "rounds": _INTEGER,
+                 "replications": _INTEGER, "seed": _INTEGER, "out": _STRING, "feedback": _STRING,
+                 "audit": "an object"}
+_AUDIT_KEYS = {"cost_lo": _NUMBER, "cost_hi": _NUMBER}
+# The keys besides "kind" that each kind of environment and strategy may hold.
+_GRID_KEYS = {"grid": "a list of finite numbers", "h": _NUMBER, "cost1": _NUMBER, "cost2": _NUMBER}
+_SPEC_KEYS = {
+    "environment": {
+        "uniform": _GRID_KEYS,
+        "table": {**_GRID_KEYS, "epsilon": _NUMBER},
+        "table_file": {**_GRID_KEYS, "path": _STRING},
+    },
+    "strategy": {
+        "q": dict.fromkeys(("init", "learning_rate", "discount", "explore_eps"), _NUMBER),
+        "mwu": {"step_size": _NUMBER},
+        "fixed": {"index": _INTEGER, "price": _NUMBER},
+        "manipulator": {"phase1_rounds": _INTEGER, "phase1_price": _NUMBER,
+                        "phase2_rounds": _INTEGER, "phase2_price": _NUMBER},
+    },
+}
+
+
+def _check_keys(obj: dict, allowed: dict, what: str) -> None:
+    for key, value in obj.items():
+        if key not in allowed:
+            raise ValueError(f"unknown {what} key {key!r}")
+        if not _JSON_KINDS[allowed[key]](value):
+            raise ValueError(f"{what} key {key!r} must be {allowed[key]}")
+
+
+def _check_spec(spec: dict, what: str) -> None:
+    kinds = _SPEC_KEYS[what]
+    kind = spec.get("kind")
+    if type(kind) is not str or kind not in kinds:
+        raise ValueError(f"unknown {what} kind {kind!r}")
+    _check_keys(spec, {"kind": _STRING, **kinds[kind]}, f"{kind} {what}")
 
 
 @dataclass
@@ -79,13 +126,15 @@ class ExperimentConfig:
     audit: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for name, kind in _CONFIG_KINDS.items():
-            if type(getattr(self, name)) is not kind:
-                raise ValueError(f"config key {name!r} must be {_JSON_KINDS[kind]}")
+        _check_keys({name: getattr(self, name) for name in _CONFIG_KINDS}, _CONFIG_KINDS, "config")
         if self.replications < 1 or self.rounds < 1:
             raise ValueError("rounds and replications must be at least 1")
         if len(self.strategies) != 2 or not all(type(s) is dict for s in self.strategies):
             raise ValueError("config key 'strategies' must list exactly two strategy objects")
+        _check_spec(self.environment, "environment")
+        for spec in self.strategies:
+            _check_spec(spec, "strategy")
+        _check_keys(self.audit, _AUDIT_KEYS, "audit")
 
     @staticmethod
     def from_json(path: str) -> "ExperimentConfig":
@@ -135,18 +184,19 @@ def build_environment(spec: dict):
     kind = spec.get("kind")
     if kind == "uniform":
         env = UniformDuopoly(spec.get("cost1", 0.1), spec.get("cost2", 0.2))
-        grid = PriceGrid(spec.get("grid", DUOPOLY_GRID), spec.get("h"))
+        grid = _checked_grid(spec.get("grid", DUOPOLY_GRID), spec.get("h"), "environment grid")
         return grid, env, (env.cost1, env.cost2)
     if kind == "table":
         table = manipulation_valuation_table(spec.get("epsilon", MANIPULATION_EPSILON))
-        grid = PriceGrid(spec.get("grid", MANIPULATION_GRID), spec.get("h"))
+        grid = _checked_grid(spec.get("grid", MANIPULATION_GRID), spec.get("h"), "environment grid")
         return grid, table, (spec.get("cost1", 0.0), spec.get("cost2", 0.0))
     if kind == "table_file":
         if "path" not in spec:
             raise ValueError("table_file environment: missing key 'path'")
         table = DiscreteValuationTable.from_json(spec["path"])
         levels = spec.get("grid", [float(v) for v in table.price_levels])
-        return PriceGrid(levels, spec.get("h")), table, (spec.get("cost1", 0.0), spec.get("cost2", 0.0))
+        grid = _checked_grid(levels, spec.get("h"), "environment grid")
+        return grid, table, (spec.get("cost1", 0.0), spec.get("cost2", 0.0))
     raise ValueError(f"unknown environment kind {kind!r}")
 
 
@@ -210,12 +260,12 @@ def _audit_config_from_args(args) -> AuditConfig:
     )
 
 
-def _bounded_grid(levels, h: float) -> PriceGrid:
-    """The grid embedded in [0, h] by --h, which must hold every level."""
+def _checked_grid(levels, h: float | None, what: str) -> PriceGrid:
+    """The grid of the levels embedded in [0, h], which must hold every level."""
     grid = PriceGrid(levels, h)
     problems = grid.violations()
     if problems:
-        raise ValueError(f"--h {h:g}: " + "; ".join(v.message for v in problems))
+        raise ValueError(f"{what}: " + "; ".join(v.message for v in problems))
     return grid
 
 
@@ -231,7 +281,8 @@ def cmd_audit(args) -> int:
     config = _audit_config_from_args(args)
     transcript = read_transcript(args.transcript)
     if args.h is not None:
-        transcript = replace(transcript, grid=_bounded_grid(transcript.grid.levels, args.h))
+        grid = _checked_grid(transcript.grid.levels, args.h, f"--h {args.h:g}")
+        transcript = replace(transcript, grid=grid)
     truth = figures.read_truth(args.truth) if args.sweep and args.truth else None
     report = audit(transcript, config)
     print(report.to_json(indent=2))
@@ -250,7 +301,7 @@ def cmd_audit_aggregated(args) -> int:
     config = _audit_config_from_args(args)
     grid, posted, allocations = read_price_series(args.transcript)
     if args.h is not None:
-        grid = _bounded_grid(grid.levels, args.h)
+        grid = _checked_grid(grid.levels, args.h, f"--h {args.h:g}")
     if args.drift_eps is not None:
         drift = DriftAssumption.explicit(args.drift_eps, args.support_floor)
     elif args.drift_gamma is not None:

@@ -231,6 +231,12 @@ def manipulator_next(schedule: ManipulatorSchedule, round_no: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _price_index(grid: PriceGrid, price: float, who: str) -> int:
+    if float(price) not in grid.levels:
+        raise ValueError(f"{who} price {float(price):g} is not on the grid")
+    return grid.levels.index(float(price))
+
+
 class FixedPriceStrategy:
     def __init__(self, index: int, k: int):
         if not (0 <= index < k):
@@ -252,7 +258,7 @@ class ManipulatorStrategy:
         self.schedule = schedule
         self._round = 1
         self._rows = {
-            level: greedy_distribution(len(grid), 0.0, grid.levels.index(float(level)))
+            level: greedy_distribution(len(grid), 0.0, _price_index(grid, level, "manipulator"))
             for level in (schedule.phase1_price, schedule.phase2_price)
         }
 
@@ -433,16 +439,16 @@ def strategy_from_config(
         return MWUStrategy.fresh(len(grid), config["step_size"], lo, hi)
     if kind == "fixed":
         if "index" in config:
-            return FixedPriceStrategy(int(config["index"]), len(grid))
+            return FixedPriceStrategy(config["index"], len(grid))
         if "price" not in config:
             raise ValueError("fixed strategy: missing key 'price' or 'index'")
-        return FixedPriceStrategy(grid.levels.index(float(config["price"])), len(grid))
+        return FixedPriceStrategy(_price_index(grid, config["price"], "fixed"), len(grid))
     if kind == "manipulator":
-        phase1 = int(config.get("phase1_rounds", math.ceil(rounds / 2.1)))
+        phase1 = config.get("phase1_rounds", math.ceil(rounds / 2.1))
         schedule = ManipulatorSchedule(
             phase1_rounds=phase1,
             phase1_price=float(config.get("phase1_price", 1.0)),
-            phase2_rounds=int(config.get("phase2_rounds", math.ceil(1.1 * phase1))),
+            phase2_rounds=config.get("phase2_rounds", math.ceil(1.1 * phase1)),
             phase2_price=float(config.get("phase2_price", 3.0)),
         )
         return ManipulatorStrategy(schedule, grid)

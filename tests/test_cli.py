@@ -3,11 +3,15 @@ import json
 import numpy as np
 import pytest
 
+from regretaudit import figures
+from regretaudit.audit import regret_curve
 from regretaudit.cli import main
 from regretaudit.core import PriceGrid, write_transcript
+from regretaudit.market import manipulation_valuation_table
+from regretaudit.oracles import materialize_truth
 from regretaudit.sellers import greedy_distribution
 
-from conftest import sample_posted, transcript_from
+from conftest import dyadic_distribution, sample_posted, transcript_from
 
 
 def write_best_responder_transcript(path, rng, rounds=20_000):
@@ -419,11 +423,44 @@ class TestMalformedInputs:
             ("simulate", [], {"strategies": [{"kind": "fixed"}, {"kind": "q"}]}, "missing key 'price' or 'index'"),
             ("simulate", [], {"strategies": [{"kind": "fixed", "index": 4}, {"kind": "q"}]}, "index 4 outside grid"),
             ("simulate", [], {"environment": {"kind": "table_file"}}, "missing key 'path'"),
+            ("simulate", [], {"environment": {"kind": "uniform", "cost1": "0.1"}},
+             "uniform environment key 'cost1' must be a finite number"),
+            ("simulate", [], {"strategies": [{"kind": "mwu", "step_size": 0.5}, {"kind": "q", "learning_rate": "x"}]},
+             "q strategy key 'learning_rate' must be a finite number"),
+            ("figures", [], {"audit": {"cost_lo": "0.1"}}, "audit key 'cost_lo' must be a finite number"),
+            ("simulate", [], {"strategies": [{"kind": "q", "init": [1, 2]}, {"kind": "q"}]},
+             "q strategy key 'init' must be a finite number"),
+            ("simulate", [], {"strategies": [{"kind": "q", "explore_epsilon": 0.5}, {"kind": "q"}]},
+             "unknown q strategy key 'explore_epsilon'"),
+            ("figures", [], {"audit": {"cost_low": 0.5}}, "unknown audit key 'cost_low'"),
+            ("simulate", [], {"strategies": [{"kind": "fixed", "index": 1.7}, {"kind": "q"}]},
+             "fixed strategy key 'index' must be an integer"),
+            ("simulate", [], {"strategies": [{"kind": "fixed", "index": True}, {"kind": "q"}]},
+             "fixed strategy key 'index' must be an integer"),
+            ("simulate", [], {"strategies": [{"kind": "mwu", "step_size": True}, {"kind": "q"}]},
+             "mwu strategy key 'step_size' must be a finite number"),
+            ("simulate", [], {"strategies": [{"kind": "manipulator", "phase1_rounds": 20.5}, {"kind": "q"}]},
+             "manipulator strategy key 'phase1_rounds' must be an integer"),
+            ("simulate", [], {"strategies": [{"kind": "manipulator", "phase2_rounds": "9"}, {"kind": "q"}]},
+             "manipulator strategy key 'phase2_rounds' must be an integer"),
+            ("simulate", [], {"environment": {"kind": "uniform"}, "strategies": [{"kind": "manipulator"}, {"kind": "q"}]},
+             "manipulator price 1 is not on the grid"),
+            ("simulate", [], {"strategies": [{"kind": "fixed", "price": 0.5}, {"kind": "q"}]},
+             "fixed price 0.5 is not on the grid"),
+            ("simulate", [], {"strategies": [{"kind": "sarsa"}, {"kind": "q"}]}, "unknown strategy kind 'sarsa'"),
+            ("simulate", [], {"environment": {"kind": ["table"]}}, "unknown environment kind ['table']"),
+            ("simulate", [], {"environment": {"kind": "table", "grid": [3, 2, 1, 0]}},
+             "environment grid: levels not strictly increasing"),
+            ("simulate", [], {"environment": {"kind": "table", "grid": []}}, "environment grid: grid is empty"),
         ],
         ids=[
             "replications-0", "rounds-0", "rounds-negative", "unknown-key", "missing-key",
             "rounds-string", "one-strategy", "mwu-no-step-size", "fixed-no-price",
-            "fixed-off-grid", "table-file-no-path",
+            "fixed-off-grid", "table-file-no-path", "cost1-string", "learning-rate-string",
+            "audit-cost-string", "init-list", "unknown-strategy-key", "unknown-audit-key",
+            "index-fractional", "index-bool", "step-size-bool", "phase1-fractional",
+            "phase2-string", "manipulator-off-grid", "fixed-price-off-grid",
+            "unknown-strategy-kind", "environment-kind-list", "grid-decreasing", "grid-empty",
         ],
     )
     def test_experiment_config(self, tmp_path, capsys, command, flags, config, message):
@@ -519,6 +556,31 @@ class TestFiguresCommand:
         assert fig2[0] == "cost,estimated_regret,true_regret"
         fig3 = (out / "fig3_regret_vs_horizon.csv").read_text().splitlines()
         assert fig3[0].startswith("horizon,true_regret_cost_0.1,true_regret_cost_")
+
+
+class TestOracleCallsPerFigure:
+    def test_one_call_per_sweep_and_per_horizon(self, rng, monkeypatch):
+        # The oracle's pair sums do not depend on the cost, so a sweep asks
+        # for every cost at once and each horizon for both of its costs.
+        grid = PriceGrid([0.0, 1.0, 2.0, 3.0])
+        dists = [dyadic_distribution(rng, 4) for _ in range(300)]
+        tr = transcript_from(grid, dists, sample_posted(rng, dists), rng.random(300))
+        truth = materialize_truth(manipulation_valuation_table(0.005), grid.levels, rng.integers(0, 4, 300), 0)
+        oracle = figures.true_calibrated_regret
+        calls = []
+
+        def counting(distributions, truth, cost):
+            calls.append(cost)
+            return oracle(distributions, truth, cost)
+
+        monkeypatch.setattr(figures, "true_calibrated_regret", counting)
+        rows = figures.cost_sweep_rows(regret_curve(tr), 0.0, 1.0, 81, truth, tr.dists())
+        assert len(calls) == 1 and len(rows) == 81
+        assert [row[2] for row in rows] == [float(oracle(tr.dists(), truth, c)) for c, *_ in rows]
+        calls.clear()
+        hrows = figures.horizon_rows(tr, truth, [0.0, 0.5], [10, 100, 300])
+        assert calls == [[0.0, 0.5]] * 3
+        assert [row[0] for row in hrows] == [10, 100, 300]
 
 
 class TestFigureTrends:

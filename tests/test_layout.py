@@ -2,6 +2,8 @@
 
 Imports sit at module level, so a module's dependencies are visible at its
 top, and no module imports another module's private (underscore) names.
+No module keeps a private twin `_name` of a module-level function `name`:
+one code path per computation.
 The functions the benchmark's traced run wraps keep their names, modules
 and the parameter it reads.
 """
@@ -42,6 +44,12 @@ def private_imports(tree: ast.AST) -> list[tuple[int, str]]:
     ]
 
 
+def private_twins(tree: ast.Module) -> list[str]:
+    """Module-level functions `name` that have a module-level `_name`."""
+    names = {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    return sorted(name for name in names if "_" + name in names)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_imports_inside_functions(path):
     assert function_local_imports(ast.parse(path.read_text())) == []
@@ -52,15 +60,25 @@ def test_no_private_names_imported_across_modules(path):
     assert private_imports(ast.parse(path.read_text())) == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_twins(path):
+    assert private_twins(ast.parse(path.read_text())) == []
+
+
 def test_rules_catch_offending_source():
     tree = ast.parse(
         "from .core import _fmt, validate\n"
         "def f():\n"
         "    import json\n"
         "    return json\n"
+        "def g():\n"
+        "    return _g()\n"
+        "def _g():\n"
+        "    return 1\n"
     )
     assert function_local_imports(tree) == [3]
     assert private_imports(tree) == [(1, "_fmt")]
+    assert private_twins(tree) == ["g"]
 
 
 def traced_layers() -> list[str]:

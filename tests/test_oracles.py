@@ -83,8 +83,9 @@ class TestCalibratedRegret:
         ),
         seller=st.integers(0, 1),
         cost=st.fractions(min_value=0, max_value=3, max_denominator=20),
+        more_costs=st.lists(st.fractions(min_value=-1, max_value=4, max_denominator=20), max_size=4),
     )
-    def test_exact_path_on_repeated_truth_rows(self, rounds, seller, cost):
+    def test_exact_path_on_repeated_truth_rows(self, rounds, seller, cost, more_costs):
         # materialize_truth gives each round the row of the opponent's price,
         # so the k=4 truth repeats rows whenever a trace revisits a price.
         levels = tuple(F(v) for v in range(4))
@@ -98,8 +99,39 @@ class TestCalibratedRegret:
             for sigma in itertools.product(range(4), repeat=4)
         )
         dense = np.array([[float(p) for p in row] for _, row in rounds])
-        fast = true_calibrated_regret(dense, GroundTruth(levels, truth.as_array()), float(cost))
+        float_truth = GroundTruth(levels, truth.as_array())
+        fast = true_calibrated_regret(dense, float_truth, float(cost))
         assert fast == pytest.approx(float(exact), abs=1e-12)
+        # A cost sequence is evaluated from one pair-sum matrix: the same
+        # values as one call per cost, exactly, and bit for bit on floats.
+        costs = [cost, *more_costs]
+        assert true_calibrated_regret(dists, truth, costs) == [
+            true_calibrated_regret(dists, truth, c) for c in costs
+        ]
+        float_costs = [float(c) for c in costs]
+        assert [v.hex() for v in true_calibrated_regret(dense, float_truth, float_costs)] == [
+            true_calibrated_regret(dense, float_truth, c).hex() for c in float_costs
+        ]
+
+    def test_cost_sequence_matches_per_cost_float_formula(self, rng):
+        # Bit for bit against one cost at a time, on instances large enough
+        # for numpy's blocked summation over the k posted prices.
+        for _ in range(40):
+            k, rounds = int(rng.integers(2, 25)), int(rng.integers(1, 501))
+            raw = rng.random((rounds, k)) * (rng.random((rounds, k)) < 0.6)
+            raw[np.arange(rounds), rng.integers(0, k, rounds)] += 0.1
+            probs = raw / raw.sum(axis=1, keepdims=True)
+            truth = GroundTruth(tuple(np.sort(rng.uniform(0.1, 3.0, k)).tolist()), rng.random((rounds, k)))
+            costs = np.linspace(rng.uniform(-1, 1), rng.uniform(1, 3), 81).tolist()
+            levels = np.asarray(truth.levels)
+            m = probs.T @ truth.as_array()
+            expected = []
+            for c in costs:
+                gains = (levels[None, :] - c) * m - ((levels - c) * np.diag(m))[:, None]
+                expected.append(float(gains.max(axis=1).sum() / rounds).hex())
+            got = true_calibrated_regret(probs, truth, costs)
+            assert all(type(v) is float for v in got)
+            assert [v.hex() for v in got] == expected
 
     def test_float_and_exact_paths_agree(self, rng):
         _, dists, truth = random_instance(rng, k=3, rounds=4)
