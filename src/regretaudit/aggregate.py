@@ -31,38 +31,29 @@ from .core import (
 class DriftAssumption:
     """How fast the seller's distributions may move, plus the claimed support floor.
 
-    mode "explicit": per-step sup-norm drift at most `epsilon`.
-    mode "rate": drift at most T ** -gamma for the audited horizon T.
-    support_floor is the claimed minimum probability on true supports.
+    Exactly one bound is set: `epsilon`, a per-step sup-norm drift of at
+    most epsilon, or `gamma`, a drift of at most T ** -gamma for the audited
+    horizon T. support_floor is the claimed minimum probability on true
+    supports.
     """
 
-    mode: str
     epsilon: float | None = None
     gamma: float | None = None
     support_floor: float = 1.0
 
     def __post_init__(self):
-        if self.mode == "explicit":
-            if self.epsilon is None or not 0 < self.epsilon < math.inf:
+        if (self.epsilon is None) == (self.gamma is None):
+            raise ValueError("a drift assumption needs exactly one of epsilon and gamma")
+        if self.gamma is None:
+            if not 0 < self.epsilon < math.inf:
                 raise ValueError("explicit mode needs a finite epsilon > 0")
-        elif self.mode == "rate":
-            if self.gamma is None or not 0 < self.gamma < math.inf:
-                raise ValueError("rate mode needs a finite gamma > 0")
-        else:
-            raise ValueError("mode must be 'explicit' or 'rate'")
+        elif not 0 < self.gamma < math.inf:
+            raise ValueError("rate mode needs a finite gamma > 0")
         if not (0 < self.support_floor <= 1):
             raise ValueError("support_floor must be in (0, 1]")
 
-    @staticmethod
-    def explicit(epsilon: float, support_floor: float) -> "DriftAssumption":
-        return DriftAssumption("explicit", epsilon=epsilon, support_floor=support_floor)
-
-    @staticmethod
-    def rate(gamma: float, support_floor: float) -> "DriftAssumption":
-        return DriftAssumption("rate", gamma=gamma, support_floor=support_floor)
-
     def step_drift(self, rounds: int) -> float:
-        return self.epsilon if self.mode == "explicit" else float(rounds) ** -self.gamma
+        return self.epsilon if self.gamma is None else float(rounds) ** -self.gamma
 
 
 @dataclass(frozen=True)
@@ -74,20 +65,17 @@ class DistributionEstimate:
     window: int
 
 
-@dataclass(frozen=True)
-class InsufficientData:
+class InsufficientData(ValueError):
     """Aggregated auditing cannot proceed: estimation error reaches the
     claimed support floor, so estimated and true supports need not match."""
 
-    rho_prime: float
-    support_floor: float
-
-    @property
-    def message(self) -> str:
-        return (
+    def __init__(self, rho_prime: float, support_floor: float):
+        super().__init__(
             "insufficient data for aggregated audit: distribution error bound "
-            f"{self.rho_prime:.6g} is not below the support floor {self.support_floor:.6g}"
+            f"{rho_prime:.6g} is not below the support floor {support_floor:.6g}"
         )
+        self.rho_prime = rho_prime
+        self.support_floor = support_floor
 
 
 def estimate_distributions(
@@ -147,7 +135,7 @@ def aggregated_error_margin(
 
 
 def _rho_prime(drift: DriftAssumption, rounds: int, k: int, delta: float) -> float:
-    if drift.mode == "rate":
+    if drift.gamma is not None:
         return (rounds ** -drift.gamma * math.log(8.0 * rounds * k**3 / delta)) ** (1.0 / 3.0)
     return (4.0 * drift.epsilon * math.log(2.0 * rounds * k / delta)) ** (1.0 / 3.0)
 
@@ -158,13 +146,13 @@ def audit_aggregated(
     grid: PriceGrid,
     drift: DriftAssumption,
     config: AuditConfig,
-) -> AuditReport | InsufficientData:
+) -> AuditReport:
     """Run the audit pipeline on windowed empirical distributions.
 
     A price enters a round's estimated support when its windowed frequency
     reaches rho_prime (frequencies below the estimation error are
-    indistinguishable from zero); the posted price always stays in. Returns
-    InsufficientData instead of a verdict when rho_prime reaches the claimed
+    indistinguishable from zero); the posted price always stays in. Raises
+    InsufficientData, a ValueError, when rho_prime reaches the claimed
     support floor.
     """
     posted = np.asarray(prices, dtype=np.int64)
@@ -181,7 +169,7 @@ def audit_aggregated(
     delta = config.confidence_alpha
     rho_prime = _rho_prime(drift, T, k, delta)
     if rho_prime >= drift.support_floor:
-        return InsufficientData(rho_prime, drift.support_floor)
+        raise InsufficientData(rho_prime, drift.support_floor)
     est = estimate_distributions(posted, grid, drift, delta)
     transcript = Transcript(
         grid, posted, alloc, np.arange(T), _estimated_table(est.freqs, posted, rho_prime)

@@ -27,18 +27,16 @@ def estimate_allocations(transcript: Transcript) -> np.ndarray:
     if len(transcript) < 1:
         raise ValueError("empty transcript")
     table, index, posted = transcript.dist_table, transcript.dist_index, transcript.posted
-    T, k = len(transcript), table.shape[1]
-    rows = np.arange(T)
-    scatter = np.zeros((T, k))
-    scatter[rows, posted] = transcript.alloc / table[index, posted]
-    # Supported prices keep their propensity value (the posted one) or 0;
-    # unsupported prices inherit the nearest supported lower price, else 1.
-    out = np.empty((T, k))
-    carry = np.ones(T)
-    for j in range(k):
-        carry = np.where((table[:, j] > 0)[index], scatter[:, j], carry)
-        out[:, j] = carry
-    return out
+    k = table.shape[1]
+    # lead[t, q]: round t's nearest supported price at or below q, else -1,
+    # gathered from the distinct rows. A price led by the posted one takes
+    # its propensity value, by another supported one 0, by none 1.
+    lead = np.maximum.accumulate(np.where(table > 0, np.arange(k), -1), axis=1)
+    lead = lead.astype(np.min_scalar_type(-k))[index]
+    xhat = (lead < 0).astype(float)
+    weight = transcript.alloc / table[index, posted]
+    np.copyto(xhat, weight[:, None], where=lead == posted[:, None])
+    return xhat
 
 
 @dataclass(frozen=True)
@@ -52,34 +50,26 @@ class AffineInCost:
         return self.slope * c + self.intercept
 
 
-def _upper_envelope(slopes: np.ndarray, intercepts: np.ndarray) -> list[tuple[int, float]]:
-    """Upper envelope of the lines q -> slopes[q] * c + intercepts[q] over all c.
-
-    Returns [(q, c_from), ...] in increasing c order; the first entry starts
-    at -inf. Among coincident lines the lowest q wins.
-    """
-    k = len(slopes)
-    # One candidate per distinct slope: the max intercept, lowest q on ties.
-    by_slope: dict[float, tuple[float, int]] = {}
-    for q in range(k):
-        s, b = float(slopes[q]), float(intercepts[q])
-        cur = by_slope.get(s)
-        if cur is None or b > cur[0] or (b == cur[0] and q < cur[1]):
-            by_slope[s] = (b, q)
-    lines = sorted((s, b, q) for s, (b, q) in by_slope.items())
-    hull: list[tuple[float, float, int, float]] = []  # (slope, intercept, q, c_from)
-    for s, b, q in lines:
+def _envelope_breakpoints(slopes: np.ndarray, intercepts: np.ndarray) -> list[float]:
+    """Costs where the upper envelope of the lines q -> slopes[q] * c + intercepts[q]
+    changes leader, in increasing order."""
+    # One candidate per distinct slope: the max intercept.
+    best: dict[float, float] = {}
+    for s, b in zip(slopes.tolist(), intercepts.tolist()):
+        best[s] = max(best.get(s, -math.inf), b)
+    hull: list[tuple[float, float, float]] = []  # (slope, intercept, c_from)
+    for s, b in sorted(best.items()):
         while hull:
-            s0, b0, q0, c0 = hull[-1]
+            s0, b0, c0 = hull[-1]
             x = (b0 - b) / (s - s0)  # new line overtakes hull top from x on
             if x <= c0:
                 hull.pop()
                 continue
-            hull.append((s, b, q, x))
+            hull.append((s, b, x))
             break
         else:
-            hull.append((s, b, q, -math.inf))
-    return [(q, c_from) for _, _, q, c_from in hull]
+            hull.append((s, b, -math.inf))
+    return [c for _, _, c in hull[1:]]
 
 
 @dataclass(frozen=True)
@@ -95,7 +85,7 @@ class PWLInCost:
         return [AffineInCost(float(s), float(b)) for s, b in zip(self.slopes[p], self.intercepts[p])]
 
     def value(self, c: float) -> float:
-        return float(np.sum(np.max(self.slopes * c + self.intercepts, axis=1)))
+        return float(self.values([c])[0])
 
     def values(self, cs: np.ndarray) -> np.ndarray:
         cs = np.asarray(cs, dtype=float)
@@ -120,8 +110,7 @@ def regret_curve(transcript: Transcript) -> PWLInCost:
     intercepts = (levels[None, :] * m - (levels * own)[:, None]) / T
     bps: set[float] = set()
     for p in range(len(levels)):
-        env = _upper_envelope(slopes[p], intercepts[p])
-        bps.update(c for _, c in env[1:])
+        bps.update(_envelope_breakpoints(slopes[p], intercepts[p]))
     return PWLInCost(slopes, intercepts, tuple(sorted(bps)))
 
 
@@ -134,12 +123,9 @@ def minimize_over_cost(curve: PWLInCost, cost_range: CostRange) -> tuple[float, 
     """
     lo, hi = float(cost_range.lo), float(cost_range.hi)
     candidates = sorted({lo, hi} | {b for b in curve.breakpoints if lo < b < hi})
-    best_c, best_v = lo, math.inf
-    for c in candidates:
-        v = curve.value(c)
-        if v < best_v:
-            best_c, best_v = c, v
-    return best_c, best_v
+    values = curve.values(candidates)
+    best = int(np.argmin(values))  # the first minimum: the smallest cost
+    return candidates[best], float(values[best])
 
 
 def error_margin(transcript: Transcript, alpha: float) -> float:
@@ -219,7 +205,7 @@ def audit_with_margin(
     c_tilde, regret = minimize_over_cost(curve, config.cost_range)
     lo, hi = config.cost_range.lo, config.cost_range.hi
     sample_cs = sorted({lo, hi, c_tilde} | {b for b in curve.breakpoints if lo < b < hi})
-    samples = tuple((c, curve.value(c)) for c in sample_cs)
+    samples = tuple(zip(sample_cs, curve.values(sample_cs).tolist()))
     d = discretization_loss(transcript.grid) if config.endogenous else 0.0
     return AuditReport(
         estimated_plausible_cost=c_tilde,

@@ -17,12 +17,13 @@ from typing import Sequence
 import numpy as np
 
 from . import figures
-from .aggregate import DriftAssumption, InsufficientData, audit_aggregated, read_price_series
+from .aggregate import DriftAssumption, audit_aggregated, read_price_series
 from .audit import audit, minimize_over_cost, regret_curve
 from .core import (
     AuditConfig,
     CostRange,
     PriceGrid,
+    check_keys,
     read_transcript,
     write_transcript,
 )
@@ -57,21 +58,7 @@ MANIPULATION_GRID = (0.0, 1.0, 2.0, 3.0)
 MANIPULATION_ETA = 2.0
 MANIPULATION_EPSILON = 0.005
 
-
-def _is_number(v) -> bool:
-    # JSON true/false parse to bool, a subclass of int: not numbers here.
-    return type(v) is int or (type(v) is float and math.isfinite(v))
-
-
 _NUMBER, _INTEGER, _STRING = "a finite number", "an integer", "a string"
-_JSON_KINDS = {
-    "an object": lambda v: type(v) is dict,
-    "a list": lambda v: type(v) is list,
-    _INTEGER: lambda v: type(v) is int,
-    _STRING: lambda v: type(v) is str,
-    _NUMBER: _is_number,
-    "a list of finite numbers": lambda v: type(v) is list and all(map(_is_number, v)),
-}
 _CONFIG_KINDS = {"environment": "an object", "strategies": "a list", "rounds": _INTEGER,
                  "replications": _INTEGER, "seed": _INTEGER, "out": _STRING, "feedback": _STRING,
                  "audit": "an object"}
@@ -94,20 +81,12 @@ _SPEC_KEYS = {
 }
 
 
-def _check_keys(obj: dict, allowed: dict, what: str) -> None:
-    for key, value in obj.items():
-        if key not in allowed:
-            raise ValueError(f"unknown {what} key {key!r}")
-        if not _JSON_KINDS[allowed[key]](value):
-            raise ValueError(f"{what} key {key!r} must be {allowed[key]}")
-
-
 def _check_spec(spec: dict, what: str) -> None:
     kinds = _SPEC_KEYS[what]
     kind = spec.get("kind")
     if type(kind) is not str or kind not in kinds:
         raise ValueError(f"unknown {what} kind {kind!r}")
-    _check_keys(spec, {"kind": _STRING, **kinds[kind]}, f"{kind} {what}")
+    check_keys(spec, {"kind": _STRING, **kinds[kind]}, f"{kind} {what}")
 
 
 @dataclass
@@ -126,7 +105,7 @@ class ExperimentConfig:
     audit: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        _check_keys({name: getattr(self, name) for name in _CONFIG_KINDS}, _CONFIG_KINDS, "config")
+        check_keys({name: getattr(self, name) for name in _CONFIG_KINDS}, _CONFIG_KINDS, "config")
         if self.replications < 1 or self.rounds < 1:
             raise ValueError("rounds and replications must be at least 1")
         if len(self.strategies) != 2 or not all(type(s) is dict for s in self.strategies):
@@ -134,7 +113,7 @@ class ExperimentConfig:
         _check_spec(self.environment, "environment")
         for spec in self.strategies:
             _check_spec(spec, "strategy")
-        _check_keys(self.audit, _AUDIT_KEYS, "audit")
+        check_keys(self.audit, _AUDIT_KEYS, "audit")
 
     @staticmethod
     def from_json(path: str) -> "ExperimentConfig":
@@ -302,18 +281,10 @@ def cmd_audit_aggregated(args) -> int:
     grid, posted, allocations = read_price_series(args.transcript)
     if args.h is not None:
         grid = _checked_grid(grid.levels, args.h, f"--h {args.h:g}")
-    if args.drift_eps is not None:
-        drift = DriftAssumption.explicit(args.drift_eps, args.support_floor)
-    elif args.drift_gamma is not None:
-        drift = DriftAssumption.rate(args.drift_gamma, args.support_floor)
-    else:
-        raise ValueError("aggregated audit needs --drift-eps or --drift-gamma")
-    result = audit_aggregated(posted, allocations, grid, drift, config)
-    if isinstance(result, InsufficientData):
-        print(result.message, file=sys.stderr)
-        return 1
-    print(result.to_json(indent=2))
-    return 0 if result.verdict == "PASS" else 2
+    drift = DriftAssumption(args.drift_eps, args.drift_gamma, args.support_floor)
+    report = audit_aggregated(posted, allocations, grid, drift, config)
+    print(report.to_json(indent=2))
+    return 0 if report.verdict == "PASS" else 2
 
 
 def cmd_figures(args) -> int:

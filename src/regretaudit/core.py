@@ -12,8 +12,10 @@ from __future__ import annotations
 import io
 import json
 import math
+import re
 from bisect import bisect_right
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from itertools import accumulate, chain
 from typing import IO, Iterable, Sequence, Union
 
@@ -382,23 +384,71 @@ def _numbers(v) -> bool:
     return types <= _NUMBER and (int not in types or all(-_I64 <= x < _I64 for x in v if type(x) is int))
 
 
-# Value kinds of record fields, named as the parse error states them. JSON
-# true and false are not numbers here, and integers must fit in 64 bits.
-_KINDS = {
+def _finite(v) -> bool:
+    return (type(v) is float and math.isfinite(v)) or (type(v) is int and -_I64 <= v < _I64)
+
+
+# Exact fraction strings: "a" or "a/b". Fraction would also read decimal
+# exponents, and "1e3000000" alone takes over a second to expand.
+_FRACTION = re.compile(r"[+-]?\d+(/\d+)?")
+
+
+def _exact(v) -> bool:
+    """A finite number, or an exact fraction string such as "1/3"."""
+    if type(v) is not str:
+        return _finite(v)
+    if not _FRACTION.fullmatch(v):
+        return False
+    try:  # a zero denominator, or more digits than int() reads
+        Fraction(v)
+    except (ValueError, ZeroDivisionError):
+        return False
+    return True
+
+
+def _exact_list(v) -> bool:
+    return type(v) is list and all(map(_exact, v))
+
+
+# Value kinds of JSON values, named as the errors state them: record fields
+# for read_records, config and table keys for check_keys. JSON true and
+# false are not numbers here, and integers must fit in 64 bits.
+KINDS = {
     "an integer": lambda v: type(v) is int and -_I64 <= v < _I64,
     "a number": lambda v: type(v) is float or (type(v) is int and -_I64 <= v < _I64),
+    "a finite number": _finite,
+    "a string": lambda v: type(v) is str,
+    "an object": lambda v: type(v) is dict,
+    "a list": lambda v: type(v) is list,
     "a list of integers": lambda v: type(v) is list and _INT.issuperset(map(type, v)),
     "a list of numbers": _numbers,
+    "a list of finite numbers": lambda v: type(v) is list and all(map(_finite, v)),
+    'a finite number or an "a/b" string': _exact,
+    'a list of finite numbers or "a/b" strings': _exact_list,
+    'a list of lists of finite numbers or "a/b" strings': lambda v: type(v) is list and all(map(_exact_list, v)),
 }
+
+
+def check_keys(obj: dict, allowed: dict[str, str], what: str, required: Iterable[str] = ()) -> None:
+    """Raise ValueError unless the JSON object `obj` holds every `required`
+    key and only `allowed` ones (name -> kind, see KINDS), each of its kind."""
+    for key in required:
+        if key not in obj:
+            raise ValueError(f"{what}: missing key {key!r}")
+    for key, value in obj.items():
+        if key not in allowed:
+            raise ValueError(f"unknown {what} key {key!r}")
+        if not KINDS[allowed[key]](value):
+            raise ValueError(f"{what} key {key!r} must be {allowed[key]}")
 
 
 def _grid_of(header, line_no: int) -> PriceGrid:
     if not isinstance(header, dict) or "grid" not in header:
         raise TranscriptParseError(line_no, 'header must be an object with a "grid" key')
     levels, h = header["grid"], header.get("continuum_upper")
-    if not _KINDS["a list of numbers"](levels):
+    if not KINDS["a list of numbers"](levels):
         raise TranscriptParseError(line_no, '"grid" must be a list of numbers')
-    if h is not None and not _KINDS["a number"](h):
+    if h is not None and not KINDS["a number"](h):
         raise TranscriptParseError(line_no, '"continuum_upper" must be a number or null')
     grid = PriceGrid(levels, h)
     raise_violations(grid.violations(), [line_no])
@@ -412,7 +462,7 @@ def read_records(
 
     `source` is a path or an open text handle; blank lines are skipped. Each
     record must be an object whose "t" counts 1, 2, ... and whose `fields`
-    (name -> kind, see _KINDS) hold values of their kind; other keys are
+    (name -> kind, see KINDS) hold values of their kind; other keys are
     ignored. Returns the grid, the line numbers (the header's first, then
     round t's at index t) and one list per field. Malformed input raises
     TranscriptParseError naming its line; an invalid grid or a "t" out of
@@ -421,7 +471,7 @@ def read_records(
     if isinstance(source, (str, bytes)):
         with open(source, "r", encoding="utf-8") as fh:
             return read_records(fh, fields)
-    checks = [(name, _KINDS[kind], kind) for name, kind in {"t": "an integer", **fields}.items()]
+    checks = [(name, KINDS[kind], kind) for name, kind in {"t": "an integer", **fields}.items()]
     columns: list[list] = [[] for _ in checks]
     lines: list[int] = []
     for line_no, line in enumerate(source, 1):

@@ -10,11 +10,23 @@ sees them.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Sequence, Union
 
+from .core import check_keys
+
 Numeric = Union[int, float, Fraction]
+
+_EXACT = 'a list of finite numbers or "a/b" strings'
+_TABLE_KEYS = {
+    "v1_levels": _EXACT,
+    "v2_levels": _EXACT,
+    "probs": 'a list of lists of finite numbers or "a/b" strings',
+    "epsilon": 'a finite number or an "a/b" string',
+    "comment": "a string",
+}
 
 
 @dataclass(frozen=True)
@@ -66,7 +78,9 @@ class DiscreteValuationTable:
     def from_json(source: Union[str, IO[str], dict]) -> "DiscreteValuationTable":
         """Load from {"v1_levels": [...], "v2_levels": [...], "probs": [[...]], "epsilon": e}.
 
-        Numeric entries may be JSON numbers or exact "a/b" fraction strings.
+        Numeric entries may be finite JSON numbers or exact "a/b" fraction
+        strings; epsilon defaults to 0 and a "comment" string is ignored.
+        Any other key or kind of value raises ValueError naming the key.
         """
         if isinstance(source, dict):
             obj = source
@@ -75,6 +89,9 @@ class DiscreteValuationTable:
         else:
             with open(source, "r", encoding="utf-8") as fh:
                 obj = json.load(fh)
+        if type(obj) is not dict:
+            raise ValueError("valuation table must be a JSON object")
+        check_keys(obj, _TABLE_KEYS, "valuation table", required=("v1_levels", "v2_levels", "probs"))
         return DiscreteValuationTable(
             v1_levels=tuple(Fraction(v) for v in obj["v1_levels"]),
             v2_levels=tuple(Fraction(v) for v in obj["v2_levels"]),
@@ -91,6 +108,8 @@ def manipulation_valuation_table(epsilon: Numeric = 0) -> DiscreteValuationTable
     (v1, 3) rows; it must stay at most 1/40 for all entries to be
     non-negative.
     """
+    if isinstance(epsilon, float) and not math.isfinite(epsilon):
+        raise ValueError(f"epsilon must be finite, got {epsilon}")
     e = Fraction(epsilon)
     z = Fraction(0)
     probs = (

@@ -132,10 +132,10 @@ class MWUStrategy:
     """
 
     def __init__(self, cumulative_rewards, step_size: float, reward_lo: float, reward_hi: float):
-        if step_size <= 0:
-            raise ValueError("step_size must be positive")
-        if reward_hi <= reward_lo:
-            raise ValueError("reward bounds must satisfy lo < hi")
+        if not 0 < step_size < math.inf:
+            raise ValueError(f"step_size must be positive and finite, got {step_size}")
+        if not -math.inf < reward_lo < reward_hi < math.inf:
+            raise ValueError(f"reward bounds must be finite and satisfy lo < hi, got [{reward_lo}, {reward_hi}]")
         self.cumulative_rewards = np.asarray(cumulative_rewards, dtype=float)
         self.step_size = step_size
         self.reward_lo = reward_lo

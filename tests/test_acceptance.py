@@ -407,6 +407,8 @@ def desk_run(seed: int) -> dict:
     modal = Counter(zip(last1, last2)).most_common(1)[0][0]
     curve = regret_curve(seller1)
     c_tilde, plausible = minimize_over_cost(curve, CostRange(DESK_TRUE_COST, 0.9))
+    # The same minimization over a range reaching below the true cost.
+    c_wide, _ = minimize_over_cost(curve, CostRange(0.0, 0.9))
 
     # Under expected feedback the oracle allocations are the exact ground
     # truth, and under full support the pessimistic completion is the truth
@@ -420,7 +422,7 @@ def desk_run(seed: int) -> dict:
 
     costs = (c_tilde, DESK_TRUE_COST)
     sd_sums = estimator_sd_sum(probs, alloc, grid.levels, costs)
-    summary = {"modal": (grid.levels[modal[0]], grid.levels[modal[1]])}
+    summary = {"modal": (grid.levels[modal[0]], grid.levels[modal[1]]), "c_wide": c_wide}
     for name, c, estimate, sd_sum in zip(
         ("plausible", "true_cost"), costs, (plausible, curve.value(DESK_TRUE_COST)), sd_sums
     ):
@@ -459,12 +461,16 @@ def test_criterion_07_desk_scale_reproduction(duopoly_runs):
     order_hits = sum(
         s["plausible"]["estimate"] < s["true_cost"]["estimate"] for s in duopoly_runs
     )
+    # The paper's "pretending to have higher costs": over [0, 0.9] the
+    # plausible cost still lies above the true cost 0.1.
+    above_hits = sum(s["c_wide"] > DESK_TRUE_COST for s in duopoly_runs)
     plausible_ok, plausible_detail = magnitude_check(duopoly_runs, "plausible")
     true_cost_ok, true_cost_detail = magnitude_check(duopoly_runs, "true_cost")
 
     parts = {
         "modal": modal_hits >= 10,
         "ordering": order_hits >= 18,
+        "above_true_cost": above_hits >= 18,
         "magnitude": plausible_ok and true_cost_ok,
     }
     ok = all(parts.values())
@@ -472,7 +478,8 @@ def test_criterion_07_desk_scale_reproduction(duopoly_runs):
         7,
         "desk-scale reproduction",
         ok,
-        f"modal {modal_hits}/20, ordering {order_hits}/20, {plausible_detail}; {true_cost_detail}",
+        f"modal {modal_hits}/20, ordering {order_hits}/20, c_tilde on [0, 0.9] above the true cost "
+        f"{above_hits}/20, {plausible_detail}; {true_cost_detail}",
     )
     # The paper's [1e-3, 1e-2] magnitude is not the expected value at this
     # horizon, for the estimate or for the exact regret. At 200,000 rounds the
@@ -538,7 +545,7 @@ def test_criterion_08_aggregated_audit():
     exact_report = audit(transcript, config)
 
     gamma = math.log(1.0 / eta) / math.log(rounds)  # drift rate: T ** -gamma = eta
-    drift = DriftAssumption.rate(gamma, support_floor=0.3)
+    drift = DriftAssumption(gamma=gamma, support_floor=0.3)
     agg_report = audit_aggregated(transcript.posted, transcript.alloc, grid, drift, config)
 
     same_verdict = agg_report.verdict == exact_report.verdict

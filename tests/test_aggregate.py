@@ -31,7 +31,7 @@ from conftest import transcript_from
 class TestEstimateDistributions:
     def test_constant_price_gives_point_masses(self):
         grid = PriceGrid([1.0, 2.0, 3.0])
-        drift = DriftAssumption.explicit(1e-3, 0.5)
+        drift = DriftAssumption(epsilon=1e-3, support_floor=0.5)
         est = estimate_distributions([1] * 500, grid, drift, 0.05)
         assert np.array_equal(est.freqs[:, 1], np.ones(500))
         assert est.freqs[:, 0].max() == 0.0
@@ -39,7 +39,7 @@ class TestEstimateDistributions:
     def test_window_length_formula_and_clamping(self, rng):
         grid = PriceGrid([1.0, 2.0])
         T, k, delta, eps = 800, 2, 0.05, 1e-3
-        drift = DriftAssumption.explicit(eps, 0.5)
+        drift = DriftAssumption(epsilon=eps, support_floor=0.5)
         posted = rng.integers(0, 2, size=T).tolist()
         est = estimate_distributions(posted, grid, drift, delta)
         log_term = math.log(2 * T * k / delta)
@@ -61,10 +61,10 @@ class TestEstimateDistributions:
         # the horizon has, and one that underflows to 0 needs unboundedly many.
         grid = PriceGrid([1.0, 2.0])
         with pytest.raises(ValueError):
-            estimate_distributions([0] * 50, grid, DriftAssumption.explicit(1e-6, 0.5), 0.05)
+            estimate_distributions([0] * 50, grid, DriftAssumption(epsilon=1e-6, support_floor=0.5), 0.05)
         for gamma, window in ((5.0, "715153369631"), (1e6, "inf")):
             with pytest.raises(ValueError, match=rf"balancing window \({window} rounds .* exceeds the 3000-round horizon"):
-                estimate_distributions([0] * 3000, grid, DriftAssumption.rate(gamma, 0.9), 0.05)
+                estimate_distributions([0] * 3000, grid, DriftAssumption(gamma=gamma, support_floor=0.9), 0.05)
 
     def test_mwu_errors_respect_lemma_bound(self, rng):
         # 100 seeded runs of a slow learner against a fixed opponent; the
@@ -73,7 +73,7 @@ class TestEstimateDistributions:
         grid = PriceGrid([0.0, 1.0, 2.0, 3.0])
         tab = manipulation_valuation_table(0.005)
         eta, T, delta = 1e-3, 4000, 0.05
-        drift = DriftAssumption.explicit(eta, 0.05)
+        drift = DriftAssumption(epsilon=eta, support_floor=0.05)
         bound = (4 * eta * math.log(2 * T * len(grid) / delta)) ** (1 / 3)
         hits = 0
         for seed in range(100):
@@ -93,7 +93,7 @@ class TestEstimateDistributions:
         errs = []
         windows = []
         for eps in (2e-3, 2e-5):
-            drift = DriftAssumption.explicit(eps, 0.05)
+            drift = DriftAssumption(epsilon=eps, support_floor=0.05)
             per_seed = []
             for seed in range(10):
                 r = np.random.default_rng(seed)
@@ -110,12 +110,11 @@ class TestEstimateDistributions:
 class TestAggregatedAudit:
     def test_insufficient_data_result(self):
         grid = PriceGrid([1.0, 2.0])
-        drift = DriftAssumption.rate(0.3, support_floor=0.4)
+        drift = DriftAssumption(gamma=0.3, support_floor=0.4)
         cfg = AuditConfig(CostRange(0.0, 1.0), 0.1, 0.05)
-        result = audit_aggregated([0] * 100, [0.5] * 100, grid, drift, cfg)
-        assert isinstance(result, InsufficientData)
-        assert result.rho_prime >= 0.4
-        assert "insufficient data" in result.message
+        with pytest.raises(InsufficientData, match="insufficient data") as caught:
+            audit_aggregated([0] * 100, [0.5] * 100, grid, drift, cfg)
+        assert caught.value.rho_prime >= 0.4
 
     def test_constant_price_matches_exact_audit(self):
         grid = PriceGrid([0.5, 1.0, 1.5])
@@ -125,7 +124,7 @@ class TestAggregatedAudit:
         tr = transcript_from(grid, dists, [1] * rounds, allocs)
         cfg = AuditConfig(CostRange(0.1, 0.9), 0.1, 0.05)
         exact = audit(tr, cfg)
-        drift = DriftAssumption.rate(0.7, support_floor=0.9)
+        drift = DriftAssumption(gamma=0.7, support_floor=0.9)
         agg = audit_aggregated([1] * rounds, allocs.tolist(), grid, drift, cfg)
         assert agg.provenance == "aggregated"
         assert agg.estimated_plausible_cost == exact.estimated_plausible_cost
@@ -144,7 +143,7 @@ class TestAggregatedAudit:
         rounds = 2000
         posted = [1] * rounds
         posted[1000] = 0
-        drift = DriftAssumption.rate(0.7, support_floor=0.5)
+        drift = DriftAssumption(gamma=0.7, support_floor=0.5)
         cfg = AuditConfig(CostRange(0.0, 1.0), 0.1, 0.05)
         result = audit_aggregated(posted, [0.5] * rounds, grid, drift, cfg)
         assert result.verdict in ("PASS", "FAIL")
@@ -152,7 +151,7 @@ class TestAggregatedAudit:
     def test_endogenous_grid_adds_gap_to_aggregated_verdict(self):
         grid = PriceGrid([0.2, 0.5, 0.6], continuum_upper=1.0)
         rounds = 2000
-        drift = DriftAssumption.rate(0.7, support_floor=0.9)
+        drift = DriftAssumption(gamma=0.7, support_floor=0.9)
         cfg = AuditConfig(CostRange(0.0, 0.5), 0.1, 0.05, endogenous=True)
         result = audit_aggregated([1] * rounds, [0.5] * rounds, grid, drift, cfg)
         assert result.discretization_loss == pytest.approx(0.4)
@@ -192,13 +191,16 @@ class TestReducedTranscript:
 
     def test_drift_assumption_validation(self):
         with pytest.raises(ValueError):
-            DriftAssumption.explicit(0.0, 0.5)
+            DriftAssumption(epsilon=0.0, support_floor=0.5)
         with pytest.raises(ValueError):
-            DriftAssumption.rate(-0.1, 0.5)
+            DriftAssumption(gamma=-0.1, support_floor=0.5)
         with pytest.raises(ValueError):
-            DriftAssumption("rate", gamma=0.5, support_floor=0.0)
+            DriftAssumption(gamma=0.5, support_floor=0.0)
+        for bounds in ({}, {"epsilon": 0.01, "gamma": 0.5}):
+            with pytest.raises(ValueError, match="exactly one of epsilon and gamma"):
+                DriftAssumption(**bounds, support_floor=0.5)
         for value in (math.inf, math.nan):
             with pytest.raises(ValueError, match="finite gamma"):
-                DriftAssumption.rate(value, 0.5)
+                DriftAssumption(gamma=value, support_floor=0.5)
             with pytest.raises(ValueError, match="finite epsilon"):
-                DriftAssumption.explicit(value, 0.5)
+                DriftAssumption(epsilon=value, support_floor=0.5)

@@ -58,6 +58,28 @@ class TestEstimateAllocations:
         # and the unsupported middle price copies its lower neighbor.
         assert xhat.tolist() == [[1.6, 1.6, 0.0]]
 
+    def test_matches_per_round_fill_on_multi_round_transcripts(self, rng):
+        # Distinct rows shared across rounds, supports with gaps or starting
+        # above index 0, and zero allocations; the fill is written round by
+        # round, price by price, from its definition.
+        k = 6
+        for _ in range(40):
+            rows = [dyadic_distribution(rng, k) for _ in range(int(rng.integers(1, 5)))]
+            rows.append(dense_row(k, (2, 5), (0.25, 0.75)))
+            ids = rng.integers(len(rows), size=int(rng.integers(1, 30)))
+            dists = [rows[d] for d in ids]
+            posted = sample_posted(rng, dists)
+            allocs = np.where(rng.random(len(ids)) < 0.3, 0.0, rng.random(len(ids)))
+            tr = transcript_from(PriceGrid([0.1, 0.2, 0.4, 0.5, 0.7, 0.9]), dists, posted, allocs)
+            expected = np.empty((len(ids), k))
+            for t, (row, a, x) in enumerate(zip(dists, posted, allocs)):
+                fill = 1.0
+                for q in range(k):
+                    if row[q] > 0:
+                        fill = x / row[a] if q == a else 0.0
+                    expected[t, q] = fill
+            assert estimate_allocations(tr).tobytes() == expected.tobytes()
+
     def test_expected_estimate_is_pessimistic_completion(self, rng):
         # Power-of-two probabilities make the float propensity division
         # exact, so the realization average equals the filled truth exactly.

@@ -260,7 +260,8 @@ class TestAggregatedCommand:
             ]
         )
         assert code == 1
-        assert "insufficient data" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "insufficient data" in err
 
 
 class TestMalformedInputs:
@@ -452,6 +453,14 @@ class TestMalformedInputs:
             ("simulate", [], {"environment": {"kind": "table", "grid": [3, 2, 1, 0]}},
              "environment grid: levels not strictly increasing"),
             ("simulate", [], {"environment": {"kind": "table", "grid": []}}, "environment grid: grid is empty"),
+            ("simulate", [], {"environment": {"kind": "uniform", "h": 10**400}},
+             "uniform environment key 'h' must be a finite number"),
+            ("simulate", [], {"environment": {"kind": "uniform", "grid": [0.5, 10**400]}},
+             "uniform environment key 'grid' must be a list of finite numbers"),
+            ("simulate", [], {"strategies": [{"kind": "q", "init": 10**400}, {"kind": "q"}]},
+             "q strategy key 'init' must be a finite number"),
+            ("figures", [], {"audit": {"cost_lo": 10**400}}, "audit key 'cost_lo' must be a finite number"),
+            ("simulate", [], {"seed": 2**63}, "config key 'seed' must be an integer"),
         ],
         ids=[
             "replications-0", "rounds-0", "rounds-negative", "unknown-key", "missing-key",
@@ -461,6 +470,8 @@ class TestMalformedInputs:
             "index-fractional", "index-bool", "step-size-bool", "phase1-fractional",
             "phase2-string", "manipulator-off-grid", "fixed-price-off-grid",
             "unknown-strategy-kind", "environment-kind-list", "grid-decreasing", "grid-empty",
+            "h-huge-integer", "grid-huge-integer", "init-huge-integer", "audit-cost-huge-integer",
+            "seed-above-64-bits",
         ],
     )
     def test_experiment_config(self, tmp_path, capsys, command, flags, config, message):
@@ -478,6 +489,64 @@ class TestMalformedInputs:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and message in captured.err
         assert not list(tmp_path.rglob("transcript_*"))
+
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            ({"v1_levels": [0, 1], "v2_levels": [0, 1]}, "valuation table: missing key 'probs'"),
+            ({"v1_levels": [0, None], "v2_levels": [0, 1], "probs": [[0.5, 0], [0, 0.5]]},
+             "valuation table key 'v1_levels' must be a list of finite numbers or \"a/b\" strings"),
+            ({"v1_levels": [0, 1], "v2_levels": [0, 1], "probs": [[0.5, 0], [True, 0.5]]},
+             "valuation table key 'probs' must be a list of lists"),
+            ({"v1_levels": [0, 1], "v2_levels": [0, 1], "probs": [["1/0", 0], [0, 1]]},
+             "valuation table key 'probs' must be a list of lists"),
+            ({"v1_levels": [0, 1], "v2_levels": [0, 1], "probs": [["1e3000000", 0], [0, 1]]},
+             "valuation table key 'probs' must be a list of lists"),
+            ([[0, 1], [0, 1]], "valuation table must be a JSON object"),
+            ({"v1_levels": [0, 1], "v2_levels": [0, 1], "probs": [[0.5, 0], [0, 0.5]], "eps": 0},
+             "unknown valuation table key 'eps'"),
+        ],
+        ids=["missing-probs", "null-level", "bool-prob", "zero-denominator", "exponent-string", "top-level-list",
+             "unknown-key"],
+    )
+    def test_valuation_table_file(self, tmp_path, capsys, table, message):
+        table_path = tmp_path / "table.json"
+        table_path.write_text(json.dumps(table))
+        config = {**self.CONFIG, "environment": {"kind": "table_file", "path": str(table_path)}}
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        code = main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert not list(tmp_path.rglob("transcript_*"))
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--eta", "nan"], "step_size must be positive and finite"),
+            (["--eta", "inf"], "step_size must be positive and finite"),
+            (["--epsilon", "inf"], "epsilon must be finite"),
+            (["--epsilon", "1e400"], "epsilon must be finite"),
+        ],
+        ids=["eta-nan", "eta-inf", "epsilon-inf", "epsilon-overflow"],
+    )
+    def test_manipulate_demo_non_finite_parameter(self, tmp_path, capsys, flags, message):
+        code = main(["manipulate-demo", "--rounds", "100", "--out", str(tmp_path / "demo"), *flags])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+
+    def test_both_drift_bounds(self, tmp_path, capsys):
+        path = tmp_path / "reduced.jsonl"
+        self.reduced_file(path, 0, None, rounds=3000)
+        flags = ["--drift-eps", "0.001", "--drift-gamma", "0.7", "--support-floor", "0.9"]
+        code = main(["audit-aggregated", str(path), *self.AUDIT_FLAGS, *flags])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "exactly one of epsilon and gamma" in captured.err
 
     @pytest.mark.parametrize(
         "flags, message",

@@ -156,6 +156,12 @@ class TestLearnerState:
             MWUStrategy(np.zeros(2), 0.0, 0.0, 1.0)
         with pytest.raises(ValueError, match="reward bounds"):
             MWUStrategy.fresh(2, 0.1, 1.0, 1.0)
+        for step_size in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="step_size"):
+                MWUStrategy.fresh(2, step_size, 0.0, 1.0)
+        for bounds in ((math.nan, 1.0), (-math.inf, 1.0), (0.0, math.nan), (0.0, math.inf)):
+            with pytest.raises(ValueError, match="reward bounds"):
+                MWUStrategy.fresh(2, 0.1, *bounds)
         with pytest.raises(ValueError, match="learning_rate"):
             strategy_from_config({"kind": "q", "learning_rate": 2.0}, PriceGrid([0.5, 1.0]), None, (0.1, 0.1), 0, 10)
 
