@@ -106,6 +106,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_keys({name: getattr(self, name) for name in _CONFIG_KINDS}, _CONFIG_KINDS, "config")
+        if self.seed < 0:
+            raise ValueError(f"config key 'seed' must be at least 0, got {self.seed}")
         if self.replications < 1 or self.rounds < 1:
             raise ValueError("rounds and replications must be at least 1")
         if len(self.strategies) != 2 or not all(type(s) is dict for s in self.strategies):
@@ -373,6 +375,8 @@ def cmd_figures(args) -> int:
 
 
 def cmd_manipulate_demo(args) -> int:
+    if not 0 <= args.seed < 2**63:  # the range of a config's seed
+        raise ValueError(f"--seed must be in [0, 2^63), got {args.seed}")
     phase1 = args.rounds
     schedule = ManipulatorSchedule.standard(phase1)
     total = schedule.total_rounds

@@ -136,31 +136,33 @@ def _sparse_problem(support: tuple, probs: tuple, k: int) -> tuple[str, str] | N
     return None
 
 
-def _encode_distributions(pairs: Iterable[tuple], k: int, lines: Sequence[int]):
-    """Dictionary-encode a file's per-round (support, probs) pairs.
+def _encode_distributions(support: tuple, probs: tuple, k: int, lines: Sequence[int]):
+    """Dictionary-encode a file's distributions from read_records' (ids,
+    values) columns of "support" and "probs".
 
-    Returns (T,) ids into an (n, k) table of the n distinct distributions in
-    order of first appearance. Each distinct pair is checked once, where it
-    first appears; `lines[t]` is round t's line in the file.
+    Returns (T,) ids into an (n, k) table of the n distinct (support, probs)
+    pairs in order of first appearance. Each distinct pair is checked once,
+    in that order, and a breach names the first round that carries it;
+    `lines[t]` is round t's line in the file.
     """
-    ids: dict[tuple, int] = {}
-    index = []
-    for t, (support, probs) in enumerate(pairs, 1):
-        key = (tuple(support), tuple(probs))
-        d = ids.get(key)
-        if d is None:
-            line = lines[t]
-            if len(key[0]) != len(key[1]):
-                raise TranscriptParseError(line, "support and probs have different lengths")
-            problem = _sparse_problem(*key, k)
-            if problem is not None:
-                raise TranscriptValidationError([Violation(t, *problem, line)])
-            d = ids[key] = len(ids)
-        index.append(d)
-    table = np.zeros((len(ids), k))
-    rows = np.repeat(np.arange(len(ids)), [len(support) for support, _ in ids])
-    table[rows, list(chain.from_iterable(s for s, _ in ids))] = list(chain.from_iterable(p for _, p in ids))
-    return np.asarray(index, dtype=np.int64), table
+    (support_ids, supports), (probs_ids, probs) = support, probs
+    # Number the distinct pairs of ids in order of first appearance.
+    _, first, inverse = np.unique(support_ids * len(probs) + probs_ids, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    rounds = first[order]
+    keys = [(supports[s], probs[p]) for s, p in zip(support_ids[rounds].tolist(), probs_ids[rounds].tolist())]
+    for t, (s, p) in zip((rounds + 1).tolist(), keys):
+        if len(s) != len(p):
+            raise TranscriptParseError(lines[t], "support and probs have different lengths")
+        problem = _sparse_problem(s, p, k)
+        if problem is not None:
+            raise TranscriptValidationError([Violation(t, *problem, lines[t])])
+    table = np.zeros((len(keys), k))
+    rows = np.repeat(np.arange(len(keys)), [len(s) for s, _ in keys])
+    table[rows, list(chain.from_iterable(s for s, _ in keys))] = list(chain.from_iterable(p for _, p in keys))
+    return rank[inverse], table
 
 
 @dataclass(frozen=True, eq=False)
@@ -455,28 +457,111 @@ def _grid_of(header, line_no: int) -> PriceGrid:
     return grid
 
 
+# A path is read with errors="surrogateescape": each byte that is not UTF-8
+# becomes one of these lone surrogates, which no UTF-8 text decodes to.
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")
+
+
+def _tail_ids(tail: str, listed: list[tuple], interned: list[dict]) -> tuple:
+    """The value ids of a record tail (see read_records) that decodes to an
+    object holding exactly the list fields, each of its kind; () for any
+    other tail.
+
+    A line that carries such a tail and decodes whole splits at a top-level
+    member, so its list fields hold the tail's values: the line that first
+    carried the tail has interned them already.
+    """
+    try:
+        obj = _DECODER.decode(f'{{"{listed[0][0]}": {tail}')
+    except ValueError:
+        return ()
+    if type(obj) is not dict or obj.keys() != {name for name, _, _ in listed}:
+        return ()
+    if not all(ok(obj[name]) for name, ok, _ in listed):
+        return ()
+    ids = tuple(seen.get(tuple(obj[name])) for (name, _, _), seen in zip(listed, interned))
+    return () if None in ids else ids
+
+
 def read_records(
     source: Union[str, IO[str]], fields: dict[str, str]
-) -> tuple[PriceGrid, list[int], list[list]]:
+) -> tuple[PriceGrid, list[int], list]:
     """Read a line-oriented JSON file: a grid header, then one record per round.
 
-    `source` is a path or an open text handle; blank lines are skipped. Each
-    record must be an object whose "t" counts 1, 2, ... and whose `fields`
-    (name -> kind, see KINDS) hold values of their kind; other keys are
-    ignored. Returns the grid, the line numbers (the header's first, then
-    round t's at index t) and one list per field. Malformed input raises
-    TranscriptParseError naming its line; an invalid grid or a "t" out of
-    order raises TranscriptValidationError, also naming the line.
+    `source` is a path, read as UTF-8, or an open text handle; blank lines
+    are skipped. Each record must be an object whose "t" counts 1, 2, ... and
+    whose `fields` (name -> kind, see KINDS) hold values of their kind; other
+    keys are ignored. Scalar fields are checked before list-valued ones.
+
+    Returns the grid, the line numbers (the header's first, then round t's at
+    index t) and one column per field. A scalar field's column lists its
+    values, one per round. A list field's column is a pair (ids, values):
+    `values` holds its distinct values as tuples, in order of first
+    appearance, and `ids` is a (T,) int64 array of indices into them. Values
+    that compare equal share an id, whatever their text (so 0.5 and 5e-1,
+    but also 1 and 1.0, or 0.0 and -0.0); the first one read is kept.
+
+    Malformed input raises TranscriptParseError naming its line, in line
+    order; an invalid grid or a "t" out of order raises
+    TranscriptValidationError, also naming the line.
+
+    Each distinct record tail is decoded once. A record's tail is the text
+    after the first `, "<f>": `, where f is the first list field, to the end
+    of the line. On its second sighting, `{"<f>": ` + tail is decoded on its
+    own. If that gives an object holding exactly the list fields, each of its
+    kind, the lines that carry the tail from then on decode only their head,
+    the text before the marker, + "}". Such a line is accepted if its head is
+    an object whose scalar fields pass and whose "t" is the next round. The
+    head then ends at a top-level member, so the whole line would decode to
+    the head's members followed by the tail's, and the tail's list fields
+    win over any in the head, as the last duplicate key does in JSON. Other
+    lines, and lines that are not ASCII, are decoded whole.
     """
     if isinstance(source, (str, bytes)):
-        with open(source, "r", encoding="utf-8") as fh:
+        with open(source, "r", encoding="utf-8", errors="surrogateescape") as fh:
             return read_records(fh, fields)
-    checks = [(name, KINDS[kind], kind) for name, kind in {"t": "an integer", **fields}.items()]
-    columns: list[list] = [[] for _ in checks]
+    scalars = [("t", KINDS["an integer"], "an integer")]
+    listed = []
+    for name, kind in fields.items():
+        (listed if kind.startswith("a list") else scalars).append((name, KINDS[kind], kind))
+    columns: list[list] = [[] for _ in scalars]
+    id_columns: list[list[int]] = [[] for _ in listed]
+    interned: list[dict[tuple, int]] = [{} for _ in listed]
+    marker = f', "{listed[0][0]}": ' if listed else None
+    tails: dict[str, tuple | bool] = {}  # False: seen once; (): decoded whole
     lines: list[int] = []
     for line_no, line in enumerate(source, 1):
         if line.isspace():
             continue
+        t = len(lines)
+        if marker:
+            head, split, tail = line.partition(marker)
+            ids = tails.get(tail) if split else ()
+            if ids is None:
+                tails[tail] = False
+            elif ids is False:
+                ids = tails[tail] = _tail_ids(tail, listed, interned)
+            if ids and line.isascii():
+                try:
+                    head = _DECODER.decode(head + "}")
+                except ValueError:
+                    head = None
+                if type(head) is dict:
+                    # A check that fails here fails on the whole line too,
+                    # which then raises below.
+                    for (name, ok, _), column in zip(scalars, columns):
+                        value = head.get(name)
+                        if not ok(value):
+                            break
+                        column.append(value)
+                    else:
+                        if columns[0][-1] == t:
+                            for column, d in zip(id_columns, ids):
+                                column.append(d)
+                            lines.append(line_no)
+                            continue
+        if not line.isascii() and (byte := _NOT_UTF8.search(line)):
+            raise TranscriptParseError(line_no, f"invalid UTF-8 byte 0x{ord(byte.group()) - 0xDC00:02x}")
         try:
             obj = _DECODER.decode(line)
         except ValueError as e:
@@ -486,18 +571,30 @@ def read_records(
         elif type(obj) is not dict:
             raise TranscriptParseError(line_no, "record must be a JSON object")
         else:
-            for (name, ok, kind), column in zip(checks, columns):
+            for (name, ok, kind), column in zip(scalars, columns):
                 value = obj.get(name)
                 if not ok(value):
-                    problem = f'"{name}" must be {kind}' if name in obj else f"missing key {name!r}"
-                    raise TranscriptParseError(line_no, problem)
+                    raise TranscriptParseError(line_no, _field_problem(obj, name, kind))
                 column.append(value)
-            if columns[0][-1] != len(lines):
-                raise RoundOrderError(line_no, columns[0][-1], len(lines))
+            # Reduced files have no list field; they skip even an empty loop.
+            for (name, ok, kind), column, seen in zip(listed, id_columns, interned) if listed else ():
+                value = obj.get(name)
+                if not ok(value):
+                    raise TranscriptParseError(line_no, _field_problem(obj, name, kind))
+                column.append(seen.setdefault(tuple(value), len(seen)))
+            if columns[0][-1] != t:
+                raise RoundOrderError(line_no, columns[0][-1], t)
         lines.append(line_no)
     if not lines:
         raise TranscriptParseError(1, "missing header line")
-    return grid, lines, columns[1:]
+    out = {name: column for (name, _, _), column in zip(scalars, columns)}
+    for (name, _, _), column, seen in zip(listed, id_columns, interned):
+        out[name] = (np.asarray(column, dtype=np.int64), list(seen))
+    return grid, lines, [out[name] for name in fields]
+
+
+def _field_problem(obj: dict, name: str, kind: str) -> str:
+    return f'"{name}" must be {kind}' if name in obj else f"missing key {name!r}"
 
 
 def raise_violations(violations: Sequence[Violation], lines: Sequence[int]) -> None:
@@ -518,7 +615,7 @@ def read_transcript(source: Union[str, IO[str]]) -> Transcript:
     grid, lines, (posted, alloc, support, probs) = read_records(
         source, dict(zip(("posted", "alloc", "support", "probs"), kinds))
     )
-    dists = _encode_distributions(zip(support, probs), len(grid), lines)
+    dists = _encode_distributions(support, probs, len(grid), lines)
     transcript = Transcript(grid, posted, alloc, *dists)
     raise_violations(validate(transcript), lines)
     return transcript

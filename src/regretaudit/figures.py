@@ -42,18 +42,19 @@ def write_truth(truth: GroundTruth, sink: Union[str, IO[str]]) -> None:
 
 
 def read_truth(source: Union[str, IO[str]]) -> GroundTruth:
-    grid, lines, (rows,) = read_records(source, {"x": "a list of numbers"})
+    grid, lines, ((ids, rows),) = read_records(source, {"x": "a list of numbers"})
     k = len(grid)
-    for t, row in enumerate(rows, 1):
+    for d, row in enumerate(rows):
         if len(row) != k:
+            t = int(np.argmax(ids == d)) + 1  # the first round that carries it
             raise TranscriptParseError(lines[t], f'"x" must have {k} entries, one per price')
-    values = np.array(rows, dtype=float).reshape(len(rows), k)
-    in_range = ((values >= 0.0) & (values <= 1.0)).all(axis=1)  # false for NaN and inf
+    table = np.array(rows, dtype=float).reshape(len(rows), k)
+    in_range = ((table >= 0.0) & (table <= 1.0)).all(axis=1)  # false for NaN and inf
     raise_violations(
-        [Violation(r + 1, "x", "allocation out of [0,1]") for r in np.flatnonzero(~in_range).tolist()],
+        [Violation(r + 1, "x", "allocation out of [0,1]") for r in np.flatnonzero(~in_range[ids]).tolist()],
         lines,
     )
-    return GroundTruth(grid.levels, values)
+    return GroundTruth(grid.levels, table[ids])
 
 
 # ---------------------------------------------------------------------------

@@ -338,6 +338,32 @@ class TestMalformedInputs:
         assert "line 4" in capsys.readouterr().err
         assert not sweep.exists()
 
+    @pytest.mark.parametrize("reader", ["transcript", "reduced", "truth"])
+    def test_invalid_utf8_names_its_line(self, tmp_path, rng, capsys, reader):
+        # The bad byte sits on line 3001, far past the first 8 KB read chunk.
+        rounds = 4000
+        transcript, reduced, truth = (tmp_path / name for name in ("t.jsonl", "r.jsonl", "x.jsonl"))
+        write_best_responder_transcript(transcript, rng, rounds=rounds)
+        self.reduced_file(reduced, 0, None, rounds=rounds)
+        lines = ['{"grid": [0.4, 0.8], "continuum_upper": null}']
+        truth.write_text("\n".join(lines + [f'{{"t": {t}, "x": [1.0, 0.55]}}' for t in range(1, rounds + 1)]) + "\n")
+        path = {"transcript": transcript, "reduced": reduced, "truth": truth}[reader]
+        data = path.read_bytes().split(b"\n")
+        data[3000] = data[3000].replace(b"{", b"{\xff", 1)
+        path.write_bytes(b"\n".join(data))
+        sweep = tmp_path / "sweep.csv"
+        argv = {
+            "transcript": ["audit", str(transcript), *self.AUDIT_FLAGS],
+            "reduced": ["audit-aggregated", str(reduced), *self.AUDIT_FLAGS, "--drift-gamma", "0.7"],
+            "truth": ["audit", str(transcript), *self.AUDIT_FLAGS, "--sweep", str(sweep), "--truth", str(truth)],
+        }[reader]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: line 3001: invalid UTF-8 byte 0xff\n"
+        assert not sweep.exists()
+
     @pytest.mark.parametrize("points", ["0", "-3"])
     @pytest.mark.parametrize("command", ["audit", "figures"])
     def test_sweep_points_below_one(self, tmp_path, rng, capsys, command, points):
@@ -461,6 +487,8 @@ class TestMalformedInputs:
              "q strategy key 'init' must be a finite number"),
             ("figures", [], {"audit": {"cost_lo": 10**400}}, "audit key 'cost_lo' must be a finite number"),
             ("simulate", [], {"seed": 2**63}, "config key 'seed' must be an integer"),
+            ("simulate", [], {"seed": -1}, "config key 'seed' must be at least 0"),
+            ("simulate", ["--seed", "-1"], None, "config key 'seed' must be at least 0"),
         ],
         ids=[
             "replications-0", "rounds-0", "rounds-negative", "unknown-key", "missing-key",
@@ -471,7 +499,7 @@ class TestMalformedInputs:
             "phase2-string", "manipulator-off-grid", "fixed-price-off-grid",
             "unknown-strategy-kind", "environment-kind-list", "grid-decreasing", "grid-empty",
             "h-huge-integer", "grid-huge-integer", "init-huge-integer", "audit-cost-huge-integer",
-            "seed-above-64-bits",
+            "seed-above-64-bits", "seed-negative", "seed-flag-negative",
         ],
     )
     def test_experiment_config(self, tmp_path, capsys, command, flags, config, message):
@@ -537,6 +565,16 @@ class TestMalformedInputs:
         assert code == 1
         assert captured.out == ""
         assert captured.err.startswith("error: ") and message in captured.err
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**63)])
+    def test_manipulate_demo_seed_out_of_range(self, tmp_path, capsys, seed):
+        # A negative seed used to alias seed + 2^64 silently.
+        code = main(["manipulate-demo", "--rounds", "100", "--out", str(tmp_path / "demo"), "--seed", seed])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: --seed must be in [0, 2^63), got {seed}\n"
+        assert not (tmp_path / "demo").exists()
 
     def test_both_drift_bounds(self, tmp_path, capsys):
         path = tmp_path / "reduced.jsonl"

@@ -24,12 +24,15 @@ from regretaudit.core import TranscriptParseError, TranscriptValidationError, lo
 from regretaudit.figures import read_truth
 
 HEADER = '{"grid": [0.4, 0.8, 1.2], "continuum_upper": 1.5}'
+# The transcript's first tail repeats three times, so that the reader's tail
+# cache decodes it on its own and later lines hit it.
 RECORDS = {
     "transcript": [
         '{"t": 1, "posted": 0, "alloc": 1, "support": [0, 1], "probs": [0.25, 0.75]}',
         '{"t": 2, "posted": 2, "alloc": 0.5, "support": [0, 1, 2], "probs": [0.5, 0.25, 0.25]}',
         '{"t": 3, "posted": 1, "alloc": 0.0, "support": [1], "probs": [1.0]}',
         '{"t": 4, "posted": 1, "alloc": 0.25, "support": [0, 1], "probs": [0.25, 0.75]}',
+        '{"t": 5, "posted": 0, "alloc": 0.75, "support": [0, 1], "probs": [0.25, 0.75]}',
     ],
     "reduced": [
         '{"t": 1, "posted": 0, "alloc": 1}',
