@@ -120,6 +120,10 @@ def reference_truth(text):
     return GroundTruth(grid.levels, values)
 
 
+def read_truth_text(text):
+    return read_truth(io.StringIO(text))
+
+
 def outcome(read, text):
     """What a reader gives: its columns as bytes, or its error."""
     try:
@@ -173,10 +177,10 @@ TRUTH_HEADS = [
     '{{"alloc": {a}, "t": {t}',
     '{{"t":{t}',
     '{{"t": {t}, "x": [1, 1, 1]',  # duplicate key across head and tail
-    '{{"t": {t}, "note": "x, "x": [2]"',
-    '{{"t": {t}, "note": "x, \\"x\\": [1, 1, 1]"',
-    '{{"t": "{t}"',
-    "{{",
+    '{{"t": {t}, "note": "x, "x": [2]"',  # marker inside a broken string
+    '{{"t": {t}, "note": "x, \\"x\\": [1, 1, 1]"',  # escaped marker in a string
+    '{{"t": "{t}"',  # wrong kind
+    "{{",  # empty head
 ]
 TRUTH_TAILS = [
     '"x": [1.0, 0.5, 0]}',
@@ -189,8 +193,8 @@ TRUTH_TAILS = [
 ], [
     '"x": [0.75, 0.5]}',  # too short
     '"x": [1.5, 0, 0]}',  # out of [0, 1]
-    '"x": [1, 1, 1e400]}',
-    '"x": [1, 1, 1]',
+    '"x": [1, 1, 1e400]}',  # 1e400 reads as inf
+    '"x": [1, 1, 1]',  # unterminated
 ]
 
 
@@ -235,8 +239,7 @@ def test_transcript_reader_matches_whole_line_reference(text):
 @settings(derandomize=True, deadline=None, max_examples=300, database=None)
 @given(text=record_files(TRUTH_HEADS, TRUTH_TAILS))
 def test_truth_reader_matches_whole_line_reference(text):
-    read = lambda text: read_truth(io.StringIO(text))  # noqa: E731
-    assert outcome(read, text) == outcome(reference_truth, text)
+    assert outcome(read_truth_text, text) == outcome(reference_truth, text)
 
 
 def test_repeated_tails_read_back():
