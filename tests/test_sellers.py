@@ -1,11 +1,13 @@
 import hashlib
 import math
+from bisect import bisect_right
+from itertools import accumulate
 
 import numpy as np
 import pytest
 
 from regretaudit.core import PriceGrid, Transcript, dumps_transcript
-from regretaudit.market import UniformDuopoly, manipulation_valuation_table
+from regretaudit.market import UniformDuopoly, demand_table, manipulation_valuation_table
 from regretaudit.sellers import (
     FixedPriceStrategy,
     ManipulatorSchedule,
@@ -413,3 +415,197 @@ class TestPinnedOutput:
                     pruned += int(not keep.all())
                     ties += int(len(np.unique(sigma)) < k)
         assert pruned > 0 and ties > 0
+
+
+# ---------------------------------------------------------------------------
+# Reference: the simulator's per-round loop on small numpy arrays, with the
+# array learners it ran. Test-only; `simulate` must match it bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def reference_draw(row, u):
+    probs = row.tolist()
+    m = bisect_right(list(accumulate(probs)), u)
+    return m if m < len(probs) else max(i for i, p in enumerate(probs) if p)
+
+
+def reference_greedy_row(k, explore_eps, argmax_index):
+    row = np.full(k, explore_eps / k)
+    row[argmax_index] += 1.0 - explore_eps
+    return row
+
+
+class ReferenceQ:
+    def __init__(self, strategy, grid):
+        self.q = np.asarray(strategy.q_values, dtype=float)
+        self.learning_rate, self.discount = strategy.learning_rate, strategy.discount
+        self.explore_eps = strategy.explore_eps
+
+    def distribution(self):
+        return reference_greedy_row(len(self.q), self.explore_eps, int(self.q.argmax()))
+
+    def observe(self, posted, utility, utility_vector):
+        q = self.q.copy()
+        target = utility + self.discount * float(q.max())
+        q[posted] = (1.0 - self.learning_rate) * q[posted] + self.learning_rate * target
+        self.q = q
+
+
+class ReferenceMWU:
+    def __init__(self, strategy, grid):
+        self.sigma = np.asarray(strategy.cumulative_rewards, dtype=float)
+        self.step_size, self.lo, self.hi = strategy.step_size, strategy.reward_lo, strategy.reward_hi
+
+    def distribution(self):
+        sigma = self.sigma
+        w = np.exp((sigma - sigma.max()) * math.log1p(self.step_size))
+        probs = w / w.sum()
+        keep = probs > 1e-12
+        total = np.cumsum(probs[keep])[-1]
+        return np.where(keep, probs / total, 0.0)
+
+    def observe(self, posted, utility, utility_vector):
+        r = (np.asarray(utility_vector, float) - self.lo) / (self.hi - self.lo)
+        if r.min() < -1e-12 or r.max() > 1.0 + 1e-12:
+            raise ValueError("rewards must lie in [0, 1] after normalization")
+        self.sigma = self.sigma + r
+
+
+class ReferenceFixed:
+    def __init__(self, strategy, grid):
+        self.row = reference_greedy_row(len(grid), 0.0, strategy.index)
+
+    def distribution(self):
+        return self.row
+
+    def observe(self, posted, utility, utility_vector):
+        pass
+
+
+class ReferenceManipulator:
+    def __init__(self, strategy, grid):
+        self.schedule, self.levels, self.round = strategy.schedule, grid.levels, 1
+
+    def distribution(self):
+        level = manipulator_next(self.schedule, self.round)
+        return reference_greedy_row(len(self.levels), 0.0, self.levels.index(level))
+
+    def observe(self, posted, utility, utility_vector):
+        self.round += 1
+
+
+REFERENCE_LEARNERS = {
+    QLearnerStrategy: ReferenceQ,
+    MWUStrategy: ReferenceMWU,
+    FixedPriceStrategy: ReferenceFixed,
+    ManipulatorStrategy: ReferenceManipulator,
+}
+
+
+def reference_realized_vectors(oracle, lv, actions, draws, diff_cells):
+    if diff_cells is not None:
+        diffs, cum = diff_cells
+        cell = int(np.searchsorted(cum, draws[0], side="right"))
+        d = diffs[min(cell, len(diffs) - 1)]
+        coin = draws[2] < 0.5
+        gaps1 = lv - lv[actions[1]]
+        gaps2 = lv[actions[0]] - lv
+        vec1 = np.where(d > gaps1, 1.0, np.where(d == gaps1, 1.0 if coin else 0.0, 0.0))
+        vec2 = np.where(d < gaps2, 1.0, np.where(d == gaps2, 0.0 if coin else 1.0, 0.0))
+        return vec1, vec2
+    v1, v2 = draws[0], draws[1]
+    m2 = v2 - lv[actions[1]]
+    m1 = v1 - lv[actions[0]]
+    own1 = v1 - lv
+    own2 = v2 - lv
+    vec1 = ((own1 >= 0) & (own1 >= m2)).astype(float)
+    vec2 = ((own2 >= 0) & (own2 > m1)).astype(float)
+    return vec1, vec2
+
+
+def reference_simulate(grid, strategies, oracle, costs, rounds, feedback_mode, seed):
+    """The per-round array loop, fed fresh reference learners built from the
+    given strategies' starting state. Returns the posted prices, allocations,
+    dense rows and payoffs of both sellers."""
+    learners = [REFERENCE_LEARNERS[type(s)](s, grid) for s in strategies]
+    lv = np.asarray(grid.levels)
+    x1, x2 = demand_table(oracle, grid.levels)
+    a1, a2 = np.array(x1, dtype=float), np.array(x2, dtype=float).T
+    u1, u2 = (lv - costs[0])[:, None] * a1, (lv - costs[1])[:, None] * a2
+
+    def stream(tag):
+        return np.random.Generator(np.random.Philox(key=[int(seed) % 2**64, tag]))
+
+    action_u = (stream(0).random(rounds), stream(1).random(rounds))
+    realized = feedback_mode == "realized"
+    diff_cells = None
+    if realized:
+        buyer_u = stream(2).random((rounds, 3))
+        if hasattr(oracle, "diff_distribution"):
+            items = sorted(oracle.diff_distribution().items())
+            diff_cells = (np.array([float(d) for d, _ in items]), np.cumsum([float(p) for _, p in items]))
+    posteds, allocs, dists = ([], []), ([], []), ([], [])
+    payoffs = (np.empty(rounds), np.empty(rounds))
+    for t in range(rounds):
+        current = [learner.distribution() for learner in learners]
+        actions = [reference_draw(row, action_u[i][t]) for i, row in enumerate(current)]
+        if realized:
+            vecs = reference_realized_vectors(oracle, lv, actions, buyer_u[t], diff_cells)
+            util_vecs = [(lv - costs[i]) * vecs[i] for i in range(2)]
+        else:
+            vecs = [(a1, a2)[i][:, actions[1 - i]] for i in range(2)]
+            util_vecs = [(u1, u2)[i][:, actions[1 - i]] for i in range(2)]
+        for i, learner in enumerate(learners):
+            a = actions[i]
+            posteds[i].append(a)
+            allocs[i].append(float(vecs[i][a]))
+            dists[i].append(current[i])
+            payoffs[i][t] = float(util_vecs[i][a])
+            learner.observe(a, float(util_vecs[i][a]), util_vecs[i])
+    return posteds, allocs, dists, payoffs
+
+
+class TestArrayLoopReference:
+    """`simulate` against the per-round array loop: transcripts and payoffs
+    equal bit for bit. MWU runs depend on np.exp, so they are pinned to the
+    reference on this machine rather than to digests."""
+
+    TABLE = PriceGrid([0.0, 1.0, 2.0, 3.0])
+    DUOPOLY = PriceGrid([round(0.05 * i, 2) for i in range(1, 20)])
+    CASES = {
+        # name: (market, strategy configs, rounds, feedback)
+        "mwu-mwu-table-expected": ("table", ({"kind": "mwu", "step_size": 0.3}, {"kind": "mwu", "step_size": 2.0}), 400, "expected"),
+        "mwu-mwu-table-realized": ("table", ({"kind": "mwu", "step_size": 0.3}, {"kind": "mwu", "step_size": 2.0}), 400, "realized"),
+        "mwu-mwu-duopoly": ("duopoly", ({"kind": "mwu", "step_size": 0.5}, {"kind": "mwu", "step_size": 0.05}), 300, "expected"),
+        "mwu-mwu-duopoly-realized": ("duopoly", ({"kind": "mwu", "step_size": 0.5}, {"kind": "mwu", "step_size": 0.05}), 300, "realized"),
+        "manipulator-mwu": ("table", ({"kind": "manipulator"}, {"kind": "mwu", "step_size": 2.0}), 420, "expected"),
+        "fixed-mwu": ("table", ({"kind": "fixed", "price": 2.0}, {"kind": "mwu", "step_size": 0.5}), 300, "expected"),
+        "q-q-eps0": ("duopoly", ({"kind": "q", "explore_eps": 0.0}, {"kind": "q", "explore_eps": 0.0}), 400, "expected"),
+        "q-q-eps0.01": ("duopoly", ({"kind": "q", "explore_eps": 0.01}, {"kind": "q", "explore_eps": 0.01}), 400, "expected"),
+        "q-q-eps1": ("duopoly", ({"kind": "q", "explore_eps": 1.0}, {"kind": "q", "explore_eps": 1.0}), 400, "expected"),
+        "q-q-realized": ("duopoly", ({"kind": "q"}, {"kind": "q", "explore_eps": 0.05}), 400, "realized"),
+    }
+
+    def environment(self, market):
+        if market == "table":
+            return self.TABLE, manipulation_valuation_table(0.005), (0.0, 0.0)
+        return self.DUOPOLY, UniformDuopoly(0.1, 0.2), (0.1, 0.2)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_simulate_matches_array_loop(self, name, seed):
+        market, specs, rounds, feedback = self.CASES[name]
+        grid, env, costs = self.environment(market)
+
+        def strategies():
+            return tuple(strategy_from_config(spec, grid, env, costs, i, rounds, feedback) for i, spec in enumerate(specs))
+
+        result = simulate(grid, strategies(), env, costs, rounds, feedback, seed=seed)
+        posteds, allocs, dists, payoffs = reference_simulate(grid, strategies(), env, costs, rounds, feedback, seed)
+        for i in range(2):
+            expected = Transcript.from_rounds(grid, posteds[i], allocs[i], dists[i])
+            assert dumps_transcript(result.transcripts[i]) == dumps_transcript(expected)
+            assert result.payoffs[i].tobytes() == payoffs[i].tobytes()
+        if name == "mwu-mwu-table-expected":
+            # The long-step learner's rows lose prices to the 1e-12 prune.
+            assert (result.transcripts[1].dists() == 0).any()
