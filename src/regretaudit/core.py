@@ -114,13 +114,23 @@ class PriceGrid:
         return out
 
 
-def draw(row: np.ndarray, u: float) -> int:
+def running_sums(row: Sequence[float]) -> tuple[list[float], int]:
+    """What draw reads of a dense distribution row: its running sums, added
+    in order, and the index of its last nonzero entry. Zeros add exactly to
+    the running sum."""
+    last = len(row) - 1
+    while not row[last]:
+        last -= 1
+    return list(accumulate(row)), last
+
+
+def draw(sums: tuple[list[float], int], u: float) -> int:
     """The grid index a uniform u in [0, 1) picks from a dense distribution
-    row: the first whose running sum exceeds u, or the last nonzero one when
-    rounding leaves u above them all. Zeros add exactly to the running sum."""
-    probs = row.tolist()
-    m = bisect_right(list(accumulate(probs)), u)
-    return m if m < len(probs) else max(i for i, p in enumerate(probs) if p)
+    row, given its running_sums: the first whose running sum exceeds u, or
+    the last nonzero one when rounding leaves u above them all."""
+    cumulative, last = sums
+    m = bisect_right(cumulative, u)
+    return m if m < len(cumulative) else last
 
 
 def _sparse_problem(support: tuple, probs: tuple, k: int) -> tuple[str, str] | None:
@@ -510,12 +520,13 @@ def read_records(
     of the line. On its second sighting, `{"<f>": ` + tail is decoded on its
     own. If that gives an object holding exactly the list fields, each of its
     kind, the lines that carry the tail from then on decode only their head,
-    the text before the marker, + "}". Such a line is accepted if its head is
-    an object whose scalar fields pass and whose "t" is the next round. The
-    head then ends at a top-level member, so the whole line would decode to
-    the head's members followed by the tail's, and the tail's list fields
-    win over any in the head, as the last duplicate key does in JSON. Other
-    lines, and lines that are not ASCII, are decoded whole.
+    the text before the marker, + "}". Such a line is accepted if that text
+    is one object, with nothing around it, whose scalar fields pass and
+    whose "t" is the next round. The head then ends at a top-level member,
+    so the whole line would decode to the head's members followed by the
+    tail's, and the tail's list fields win over any in the head, as the last
+    duplicate key does in JSON. Other lines, and lines that are not ASCII,
+    are decoded whole.
     """
     if isinstance(source, (str, bytes)):
         with open(source, "r", encoding="utf-8", errors="surrogateescape") as fh:
@@ -542,11 +553,14 @@ def read_records(
             elif ids is False:
                 ids = tails[tail] = _tail_ids(tail, listed, interned)
             if ids and line.isascii():
+                # raw_decode skips decode's whitespace matches; a head that
+                # does not end at the closing brace takes the whole-line path.
+                text = head + "}"
                 try:
-                    head = _DECODER.decode(head + "}")
+                    head, end = _DECODER.raw_decode(text)
                 except ValueError:
-                    head = None
-                if type(head) is dict:
+                    head, end = None, 0
+                if type(head) is dict and end == len(text):
                     # A check that fails here fails on the whole line too,
                     # which then raises below.
                     for (name, ok, _), column in zip(scalars, columns):

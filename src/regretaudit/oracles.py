@@ -20,7 +20,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .core import PriceGrid, Transcript, draw
+from .core import PriceGrid, Transcript, draw, running_sums
 from .market import demand_table
 
 Numeric = Union[int, float, Fraction]
@@ -408,6 +408,6 @@ def sample_transcript(
     allocations off the ground truth; the audit-side view of a fixed
     environment."""
     rng = np.random.default_rng(seed)
-    posted = [draw(row, rng.random()) for row in distributions]
+    posted = [draw(running_sums(row), rng.random()) for row in distributions]
     alloc = [float(truth.row(t)[p]) for t, p in enumerate(posted)]
     return Transcript.from_rounds(grid, posted, alloc, distributions)

@@ -3,10 +3,11 @@
 Strategies: stateless Q-learning with an epsilon-greedy policy, a
 multiplicative-weights learner (full feedback, the canonical mean-based
 no-regret algorithm), fixed prices, and the two-phase manipulator schedule.
-A learner owns its state and updates it with a pure function over arrays
-(`q_step`, `mwu_step`). Each round the simulator records, per seller, the
-posted price, the observed allocation, and the price distribution it was
-drawn from, which is exactly what the audit consumes.
+A learner owns its state, a list of floats, and updates it with a pure
+function that returns a new list (`q_step`, `mwu_step`). Each round the
+simulator records, per seller, the posted price, the observed allocation,
+and the price distribution it was drawn from, which is exactly what the
+audit consumes.
 """
 
 from __future__ import annotations
@@ -18,12 +19,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import PriceGrid, Transcript, draw
+from .core import PriceGrid, Transcript, draw, running_sums
 from .market import demand_table
 
 # Probabilities at most this small are dropped from the emitted row; core
 # rejects probabilities under 1e-15, so the support must stay explicit.
 _MWU_SUPPORT_PRUNE = 1e-12
+
+# What a strategy's distribution() returns: a dense row over the grid and
+# the row's running_sums, which draw reads.
+Distribution = tuple[Sequence[float], tuple[list[float], int]]
 
 
 # ---------------------------------------------------------------------------
@@ -31,29 +36,30 @@ _MWU_SUPPORT_PRUNE = 1e-12
 # ---------------------------------------------------------------------------
 
 
-def optimistic_q_init(grid: PriceGrid, cost: float, discount: float) -> np.ndarray:
+def optimistic_q_init(grid: PriceGrid, cost: float, discount: float) -> list[float]:
     """Initialize every entry at the highest attainable continuation payoff."""
     top = (grid.max_level - cost) / (1.0 - discount)
-    return np.full(len(grid), top)
+    return [top] * len(grid)
 
 
 @lru_cache(maxsize=None)
-def greedy_distribution(k: int, explore_eps: float, argmax_index: int) -> np.ndarray:
-    """Epsilon-greedy row: explore uniformly with probability eps; eps 0 gives
-    the point mass. Cached and shared, so the row is read-only."""
+def greedy_distribution(k: int, explore_eps: float, argmax_index: int) -> Distribution:
+    """Epsilon-greedy row and its running_sums: explore uniformly with
+    probability eps; eps 0 gives the point mass. Cached and shared, so the
+    row is read-only and its running sums are added once."""
     row = np.full(k, explore_eps / k)
     row[argmax_index] += 1.0 - explore_eps
     row.flags.writeable = False
-    return row
+    return row, running_sums(row.tolist())
 
 
 def q_step(
-    q_values: np.ndarray, observed_utility: float, posted: int, learning_rate: float, discount: float
-) -> np.ndarray:
+    q_values: Sequence[float], observed_utility: float, posted: int, learning_rate: float, discount: float
+) -> list[float]:
     """One bandit update, returned as a new table: only the posted price's
     entry moves, bootstrapping from the prior-step table."""
-    q = q_values.copy()
-    target = observed_utility + discount * float(q.max())
+    q = list(q_values)
+    target = observed_utility + discount * max(q)
     q[posted] = (1.0 - learning_rate) * q[posted] + learning_rate * target
     return q
 
@@ -75,7 +81,7 @@ class QLearnerStrategy:
             raise ValueError("discount must be in [0, 1)")
         if not (0 <= explore_eps <= 1):
             raise ValueError("explore_eps must be in [0, 1]")
-        self.q_values = np.asarray(q_values, dtype=float)
+        self.q_values = np.asarray(q_values, dtype=float).tolist()
         self.learning_rate = learning_rate
         self.discount = discount
         self.explore_eps = explore_eps
@@ -87,14 +93,14 @@ class QLearnerStrategy:
         learner = QLearnerStrategy(np.zeros(len(grid)), **params)
         if init is None:
             init = optimistic_q_init(grid, cost, learner.discount)
-        learner.q_values = np.asarray(init, dtype=float)
+        learner.q_values = np.asarray(init, dtype=float).tolist()
         return learner
 
-    def distribution(self) -> np.ndarray:
+    def distribution(self) -> Distribution:
         q = self.q_values
-        return greedy_distribution(len(q), self.explore_eps, int(q.argmax()))
+        return greedy_distribution(len(q), self.explore_eps, q.index(max(q)))
 
-    def observe(self, posted: int, utility: float, utility_vector) -> None:
+    def observe(self, posted: int, utility: float, rewards) -> None:
         self.q_values = q_step(self.q_values, utility, posted, self.learning_rate, self.discount)
 
 
@@ -103,32 +109,39 @@ class QLearnerStrategy:
 # ---------------------------------------------------------------------------
 
 
-def mwu_distribution(cumulative_rewards, step_size: float) -> np.ndarray:
+def mwu_distribution(cumulative_rewards: Sequence[float], step_size: float) -> list[float]:
     """Weights (1 + step_size) ** cumulative reward, normalized, as a dense
-    row; probabilities at most 1e-12 are pruned and the rest renormalized."""
-    sigma = np.asarray(cumulative_rewards, dtype=float)
-    w = np.exp((sigma - sigma.max()) * math.log1p(step_size))
-    probs = w / w.sum()
-    keep = probs > _MWU_SUPPORT_PRUNE
-    # A running sum of the kept entries: np.sum adds in pairs from 8 entries
-    # up, and sum() of floats compensates from Python 3.12 on.
-    total = np.cumsum(probs[keep])[-1]
-    return np.where(keep, probs / total, 0.0)
+    row; probabilities at most 1e-12 are pruned and the rest renormalized.
+
+    The weights take one np.exp over the grid, and numpy sums them: it adds
+    in order below 8 entries and in pairs from 8 up. The rest is float
+    arithmetic."""
+    top = max(cumulative_rewards)
+    scale = math.log1p(step_size)
+    w = np.exp([(s - top) * scale for s in cumulative_rewards])
+    total = float(w.sum())
+    probs = [x / total for x in w.tolist()]
+    # A running sum of the kept entries; sum() of floats compensates from
+    # Python 3.12 on.
+    kept = 0.0
+    for p in probs:
+        if p > _MWU_SUPPORT_PRUNE:
+            kept += p
+    return [p / kept if p > _MWU_SUPPORT_PRUNE else 0.0 for p in probs]
 
 
-def mwu_step(cumulative_rewards, full_feedback_rewards: Sequence[float]) -> np.ndarray:
-    """Add one reward per price (each in [0, 1]), returned as a new array."""
-    r = np.asarray(full_feedback_rewards, dtype=float)
-    if r.min() < -1e-12 or r.max() > 1.0 + 1e-12:
+def mwu_step(cumulative_rewards: Sequence[float], full_feedback_rewards: Sequence[float]) -> list[float]:
+    """Add one reward per price (each in [0, 1]), returned as a new list."""
+    if min(full_feedback_rewards) < -1e-12 or max(full_feedback_rewards) > 1.0 + 1e-12:
         raise ValueError("rewards must lie in [0, 1] after normalization")
-    return cumulative_rewards + r
+    return [c + r for c, r in zip(cumulative_rewards, full_feedback_rewards)]
 
 
 class MWUStrategy:
     """Multiplicative weights: one cumulative reward per price.
 
-    Full feedback: consumes the whole utility vector, normalized to [0, 1]
-    by the reward bounds.
+    Full feedback: observes a reward for every price, the utility vector
+    mapped onto [0, 1] by `rewards`.
     """
 
     def __init__(self, cumulative_rewards, step_size: float, reward_lo: float, reward_hi: float):
@@ -136,7 +149,7 @@ class MWUStrategy:
             raise ValueError(f"step_size must be positive and finite, got {step_size}")
         if not -math.inf < reward_lo < reward_hi < math.inf:
             raise ValueError(f"reward bounds must be finite and satisfy lo < hi, got [{reward_lo}, {reward_hi}]")
-        self.cumulative_rewards = np.asarray(cumulative_rewards, dtype=float)
+        self.cumulative_rewards = np.asarray(cumulative_rewards, dtype=float).tolist()
         self.step_size = step_size
         self.reward_lo = reward_lo
         self.reward_hi = reward_hi
@@ -149,11 +162,12 @@ class MWUStrategy:
         """Utilities mapped onto [0, 1], elementwise, for any number of rounds."""
         return (np.asarray(utility_vectors, float) - self.reward_lo) / (self.reward_hi - self.reward_lo)
 
-    def distribution(self) -> np.ndarray:
-        return mwu_distribution(self.cumulative_rewards, self.step_size)
+    def distribution(self) -> Distribution:
+        row = mwu_distribution(self.cumulative_rewards, self.step_size)
+        return row, running_sums(row)
 
-    def observe(self, posted: int, utility: float, utility_vector) -> None:
-        self.cumulative_rewards = mwu_step(self.cumulative_rewards, self.rewards(utility_vector))
+    def observe(self, posted: int, utility: float, rewards: Sequence[float]) -> None:
+        self.cumulative_rewards = mwu_step(self.cumulative_rewards, rewards)
 
 
 def mean_based_gamma(step_size: float, horizon: int) -> float:
@@ -244,10 +258,10 @@ class FixedPriceStrategy:
         self.index = index
         self._row = greedy_distribution(k, 0.0, index)
 
-    def distribution(self) -> np.ndarray:
+    def distribution(self) -> Distribution:
         return self._row
 
-    def observe(self, posted: int, utility: float, utility_vector) -> None:
+    def observe(self, posted: int, utility: float, rewards) -> None:
         pass
 
 
@@ -265,10 +279,10 @@ class ManipulatorStrategy:
     def _level(self) -> float:
         return manipulator_next(self.schedule, self._round)
 
-    def distribution(self) -> np.ndarray:
+    def distribution(self) -> Distribution:
         return self._rows[self._level()]
 
-    def observe(self, posted: int, utility: float, utility_vector) -> None:
+    def observe(self, posted: int, utility: float, rewards) -> None:
         self._round += 1
 
 
@@ -333,14 +347,26 @@ def simulate(
     feedback_mode "expected" gives each seller the expected payoff
     (price - cost) * x of every price; "realized" draws the buyer's actual
     decision and gives indicator allocations. Deterministic given the seed.
+
+    A strategy's `distribution()` gives a Distribution;
+    `observe(posted, utility, rewards)` gets the full-feedback reward row
+    (the utility vector through `rewards`) if the strategy is a
+    multiplicative-weights learner, else None. Expected feedback reads every
+    round's payoffs and rewards from tables built once, as nested lists
+    indexed [opponent's price][own price].
     """
     if feedback_mode not in ("expected", "realized"):
         raise ValueError("feedback_mode must be 'expected' or 'realized'")
     lv = np.asarray(grid.levels)
     a1, a2, u1, u2 = payoff_tables(oracle, grid, costs)
-    alloc_tables = (a1, a2)
-    util_tables = (u1, u2)
-    action_u = (_stream(seed, 0).random(rounds), _stream(seed, 1).random(rounds))
+    alloc_rows = (a1.T.tolist(), a2.T.tolist())
+    util_rows = (u1.T.tolist(), u2.T.tolist())
+    full_feedback = [isinstance(strat, MWUStrategy) for strat in strategies]
+    reward_rows = [
+        strat.rewards(u.T).tolist() if full else None
+        for strat, u, full in zip(strategies, (u1, u2), full_feedback)
+    ]
+    action_u = (_stream(seed, 0).random(rounds).tolist(), _stream(seed, 1).random(rounds).tolist())
     realized = feedback_mode == "realized"
     if realized:
         buyer_u = _stream(seed, 2).random((rounds, 3))
@@ -354,33 +380,32 @@ def simulate(
     posteds = ([], [])
     allocs = ([], [])
     dists = ([], [])
-    payoffs = (np.empty(rounds), np.empty(rounds))
+    payoffs = ([], [])
 
     for t in range(rounds):
         current = [strat.distribution() for strat in strategies]
-        actions = [draw(row, action_u[i][t]) for i, row in enumerate(current)]
+        actions = [draw(sums, action_u[i][t]) for i, (_, sums) in enumerate(current)]
         if realized:
-            vecs = _realized_vectors(
-                oracle, lv, actions, buyer_u[t], diff_cells
-            )
+            vecs = _realized_vectors(oracle, lv, actions, buyer_u[t], diff_cells)
             util_vecs = [(lv - costs[i]) * vecs[i] for i in range(2)]
-        else:
-            vecs = [alloc_tables[i][:, actions[1 - i]] for i in range(2)]
-            util_vecs = [util_tables[i][:, actions[1 - i]] for i in range(2)]
         for i, strat in enumerate(strategies):
-            a = actions[i]
-            alloc = float(vecs[i][a])
-            util = float(util_vecs[i][a])
+            a, opp = actions[i], actions[1 - i]
+            if realized:
+                alloc, util = float(vecs[i][a]), float(util_vecs[i][a])
+                rewards = strat.rewards(util_vecs[i]).tolist() if full_feedback[i] else None
+            else:
+                alloc, util = alloc_rows[i][opp][a], util_rows[i][opp][a]
+                rewards = reward_rows[i][opp] if full_feedback[i] else None
             posteds[i].append(a)
             allocs[i].append(alloc)
-            dists[i].append(current[i])
-            payoffs[i][t] = util
-            strat.observe(a, util, util_vecs[i])
+            dists[i].append(current[i][0])
+            payoffs[i].append(util)
+            strat.observe(a, util, rewards)
 
     transcripts = tuple(
         Transcript.from_rounds(grid, posteds[i], allocs[i], dists[i]) for i in range(2)
     )
-    return SimulationResult(transcripts, payoffs)
+    return SimulationResult(transcripts, (np.array(payoffs[0]), np.array(payoffs[1])))
 
 
 def _realized_vectors(oracle, lv: np.ndarray, actions, draws, diff_cells):
@@ -429,7 +454,7 @@ def strategy_from_config(
         return QLearnerStrategy.standard(
             grid,
             cost,
-            init=None if init is None else np.full(len(grid), float(init)),
+            init=None if init is None else [float(init)] * len(grid),
             **{key: config[key] for key in keys if key in config},
         )
     if kind == "mwu":
@@ -451,5 +476,10 @@ def strategy_from_config(
             phase2_rounds=config.get("phase2_rounds", math.ceil(1.1 * phase1)),
             phase2_price=float(config.get("phase2_price", 3.0)),
         )
+        if schedule.total_rounds < rounds:
+            raise ValueError(
+                f"manipulator strategy: phase1_rounds + phase2_rounds = {schedule.total_rounds}"
+                f" is less than the {rounds} rounds to simulate"
+            )
         return ManipulatorStrategy(schedule, grid)
     raise ValueError(f"unknown strategy kind {kind!r}")

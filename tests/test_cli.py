@@ -170,7 +170,7 @@ class TestAuditCommand:
 
     def test_endogenous_discretization_loss(self, tmp_path, rng):
         grid = PriceGrid([0.2, 0.5, 0.6])
-        dist = greedy_distribution(3, 0.3, 1)
+        dist, _ = greedy_distribution(3, 0.3, 1)
         posted = sample_posted(rng, [dist] * 20)
         tr = transcript_from(grid, [dist] * 20, posted, [0.5] * 20)
         path = tmp_path / "endo.jsonl"
@@ -192,7 +192,7 @@ class TestAuditCommand:
 
     def test_endogenous_report_gap(self, tmp_path, rng, capsys):
         grid = PriceGrid([0.2, 0.5, 0.6])
-        dist = greedy_distribution(3, 0.3, 1)
+        dist, _ = greedy_distribution(3, 0.3, 1)
         posted = sample_posted(rng, [dist] * 20)
         tr = transcript_from(grid, [dist] * 20, posted, [0.5] * 20)
         path = tmp_path / "endo.jsonl"
@@ -489,6 +489,12 @@ class TestMalformedInputs:
             ("simulate", [], {"seed": 2**63}, "config key 'seed' must be an integer"),
             ("simulate", [], {"seed": -1}, "config key 'seed' must be at least 0"),
             ("simulate", ["--seed", "-1"], None, "config key 'seed' must be at least 0"),
+            ("simulate", [], {"strategies": [{"kind": "manipulator", "phase1_rounds": 5, "phase2_rounds": 5},
+                                             {"kind": "q"}], "rounds": 100},
+             "manipulator strategy: phase1_rounds + phase2_rounds = 10 is less than the 100 rounds to simulate"),
+            ("figures", [], {"strategies": [{"kind": "manipulator", "phase1_rounds": 5, "phase2_rounds": 5},
+                                            {"kind": "q"}], "rounds": 100},
+             "manipulator strategy: phase1_rounds + phase2_rounds = 10 is less than the 100 rounds to simulate"),
         ],
         ids=[
             "replications-0", "rounds-0", "rounds-negative", "unknown-key", "missing-key",
@@ -500,6 +506,7 @@ class TestMalformedInputs:
             "unknown-strategy-kind", "environment-kind-list", "grid-decreasing", "grid-empty",
             "h-huge-integer", "grid-huge-integer", "init-huge-integer", "audit-cost-huge-integer",
             "seed-above-64-bits", "seed-negative", "seed-flag-negative",
+            "manipulator-schedule-short", "manipulator-schedule-short-figures",
         ],
     )
     def test_experiment_config(self, tmp_path, capsys, command, flags, config, message):

@@ -18,6 +18,7 @@ from regretaudit.core import (
     loads_transcript,
     read_records,
     read_transcript,
+    running_sums,
     validate,
     validate_series,
     write_transcript,
@@ -310,6 +311,6 @@ class TestConfigTypes:
         # which here is not the top of the grid.
         dist = dense_row(4, (1, 2), (0.5, 0.5 - 2**-52))
         assert math.fsum(dist) == 1 - 2**-52
-        assert draw(dist, 0.25) == 1
-        assert draw(dist, 0.5) == 2
-        assert draw(dist, 1 - 2**-53) == 2
+        assert draw(running_sums(dist), 0.25) == 1
+        assert draw(running_sums(dist), 0.5) == 2
+        assert draw(running_sums(dist), 1 - 2**-53) == 2

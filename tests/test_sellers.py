@@ -6,7 +6,7 @@ from itertools import accumulate
 import numpy as np
 import pytest
 
-from regretaudit.core import PriceGrid, Transcript, dumps_transcript
+from regretaudit.core import PriceGrid, Transcript, dumps_transcript, running_sums
 from regretaudit.market import UniformDuopoly, demand_table, manipulation_valuation_table
 from regretaudit.sellers import (
     FixedPriceStrategy,
@@ -34,7 +34,7 @@ from conftest import sample_posted
 class TestQLearner:
     def test_full_overwrite(self):
         new = q_step(np.array([5.0, 5.0]), observed_utility=2.0, posted=0, learning_rate=1.0, discount=0.0)
-        assert new.tolist() == [2.0, 5.0]
+        assert new == [2.0, 5.0]
 
     def test_single_step_arithmetic(self):
         new = q_step(np.array([1.0, 3.0]), observed_utility=1.0, posted=0, learning_rate=0.5, discount=0.5)
@@ -48,18 +48,19 @@ class TestQLearner:
         assert new[2] == pytest.approx(0.75 * 4.0 + 0.25 * (0.5 + 0.8 * 9.0))
 
     def test_epsilon_greedy_distribution(self):
-        dist = greedy_distribution(19, 0.01, 3)
+        dist, sums = greedy_distribution(19, 0.01, 3)
         assert dist[3] == pytest.approx(0.99 + 0.01 / 19)
         assert np.count_nonzero(dist) == 19
         assert min(dist) == pytest.approx(0.01 / 19)
         assert sum(dist) == pytest.approx(1.0, abs=1e-12)
         assert not dist.flags.writeable  # cached and shared between rounds
-        assert greedy_distribution(4, 0.0, 2).tolist() == [0.0, 0.0, 1.0, 0.0]
+        assert sums == running_sums(dist.tolist())
+        assert greedy_distribution(4, 0.0, 2)[0].tolist() == [0.0, 0.0, 1.0, 0.0]
 
     def test_argmax_tie_breaks_low(self):
         learner = QLearnerStrategy(np.array([3.0, 3.0]), 0.5, 0.0, 0.2)
-        learner.observe(posted=1, utility=3.0, utility_vector=None)
-        dist = learner.distribution()
+        learner.observe(posted=1, utility=3.0, rewards=None)
+        dist, _ = learner.distribution()
         assert dist[0] > dist[1]
 
     def test_state_validation(self):
@@ -71,21 +72,21 @@ class TestQLearner:
     def test_optimistic_init(self):
         grid = PriceGrid([0.5, 0.95])
         q0 = optimistic_q_init(grid, cost=0.1, discount=0.99)
-        assert q0.tolist() == pytest.approx([85.0, 85.0])
+        assert q0 == pytest.approx([85.0, 85.0])
 
     def test_standard_starts_optimistic_with_constructor_defaults(self):
         grid = PriceGrid([0.5, 0.95])
         learner = QLearnerStrategy.standard(grid, 0.1)
-        assert learner.q_values.tolist() == optimistic_q_init(grid, 0.1, 0.99).tolist()
+        assert learner.q_values == optimistic_q_init(grid, 0.1, 0.99)
         assert (learner.learning_rate, learner.discount, learner.explore_eps) == (0.05, 0.99, 0.01)
         learner = QLearnerStrategy.standard(grid, 0.1, discount=0.5, init=np.array([1.0, 2.0]))
-        assert learner.q_values.tolist() == [1.0, 2.0] and learner.discount == 0.5
+        assert learner.q_values == [1.0, 2.0] and learner.discount == 0.5
 
 
 class TestMWU:
     def test_uniform_rewards_keep_uniform_distribution(self):
         dist = mwu_distribution(mwu_step(np.zeros(3), [0.5, 0.5, 0.5]), 0.1)
-        assert dist.tolist() == pytest.approx((1 / 3, 1 / 3, 1 / 3))
+        assert dist == pytest.approx((1 / 3, 1 / 3, 1 / 3))
 
     def test_weight_ratio_follows_cumulative_gap(self):
         dist = mwu_distribution(np.array([2.0, 5.0]), 0.1)
@@ -104,7 +105,7 @@ class TestMWU:
         for _ in range(500):
             cumulative = mwu_step(cumulative, rng.random(4))
             cur = mwu_distribution(cumulative, 0.05)
-            assert np.abs(cur - prev).max() <= 0.05 + 1e-12
+            assert np.abs(np.subtract(cur, prev)).max() <= 0.05 + 1e-12
             prev = cur
 
     def test_mean_based_violation_definition(self):
@@ -134,7 +135,7 @@ class TestMWU:
         violations = 0
         for _ in range(horizon):
             dist = mwu_distribution(cumulative, eta)
-            [posted] = sample_posted(rng, [dist])
+            [posted] = sample_posted(rng, [np.array(dist)])
             violations += is_mean_based_violation(cumulative, dist, posted, gamma, horizon)
             cumulative = mwu_step(cumulative, rng.random(3))
         assert violations == 0
@@ -149,7 +150,7 @@ class TestLearnerState:
         rewards = np.array([0.25, 0.75])
         new_cumulative = mwu_step(cumulative, rewards)
         assert cumulative.tolist() == [1.0, 2.0] and rewards.tolist() == [0.25, 0.75]
-        assert new_cumulative.tolist() == [1.25, 2.75]
+        assert new_cumulative == [1.25, 2.75]
 
     def test_bad_parameter_fails_at_construction(self):
         with pytest.raises(ValueError, match="explore_eps"):
