@@ -195,6 +195,20 @@ class TestPersistence:
             loads_transcript(text)
         assert err.value.line_no == 2
 
+    def test_cached_head_is_read_only_when_it_is_one_object(self):
+        # From its second sighting on, a line's tail is cached and only its
+        # head is decoded. A head whose object closes before the tail is bad
+        # JSON as a whole line; a head with space before its object is read
+        # whole, and accepted.
+        good = HEADER + record_line(1) + record_line(2)
+        tail = ', "support": [0], "probs": [1.0]}\n'
+        spaced = good + '  {"t": 3, "posted": 0, "alloc": 0.5 ' + tail
+        assert loads_transcript(spaced) == loads_transcript(good + record_line(3))
+        closed = good + '{"t": 3, "posted": 0, "alloc": 0.5} ' + tail
+        with pytest.raises(TranscriptParseError) as err:
+            loads_transcript(closed)
+        assert err.value.line_no == 4
+
     def test_missing_header(self):
         with pytest.raises(TranscriptParseError):
             loads_transcript("")

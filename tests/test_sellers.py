@@ -566,6 +566,14 @@ def reference_simulate(grid, strategies, oracle, costs, rounds, feedback_mode, s
     return posteds, allocs, dists, payoffs
 
 
+def mwu_spec(step_size):
+    return {"kind": "mwu", "step_size": step_size}
+
+
+def q_spec(explore_eps):
+    return {"kind": "q", "explore_eps": explore_eps}
+
+
 class TestArrayLoopReference:
     """`simulate` against the per-round array loop: transcripts and payoffs
     equal bit for bit. MWU runs depend on np.exp, so they are pinned to the
@@ -575,16 +583,16 @@ class TestArrayLoopReference:
     DUOPOLY = PriceGrid([round(0.05 * i, 2) for i in range(1, 20)])
     CASES = {
         # name: (market, strategy configs, rounds, feedback)
-        "mwu-mwu-table-expected": ("table", ({"kind": "mwu", "step_size": 0.3}, {"kind": "mwu", "step_size": 2.0}), 400, "expected"),
-        "mwu-mwu-table-realized": ("table", ({"kind": "mwu", "step_size": 0.3}, {"kind": "mwu", "step_size": 2.0}), 400, "realized"),
-        "mwu-mwu-duopoly": ("duopoly", ({"kind": "mwu", "step_size": 0.5}, {"kind": "mwu", "step_size": 0.05}), 300, "expected"),
-        "mwu-mwu-duopoly-realized": ("duopoly", ({"kind": "mwu", "step_size": 0.5}, {"kind": "mwu", "step_size": 0.05}), 300, "realized"),
-        "manipulator-mwu": ("table", ({"kind": "manipulator"}, {"kind": "mwu", "step_size": 2.0}), 420, "expected"),
-        "fixed-mwu": ("table", ({"kind": "fixed", "price": 2.0}, {"kind": "mwu", "step_size": 0.5}), 300, "expected"),
-        "q-q-eps0": ("duopoly", ({"kind": "q", "explore_eps": 0.0}, {"kind": "q", "explore_eps": 0.0}), 400, "expected"),
-        "q-q-eps0.01": ("duopoly", ({"kind": "q", "explore_eps": 0.01}, {"kind": "q", "explore_eps": 0.01}), 400, "expected"),
-        "q-q-eps1": ("duopoly", ({"kind": "q", "explore_eps": 1.0}, {"kind": "q", "explore_eps": 1.0}), 400, "expected"),
-        "q-q-realized": ("duopoly", ({"kind": "q"}, {"kind": "q", "explore_eps": 0.05}), 400, "realized"),
+        "mwu-mwu-table-expected": ("table", (mwu_spec(0.3), mwu_spec(2.0)), 400, "expected"),
+        "mwu-mwu-table-realized": ("table", (mwu_spec(0.3), mwu_spec(2.0)), 400, "realized"),
+        "mwu-mwu-duopoly": ("duopoly", (mwu_spec(0.5), mwu_spec(0.05)), 300, "expected"),
+        "mwu-mwu-duopoly-realized": ("duopoly", (mwu_spec(0.5), mwu_spec(0.05)), 300, "realized"),
+        "manipulator-mwu": ("table", ({"kind": "manipulator"}, mwu_spec(2.0)), 420, "expected"),
+        "fixed-mwu": ("table", ({"kind": "fixed", "price": 2.0}, mwu_spec(0.5)), 300, "expected"),
+        "q-q-eps0": ("duopoly", (q_spec(0.0), q_spec(0.0)), 400, "expected"),
+        "q-q-eps0.01": ("duopoly", (q_spec(0.01), q_spec(0.01)), 400, "expected"),
+        "q-q-eps1": ("duopoly", (q_spec(1.0), q_spec(1.0)), 400, "expected"),
+        "q-q-realized": ("duopoly", (q_spec(0.01), q_spec(0.05)), 400, "realized"),
     }
 
     def environment(self, market):
@@ -599,7 +607,9 @@ class TestArrayLoopReference:
         grid, env, costs = self.environment(market)
 
         def strategies():
-            return tuple(strategy_from_config(spec, grid, env, costs, i, rounds, feedback) for i, spec in enumerate(specs))
+            return tuple(
+                strategy_from_config(spec, grid, env, costs, i, rounds, feedback) for i, spec in enumerate(specs)
+            )
 
         result = simulate(grid, strategies(), env, costs, rounds, feedback, seed=seed)
         posteds, allocs, dists, payoffs = reference_simulate(grid, strategies(), env, costs, rounds, feedback, seed)
