@@ -50,18 +50,9 @@ from .market import (
 )
 from .oracles import (
     GroundTruth,
-    SwapMap,
     best_in_hindsight_regret,
-    brute_force_estimator_expectation,
-    brute_force_realized_average,
-    calibrated_regret_of_swap,
-    indistinguishable_ground_truths,
     materialize_truth,
-    pessimistic_allocation,
-    reduction_estimate,
-    sample_transcript,
     true_calibrated_regret,
-    true_pessimistic_regret,
 )
 from .sellers import (
     ManipulatorSchedule,

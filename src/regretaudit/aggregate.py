@@ -195,58 +195,6 @@ def _estimated_table(freqs: np.ndarray, posted: np.ndarray, rho_prime: float) ->
     return np.where(keep, freqs, 0.0) / totals[:, None]
 
 
-def drift_horizon_floor(gamma: float, k: int, delta: float) -> float:
-    """Numerical solution of the horizon below which the drift-rate argument
-    cannot even separate estimation error from the logarithmic slack: the
-    supremum of t with t ** (gamma / 2) <= log(8 t k^3 / delta)."""
-
-    def g(t: float) -> float:
-        return t ** (gamma / 2.0) - math.log(8.0 * t * k**3 / delta)
-
-    hi = 2.0
-    while g(hi) <= 0:
-        hi *= 2.0
-        if hi > 1e300:
-            return math.inf
-    lo = hi / 2.0
-    if g(lo) > 0 and lo <= 2.0:
-        return 0.0
-    for _ in range(200):
-        mid = (lo + hi) / 2.0
-        if g(mid) <= 0:
-            lo = mid
-        else:
-            hi = mid
-    return hi
-
-
-def minimum_rounds_for_aggregated_audit(
-    gamma: float,
-    support_floor: float,
-    k: int,
-    p_bar: float,
-    r: float,
-    delta: float,
-) -> float:
-    """Horizon sufficient for the aggregated audit's two-sided guarantee.
-
-    Deliberately conservative; intended as a diagnostic, not a gate.
-    """
-    t0 = drift_horizon_floor(gamma, k, delta)
-    term2 = (4.0 * (8.0 * p_bar * k + r * support_floor) ** 3 / (r**3 * support_floor**6)) ** (
-        2.0 / gamma
-    )
-    term3 = (
-        (16.0 * k * k / (r * r))
-        * math.log(8.0 * k * k / delta)
-        * (1.0 / support_floor + 1.0) ** 2
-        * p_bar
-        * p_bar
-    )
-    term4 = (4.0 / support_floor**3) ** (2.0 / gamma)
-    return max(t0, term2, term3, term4) + 1.0
-
-
 def read_price_series(source: Union[str, IO[str]]):
     """Read a reduced transcript (records may lack support/probs fields).
 

@@ -93,7 +93,8 @@ def _check_spec(spec: dict, what: str) -> None:
 class ExperimentConfig:
     """One simulation experiment: environment, two strategies, horizon,
     replications. Checked at construction, so build changed copies with
-    dataclasses.replace."""
+    dataclasses.replace. The audit block's cost range, 0.1 to 0.9 unless
+    set, is kept as cost_range."""
 
     environment: dict
     strategies: list[dict]
@@ -116,6 +117,11 @@ class ExperimentConfig:
         for spec in self.strategies:
             _check_spec(spec, "strategy")
         check_keys(self.audit, _AUDIT_KEYS, "audit")
+        audit = {"cost_lo": 0.1, "cost_hi": 0.9, **self.audit}
+        try:
+            self.cost_range = CostRange(audit["cost_lo"], audit["cost_hi"])
+        except ValueError as e:
+            raise ValueError(f"config key 'audit': {e}") from None
 
     @staticmethod
     def from_json(path: str) -> "ExperimentConfig":
@@ -205,10 +211,11 @@ def run_replication(config: ExperimentConfig, replication: int):
 
 def cmd_simulate(args) -> int:
     config = _config_from_args(args)
-    os.makedirs(config.out, exist_ok=True)
     payoff_rows = []
     for rep in range(config.replications):
         grid, oracle, costs, result = run_replication(config, rep)
+        # Only after the strategies are built: a rejected config leaves no directory.
+        os.makedirs(config.out, exist_ok=True)
         for i, transcript in enumerate(result.transcripts):
             path = os.path.join(config.out, f"transcript_rep{rep}_seller{i + 1}.jsonl")
             write_transcript(transcript, path)
@@ -259,12 +266,22 @@ def _check_sweep_points(points: int) -> None:
 
 def cmd_audit(args) -> int:
     _check_sweep_points(args.sweep_points)
+    if args.truth and not args.sweep:
+        raise ValueError(f"--truth {args.truth} needs --sweep, whose CSV holds the true regret")
     config = _audit_config_from_args(args)
     transcript = read_transcript(args.transcript)
     if args.h is not None:
         grid = _checked_grid(transcript.grid.levels, args.h, f"--h {args.h:g}")
         transcript = replace(transcript, grid=grid)
-    truth = figures.read_truth(args.truth) if args.sweep and args.truth else None
+    truth = None
+    if args.truth:
+        truth = figures.read_truth(args.truth)
+        if truth.levels != transcript.grid.levels:
+            raise ValueError(
+                f"--truth grid {list(truth.levels)} differs from the transcript's {list(transcript.grid.levels)}"
+            )
+        if truth.rounds != len(transcript):
+            raise ValueError(f"--truth has {truth.rounds} rounds, the transcript {len(transcript)}")
     report = audit(transcript, config)
     print(report.to_json(indent=2))
     if args.sweep:
@@ -292,9 +309,9 @@ def cmd_audit_aggregated(args) -> int:
 def cmd_figures(args) -> int:
     _check_sweep_points(args.sweep_points)
     config = _config_from_args(args)
-    os.makedirs(config.out, exist_ok=True)
     grid, oracle, costs = build_environment(config.environment)
     results = [run_replication(config, rep)[3] for rep in range(config.replications)]
+    os.makedirs(config.out, exist_ok=True)
     levels = grid.levels
 
     # Strategy-pair heatmap over the last 10 rounds of every replication.
@@ -322,8 +339,7 @@ def cmd_figures(args) -> int:
 
     # Estimated and true regret against the assumed cost, first replication.
     first = results[0]
-    audit_cfg = config.audit or {"cost_lo": 0.1, "cost_hi": 0.9}
-    lo, hi = audit_cfg.get("cost_lo", 0.1), audit_cfg.get("cost_hi", 0.9)
+    lo, hi = config.cost_range.lo, config.cost_range.hi
     curve = regret_curve(first.transcripts[0])
     truth = materialize_truth(oracle, levels, first.transcripts[1].posted, 0)
     dists = first.transcripts[0].dists()
@@ -349,7 +365,7 @@ def cmd_figures(args) -> int:
 
     # True regret at the true and plausible costs across horizons.
     c_true = costs[0]
-    c_plausible, _ = minimize_over_cost(curve, CostRange(lo, hi))
+    c_plausible, _ = minimize_over_cost(curve, config.cost_range)
     horizons = figures.log_spaced_horizons(config.rounds)
     hrows = figures.horizon_rows(first.transcripts[0], truth, [c_true, c_plausible], horizons)
     figures.write_csv(

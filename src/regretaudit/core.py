@@ -9,7 +9,6 @@ per round.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import re
@@ -370,12 +369,6 @@ def write_transcript(transcript: Transcript, sink: Union[str, IO[str]]) -> None:
     write_records(sink, transcript.grid, lines)
 
 
-def dumps_transcript(transcript: Transcript) -> str:
-    buf = io.StringIO()
-    write_transcript(transcript, buf)
-    return buf.getvalue()
-
-
 def _reject_constant(name: str):
     raise ValueError(f"{name} is not a number")
 
@@ -634,6 +627,3 @@ def read_transcript(source: Union[str, IO[str]]) -> Transcript:
     raise_violations(validate(transcript), lines)
     return transcript
 
-
-def loads_transcript(text: str) -> Transcript:
-    return read_transcript(io.StringIO(text))

@@ -1,10 +1,7 @@
 """Ground-truth quantities the auditor never sees.
 
-These back the simulator and the test suites: exact calibrated regret, the
-regret-maximizing completion of partially observed demand, best-in-hindsight
-regret, the reduction from threshold audits to a regret estimator, and
-brute-force expectations of the audit estimator on instances small enough to
-enumerate every realization path.
+These back the simulator and the test suites: exact calibrated regret and
+best-in-hindsight regret.
 
 Exact paths run on fractions.Fraction; floats are converted exactly (every
 float is a dyadic rational), so equality assertions are meaningful.
@@ -12,15 +9,13 @@ float is a dyadic rational), so equality assertions are meaningful.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
-from .core import PriceGrid, Transcript, draw, running_sums
 from .market import demand_table
 
 Numeric = Union[int, float, Fraction]
@@ -43,20 +38,11 @@ class GroundTruth:
     def as_array(self) -> np.ndarray:
         return np.asarray(self.values, dtype=float)
 
-
-@dataclass(frozen=True)
-class SwapMap:
-    """A total remapping of grid indices: sigma[p] is the replacement for p."""
-
-    sigma: tuple[int, ...]
-
-    def __post_init__(self):
-        k = len(self.sigma)
-        if any(not (0 <= q < k) for q in self.sigma):
-            raise ValueError("swap map must be total on the grid")
-
-    def __call__(self, p: int) -> int:
-        return self.sigma[p]
+    @property
+    def exact(self) -> bool:
+        """Whether work on this truth is exact: its values are not a float array."""
+        values = self.values
+        return not (isinstance(values, np.ndarray) and values.dtype != object)
 
 
 def materialize_truth(oracle, levels: Sequence[Numeric], opponent_indices: Sequence[int], seller: int) -> GroundTruth:
@@ -86,10 +72,6 @@ def _sparse_rows(distributions):
         yield [(i, p) for i, p in enumerate(row) if p > 0]
 
 
-def _sparse_dists(distributions) -> list[list[tuple[int, Fraction]]]:
-    return [[(i, Fraction(p)) for i, p in row] for row in _sparse_rows(distributions)]
-
-
 def _exact_sum(values) -> Fraction:
     """Exact sum, as integers over the least common denominator (a power of
     two when every value is a float)."""
@@ -99,30 +81,13 @@ def _exact_sum(values) -> Fraction:
 
 
 def _wants_exact(truth: GroundTruth, costs: Sequence[Numeric] = ()) -> bool:
-    """Exact work for a truth that is not a float array, or for a Fraction cost."""
-    if any(isinstance(c, Fraction) for c in costs):
-        return True
-    values = truth.values
-    return not (isinstance(values, np.ndarray) and values.dtype != object)
+    """Exact work for an exact truth, or for a Fraction cost."""
+    return truth.exact or any(isinstance(c, Fraction) for c in costs)
 
 
 # ---------------------------------------------------------------------------
 # Calibrated regret
 # ---------------------------------------------------------------------------
-
-
-def calibrated_regret_of_swap(distributions, truth: GroundTruth, cost: Numeric, swap: SwapMap) -> Numeric:
-    """Average benefit of rerouting every posted price p to swap(p)."""
-    sparse = _sparse_dists(distributions)
-    c = Fraction(cost)
-    levels = [Fraction(v) for v in truth.levels]
-    total = Fraction(0)
-    for t, row in enumerate(sparse):
-        x = truth.row(t)
-        for p, prob in row:
-            q = swap(p)
-            total += prob * ((levels[q] - c) * Fraction(x[q]) - (levels[p] - c) * Fraction(x[p]))
-    return total / len(sparse)
 
 
 def _exact_pair_sums(distributions, truth: GroundTruth) -> tuple[list[list[Fraction]], int]:
@@ -184,38 +149,6 @@ def true_calibrated_regret(distributions, truth: GroundTruth, cost: Union[Numeri
     return regrets[0] if np.ndim(cost) == 0 else regrets
 
 
-def pessimistic_allocation(truth: GroundTruth, distributions) -> GroundTruth:
-    """The regret-maximizing completion of the ground truth off the supports.
-
-    Supported prices keep their true allocation; an unsupported price copies
-    the nearest supported lower price, or 1 when every supported price lies
-    above it.
-    """
-    k = len(truth.levels)
-    sparse = _sparse_dists(distributions)
-    exact = _wants_exact(truth)
-    rows = []
-    for t, row in enumerate(sparse):
-        supported = {i for i, _ in row}
-        x = truth.row(t)
-        out = []
-        carry = 1 if exact else 1.0
-        for p in range(k):
-            if p in supported:
-                carry = x[p]
-            out.append(carry)
-        rows.append(tuple(out))
-    if exact:
-        return GroundTruth(truth.levels, tuple(rows))
-    return GroundTruth(truth.levels, np.asarray(rows, dtype=float))
-
-
-def true_pessimistic_regret(truth: GroundTruth, distributions, cost: Numeric) -> Numeric:
-    """Calibrated regret of the pessimistic completion: the supremum over all
-    ground truths indistinguishable from the observed data."""
-    return true_calibrated_regret(distributions, pessimistic_allocation(truth, distributions), cost)
-
-
 def best_in_hindsight_regret(counterfactual_utilities, realized_utilities) -> float:
     """Per-round gap to the best single fixed price in hindsight.
 
@@ -227,187 +160,3 @@ def best_in_hindsight_regret(counterfactual_utilities, realized_utilities) -> fl
     T = u.shape[0]
     return float((u.sum(axis=0).max() - realized.sum()) / T)
 
-
-# ---------------------------------------------------------------------------
-# Reduction: threshold audits -> regret estimate
-# ---------------------------------------------------------------------------
-
-
-def reduction_estimate(
-    auditor: Callable[[float], str],
-    epsilon: float,
-    p_bar: float,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Estimate the regret of a fixed transcript from a black-box threshold auditor.
-
-    Runs p_bar/epsilon audits at thresholds epsilon, 2*epsilon, ..., p_bar.
-    An S answer at threshold r confines the regret to [0, r], a G answer to
-    [r + epsilon, p_bar]. If the intersection of all returned intervals has
-    length at most epsilon its midpoint is returned; otherwise (including a
-    contradictory, empty intersection) a uniform random guess in [0, p_bar].
-    """
-    if rng is None:
-        rng = np.random.default_rng()
-    n_audits = int(round(p_bar / epsilon))
-    lo, hi = 0.0, p_bar
-    for i in range(1, n_audits + 1):
-        r = i * epsilon
-        answer = auditor(r)
-        if answer == "S":
-            hi = min(hi, r)
-        elif answer == "G":
-            lo = max(lo, r + epsilon)
-        else:
-            raise ValueError(f"auditor must answer 'S' or 'G', got {answer!r}")
-    if lo <= hi and hi - lo <= epsilon:
-        return (lo + hi) / 2.0
-    return float(rng.uniform(0.0, p_bar))
-
-
-# ---------------------------------------------------------------------------
-# Brute-force expectations over all realization paths
-# ---------------------------------------------------------------------------
-
-_MAX_PATHS = 100_000
-
-
-def _estimator_fill(xhat_supported: dict[int, Fraction], supported: set[int], k: int) -> list[Fraction]:
-    """The audit estimator's per-round table for one realization, exact."""
-    out = []
-    carry = Fraction(1)
-    for p in range(k):
-        if p in supported:
-            carry = xhat_supported.get(p, Fraction(0))
-        out.append(carry)
-    return out
-
-
-def _enumerate_paths(distributions, truth: GroundTruth):
-    """Yield (path probability, per-round exact estimator tables)."""
-    k = len(truth.levels)
-    sparse = _sparse_dists(distributions)
-    total_paths = 1
-    for row in sparse:
-        total_paths *= len(row)
-        if total_paths > _MAX_PATHS:
-            raise ValueError("instance too large to enumerate realization paths")
-    per_round_choices = []
-    for t, row in enumerate(sparse):
-        supported = {i for i, _ in row}
-        x = [Fraction(v) for v in truth.row(t)]
-        choices = []
-        for posted, prob in row:
-            table = _estimator_fill({posted: x[posted] / prob}, supported, k)
-            choices.append((prob, table))
-        per_round_choices.append(choices)
-    for combo in itertools.product(*per_round_choices):
-        path_prob = Fraction(1)
-        for prob, _ in combo:
-            path_prob *= prob
-        yield path_prob, [table for _, table in combo]
-
-
-def _pairwise_terms(distributions, tables, levels, cost: Fraction):
-    """Substitution-benefit matrix of the estimator for one realization path."""
-    k = len(levels)
-    sparse = _sparse_dists(distributions)
-    T = len(sparse)
-    r = [[Fraction(0)] * k for _ in range(k)]
-    for t, row in enumerate(sparse):
-        xhat = tables[t]
-        for p, prob in row:
-            for q in range(k):
-                r[p][q] += prob * ((levels[q] - cost) * xhat[q] - (levels[p] - cost) * xhat[p])
-    return [[v / T for v in row] for row in r]
-
-
-def brute_force_estimator_expectation(distributions, truth: GroundTruth, cost: Numeric) -> Fraction:
-    """Exact expectation of the audit estimator over every realization path.
-
-    The expectation is taken where the estimator is linear in the data: on
-    the per-pair substitution benefits. The convex assembly (sum over p of
-    the best substitution) is then applied to the expected terms, which is
-    the quantity the concentration analysis centers the estimator on. See
-    brute_force_realized_average for the path average of the assembled value.
-    """
-    k = len(truth.levels)
-    levels = [Fraction(v) for v in truth.levels]
-    cost = Fraction(cost)
-    expected = [[Fraction(0)] * k for _ in range(k)]
-    for path_prob, tables in _enumerate_paths(distributions, truth):
-        r = _pairwise_terms(distributions, tables, levels, cost)
-        for p in range(k):
-            for q in range(k):
-                expected[p][q] += path_prob * r[p][q]
-    return sum(max(expected[p][q] for q in range(k)) for p in range(k))
-
-
-def brute_force_realized_average(distributions, truth: GroundTruth, cost: Numeric) -> Fraction:
-    """Probability-weighted average of the fully assembled estimate per path.
-
-    Averaging after the max is at least brute_force_estimator_expectation
-    (convexity of the max), strictly so on generic instances.
-    """
-    k = len(truth.levels)
-    levels = [Fraction(v) for v in truth.levels]
-    cost = Fraction(cost)
-    total = Fraction(0)
-    for path_prob, tables in _enumerate_paths(distributions, truth):
-        r = _pairwise_terms(distributions, tables, levels, cost)
-        total += path_prob * sum(max(r[p][q] for q in range(k)) for p in range(k))
-    return total
-
-
-# ---------------------------------------------------------------------------
-# Indistinguishable ground truths and transcript sampling
-# ---------------------------------------------------------------------------
-
-
-def indistinguishable_ground_truths(
-    levels: Sequence[Numeric] = (1, 2, 3),
-    a: Numeric = 1,
-    rounds: int = 8,
-    mode: str = "uniform",
-) -> tuple[list[np.ndarray], GroundTruth, GroundTruth]:
-    """Two ground truths that no transcript can tell apart.
-
-    Every round's distribution avoids the top price. Both truths allocate
-    `a` at every lower price; they disagree only at the top price (0 versus
-    a), which is never posted, so sampled transcripts coincide while the
-    calibrated regrets differ by a * (top level - second level).
-
-    mode "uniform" spreads each round's distribution over all lower prices;
-    mode "point" posts the second-highest price deterministically.
-    """
-    k = len(levels)
-    if k < 2:
-        raise ValueError("need at least two price levels")
-    row = np.zeros(k)
-    if mode == "uniform":
-        row[: k - 1] = 1.0 / (k - 1)
-    elif mode == "point":
-        row[k - 2] = 1.0
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    distributions = [row] * rounds
-    a = Fraction(a)
-    low = tuple(tuple([a] * (k - 1) + [Fraction(0)]) for _ in range(rounds))
-    high = tuple(tuple([a] * (k - 1) + [a]) for _ in range(rounds))
-    lv = tuple(Fraction(v) for v in levels)
-    return distributions, GroundTruth(lv, low), GroundTruth(lv, high)
-
-
-def sample_transcript(
-    grid: PriceGrid,
-    distributions: Sequence[np.ndarray],
-    truth: GroundTruth,
-    seed: int,
-) -> Transcript:
-    """Draw posted prices from the given schedule of dense rows and read
-    allocations off the ground truth; the audit-side view of a fixed
-    environment."""
-    rng = np.random.default_rng(seed)
-    posted = [draw(running_sums(row), rng.random()) for row in distributions]
-    alloc = [float(truth.row(t)[p]) for t, p in enumerate(posted)]
-    return Transcript.from_rounds(grid, posted, alloc, distributions)

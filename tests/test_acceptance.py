@@ -42,17 +42,7 @@ from regretaudit.market import (
     manipulation_valuation_table,
     uniform_demand,
 )
-from regretaudit.oracles import (
-    GroundTruth,
-    best_in_hindsight_regret,
-    brute_force_estimator_expectation,
-    indistinguishable_ground_truths,
-    materialize_truth,
-    reduction_estimate,
-    sample_transcript,
-    true_calibrated_regret,
-    true_pessimistic_regret,
-)
+from regretaudit.oracles import GroundTruth, best_in_hindsight_regret, materialize_truth, true_calibrated_regret
 from regretaudit.sellers import (
     ManipulatorSchedule,
     ManipulatorStrategy,
@@ -63,6 +53,13 @@ from regretaudit.sellers import (
 )
 
 from conftest import dense_row, random_instance, transcript_from
+from witnesses import (
+    brute_force_estimator_expectation,
+    indistinguishable_ground_truths,
+    reduction_estimate,
+    sample_transcript,
+    true_pessimistic_regret,
+)
 
 F = Fraction
 

@@ -9,9 +9,7 @@ from regretaudit.aggregate import (
     InsufficientData,
     aggregated_error_margin,
     audit_aggregated,
-    drift_horizon_floor,
     estimate_distributions,
-    minimum_rounds_for_aggregated_audit,
     read_price_series,
 )
 from regretaudit.audit import audit
@@ -20,12 +18,12 @@ from regretaudit.core import (
     CostRange,
     PriceGrid,
     TranscriptParseError,
-    dumps_transcript,
 )
 from regretaudit.market import manipulation_valuation_table
 from regretaudit.sellers import FixedPriceStrategy, MWUStrategy, reward_bounds, simulate
 
 from conftest import transcript_from
+from witnesses import drift_horizon_floor, dumps_transcript, minimum_rounds_for_aggregated_audit
 
 
 class TestEstimateDistributions:

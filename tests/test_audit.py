@@ -21,9 +21,10 @@ from regretaudit.core import (
     PriceGrid,
     Transcript,
 )
-from regretaudit.oracles import GroundTruth, pessimistic_allocation, true_pessimistic_regret
+from regretaudit.oracles import GroundTruth
 
 from conftest import dense_row, dyadic_distribution, random_instance, sample_posted, transcript_from
+from witnesses import pessimistic_allocation, true_pessimistic_regret
 
 F = Fraction
 

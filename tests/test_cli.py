@@ -633,6 +633,59 @@ class TestMalformedInputs:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and message in captured.err
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"strategies": [{"kind": "manipulator", "phase1_rounds": 5, "phase2_rounds": 6}, {"kind": "q"}],
+              "rounds": 100},
+             "manipulator strategy: phase1_rounds + phase2_rounds = 11 is less than the 100 rounds to simulate"),
+            ({"audit": {"cost_lo": 0.9, "cost_hi": 0.1}},
+             "config key 'audit': cost range requires 0 <= lo <= hi, got [0.9, 0.1]"),
+            ({"audit": {"cost_lo": -5}}, "config key 'audit': cost range requires 0 <= lo <= hi, got [-5, 0.9]"),
+        ],
+        ids=["manipulator-schedule-short", "audit-cost-reversed", "audit-cost-negative"],
+    )
+    @pytest.mark.parametrize("command", ["simulate", "figures"])
+    def test_rejected_config_leaves_no_output(self, tmp_path, capsys, command, config, message):
+        out = tmp_path / "out"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**self.CONFIG, **config}))
+        code = main([command, "--config", str(path), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "levels, rounds, sweep, message",
+        [
+            ("[0.4, 0.9]", 5, True, "--truth grid [0.4, 0.9] differs from the transcript's [0.4, 0.8]"),
+            ("[0.4, 0.8]", 4, True, "--truth has 4 rounds, the transcript 5"),
+            (None, 0, False, "needs --sweep"),
+        ],
+        ids=["other-grid", "fewer-rounds", "no-sweep-missing-file"],
+    )
+    def test_truth_sidecar_against_transcript(self, tmp_path, rng, capsys, levels, rounds, sweep, message):
+        # Checked before the audit: no report is printed.
+        path = tmp_path / "t.jsonl"
+        write_best_responder_transcript(path, rng, rounds=5)
+        truth = tmp_path / "truth.jsonl"
+        if levels is not None:
+            lines = [f'{{"grid": {levels}, "continuum_upper": null}}']
+            lines += [f'{{"t": {t}, "x": [1.0, 0.55]}}' for t in range(1, rounds + 1)]
+            truth.write_text("\n".join(lines) + "\n")
+        sweep_path = tmp_path / "sweep.csv"
+        flags = ["--sweep", str(sweep_path)] if sweep else []
+        code = main(["audit", str(path), *self.AUDIT_FLAGS, *flags, "--truth", str(truth)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.err.count("\n") == 1
+        assert not sweep_path.exists()
+
+
 class TestFiguresCommand:
     def test_emits_csv_and_self_contained_svg(self, tmp_path):
         out = tmp_path / "figs"

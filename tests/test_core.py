@@ -14,8 +14,6 @@ from regretaudit.core import (
     TranscriptValidationError,
     Violation,
     draw,
-    dumps_transcript,
-    loads_transcript,
     read_records,
     read_transcript,
     running_sums,
@@ -25,6 +23,7 @@ from regretaudit.core import (
 )
 
 from conftest import dense_row, dyadic_distribution, transcript_from
+from witnesses import dumps_transcript, loads_transcript
 
 
 HEADER = '{"grid": [1.0, 2.0], "continuum_upper": null}\n'

@@ -20,8 +20,10 @@ from hypothesis import strategies as st
 
 from regretaudit.aggregate import read_price_series
 from regretaudit.cli import main
-from regretaudit.core import TranscriptParseError, TranscriptValidationError, loads_transcript
+from regretaudit.core import TranscriptParseError, TranscriptValidationError
 from regretaudit.figures import read_truth
+
+from witnesses import loads_transcript
 
 HEADER = '{"grid": [0.4, 0.8, 1.2], "continuum_upper": 1.5}'
 # The transcript's first tail repeats three times, so that the reader's tail

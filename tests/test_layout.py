@@ -1,9 +1,12 @@
 """Module layout rules of the package, checked on its source.
 
 Imports sit at module level, so a module's dependencies are visible at its
-top, and no module imports another module's private (underscore) names.
+top, and no module imports another module's private (underscore) names;
+nor does any module of the tests.
 No module keeps a private twin `_name` of a module-level function `name`:
 one code path per computation.
+Every public module-level name is used by the package itself or traced by
+the benchmark: what only tests call lives under tests/.
 The functions the benchmark's traced run wraps keep their names, modules
 and the parameter it reads.
 """
@@ -20,6 +23,11 @@ from regretaudit.core import write_transcript
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "regretaudit"
 MODULES = sorted(PACKAGE.glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
+# Public names that no module of the package refers to, and why each stays.
+UNREFERENCED = {
+    "__init__.__version__": "the package's version, for its users and packaging tools",
+}
 
 
 def function_local_imports(tree: ast.AST) -> list[int]:
@@ -35,10 +43,12 @@ def function_local_imports(tree: ast.AST) -> list[int]:
 
 
 def private_imports(tree: ast.AST) -> list[tuple[int, str]]:
+    """Underscore names imported relatively or from regretaudit."""
     return [
         (node.lineno, alias.name)
         for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.level > 0
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "regretaudit")
         for alias in node.names
         if alias.name.startswith("_")
     ]
@@ -50,6 +60,49 @@ def private_twins(tree: ast.Module) -> list[str]:
     return sorted(name for name in names if "_" + name in names)
 
 
+def public_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
+    """Each public (or dunder) module-level name, with the statement defining it."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+        else:
+            continue
+        out.update((name, node) for name in names if not name.startswith("_") or name.endswith("__"))
+    return out
+
+
+def referenced(node: ast.AST) -> set[str]:
+    """The names and attribute names that code under `node` refers to."""
+    return {
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute))
+    }
+
+
+def unreferenced_names(trees: dict[str, ast.Module], keep: set[str]) -> list[str]:
+    """`module.name` of each public module-level name of `trees` (module ->
+    parsed source) that is not in `keep` and that no module except __init__
+    refers to outside the statement defining it."""
+    uses = [
+        (node, referenced(node))
+        for module, tree in trees.items()
+        if module != "__init__"
+        for node in tree.body
+    ]
+    return sorted(
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name, definition in public_definitions(tree).items()
+        if f"{module}.{name}" not in keep
+        and not any(name in names for node, names in uses if node is not definition)
+    )
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_imports_inside_functions(path):
     assert function_local_imports(ast.parse(path.read_text())) == []
@@ -57,6 +110,11 @@ def test_no_imports_inside_functions(path):
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_private_names_imported_across_modules(path):
+    assert private_imports(ast.parse(path.read_text())) == []
+
+
+@pytest.mark.parametrize("path", TESTS, ids=lambda p: p.name)
+def test_tests_import_no_private_names(path):
     assert private_imports(ast.parse(path.read_text())) == []
 
 
@@ -75,10 +133,18 @@ def test_rules_catch_offending_source():
         "    return _g()\n"
         "def _g():\n"
         "    return 1\n"
+        "def dead():\n"
+        "    return dead()\n"
+        "LIMIT = f(g)\n"
     )
     assert function_local_imports(tree) == [3]
     assert private_imports(tree) == [(1, "_fmt")]
     assert private_twins(tree) == ["g"]
+    a_test = ast.parse("from conftest import _helper\nfrom regretaudit.core import _DECODER, validate\n")
+    assert private_imports(a_test) == [(2, "_DECODER")]
+    # A use in __init__ does not count; LIMIT is kept by name.
+    trees = {"m": tree, "__init__": ast.parse("from .m import dead\nprint(dead)\n")}
+    assert unreferenced_names(trees, {"m.LIMIT"}) == ["m.dead"]
 
 
 def traced_layers() -> list[str]:
@@ -93,6 +159,11 @@ def traced_layers() -> list[str]:
 def resolves_to_function(name: str) -> bool:
     module, attr = name.rsplit(".", 1)
     return inspect.isfunction(getattr(importlib.import_module(f"regretaudit.{module}"), attr, None))
+
+
+def test_every_public_name_is_used_or_traced():
+    trees = {path.stem: ast.parse(path.read_text()) for path in MODULES}
+    assert unreferenced_names(trees, set(traced_layers()) | set(UNREFERENCED)) == []
 
 
 def test_traced_layers_resolve_to_functions():

@@ -10,23 +10,20 @@ from hypothesis import strategies as st
 
 from regretaudit.core import PriceGrid
 from regretaudit.market import manipulation_valuation_table
-from regretaudit.oracles import (
-    GroundTruth,
+from regretaudit.oracles import GroundTruth, best_in_hindsight_regret, materialize_truth, true_calibrated_regret
+
+from conftest import dense_row, random_instance
+from witnesses import (
     SwapMap,
-    best_in_hindsight_regret,
     brute_force_estimator_expectation,
     brute_force_realized_average,
     calibrated_regret_of_swap,
     indistinguishable_ground_truths,
-    materialize_truth,
     pessimistic_allocation,
     reduction_estimate,
     sample_transcript,
-    true_calibrated_regret,
     true_pessimistic_regret,
 )
-
-from conftest import dense_row, random_instance
 
 F = Fraction
 

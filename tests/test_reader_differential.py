@@ -25,12 +25,13 @@ from regretaudit.core import (
     TranscriptParseError,
     TranscriptValidationError,
     Violation,
-    loads_transcript,
     raise_violations,
     validate,
 )
 from regretaudit.figures import read_truth
 from regretaudit.oracles import GroundTruth
+
+from witnesses import loads_transcript
 
 HEADER = '{"grid": [0.4, 0.8, 1.2], "continuum_upper": 1.5}'
 TRANSCRIPT_FIELDS = {"posted": "an integer", "alloc": "a number", "support": "a list of integers", "probs": "a list of numbers"}

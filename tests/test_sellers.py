@@ -6,7 +6,7 @@ from itertools import accumulate
 import numpy as np
 import pytest
 
-from regretaudit.core import PriceGrid, Transcript, dumps_transcript, running_sums
+from regretaudit.core import PriceGrid, Transcript, running_sums
 from regretaudit.market import UniformDuopoly, demand_table, manipulation_valuation_table
 from regretaudit.sellers import (
     FixedPriceStrategy,
@@ -29,6 +29,7 @@ from regretaudit.sellers import (
 )
 
 from conftest import sample_posted
+from witnesses import dumps_transcript
 
 
 class TestQLearner:
