@@ -16,7 +16,6 @@ from .aggregate import (
     read_price_series,
 )
 from .audit import (
-    AffineInCost,
     AuditReport,
     PWLInCost,
     audit,

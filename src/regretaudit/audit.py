@@ -39,17 +39,6 @@ def estimate_allocations(transcript: Transcript) -> np.ndarray:
     return xhat
 
 
-@dataclass(frozen=True)
-class AffineInCost:
-    """A regret term as an explicit function of cost: slope * c + intercept."""
-
-    slope: float
-    intercept: float
-
-    def __call__(self, c: float) -> float:
-        return self.slope * c + self.intercept
-
-
 def _envelope_breakpoints(slopes: np.ndarray, intercepts: np.ndarray) -> list[float]:
     """Costs where the upper envelope of the lines q -> slopes[q] * c + intercepts[q]
     changes leader, in increasing order."""
@@ -79,10 +68,6 @@ class PWLInCost:
     slopes: np.ndarray  # (k, k) substitution-benefit slopes
     intercepts: np.ndarray  # (k, k)
     breakpoints: tuple[float, ...]  # sorted costs where some per-p envelope changes leader
-
-    def pieces(self, p: int) -> list[AffineInCost]:
-        """The substitution-benefit lines for price p, indexed by q."""
-        return [AffineInCost(float(s), float(b)) for s, b in zip(self.slopes[p], self.intercepts[p])]
 
     def value(self, c: float) -> float:
         return float(self.values([c])[0])

@@ -24,6 +24,7 @@ from .core import (
     CostRange,
     PriceGrid,
     check_keys,
+    load_json,
     read_transcript,
     write_transcript,
 )
@@ -126,7 +127,7 @@ class ExperimentConfig:
     @staticmethod
     def from_json(path: str) -> "ExperimentConfig":
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            obj = load_json(fh)
         if type(obj) is not dict:
             raise ValueError(f"{path}: config must be a JSON object")
         known = {f.name: f for f in fields(ExperimentConfig)}
@@ -283,8 +284,7 @@ def cmd_audit(args) -> int:
         if truth.rounds != len(transcript):
             raise ValueError(f"--truth has {truth.rounds} rounds, the transcript {len(transcript)}")
     report = audit(transcript, config)
-    print(report.to_json(indent=2))
-    if args.sweep:
+    if args.sweep:  # before the report, so that a failed write prints nothing
         curve = regret_curve(transcript)
         header = ["cost", "estimated_regret"] + (["true_regret"] if truth is not None else [])
         dists = None if truth is None else transcript.dists()
@@ -292,6 +292,7 @@ def cmd_audit(args) -> int:
             curve, args.cost_lo, args.cost_hi, args.sweep_points, truth, dists
         )
         figures.write_csv(args.sweep, header, rows)
+    print(report.to_json(indent=2))
     return 0 if report.verdict == "PASS" else 2
 
 
@@ -415,15 +416,12 @@ def cmd_manipulate_demo(args) -> int:
     totals = (float(result.payoffs[0].sum()), float(result.payoffs[1].sum()))
 
     lv = np.asarray(grid.levels)
-    truths = [
-        materialize_truth(table, grid.levels, result.transcripts[1 - i].posted, i).as_array()
-        for i in range(2)
-    ]
+    truths = [materialize_truth(table, grid.levels, result.transcripts[1 - i].posted, i) for i in range(2)]
     regrets = [
-        best_in_hindsight_regret(lv[None, :] * truths[i], result.payoffs[i]) for i in range(2)
+        best_in_hindsight_regret(lv[None, :] * truths[i].as_array(), result.payoffs[i]) for i in range(2)
     ]
     # Float truth: the table's exact demands would take the Fraction path.
-    truth1 = GroundTruth(grid.levels, truths[0])
+    truth1 = GroundTruth(grid.levels, truths[0].table.astype(float), truths[0].index)
     cal1 = true_calibrated_regret(result.transcripts[0].dists(), truth1, 0.0)
 
     # The learner's cumulative rewards before each round: a running sum of

@@ -374,7 +374,17 @@ def _reject_constant(name: str):
 
 
 # One decoder for every reader: the NaN and Infinity tokens are not JSON.
+# JSON nested too deeply for a decoder raises RecursionError, not ValueError.
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
+def load_json(fh: IO[str]):
+    """json.load, raising ValueError for input nested too deeply to decode."""
+    try:
+        return json.load(fh)
+    except RecursionError as e:
+        raise ValueError(f"bad JSON: {e}") from None
+
 
 _INT = frozenset({int})
 _NUMBER = frozenset({int, float})
@@ -476,7 +486,7 @@ def _tail_ids(tail: str, listed: list[tuple], interned: list[dict]) -> tuple:
     """
     try:
         obj = _DECODER.decode(f'{{"{listed[0][0]}": {tail}')
-    except ValueError:
+    except (ValueError, RecursionError):
         return ()
     if type(obj) is not dict or obj.keys() != {name for name, _, _ in listed}:
         return ()
@@ -551,7 +561,7 @@ def read_records(
                 text = head + "}"
                 try:
                     head, end = _DECODER.raw_decode(text)
-                except ValueError:
+                except (ValueError, RecursionError):
                     head, end = None, 0
                 if type(head) is dict and end == len(text):
                     # A check that fails here fails on the whole line too,
@@ -571,7 +581,7 @@ def read_records(
             raise TranscriptParseError(line_no, f"invalid UTF-8 byte 0x{ord(byte.group()) - 0xDC00:02x}")
         try:
             obj = _DECODER.decode(line)
-        except ValueError as e:
+        except (ValueError, RecursionError) as e:
             raise TranscriptParseError(line_no, f"bad JSON: {getattr(e, 'msg', e)}") from e
         if not lines:
             grid = _grid_of(obj, line_no)

@@ -33,11 +33,11 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
 
 
 def write_truth(truth: GroundTruth, sink: Union[str, IO[str]]) -> None:
-    rows = (", ".join(map(format_float, truth.row(t))) for t in range(truth.rounds))
+    rows = [", ".join(map(format_float, row)) for row in truth.table.tolist()]
     write_records(
         sink,
         PriceGrid(truth.levels),
-        (f'{{"t": {t}, "x": [{row}]}}\n' for t, row in enumerate(rows, 1)),
+        (f'{{"t": {t}, "x": [{rows[i]}]}}\n' for t, i in enumerate(truth.index.tolist(), 1)),
     )
 
 
@@ -54,7 +54,7 @@ def read_truth(source: Union[str, IO[str]]) -> GroundTruth:
         [Violation(r + 1, "x", "allocation out of [0,1]") for r in np.flatnonzero(~in_range[ids]).tolist()],
         lines,
     )
-    return GroundTruth(grid.levels, table[ids])
+    return GroundTruth(grid.levels, table, ids)
 
 
 # ---------------------------------------------------------------------------
@@ -251,11 +251,11 @@ def horizon_rows(
 ):
     """True regret at the given costs for truncated prefixes of a transcript."""
     dists = transcript.dists()
-    values = truth.as_array()
+    table = np.asarray(truth.table, dtype=float)  # float work, even on an exact truth
     costs = [float(c) for c in costs]
     rows = []
     for h in horizons:
-        prefix = GroundTruth(truth.levels, values[:h])
+        prefix = GroundTruth(truth.levels, table, truth.index[:h])
         rows.append([int(h), *map(float, true_calibrated_regret(dists[:h], prefix, costs))])
     return rows
 

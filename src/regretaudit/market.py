@@ -9,13 +9,12 @@ sees them.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Sequence, Union
 
-from .core import check_keys
+from .core import check_keys, load_json
 
 Numeric = Union[int, float, Fraction]
 
@@ -85,10 +84,10 @@ class DiscreteValuationTable:
         if isinstance(source, dict):
             obj = source
         elif hasattr(source, "read"):
-            obj = json.load(source)
+            obj = load_json(source)
         else:
             with open(source, "r", encoding="utf-8") as fh:
-                obj = json.load(fh)
+                obj = load_json(fh)
         if type(obj) is not dict:
             raise ValueError("valuation table must be a JSON object")
         check_keys(obj, _TABLE_KEYS, "valuation table", required=("v1_levels", "v2_levels", "probs"))

@@ -23,38 +23,40 @@ Numeric = Union[int, float, Fraction]
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Full allocation vectors per round: values[t][p] over the price grid."""
+    """Allocation vectors over the price grid, held as a transcript holds its
+    distributions: round t's vector is table[index[t]].
+
+    An object table holds exact values (Fractions, or floats converted
+    exactly) and makes work on the truth exact; a float table makes it float.
+    """
 
     levels: tuple[Numeric, ...]
-    values: object  # (T, k) ndarray for float work, nested sequences for exact work
-
-    def row(self, t: int) -> Sequence[Numeric]:
-        return self.values[t]
+    table: np.ndarray  # (m, k), object or float64
+    index: np.ndarray  # (T,) int64 row ids
 
     @property
     def rounds(self) -> int:
-        return len(self.values)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
+        return len(self.index)
 
     @property
     def exact(self) -> bool:
-        """Whether work on this truth is exact: its values are not a float array."""
-        values = self.values
-        return not (isinstance(values, np.ndarray) and values.dtype != object)
+        return self.table.dtype == object
+
+    def as_array(self) -> np.ndarray:
+        """The per-round vectors as floats, (T, k)."""
+        return np.asarray(self.table, dtype=float)[self.index]
 
 
 def materialize_truth(oracle, levels: Sequence[Numeric], opponent_indices: Sequence[int], seller: int) -> GroundTruth:
-    """Build per-round allocation vectors from a demand oracle and the
-    opponent's realized price trace (as grid indices)."""
+    """The seller's allocation vectors against the opponent's realized price
+    trace (as grid indices): k rows, one per opponent price, indexed by the
+    trace. Exact when the oracle is."""
     x1, x2 = demand_table(oracle, levels)
     # by_opp[j][p]: the seller's demand at own price p against opponent price j.
     by_opp = tuple(zip(*x1)) if seller == 0 else x2
-    if any(isinstance(v, Fraction) for row in by_opp for v in row):
-        return GroundTruth(tuple(levels), tuple(by_opp[j] for j in opponent_indices))
-    opp = np.asarray(opponent_indices, dtype=int)
-    return GroundTruth(tuple(levels), np.asarray(by_opp, dtype=float)[opp])
+    exact = any(isinstance(v, Fraction) for row in by_opp for v in row)
+    table = np.array(by_opp, dtype=object if exact else float)
+    return GroundTruth(tuple(levels), table, np.asarray(opponent_indices, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -90,35 +92,29 @@ def _wants_exact(truth: GroundTruth, costs: Sequence[Numeric] = ()) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _exact_pair_sums(distributions, truth: GroundTruth) -> tuple[list[list[Fraction]], int]:
-    """M[p][q] = sum_t pi_t(p) x_t(q), exact, and the number of rounds.
+def _exact_pair_sums(distributions, truth: GroundTruth) -> list[list[Fraction]]:
+    """M[p][q] = sum_t pi_t(p) x_t(q), exact.
 
     Rounds that share a truth row share x_t, so pi_t(p) is summed once per
     row and the sum multiplies that row: T*s exact additions plus
-    rows*k^2 products, where s is the support size. Rows are told apart
-    by identity, which is cheap to hash; materialize_truth shares one row
-    object between the rounds at each opponent price, so it has at most k.
+    rows*k^2 products, where s is the support size. Raises ValueError
+    unless there is one distribution per round of the truth.
     """
     k = len(truth.levels)
-    groups: dict[int, tuple[Sequence, list[list]]] = {}
-    T = 0
-    for t, row in enumerate(_sparse_rows(distributions)):
-        x = truth.row(t)
-        group = groups.get(id(x))
-        if group is None:
-            # The group holds x, so no other row can take its id meanwhile.
-            group = groups[id(x)] = (x, [[] for _ in range(k)])
+    groups: dict[int, list[list]] = {}
+    for row, i in zip(_sparse_rows(distributions), truth.index.tolist(), strict=True):
+        if i not in groups:
+            groups[i] = [[] for _ in range(k)]
         for p, prob in row:
-            group[1][p].append(prob)
-        T += 1
+            groups[i][p].append(prob)
     m = [[Fraction(0)] * k for _ in range(k)]
-    for row, probs in groups.values():
-        x = [Fraction(v) for v in row]
+    for i, probs in groups.items():
+        x = [Fraction(v) for v in truth.table[i].tolist()]
         for p, values in enumerate(probs):
             if values:
                 total = _exact_sum(values)
                 m[p] = [acc + total * v for acc, v in zip(m[p], x)]
-    return m, T
+    return m
 
 
 def true_calibrated_regret(distributions, truth: GroundTruth, cost: Union[Numeric, Sequence[Numeric]]):
@@ -132,20 +128,17 @@ def true_calibrated_regret(distributions, truth: GroundTruth, cost: Union[Numeri
     """
     costs = [cost] if np.ndim(cost) == 0 else list(cost)
     if _wants_exact(truth, costs):
-        pairs, T = _exact_pair_sums(distributions, truth)
-        m = np.array(pairs, dtype=object)
+        m = np.array(_exact_pair_sums(distributions, truth), dtype=object)
         levels = np.array([Fraction(v) for v in truth.levels], dtype=object)
         cs = np.array([Fraction(c) for c in costs], dtype=object)
     else:
-        values = truth.as_array()
-        T = values.shape[0]
-        m = np.asarray(distributions, dtype=float).T @ values  # m[p, q] = sum_t pi_t(p) x_t(q)
+        m = np.asarray(distributions, dtype=float).T @ truth.as_array()  # m[p, q] = sum_t pi_t(p) x_t(q)
         levels = np.asarray(truth.levels, dtype=float)
         cs = np.asarray(costs, dtype=float)
     # gains[i, p, q] = (l_q - c_i) M[p, q] - (l_p - c_i) M[p, p]
     margins = levels[None, :] - cs[:, None]
     gains = margins[:, None, :] * m - (margins * np.diag(m))[:, :, None]
-    regrets = (gains.max(axis=2).sum(axis=1) / T).tolist()
+    regrets = (gains.max(axis=2).sum(axis=1) / truth.rounds).tolist()
     return regrets[0] if np.ndim(cost) == 0 else regrets
 
 

@@ -39,7 +39,7 @@ def random_instance(rng: np.random.Generator, k: int, rounds: int):
     grid = PriceGrid(levels.tolist())
     dists = [dyadic_distribution(rng, k) for _ in range(rounds)]
     values = np.sort(rng.random((rounds, k)), axis=1)[:, ::-1].copy()
-    truth = GroundTruth(grid.levels, values)
+    truth = GroundTruth(grid.levels, values, np.arange(rounds))
     return grid, dists, truth
 
 

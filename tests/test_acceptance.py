@@ -186,7 +186,7 @@ def concentration_environment():
     lv = np.asarray(levels)
     t_idx = np.arange(rounds)[:, None]
     values = np.clip(0.95 - 0.9 * lv[None, :] + 0.05 * np.sin(t_idx / 50.0 + lv[None, :]), 0, 1)
-    truth = GroundTruth(levels, values)
+    truth = GroundTruth(levels, values, np.arange(rounds))
     return grid, dists, truth
 
 
@@ -319,7 +319,7 @@ def test_criterion_06_manipulation(manipulation_run):
     dists1 = np.zeros((total, 4))
     dists1[np.arange(total), posted[0]] = 1.0
     calibrated1 = true_calibrated_regret(
-        dists1, GroundTruth(tuple(float(v) for v in grid.levels), truths[0]), 0.0
+        dists1, GroundTruth(tuple(float(v) for v in grid.levels), truths[0], np.arange(total)), 0.0
     )
 
     parts = {
@@ -495,7 +495,7 @@ def test_criterion_07_desk_scale_reproduction(duopoly_runs):
 
 
 def test_estimator_pair_sd_matches_path_enumeration():
-    """Criterion 7's sd formula equals the variance of regret_curve's pieces
+    """Criterion 7's sd formula equals the variance of regret_curve's lines
     over every posted path of a small full-support instance."""
     grid = PriceGrid([0.5, 1.0, 1.5])
     probs = np.array([[0.25, 0.5, 0.25], [0.125, 0.375, 0.5], [0.5, 0.0625, 0.4375]])
@@ -512,7 +512,7 @@ def test_estimator_pair_sd_matches_path_enumeration():
     for c, sd in zip(costs, estimator_pair_sd(probs, alloc, grid.levels, costs)):
         for p in range(3):
             for q in range(3):
-                values = np.array([curve.pieces(p)[q](c) for curve in curves])
+                values = np.array([curve.slopes[p, q] * c + curve.intercepts[p, q] for curve in curves])
                 mean = float(weights @ values)
                 variance = float(weights @ (values - mean) ** 2)
                 assert variance == pytest.approx(sd[p, q] ** 2, rel=1e-12, abs=1e-12)

@@ -21,10 +21,9 @@ from regretaudit.core import (
     PriceGrid,
     Transcript,
 )
-from regretaudit.oracles import GroundTruth
 
 from conftest import dense_row, dyadic_distribution, random_instance, sample_posted, transcript_from
-from witnesses import pessimistic_allocation, true_pessimistic_regret
+from witnesses import per_round_truth, pessimistic_allocation, true_pessimistic_regret
 
 F = Fraction
 
@@ -97,9 +96,9 @@ class TestEstimateAllocations:
                 xhat = estimate_allocations(tr)[0]
                 for p in range(3):
                     expectation[p] += F(pa) * F(float(xhat[p]))
-            truth = GroundTruth(grid.levels, (tuple(float(v) for v in x),))
+            truth = per_round_truth(grid.levels, [tuple(float(v) for v in x)], exact=True)
             z = pessimistic_allocation(truth, [dist])
-            assert expectation == [F(v) for v in z.values[0]]
+            assert expectation == [F(v) for v in z.table[z.index[0]]]
 
 
 def direct_term(tr, est, p, q, c, order):
@@ -114,18 +113,18 @@ def direct_term(tr, est, p, q, c, order):
 
 
 class TestPairwiseRegret:
-    # The substitution-benefit lines are the curve's pieces: pieces(p)[q].
+    # The benefit of substituting p with q is slopes[p, q] * c + intercepts[p, q].
     def test_identical_substitution_is_zero(self, rng):
         tr = random_transcript(rng)
-        term = regret_curve(tr).pieces(2)[2]
-        assert term.slope == 0 and term.intercept == 0
+        curve = regret_curve(tr)
+        assert curve.slopes[2, 2] == 0 and curve.intercepts[2, 2] == 0
 
     def test_unit_allocations(self):
         grid = PriceGrid([1.0, 2.5])
         tr = transcript_from(grid, [dense_row(2, (0,), (1.0,))], [0], [1.0])
-        term = regret_curve(tr).pieces(0)[1]
-        assert term.slope == pytest.approx(0.0, abs=1e-15)
-        assert term.intercept == pytest.approx(2.5 - 1.0, abs=1e-15)
+        curve = regret_curve(tr)
+        assert curve.slopes[0, 1] == pytest.approx(0.0, abs=1e-15)
+        assert curve.intercepts[0, 1] == pytest.approx(2.5 - 1.0, abs=1e-15)
 
     def test_matches_reordered_summation(self, rng):
         tr = random_transcript(rng, k=3, rounds=5)
@@ -134,9 +133,9 @@ class TestPairwiseRegret:
         order = rng.permutation(len(tr))
         for p in range(3):
             for q in range(3):
-                term = curve.pieces(p)[q]
+                s, b = curve.slopes[p, q], curve.intercepts[p, q]
                 for c in rng.uniform(0, 1.5, size=3):
-                    assert term(c) == pytest.approx(direct_term(tr, est, p, q, c, order), abs=1e-12)
+                    assert s * c + b == pytest.approx(direct_term(tr, est, p, q, c, order), abs=1e-12)
 
 
 class TestRegretCurve:
@@ -156,7 +155,7 @@ class TestRegretCurve:
         for c in rng.uniform(0, 2.5, size=100):
             direct = [max(direct_term(tr, est, p, q, c, order) for q in range(5)) for p in range(5)]
             assert curve.value(c) == pytest.approx(sum(direct), abs=1e-10)
-            best = [max(piece(c) for piece in curve.pieces(p)) for p in range(5)]
+            best = [max(s * c + b for s, b in zip(curve.slopes[p], curve.intercepts[p])) for p in range(5)]
             assert best == pytest.approx(direct, abs=1e-10)
 
     def test_convexity_and_slope_monotonicity(self, rng):

@@ -8,7 +8,7 @@ from regretaudit.audit import regret_curve
 from regretaudit.cli import main
 from regretaudit.core import PriceGrid, write_transcript
 from regretaudit.market import manipulation_valuation_table
-from regretaudit.oracles import materialize_truth
+from regretaudit.oracles import GroundTruth, materialize_truth
 from regretaudit.sellers import greedy_distribution
 
 from conftest import dyadic_distribution, sample_posted, transcript_from
@@ -145,7 +145,7 @@ class TestAuditCommand:
 
         rounds = len(tr)
         values = np.tile(np.array([1.0, 0.55]), (rounds, 1))
-        write_truth(GroundTruth(tr.grid.levels, values), str(truth_path))
+        write_truth(GroundTruth(tr.grid.levels, values, np.arange(rounds)), str(truth_path))
         sweep_path = tmp_path / "sweep.csv"
         code = main(
             [
@@ -686,6 +686,59 @@ class TestMalformedInputs:
         assert not sweep_path.exists()
 
 
+    def test_unwritable_sweep_prints_no_report(self, tmp_path, rng, capsys):
+        path = tmp_path / "t.jsonl"
+        write_best_responder_transcript(path, rng, rounds=5)
+        sweep_path = tmp_path / "missing" / "sweep.csv"
+        code = main(["audit", str(path), *self.AUDIT_FLAGS, "--sweep", str(sweep_path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and str(sweep_path) in captured.err
+        assert captured.err.count("\n") == 1
+
+    DEEP = "[" * 10_000 + "]" * 10_000
+    GRID = '{"grid": [0.4, 0.8], "continuum_upper": null}'
+    ROUND = '{"t": %d, %s"posted": 0, "alloc": 0.5, "support": [0, 1], "probs": [0.5, 0.5]}'
+
+    @pytest.mark.parametrize(
+        "reader, lines, message",
+        [
+            ("transcript", [GRID, DEEP], "line 2: bad JSON: "),
+            ("transcript", [DEEP], "line 1: bad JSON: "),
+            # Rounds 2 and 3 cache the tail, so round 4 decodes only its head.
+            ("transcript", [GRID, ROUND % (1, ""), ROUND % (2, ""), ROUND % (3, ""), ROUND % (4, f'"deep": {DEEP}, ')],
+             "line 5: bad JSON: "),
+            ("reduced", [GRID, '{"t": 1, "posted": 0, "alloc": 0.5}', DEEP], "line 3: bad JSON: "),
+            ("truth", [GRID, f'{{"t": 1, "x": {DEEP}}}'], "line 2: bad JSON: "),
+            ("config", [DEEP], "bad JSON: "),
+            ("table", [f'{{"v1_levels": {DEEP}}}'], "bad JSON: "),
+        ],
+        ids=["record", "header", "cached-head", "reduced", "truth", "config", "table"],
+    )
+    def test_deeply_nested_json(self, tmp_path, rng, capsys, reader, lines, message):
+        # Nesting too deep for the decoder is bad JSON, not a traceback.
+        data = tmp_path / "data.json"
+        data.write_text("\n".join(lines) + "\n")
+        transcript = tmp_path / "t.jsonl"
+        write_best_responder_transcript(transcript, rng, rounds=5)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**self.CONFIG, "environment": {"kind": "table_file", "path": str(data)}}))
+        out, sweep = str(tmp_path / "out"), str(tmp_path / "sweep.csv")
+        argv = {
+            "transcript": ["audit", str(data), *self.AUDIT_FLAGS],
+            "reduced": ["audit-aggregated", str(data), *self.AUDIT_FLAGS, "--drift-gamma", "0.7"],
+            "truth": ["audit", str(transcript), *self.AUDIT_FLAGS, "--sweep", sweep, "--truth", str(data)],
+            "config": ["simulate", "--config", str(data), "--out", out],
+            "table": ["simulate", "--config", str(config), "--out", out],
+        }[reader]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+
+
 class TestFiguresCommand:
     def test_emits_csv_and_self_contained_svg(self, tmp_path):
         out = tmp_path / "figs"
@@ -748,6 +801,18 @@ class TestOracleCallsPerFigure:
         hrows = figures.horizon_rows(tr, truth, [0.0, 0.5], [10, 100, 300])
         assert calls == [[0.0, 0.5]] * 3
         assert [row[0] for row in hrows] == [10, 100, 300]
+
+    def test_horizons_stay_on_floats_for_an_exact_truth(self, rng):
+        # fig3 is float arithmetic even on the table market: a prefix of an
+        # exact truth must not take the Fraction path, which rounds once.
+        grid = PriceGrid([0.0, 1.0, 2.0, 3.0])
+        dists = [dyadic_distribution(rng, 4) for _ in range(300)]
+        tr = transcript_from(grid, dists, sample_posted(rng, dists), rng.random(300))
+        truth = materialize_truth(manipulation_valuation_table(0.005), grid.levels, rng.integers(0, 4, 300), 0)
+        float_truth = GroundTruth(truth.levels, truth.table.astype(float), truth.index)
+        costs, horizons = [0.0, 0.5], [10, 100, 300]
+        assert truth.exact
+        assert figures.horizon_rows(tr, truth, costs, horizons) == figures.horizon_rows(tr, float_truth, costs, horizons)
 
 
 class TestFigureTrends:

@@ -6,7 +6,9 @@ nor does any module of the tests.
 No module keeps a private twin `_name` of a module-level function `name`:
 one code path per computation.
 Every public module-level name is used by the package itself or traced by
-the benchmark: what only tests call lives under tests/.
+the benchmark: what only tests call lives under tests/. Likewise the package
+directory holds Python modules only: data that only tests read lives there
+too.
 The functions the benchmark's traced run wraps keep their names, modules
 and the parameter it reads.
 """
@@ -145,6 +147,19 @@ def test_rules_catch_offending_source():
     # A use in __init__ does not count; LIMIT is kept by name.
     trees = {"m": tree, "__init__": ast.parse("from .m import dead\nprint(dead)\n")}
     assert unreferenced_names(trees, {"m.LIMIT"}) == ["m.dead"]
+
+
+def non_modules(package: Path) -> list[str]:
+    """The files under `package`, outside __pycache__, that are not .py modules."""
+    return sorted(
+        path.relative_to(package).as_posix()
+        for path in package.rglob("*")
+        if path.is_file() and path.suffix != ".py" and "__pycache__" not in path.parts
+    )
+
+
+def test_package_holds_only_modules():
+    assert non_modules(PACKAGE) == []
 
 
 def traced_layers() -> list[str]:

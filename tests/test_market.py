@@ -1,5 +1,5 @@
-import importlib.resources
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -101,7 +101,7 @@ class TestDiscreteMarket:
             manipulation_valuation_table(-1)
 
     def test_json_loading_with_fraction_strings(self):
-        ref = importlib.resources.files("regretaudit.data").joinpath("manipulation_game.json")
+        ref = Path(__file__).parent / "data" / "manipulation_game.json"
         with ref.open("r") as fh:
             tab = DiscreteValuationTable.from_json(fh)
         assert tab == manipulation_valuation_table(0)

@@ -1,7 +1,7 @@
-import importlib.resources
 import itertools
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +19,7 @@ from witnesses import (
     brute_force_realized_average,
     calibrated_regret_of_swap,
     indistinguishable_ground_truths,
+    per_round_truth,
     pessimistic_allocation,
     reduction_estimate,
     sample_transcript,
@@ -58,7 +59,7 @@ class TestCalibratedRegret:
         c = 0.5
         best = max(range(3), key=lambda p: (levels[p] - c) * x[p])
         dists = [dense_row(3, (best,), (1.0,))] * 5
-        truth = GroundTruth(levels, np.tile(np.array(x), (5, 1)))
+        truth = GroundTruth(levels, np.array([x]), np.zeros(5, dtype=np.int64))
         assert true_calibrated_regret(dists, truth, c) == pytest.approx(0.0, abs=1e-15)
 
     def test_fixed_prices_in_discrete_game(self):
@@ -70,6 +71,19 @@ class TestCalibratedRegret:
         truth = materialize_truth(tab, levels, [1] * 6, 0)
         regret = true_calibrated_regret(dists, truth, 0)
         assert regret == F(77, 100) - F(123, 200)  # 0.155
+
+    def test_length_mismatch_is_rejected_on_both_paths(self):
+        # One distribution per round of the truth: the exact path neither
+        # drops the truth's extra rounds nor runs past its last one.
+        truth = materialize_truth(manipulation_valuation_table(0), (0, 1, 2, 3), [1, 2, 1], 0)
+        float_truth = GroundTruth(truth.levels, truth.table.astype(float), truth.index)
+        row = dense_row(4, (1,), (1.0,))
+        for dists in ([row] * 2, [row] * 4):
+            for t in (truth, float_truth):
+                with pytest.raises(ValueError):
+                    true_calibrated_regret(dists, t, 0.0)
+            with pytest.raises(ValueError):
+                true_calibrated_regret(dists, truth, [F(0), F(1, 2)])
 
     @settings(derandomize=True, deadline=None, max_examples=60, database=None)
     @given(
@@ -96,7 +110,7 @@ class TestCalibratedRegret:
             for sigma in itertools.product(range(4), repeat=4)
         )
         dense = np.array([[float(p) for p in row] for _, row in rounds])
-        float_truth = GroundTruth(levels, truth.as_array())
+        float_truth = GroundTruth(levels, truth.table.astype(float), truth.index)
         fast = true_calibrated_regret(dense, float_truth, float(cost))
         assert fast == pytest.approx(float(exact), abs=1e-12)
         # A cost sequence is evaluated from one pair-sum matrix: the same
@@ -118,7 +132,7 @@ class TestCalibratedRegret:
             raw = rng.random((rounds, k)) * (rng.random((rounds, k)) < 0.6)
             raw[np.arange(rounds), rng.integers(0, k, rounds)] += 0.1
             probs = raw / raw.sum(axis=1, keepdims=True)
-            truth = GroundTruth(tuple(np.sort(rng.uniform(0.1, 3.0, k)).tolist()), rng.random((rounds, k)))
+            truth = per_round_truth(tuple(np.sort(rng.uniform(0.1, 3.0, k)).tolist()), rng.random((rounds, k)))
             costs = np.linspace(rng.uniform(-1, 1), rng.uniform(1, 3), 81).tolist()
             levels = np.asarray(truth.levels)
             m = probs.T @ truth.as_array()
@@ -145,10 +159,10 @@ class TestPessimisticAllocation:
         assert np.array_equal(z.as_array(), truth.as_array())
 
     def test_fill_rule(self):
-        truth = GroundTruth((0.3, 0.5, 0.7), ((0.9, 0.6, 0.2),))
+        truth = per_round_truth((0.3, 0.5, 0.7), [(0.9, 0.6, 0.2)], exact=True)
         dists = [np.array([0.0, 1.0, 0.0])]
         z = pessimistic_allocation(truth, dists)
-        assert z.values[0] == (1.0, 0.6, 0.6)
+        assert tuple(z.table[z.index[0]]) == (1.0, 0.6, 0.6)
 
     # The fill maximizes regret among indistinguishable completions when the
     # cost does not exceed any deviation target, i.e. c <= min price level.
@@ -163,7 +177,7 @@ class TestPessimisticAllocation:
         _, dists, truth = random_instance(rng, k=3, rounds=3)
         z = pessimistic_allocation(truth, dists)
         c = float(min(truth.levels) * rng.random())
-        base = true_calibrated_regret(dists, GroundTruth(truth.levels, z.as_array()), c)
+        base = true_calibrated_regret(dists, per_round_truth(truth.levels, z.as_array()), c)
         values = truth.as_array()
         for _ in range(200):
             completion = values.copy()
@@ -178,7 +192,7 @@ class TestPessimisticAllocation:
                     lo = max(above) if above else 0.0
                     completion[t, p] = rng.uniform(lo, hi)
                     hi = completion[t, p]
-            other = GroundTruth(truth.levels, completion)
+            other = per_round_truth(truth.levels, completion)
             assert true_calibrated_regret(dists, other, c) <= base + 1e-12
 
     def test_pessimistic_regret_bounds_true_regret(self, rng):
@@ -221,7 +235,7 @@ class TestBestInHindsight:
             probs = np.stack(dists)
             realized = (probs * util).sum(axis=1)  # expected realized utility
             bih = best_in_hindsight_regret(util, realized)
-            cal = true_calibrated_regret(probs, GroundTruth(truth.levels, values), c)
+            cal = true_calibrated_regret(probs, per_round_truth(truth.levels, values), c)
             assert bih <= cal + 1e-12
 
 
@@ -263,17 +277,17 @@ class TestReduction:
 class TestBruteForce:
     def test_point_mass_single_path(self):
         dists = [np.array([1.0, 0.0])]
-        truth = GroundTruth((1.0, 2.0), ((0.5, 0.25),))
+        truth = per_round_truth((1.0, 2.0), [(0.5, 0.25)], exact=True)
         val = brute_force_estimator_expectation(dists, truth, 0)
         # One path: posted 0, xhat = (0.5, 0.5 by fill); best swap 0 -> 1.
         assert val == F(2) * F(1, 2) - F(1) * F(1, 2)
 
     def test_two_round_product_law(self):
         d = np.array([0.5, 0.5])
-        truth = GroundTruth((1.0, 2.0), ((1.0, 0.5), (1.0, 0.5)))
+        truth = per_round_truth((1.0, 2.0), [(1.0, 0.5), (1.0, 0.5)], exact=True)
         # Pairwise expectations should match the single-round ones: paths
         # factor across rounds, so the two-round value equals the one-round one.
-        one = brute_force_estimator_expectation([d], GroundTruth((1.0, 2.0), ((1.0, 0.5),)), 0)
+        one = brute_force_estimator_expectation([d], per_round_truth((1.0, 2.0), [(1.0, 0.5)], exact=True), 0)
         two = brute_force_estimator_expectation([d, d], truth, 0)
         assert one == two
 
@@ -290,7 +304,7 @@ class TestBruteForce:
         # assembling the expected substitution benefits (the max is convex),
         # which is why the expectation is taken at the pairwise level.
         d = np.array([0.5, 0.5])
-        truth = GroundTruth((1.0, 2.0), ((1.0, 1.0),))
+        truth = per_round_truth((1.0, 2.0), [(1.0, 1.0)], exact=True)
         exp = brute_force_estimator_expectation([d], truth, 0)
         avg = brute_force_realized_average([d], truth, 0)
         assert exp == F(1, 2)
@@ -299,7 +313,7 @@ class TestBruteForce:
 
     def test_instance_too_large(self):
         d = np.array([0.25, 0.25, 0.5])
-        truth = GroundTruth((1.0, 2.0, 3.0), tuple(((1.0, 1.0, 1.0),) * 12))
+        truth = per_round_truth((1.0, 2.0, 3.0), [(1.0, 1.0, 1.0)] * 12, exact=True)
         with pytest.raises(ValueError):
             brute_force_estimator_expectation([d] * 12, truth, 0)
 
@@ -333,9 +347,7 @@ class TestIndistinguishablePair:
         )
 
     def test_shipped_fixture_consistent(self):
-        ref = importlib.resources.files("regretaudit.data").joinpath(
-            "indistinguishable_pair.json"
-        )
+        ref = Path(__file__).parent / "data" / "indistinguishable_pair.json"
         obj = json.loads(ref.read_text())
         dists, low, high = indistinguishable_ground_truths(
             levels=obj["levels"], rounds=obj["rounds"]
@@ -343,8 +355,8 @@ class TestIndistinguishablePair:
         assert [np.flatnonzero(d).tolist() for d in dists] == [
             d["support"] for d in obj["distributions"]
         ]
-        assert [[float(v) for v in row] for row in low.values] == obj["truth_low"]
-        assert [[float(v) for v in row] for row in high.values] == obj["truth_high"]
+        assert [[float(v) for v in row] for row in low.table[low.index]] == obj["truth_low"]
+        assert [[float(v) for v in row] for row in high.table[high.index]] == obj["truth_high"]
 
 
 class TestMaterializeTruth:
@@ -355,4 +367,4 @@ class TestMaterializeTruth:
         truth = materialize_truth(tab, levels, opp, 1)
         for t, j in enumerate(opp):
             for p in range(4):
-                assert truth.values[t][p] == tab.demand(levels[j], levels[p])[1]
+                assert truth.table[truth.index[t], p] == tab.demand(levels[j], levels[p])[1]

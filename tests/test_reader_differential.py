@@ -118,7 +118,7 @@ def reference_truth(text):
     values = np.array(rows, dtype=float).reshape(len(rows), k)
     in_range = ((values >= 0.0) & (values <= 1.0)).all(axis=1)
     raise_violations([Violation(t, "x", "allocation out of [0,1]") for t in (np.flatnonzero(~in_range) + 1).tolist()], lines)
-    return GroundTruth(grid.levels, values)
+    return GroundTruth(grid.levels, values, np.arange(len(values)))
 
 
 def read_truth_text(text):
@@ -134,7 +134,8 @@ def outcome(read, text):
     if isinstance(result, Transcript):
         columns = (result.posted, result.alloc, result.dist_index, result.dist_table)
         return result.grid, [(a.dtype, a.shape, a.tobytes()) for a in columns]
-    return result.levels, result.values.dtype, result.values.shape, result.values.tobytes()
+    values = result.as_array()
+    return result.levels, values.dtype, values.shape, values.tobytes()
 
 
 # Record heads, formatted with the round, the posted index and the allocation.

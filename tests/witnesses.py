@@ -37,6 +37,13 @@ from regretaudit.core import PriceGrid, Transcript, draw, read_transcript, runni
 from regretaudit.oracles import GroundTruth, Numeric, true_calibrated_regret
 
 
+def per_round_truth(levels: Sequence[Numeric], rows, exact: bool = False) -> GroundTruth:
+    """A ground truth with its own table row in each round: an object table,
+    for exact work, or a float one."""
+    table = np.array(rows, dtype=object if exact else float)
+    return GroundTruth(levels, table, np.arange(len(table)))
+
+
 def dumps_transcript(transcript: Transcript) -> str:
     buf = io.StringIO()
     write_transcript(transcript, buf)
@@ -82,7 +89,7 @@ def calibrated_regret_of_swap(distributions, truth: GroundTruth, cost: Numeric, 
     levels = [Fraction(v) for v in truth.levels]
     total = Fraction(0)
     for t, row in enumerate(sparse):
-        x = truth.row(t)
+        x = truth.table[truth.index[t]]
         for p, prob in row:
             q = swap(p)
             total += prob * ((levels[q] - c) * Fraction(x[q]) - (levels[p] - c) * Fraction(x[p]))
@@ -102,17 +109,15 @@ def pessimistic_allocation(truth: GroundTruth, distributions) -> GroundTruth:
     rows = []
     for t, row in enumerate(sparse):
         supported = {i for i, _ in row}
-        x = truth.row(t)
+        x = truth.table[truth.index[t]]
         out = []
         carry = 1 if exact else 1.0
         for p in range(k):
             if p in supported:
                 carry = x[p]
             out.append(carry)
-        rows.append(tuple(out))
-    if exact:
-        return GroundTruth(truth.levels, tuple(rows))
-    return GroundTruth(truth.levels, np.asarray(rows, dtype=float))
+        rows.append(out)
+    return per_round_truth(truth.levels, rows, exact)
 
 
 def true_pessimistic_regret(truth: GroundTruth, distributions, cost: Numeric) -> Numeric:
@@ -188,7 +193,7 @@ def _enumerate_paths(distributions, truth: GroundTruth):
     per_round_choices = []
     for t, row in enumerate(sparse):
         supported = {i for i, _ in row}
-        x = [Fraction(v) for v in truth.row(t)]
+        x = [Fraction(v) for v in truth.table[truth.index[t]]]
         choices = []
         for posted, prob in row:
             table = _estimator_fill({posted: x[posted] / prob}, supported, k)
@@ -285,10 +290,11 @@ def indistinguishable_ground_truths(
         raise ValueError(f"unknown mode {mode!r}")
     distributions = [row] * rounds
     a = Fraction(a)
-    low = tuple(tuple([a] * (k - 1) + [Fraction(0)]) for _ in range(rounds))
-    high = tuple(tuple([a] * (k - 1) + [a]) for _ in range(rounds))
+    low = np.array([[a] * (k - 1) + [Fraction(0)]], dtype=object)
+    high = np.array([[a] * (k - 1) + [a]], dtype=object)
     lv = tuple(Fraction(v) for v in levels)
-    return distributions, GroundTruth(lv, low), GroundTruth(lv, high)
+    every_round = np.zeros(rounds, dtype=np.int64)
+    return distributions, GroundTruth(lv, low, every_round), GroundTruth(lv, high, every_round)
 
 
 def sample_transcript(
@@ -302,7 +308,7 @@ def sample_transcript(
     environment."""
     rng = np.random.default_rng(seed)
     posted = [draw(running_sums(row), rng.random()) for row in distributions]
-    alloc = [float(truth.row(t)[p]) for t, p in enumerate(posted)]
+    alloc = [float(truth.table[truth.index[t], p]) for t, p in enumerate(posted)]
     return Transcript.from_rounds(grid, posted, alloc, distributions)
 
 
