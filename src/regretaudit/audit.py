@@ -170,8 +170,8 @@ class AuditReport:
             "provenance": self.provenance,
         }
 
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, allow_nan=False)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, allow_nan=False)
 
 
 def _verdict(regret: float, delta: float, d: float, r: float) -> str:

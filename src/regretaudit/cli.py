@@ -12,6 +12,7 @@ import math
 import os
 import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -43,12 +44,9 @@ from .oracles import (
 )
 from .sellers import (
     ManipulatorSchedule,
-    ManipulatorStrategy,
-    MWUStrategy,
     is_mean_based_violation,
     mean_based_gamma,
     payoff_tables,
-    reward_bounds,
     simulate,
     strategy_from_config,
 )
@@ -80,6 +78,7 @@ _SPEC_KEYS = {
                         "phase2_rounds": _INTEGER, "phase2_price": _NUMBER},
     },
 }
+_REQUIRED_KEYS = {"table_file": ("path",), "mwu": ("step_size",)}
 
 
 def _check_spec(spec: dict, what: str) -> None:
@@ -87,7 +86,7 @@ def _check_spec(spec: dict, what: str) -> None:
     kind = spec.get("kind")
     if type(kind) is not str or kind not in kinds:
         raise ValueError(f"unknown {what} kind {kind!r}")
-    check_keys(spec, {"kind": _STRING, **kinds[kind]}, f"{kind} {what}")
+    check_keys(spec, {"kind": _STRING, **kinds[kind]}, f"{kind} {what}", _REQUIRED_KEYS.get(kind, ()))
 
 
 @dataclass
@@ -95,7 +94,7 @@ class ExperimentConfig:
     """One simulation experiment: environment, two strategies, horizon,
     replications. Checked at construction, so build changed copies with
     dataclasses.replace. The audit block's cost range, 0.1 to 0.9 unless
-    set, is kept as cost_range."""
+    set, is kept as cost_range; the environment, built once, as market."""
 
     environment: dict
     strategies: list[dict]
@@ -139,53 +138,43 @@ class ExperimentConfig:
                 raise ValueError(f"{path}: missing config key {name!r}")
         return ExperimentConfig(**obj)
 
-
-def duopoly_config(rounds: int = 200_000, replications: int = 20, seed: int = 0, out: str = "out") -> ExperimentConfig:
-    return ExperimentConfig(
-        environment={"kind": "uniform", "cost1": 0.1, "cost2": 0.2},
-        strategies=[{"kind": "q"}, {"kind": "q"}],
-        rounds=rounds,
-        replications=replications,
-        seed=seed,
-        out=out,
-        audit={"cost_lo": 0.1, "cost_hi": 0.9},
-    )
+    @cached_property
+    def market(self):
+        return build_environment(self.environment)
 
 
-def manipulation_config(phase1_rounds: int = 10_000, seed: int = 0, out: str = "out") -> ExperimentConfig:
-    schedule = ManipulatorSchedule.standard(phase1_rounds)
-    return ExperimentConfig(
-        environment={"kind": "table", "epsilon": MANIPULATION_EPSILON},
-        strategies=[
-            {"kind": "manipulator", "phase1_rounds": phase1_rounds},
+# The paper's two experiments, each holding only what differs from the defaults.
+PRESETS = {
+    "duopoly": {
+        "environment": {"kind": "uniform"},
+        "strategies": [{"kind": "q"}, {"kind": "q"}],
+        "rounds": 200_000,
+        "replications": 20,
+    },
+    "manipulation": {
+        "environment": {"kind": "table"},
+        "strategies": [
+            {"kind": "manipulator", "phase1_rounds": 10_000},
             {"kind": "mwu", "step_size": MANIPULATION_ETA},
         ],
-        rounds=schedule.total_rounds,
-        replications=1,
-        seed=seed,
-        out=out,
-    )
+        "rounds": ManipulatorSchedule.standard(10_000).total_rounds,
+    },
+}
 
 
 def build_environment(spec: dict):
     """Returns (grid, oracle, costs) for an environment spec."""
-    kind = spec.get("kind")
-    if kind == "uniform":
-        env = UniformDuopoly(spec.get("cost1", 0.1), spec.get("cost2", 0.2))
-        grid = _checked_grid(spec.get("grid", DUOPOLY_GRID), spec.get("h"), "environment grid")
-        return grid, env, (env.cost1, env.cost2)
-    if kind == "table":
-        table = manipulation_valuation_table(spec.get("epsilon", MANIPULATION_EPSILON))
-        grid = _checked_grid(spec.get("grid", MANIPULATION_GRID), spec.get("h"), "environment grid")
-        return grid, table, (spec.get("cost1", 0.0), spec.get("cost2", 0.0))
-    if kind == "table_file":
-        if "path" not in spec:
-            raise ValueError("table_file environment: missing key 'path'")
-        table = DiscreteValuationTable.from_json(spec["path"])
-        levels = spec.get("grid", [float(v) for v in table.price_levels])
-        grid = _checked_grid(levels, spec.get("h"), "environment grid")
-        return grid, table, (spec.get("cost1", 0.0), spec.get("cost2", 0.0))
-    raise ValueError(f"unknown environment kind {kind!r}")
+    costs = (spec.get("cost1", 0.0), spec.get("cost2", 0.0))
+    if spec["kind"] == "uniform":
+        oracle = UniformDuopoly(spec.get("cost1", 0.1), spec.get("cost2", 0.2))
+        levels, costs = DUOPOLY_GRID, (oracle.cost1, oracle.cost2)
+    elif spec["kind"] == "table":
+        oracle = manipulation_valuation_table(spec.get("epsilon", MANIPULATION_EPSILON))
+        levels = MANIPULATION_GRID
+    else:  # "table_file", the one kind that _check_spec leaves
+        oracle = DiscreteValuationTable.from_json(spec["path"])
+        levels = [float(v) for v in oracle.price_levels]
+    return _checked_grid(spec.get("grid", levels), spec.get("h"), "environment grid"), oracle, costs
 
 
 def replication_seed(base: int, replication: int) -> int:
@@ -194,15 +183,13 @@ def replication_seed(base: int, replication: int) -> int:
 
 
 def run_replication(config: ExperimentConfig, replication: int):
-    grid, oracle, costs = build_environment(config.environment)
+    grid, oracle, costs = config.market
     strategies = tuple(
         strategy_from_config(spec, grid, oracle, costs, i, config.rounds, config.feedback)
         for i, spec in enumerate(config.strategies)
     )
     seed = replication_seed(config.seed, replication)
-    return grid, oracle, costs, simulate(
-        grid, strategies, oracle, costs, config.rounds, config.feedback, seed
-    )
+    return simulate(grid, strategies, oracle, costs, config.rounds, config.feedback, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +201,8 @@ def cmd_simulate(args) -> int:
     config = _config_from_args(args)
     payoff_rows = []
     for rep in range(config.replications):
-        grid, oracle, costs, result = run_replication(config, rep)
-        # Only after the strategies are built: a rejected config leaves no directory.
+        result = run_replication(config, rep)
+        # Only after the first simulation, which can still reject the config: no directory is left.
         os.makedirs(config.out, exist_ok=True)
         for i, transcript in enumerate(result.transcripts):
             path = os.path.join(config.out, f"transcript_rep{rep}_seller{i + 1}.jsonl")
@@ -225,6 +212,7 @@ def cmd_simulate(args) -> int:
                 [rep, i + 1, config.rounds, float(payoff.sum()), float(payoff.mean())]
             )
         if args.emit_truth:
+            grid, oracle, _ = config.market
             for i in range(2):
                 opp = result.transcripts[1 - i].posted
                 truth = materialize_truth(oracle, grid.levels, opp, i)
@@ -292,7 +280,7 @@ def cmd_audit(args) -> int:
             curve, args.cost_lo, args.cost_hi, args.sweep_points, truth, dists
         )
         figures.write_csv(args.sweep, header, rows)
-    print(report.to_json(indent=2))
+    print(report.to_json())
     return 0 if report.verdict == "PASS" else 2
 
 
@@ -303,21 +291,21 @@ def cmd_audit_aggregated(args) -> int:
         grid = _checked_grid(grid.levels, args.h, f"--h {args.h:g}")
     drift = DriftAssumption(args.drift_eps, args.drift_gamma, args.support_floor)
     report = audit_aggregated(posted, allocations, grid, drift, config)
-    print(report.to_json(indent=2))
+    print(report.to_json())
     return 0 if report.verdict == "PASS" else 2
 
 
 def cmd_figures(args) -> int:
     _check_sweep_points(args.sweep_points)
     config = _config_from_args(args)
-    grid, oracle, costs = build_environment(config.environment)
-    results = [run_replication(config, rep)[3] for rep in range(config.replications)]
+    results = [run_replication(config, rep) for rep in range(config.replications)]
     os.makedirs(config.out, exist_ok=True)
+    grid, oracle, costs = config.market
     levels = grid.levels
 
-    # Strategy-pair heatmap over the last 10 rounds of every replication.
+    # Strategy-pair heatmap over the last rounds of every replication.
     pairs = [r.transcripts for r in results]
-    counts = figures.pair_heatmap_counts(pairs, last_rounds=10)
+    counts = figures.pair_heatmap_counts(pairs)
     eq = best_pure_equilibrium(expected_payoff_matrix(oracle, levels, costs))
     highlight = eq[2] if eq else None
     rows = [
@@ -331,11 +319,10 @@ def cmd_figures(args) -> int:
         ["seller1_price", "seller2_price", "count"],
         rows,
     )
+    title = f"Strategy pairs over the last {figures.HEATMAP_ROUNDS} rounds"
     _write(
         os.path.join(config.out, "fig1_heatmap.svg"),
-        figures.svg_heatmap(
-            counts, levels, "Strategy pairs over the last 10 rounds", highlight=highlight
-        ),
+        figures.svg_heatmap(counts, levels, title, highlight=highlight),
     )
 
     # Estimated and true regret against the assumed cost, first replication.
@@ -398,19 +385,20 @@ def cmd_manipulate_demo(args) -> int:
     schedule = ManipulatorSchedule.standard(phase1)
     total = schedule.total_rounds
     epsilon = args.epsilon
-    table = manipulation_valuation_table(epsilon)
-    grid = PriceGrid(MANIPULATION_GRID)
-    lo, hi = reward_bounds(table, grid, (0.0, 0.0))
-    learner = MWUStrategy.fresh(len(grid), args.eta, lo, hi)
-    manipulator = ManipulatorStrategy(schedule, grid)
-    result = simulate(grid, (manipulator, learner), table, (0.0, 0.0), total, "expected", args.seed)
+    grid, table, costs = build_environment({"kind": "table", "epsilon": epsilon})
+    specs = ({"kind": "manipulator", "phase1_rounds": phase1}, {"kind": "mwu", "step_size": args.eta})
+    manipulator, learner = (
+        strategy_from_config(spec, grid, table, costs, i, total) for i, spec in enumerate(specs)
+    )
+    # The seed as given, not replication_seed: the demo is one run.
+    result = simulate(grid, (manipulator, learner), table, costs, total, "expected", args.seed)
 
     posted1, posted2 = (tr.posted for tr in result.transcripts)
     top = grid.levels.index(schedule.phase2_price)
     window_start = phase1 + math.ceil(3 * epsilon * phase1)
     freq_top = float((posted2[window_start - 1 :] == top).mean())
 
-    matrix = expected_payoff_matrix(table, grid.levels, (0.0, 0.0))
+    matrix = expected_payoff_matrix(table, grid.levels, costs)
     eq = best_pure_equilibrium(matrix)
     bench = (total * float(eq[1][0]), total * float(eq[1][1]))
     totals = (float(result.payoffs[0].sum()), float(result.payoffs[1].sum()))
@@ -427,7 +415,7 @@ def cmd_manipulate_demo(args) -> int:
     # The learner's cumulative rewards before each round: a running sum of
     # its normalized rewards, added in the order the simulator added them.
     gamma = mean_based_gamma(args.eta, total)
-    _, _, _, util2 = payoff_tables(table, grid, (0.0, 0.0))
+    _, _, _, util2 = payoff_tables(table, grid, costs)
     rewards = learner.rewards(util2[:, posted1].T)
     before = np.vstack([np.zeros((1, len(grid))), np.cumsum(rewards, axis=0)[:-1]])
     flags = is_mean_based_violation(before, result.transcripts[1].dists(), posted2, gamma, total)
@@ -447,15 +435,15 @@ def cmd_manipulate_demo(args) -> int:
         "mean_based_gamma": gamma,
         "mean_based_violations": violations,
     }
-    print(json.dumps(summary, indent=2))
-    if args.out:
+    text = json.dumps(summary, indent=2)
+    if args.out:  # before the summary, so that a failed write prints nothing
         os.makedirs(args.out, exist_ok=True)
         for i, transcript in enumerate(result.transcripts):
             write_transcript(
                 transcript, os.path.join(args.out, f"manipulation_seller{i + 1}.jsonl")
             )
-        with open(os.path.join(args.out, "manipulation_summary.json"), "w") as fh:
-            json.dump(summary, fh, indent=2)
+        _write(os.path.join(args.out, "manipulation_summary.json"), text)
+    print(text)
     return 0
 
 
@@ -465,12 +453,7 @@ def _write(path: str, text: str) -> None:
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    if args.config:
-        config = ExperimentConfig.from_json(args.config)
-    elif args.preset == "manipulation":
-        config = manipulation_config()
-    else:
-        config = duopoly_config()
+    config = ExperimentConfig.from_json(args.config) if args.config else ExperimentConfig(**PRESETS[args.preset])
     flags = {name: getattr(args, name, None) for name in ("rounds", "replications", "seed", "out", "feedback")}
     overrides = {name: value for name, value in flags.items() if value is not None}
     if args.rounds is not None and config.strategies[0].get("kind") == "manipulator":
@@ -484,7 +467,7 @@ def _config_from_args(args) -> ExperimentConfig:
 
 
 def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--preset", choices=["duopoly", "manipulation"], default="duopoly")
+    p.add_argument("--preset", choices=list(PRESETS), default="duopoly")
     p.add_argument("--config", help="experiment config JSON file")
     p.add_argument("--rounds", type=int, default=None)
     p.add_argument("--replications", type=int, default=None)
@@ -551,7 +534,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as e:  # parse and validation errors included
+    except (ValueError, OSError, MemoryError) as e:  # parse and validation errors included
         print(f"error: {e}", file=sys.stderr)
         return 1
 

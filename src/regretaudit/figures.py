@@ -25,6 +25,7 @@ from .core import (
 from .oracles import GroundTruth, true_calibrated_regret
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
+HEATMAP_ROUNDS = 10  # the last rounds of each replication that fig1 counts
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +168,6 @@ def svg_heatmap(
     counts: np.ndarray,
     levels: Sequence[float],
     title: str,
-    xlabel: str = "price of seller 2",
-    ylabel: str = "price of seller 1",
     highlight: tuple[int, int] | None = None,
 ) -> str:
     """Self-contained heatmap of pair counts; rows index seller 1's price."""
@@ -201,10 +200,10 @@ def svg_heatmap(
     for i in range(0, k, step):
         y = _MT + (k - 0.5 - i) * ch
         out.append(f'<text x="{_ML - 6}" y="{y + 4:.1f}" text-anchor="end">{levels[i]:g}</text>')
-    out.append(f'<text x="{_ML + pw / 2}" y="{_H - 12}" text-anchor="middle">{xlabel}</text>')
+    out.append(f'<text x="{_ML + pw / 2}" y="{_H - 12}" text-anchor="middle">price of seller 2</text>')
     out.append(
         f'<text x="18" y="{_MT + ph / 2}" text-anchor="middle" '
-        f'transform="rotate(-90 18 {_MT + ph / 2})">{ylabel}</text>'
+        f'transform="rotate(-90 18 {_MT + ph / 2})">price of seller 1</text>'
     )
     out.append("</svg>")
     return "\n".join(out)
@@ -215,15 +214,13 @@ def svg_heatmap(
 # ---------------------------------------------------------------------------
 
 
-def pair_heatmap_counts(
-    transcript_pairs: Sequence[tuple[Transcript, Transcript]], last_rounds: int = 10
-) -> np.ndarray:
-    """Tally of last-`last_rounds` strategy pairs across replications; the
-    total count is replications * last_rounds."""
+def pair_heatmap_counts(transcript_pairs: Sequence[tuple[Transcript, Transcript]]) -> np.ndarray:
+    """Tally of the strategy pairs of the last HEATMAP_ROUNDS rounds across
+    replications; the total count is replications * HEATMAP_ROUNDS."""
     k = len(transcript_pairs[0][0].grid)
     counts = np.zeros((k, k), dtype=np.int64)
     for t1, t2 in transcript_pairs:
-        np.add.at(counts, (t1.posted[-last_rounds:], t2.posted[-last_rounds:]), 1)
+        np.add.at(counts, (t1.posted[-HEATMAP_ROUNDS:], t2.posted[-HEATMAP_ROUNDS:]), 1)
     return counts
 
 
@@ -260,10 +257,9 @@ def horizon_rows(
     return rows
 
 
-def log_spaced_horizons(total: int, points: int = 8, start: int = 1000) -> list[int]:
-    if total <= start:
+def log_spaced_horizons(total: int) -> list[int]:
+    """Up to eight log-spaced horizons from 1,000 rounds to `total`."""
+    if total <= 1000:
         return [total]
-    out = np.unique(
-        np.round(np.logspace(math.log10(start), math.log10(total), points)).astype(int)
-    )
+    out = np.unique(np.round(np.logspace(3.0, math.log10(total), 8)).astype(int))
     return [int(v) for v in out]

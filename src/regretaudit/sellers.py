@@ -13,7 +13,7 @@ audit consumes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Sequence
 
@@ -227,10 +227,8 @@ class ManipulatorSchedule:
         return self.phase1_rounds + self.phase2_rounds
 
     @staticmethod
-    def standard(phase1_rounds: int, phase1_price: float = 1.0, phase2_price: float = 3.0) -> "ManipulatorSchedule":
-        return ManipulatorSchedule(
-            phase1_rounds, phase1_price, math.ceil(1.1 * phase1_rounds), phase2_price
-        )
+    def standard(phase1_rounds: int) -> "ManipulatorSchedule":
+        return ManipulatorSchedule(phase1_rounds, 1.0, math.ceil(1.1 * phase1_rounds), 3.0)
 
 
 def manipulator_next(schedule: ManipulatorSchedule, round_no: int) -> float:
@@ -458,8 +456,6 @@ def strategy_from_config(
             **{key: config[key] for key in keys if key in config},
         )
     if kind == "mwu":
-        if "step_size" not in config:
-            raise ValueError("mwu strategy: missing key 'step_size'")
         lo, hi = reward_bounds(oracle, grid, costs, feedback_mode)
         return MWUStrategy.fresh(len(grid), config["step_size"], lo, hi)
     if kind == "fixed":
@@ -469,13 +465,9 @@ def strategy_from_config(
             raise ValueError("fixed strategy: missing key 'price' or 'index'")
         return FixedPriceStrategy(_price_index(grid, config["price"], "fixed"), len(grid))
     if kind == "manipulator":
-        phase1 = config.get("phase1_rounds", math.ceil(rounds / 2.1))
-        schedule = ManipulatorSchedule(
-            phase1_rounds=phase1,
-            phase1_price=float(config.get("phase1_price", 1.0)),
-            phase2_rounds=config.get("phase2_rounds", math.ceil(1.1 * phase1)),
-            phase2_price=float(config.get("phase2_price", 3.0)),
-        )
+        standard = ManipulatorSchedule.standard(config.get("phase1_rounds", math.ceil(rounds / 2.1)))
+        given = {key: float(v) if key.endswith("_price") else v for key, v in config.items() if key != "kind"}
+        schedule = replace(standard, **given)
         if schedule.total_rounds < rounds:
             raise ValueError(
                 f"manipulator strategy: phase1_rounds + phase2_rounds = {schedule.total_rounds}"

@@ -1,13 +1,14 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from regretaudit import figures
 from regretaudit.audit import regret_curve
-from regretaudit.cli import main
+from regretaudit.cli import PRESETS, ExperimentConfig, main
 from regretaudit.core import PriceGrid, write_transcript
-from regretaudit.market import manipulation_valuation_table
+from regretaudit.market import DiscreteValuationTable, manipulation_valuation_table
 from regretaudit.oracles import GroundTruth, materialize_truth
 from regretaudit.sellers import greedy_distribution
 
@@ -867,3 +868,93 @@ class TestManipulateDemoCommand:
             assert key in summary
         assert (out / "manipulation_seller1.jsonl").exists()
         assert (out / "manipulation_summary.json").exists()
+
+
+class TestExperimentBuilders:
+    """Presets and config files reach one builder, which builds the market once."""
+
+    TABLE = Path(__file__).parent / "data" / "manipulation_game.json"
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_preset_is_plain_json(self, name):
+        assert json.loads(json.dumps(PRESETS[name])) == PRESETS[name]
+
+    @pytest.mark.parametrize("name, rounds", [("duopoly", "200"), ("manipulation", "210")])
+    def test_preset_equals_its_config_file(self, tmp_path, name, rounds):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(PRESETS[name]))
+        flags = ["--rounds", rounds, "--replications", "2", "--seed", "3", "--emit-truth"]
+        assert main(["simulate", "--preset", name, *flags, "--out", str(tmp_path / "preset")]) == 0
+        assert main(["simulate", "--config", str(config), *flags, "--out", str(tmp_path / "config")]) == 0
+        names = sorted(p.name for p in (tmp_path / "preset").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "config").iterdir())
+        assert len(names) == 9  # payoffs.csv, 2 x 2 transcripts and 2 x 2 sidecars
+        for n in names:
+            assert (tmp_path / "preset" / n).read_bytes() == (tmp_path / "config" / n).read_bytes()
+
+    @pytest.mark.parametrize("command", ["simulate", "figures"])
+    def test_table_file_is_read_once(self, tmp_path, monkeypatch, command):
+        original = DiscreteValuationTable.from_json
+        reads = []
+
+        def counting(source):
+            reads.append(source)
+            return original(source)
+
+        monkeypatch.setattr(DiscreteValuationTable, "from_json", staticmethod(counting))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "environment": {"kind": "table_file", "path": str(self.TABLE)},
+            "strategies": [{"kind": "mwu", "step_size": 0.1}, {"kind": "mwu", "step_size": 0.2}],
+            "rounds": 30,
+        }))
+        extra = ["--sweep-points", "3"] if command == "figures" else []
+        counts = {}
+        for replications in (1, 3):
+            reads.clear()
+            out = tmp_path / f"out{replications}"
+            argv = [command, "--config", str(config), "--replications", str(replications), "--out", str(out)]
+            assert main([*argv, *extra]) == 0
+            counts[replications] = len(reads)
+        assert counts == {1: 1, 3: 1}
+
+    def test_market_is_not_a_config_key(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**PRESETS["duopoly"], "market": None}))
+        with pytest.raises(ValueError, match="unknown config key 'market'"):
+            ExperimentConfig.from_json(str(path))
+
+
+class TestOutputErrors:
+    def test_unwritable_demo_out_prints_no_summary(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main(["manipulate-demo", "--rounds", "100", "--out", str(blocker / "demo")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    # 10**15 rounds ask numpy for petabytes, beyond a 47-bit address space,
+    # so the allocation fails at once under any overcommit policy.
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["simulate", "--rounds", str(10**15)], None),
+            (["figures"], {**PRESETS["duopoly"], "rounds": 10**15, "replications": 1}),
+            (["manipulate-demo", "--rounds", str(10**15)], None),
+        ],
+        ids=["simulate", "figures-config", "manipulate-demo"],
+    )
+    def test_horizon_too_large_to_allocate(self, tmp_path, capsys, argv, config):
+        out = tmp_path / "out"
+        if config is not None:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))
+            argv = [*argv, "--config", str(path)]
+        code = main([*argv, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: Unable to allocate ") and captured.err.count("\n") == 1
+        assert not out.exists()
