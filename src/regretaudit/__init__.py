@@ -23,6 +23,7 @@ from .audit import (
     error_margin,
     estimate_allocations,
     minimize_over_cost,
+    pair_sums,
     regret_curve,
 )
 from .core import (

@@ -9,13 +9,14 @@ with a modified error margin that also pays for the estimation error.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import IO, Sequence, Union
 
 import numpy as np
 
-from .audit import AuditReport, audit_with_margin
+from .audit import AuditReport, PWLInCost, audit_with_margin, block_rows, pair_sums
 from .core import (
     AuditConfig,
     PriceGrid,
@@ -58,11 +59,66 @@ class DriftAssumption:
 
 @dataclass(frozen=True)
 class DistributionEstimate:
-    """Windowed empirical distributions with the guaranteed sup-norm error."""
+    """Windowed empirical distributions with the guaranteed sup-norm error.
 
-    freqs: np.ndarray  # (T, k)
+    Round t's estimate is the frequency of each price among the `window`
+    posted prices from start(t) on. It is computed a block of rounds at a
+    time (`blocks`), so no (T, k) array is needed; `freqs` gathers them all.
+    """
+
+    posted: np.ndarray  # (T,) int64 grid indices
+    k: int
     error_bound: float  # rho: holds for every round with probability 1 - delta
     window: int
+
+    def start(self, rounds: np.ndarray) -> np.ndarray:
+        """First round of each round's window: centred, shifted inward at
+        the ends so that every window holds exactly `window` rounds."""
+        return np.clip(rounds - (self.window - 1) // 2, 0, len(self.posted) - self.window)
+
+    def blocks(self, lo: int = 0, hi: int | None = None):
+        """Yield (a, freqs of rounds a, a+1, ...) for consecutive blocks of
+        block_rows(k) rounds covering rounds lo..hi-1.
+
+        Window starts move by 0 or 1 per round, so a block's windows open
+        and close inside two ranges of positions, each at most a block long.
+        The counts of the prices posted before each range carry from block
+        to block, and a block's frequencies are differences of whole counts,
+        held exactly, divided by the window: the values a (T, k) prefix sum
+        would give.
+        """
+        T, k, L = len(self.posted), self.k, self.window
+        hi = T if hi is None else hi
+        s = int(self.start(lo))
+        opened = np.bincount(self.posted[:s], minlength=k)
+        closed = np.bincount(self.posted[: s + L], minlength=k)
+        size = block_rows(k)
+        for a in range(lo, hi, size):
+            b = min(a + size, hi)
+            starts = self.start(np.arange(a, b + 1))  # with the next block's first
+            s_next = int(starts[-1])
+            opening = _running_counts(opened, self.posted[s:s_next], k)
+            closing = _running_counts(closed, self.posted[s + L : s_next + L], k)
+            offsets = starts[:-1] - s
+            freqs = (closing[offsets] - opening[offsets]) / L
+            opened, closed, s = opening[-1].copy(), closing[-1].copy(), s_next
+            del opening, closing  # not held while the caller works on the block
+            yield a, freqs
+
+    @functools.cached_property
+    def freqs(self) -> np.ndarray:
+        """Every round's estimate, (T, k)."""
+        return np.concatenate([freqs for _, freqs in self.blocks()])
+
+
+def _running_counts(before: np.ndarray, prices: np.ndarray, k: int) -> np.ndarray:
+    """Counts per price of the positions before each of len(prices) + 1
+    positions: `before` at the first, then adding one price at a time."""
+    counts = np.zeros((len(prices) + 1, k), dtype=np.int64)
+    counts[np.arange(1, len(prices) + 1), prices] = 1
+    np.cumsum(counts, axis=0, out=counts)
+    counts += before
+    return counts
 
 
 class InsufficientData(ValueError):
@@ -85,7 +141,9 @@ def estimate_distributions(
 
     The window length balances sampling noise against drift accumulated over
     the window; boundary windows shift inward instead of shrinking so every
-    estimate averages exactly L rounds.
+    estimate averages exactly L rounds. The estimate is returned
+    unevaluated: its `blocks` yield the frequencies a block of rounds at a
+    time.
     """
     if not (0 < delta < 1):
         raise ValueError("delta must be in (0, 1)")
@@ -106,12 +164,7 @@ def estimate_distributions(
             f"exceeds the {T}-round horizon"
         )
     rho = (4.0 * eps * log_term) ** (1.0 / 3.0)
-    onehot = np.zeros((T + 1, k))
-    onehot[np.arange(1, T + 1), posted] = 1.0
-    prefix = np.cumsum(onehot, axis=0)
-    starts = np.clip(np.arange(T) - (window - 1) // 2, 0, T - window)
-    freqs = (prefix[starts + window] - prefix[starts]) / window
-    return DistributionEstimate(freqs, rho, window)
+    return DistributionEstimate(posted, k, rho, window)
 
 
 def aggregated_error_margin(
@@ -151,7 +204,9 @@ def audit_aggregated(
 
     A price enters a round's estimated support when its windowed frequency
     reaches rho_prime (frequencies below the estimation error are
-    indistinguishable from zero); the posted price always stays in. Raises
+    indistinguishable from zero); the posted price always stays in. The
+    estimated rows are built and reduced to their pair sums a block of
+    rounds at a time, so no (T, k) array is held. Raises
     InsufficientData, a ValueError, when rho_prime reaches the claimed
     support floor.
     """
@@ -171,13 +226,17 @@ def audit_aggregated(
     if rho_prime >= drift.support_floor:
         raise InsufficientData(rho_prime, drift.support_floor)
     est = estimate_distributions(posted, grid, drift, delta)
-    transcript = Transcript(
-        grid, posted, alloc, np.arange(T), _estimated_table(est.freqs, posted, rho_prime)
-    )
+    # Each round is its own distinct row: a block of rounds is a transcript.
+    m = np.zeros((k, k))
+    for a, freqs in est.blocks():
+        b = a + len(freqs)
+        rows = _estimated_table(freqs, posted[a:b], rho_prime)
+        m += pair_sums(Transcript(grid, posted[a:b], alloc[a:b], np.arange(b - a), rows))
+    curve = PWLInCost.from_pair_sums(m, grid.levels, T)
     delta_margin = aggregated_error_margin(
         T, k, grid.max_level, rho_prime, drift.support_floor, delta
     )
-    return audit_with_margin(transcript, config, delta_margin, "aggregated")
+    return audit_with_margin(curve, grid, T, config, delta_margin, "aggregated")
 
 
 def _estimated_table(freqs: np.ndarray, posted: np.ndarray, rho_prime: float) -> np.ndarray:

@@ -4,8 +4,10 @@ Counterfactual allocations are estimated by propensity weighting at the
 posted price, with a pessimistic fill at prices outside the round's support:
 copy the estimate of the nearest supported lower price, or 1 when none
 exists. The benefit of substituting price p with q is then affine in the
-unknown cost c, so the estimated regret (sum over p of the best substitution
-for p) is a convex piecewise-linear function of c. Minimizing it over the
+unknown cost c, with coefficients that depend on the transcript only through
+the k x k pair sums M[p, q] = sum_t pi_t(p) xhat_t(q) (`pair_sums`). So the
+estimated regret (sum over p of the best substitution for p) is a convex
+piecewise-linear function of c, built from M alone. Minimizing it over the
 plausible cost range, adding a concentration margin, and comparing against
 twice the threshold gives the verdict.
 """
@@ -20,6 +22,18 @@ import numpy as np
 
 from .core import AuditConfig, CostRange, PriceGrid, Transcript
 
+# Entries per block of rows in pair_sums and in the aggregated audit's walk
+# over rounds: bounds their temporaries, whatever T is. A float block is
+# 64 KiB; eight times that raised the aggregated audit's peak RSS by about
+# 4 MB at k = 19 and made it no faster.
+BLOCK_ENTRIES = 1 << 13
+
+
+def _lead_prices(rows: np.ndarray) -> np.ndarray:
+    """lead[n, q]: the nearest price at or below q that row n supports, else -1."""
+    lead = np.where(rows > 0, np.arange(rows.shape[1]), -1)
+    return np.maximum.accumulate(lead, axis=1, out=lead)
+
 
 def estimate_allocations(transcript: Transcript) -> np.ndarray:
     """Propensity-score allocation table x-hat, (T, k), with the pessimistic
@@ -28,11 +42,10 @@ def estimate_allocations(transcript: Transcript) -> np.ndarray:
         raise ValueError("empty transcript")
     table, index, posted = transcript.dist_table, transcript.dist_index, transcript.posted
     k = table.shape[1]
-    # lead[t, q]: round t's nearest supported price at or below q, else -1,
-    # gathered from the distinct rows. A price led by the posted one takes
-    # its propensity value, by another supported one 0, by none 1.
-    lead = np.maximum.accumulate(np.where(table > 0, np.arange(k), -1), axis=1)
-    lead = lead.astype(np.min_scalar_type(-k))[index]
+    # lead[t, q]: round t's lead price, gathered from the distinct rows. A
+    # price led by the posted one takes its propensity value, by another
+    # supported one 0, by none 1.
+    lead = _lead_prices(table).astype(np.min_scalar_type(-k))[index]
     xhat = (lead < 0).astype(float)
     weight = transcript.alloc / table[index, posted]
     np.copyto(xhat, weight[:, None], where=lead == posted[:, None])
@@ -74,8 +87,25 @@ class PWLInCost:
 
     def values(self, cs: np.ndarray) -> np.ndarray:
         cs = np.asarray(cs, dtype=float)
-        lines = self.slopes[None, :, :] * cs[:, None, None] + self.intercepts[None, :, :]
-        return lines.max(axis=2).sum(axis=1)
+        # best[i, p] = max_q of the line at cost cs[i], one p at a time, so a
+        # long sweep holds (n, k) floats, not (n, k, k).
+        best = np.empty((len(cs), len(self.slopes)))
+        for p, (s, b) in enumerate(zip(self.slopes, self.intercepts)):
+            best[:, p] = (s[None, :] * cs[:, None] + b[None, :]).max(axis=1)
+        return best.sum(axis=1)
+
+    @classmethod
+    def from_pair_sums(cls, m: np.ndarray, levels, rounds: int) -> "PWLInCost":
+        """The curve of the pair sums M over `rounds` rounds: substituting p
+        with q gains ((l_q - c) M[p, q] - (l_p - c) M[p, p]) / T."""
+        levels = np.asarray(levels, dtype=float)
+        own = np.diag(m)
+        slopes = (own[:, None] - m) / rounds
+        intercepts = (levels[None, :] * m - (levels * own)[:, None]) / rounds
+        bps: set[float] = set()
+        for p in range(len(levels)):
+            bps.update(_envelope_breakpoints(slopes[p], intercepts[p]))
+        return cls(slopes, intercepts, tuple(sorted(bps)))
 
     def argmax_swap(self, c: float) -> tuple[int, ...]:
         """Best substitution target per price at cost c, lowest q on ties."""
@@ -84,19 +114,55 @@ class PWLInCost:
         return tuple(int(np.argmax(row >= b)) for row, b in zip(vals, best))
 
 
+def block_rows(k: int) -> int:
+    """Rows per block when walking an (m, k) table: about BLOCK_ENTRIES
+    entries, so a block's temporaries take the same memory whatever m is."""
+    return max(1, BLOCK_ENTRIES // k)
+
+
+def _cell_sums(transcript: Transcript) -> tuple[np.ndarray, np.ndarray]:
+    """Per distinct row n: its round count C[n], and S[n, j], its
+    allocations summed over its rounds that posted j, (n, k)."""
+    n, k = transcript.dist_table.shape
+    cells = transcript.dist_index * k
+    cells += transcript.posted
+    counts = np.bincount(transcript.dist_index, minlength=n)
+    return counts, np.bincount(cells, weights=transcript.alloc, minlength=n * k).reshape(n, k)
+
+
+def pair_sums(transcript: Transcript) -> np.ndarray:
+    """M[p, q] = sum_t pi_t(p) xhat_t(q), (k, k), without a (T, k) array.
+
+    Rounds that share a distinct row n differ in x-hat only through the
+    posted price, so the sum of x-hat over row n's rounds at price q is
+    S[n, lead] / pi_n(lead), with S[n, j] the row's allocations summed over
+    its rounds posting j and lead its nearest supported price at or below q;
+    it is the row's round count C[n] when no price is. M sums pi_n(p) times
+    that over the rows, a block of rows at a time. Against the dense
+    dists().T @ estimate_allocations(), only the order of the additions
+    changes.
+    """
+    if len(transcript) < 1:
+        raise ValueError("empty transcript")
+    counts, sums = _cell_sums(transcript)
+    table = transcript.dist_table
+    n, k = table.shape
+    m = np.zeros((k, k))
+    step = block_rows(k)
+    for a in range(0, n, step):
+        rows = table[a : a + step]
+        lead = _lead_prices(rows)
+        r = np.arange(len(rows))[:, None]
+        x = sums[a + r, lead]
+        np.divide(x, rows[r, lead], out=x, where=lead >= 0)
+        np.copyto(x, counts[a : a + step, None], where=lead < 0)
+        m += rows.T @ x
+    return m
+
+
 def regret_curve(transcript: Transcript) -> PWLInCost:
     """Estimated regret of the transcript as an explicit function of cost."""
-    xhat = estimate_allocations(transcript)
-    levels = np.asarray(transcript.grid.levels, dtype=float)
-    T = len(transcript)
-    m = transcript.dists().T @ xhat  # m[p, q] = sum_t pi_t(p) xhat_t(q)
-    own = np.diag(m)
-    slopes = (own[:, None] - m) / T
-    intercepts = (levels[None, :] * m - (levels * own)[:, None]) / T
-    bps: set[float] = set()
-    for p in range(len(levels)):
-        bps.update(_envelope_breakpoints(slopes[p], intercepts[p]))
-    return PWLInCost(slopes, intercepts, tuple(sorted(bps)))
+    return PWLInCost.from_pair_sums(pair_sums(transcript), transcript.grid.levels, len(transcript))
 
 
 def minimize_over_cost(curve: PWLInCost, cost_range: CostRange) -> tuple[float, float]:
@@ -181,17 +247,21 @@ def _verdict(regret: float, delta: float, d: float, r: float) -> str:
 
 
 def audit_with_margin(
-    transcript: Transcript, config: AuditConfig, delta: float, provenance: str
+    curve: PWLInCost,
+    grid: PriceGrid,
+    rounds: int,
+    config: AuditConfig,
+    delta: float,
+    provenance: str,
 ) -> AuditReport:
-    """The verdict on the transcript's estimated regret curve with the given
-    error margin: the exact audit's concentration margin, or the aggregated
-    audit's, whose distributions are estimates."""
-    curve = regret_curve(transcript)
+    """The verdict on an estimated regret curve over `rounds` rounds on the
+    grid, with the given error margin: the exact audit's concentration
+    margin, or the aggregated audit's, whose distributions are estimates."""
     c_tilde, regret = minimize_over_cost(curve, config.cost_range)
     lo, hi = config.cost_range.lo, config.cost_range.hi
     sample_cs = sorted({lo, hi, c_tilde} | {b for b in curve.breakpoints if lo < b < hi})
     samples = tuple(zip(sample_cs, curve.values(sample_cs).tolist()))
-    d = discretization_loss(transcript.grid) if config.endogenous else 0.0
+    d = discretization_loss(grid) if config.endogenous else 0.0
     return AuditReport(
         estimated_plausible_cost=c_tilde,
         estimated_regret=regret,
@@ -201,7 +271,7 @@ def audit_with_margin(
         curve_samples=samples,
         threshold_r=config.threshold_r,
         confidence_alpha=config.confidence_alpha,
-        rounds=len(transcript),
+        rounds=rounds,
         swap_at_optimum=curve.argmax_swap(c_tilde),
         provenance=provenance,
     )
@@ -214,4 +284,5 @@ def audit(transcript: Transcript, config: AuditConfig) -> AuditReport:
     loss when the grid is endogenous) is at most twice the threshold.
     """
     delta = error_margin(transcript, config.confidence_alpha)
-    return audit_with_margin(transcript, config, delta, "exact")
+    curve = regret_curve(transcript)
+    return audit_with_margin(curve, transcript.grid, len(transcript), config, delta, "exact")

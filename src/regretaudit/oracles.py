@@ -135,10 +135,14 @@ def true_calibrated_regret(distributions, truth: GroundTruth, cost: Union[Numeri
         m = np.asarray(distributions, dtype=float).T @ truth.as_array()  # m[p, q] = sum_t pi_t(p) x_t(q)
         levels = np.asarray(truth.levels, dtype=float)
         cs = np.asarray(costs, dtype=float)
-    # gains[i, p, q] = (l_q - c_i) M[p, q] - (l_p - c_i) M[p, p]
+    # best[i, p] = max_q of (l_q - c_i) M[p, q] - (l_p - c_i) M[p, p], one p
+    # at a time, so a long sweep holds (n, k) values, not (n, k, k).
     margins = levels[None, :] - cs[:, None]
-    gains = margins[:, None, :] * m - (margins * np.diag(m))[:, :, None]
-    regrets = (gains.max(axis=2).sum(axis=1) / truth.rounds).tolist()
+    own = margins * np.diag(m)
+    best = np.empty(own.shape, dtype=m.dtype)
+    for p in range(len(levels)):
+        best[:, p] = (margins * m[p] - own[:, p, None]).max(axis=1)
+    regrets = (best.sum(axis=1) / truth.rounds).tolist()
     return regrets[0] if np.ndim(cost) == 0 else regrets
 
 

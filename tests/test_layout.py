@@ -10,17 +10,22 @@ the benchmark: what only tests call lives under tests/. Likewise the package
 directory holds Python modules only: data that only tests read lives there
 too.
 The functions the benchmark's traced run wraps keep their names, modules
-and the parameter it reads.
+and the parameter it reads, and the commands it runs still call each of
+them through a module attribute, where the tracer can wrap it.
 """
 
 import ast
 import importlib
 import inspect
+import json
+import math
+import sys
 from pathlib import Path
 
 import pytest
 
-from regretaudit.core import write_transcript
+import regretaudit.cli
+from regretaudit.core import CostRange, read_transcript, write_transcript
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "regretaudit"
@@ -187,3 +192,55 @@ def test_traced_layers_resolve_to_functions():
     assert [name for name in layers if not resolves_to_function(name)] == []
     # The traced run counts the bytes written from this argument.
     assert "sink" in inspect.signature(write_transcript).parameters
+
+
+def counting(name: str, fn, calls: dict[str, int]):
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+def reduced_copy(transcript: Path, reduced: Path) -> None:
+    """The transcript's header and each record's t, posted and alloc."""
+    with transcript.open(encoding="utf-8") as src, reduced.open("w", encoding="utf-8") as out:
+        out.write(next(src))
+        for line in src:
+            record = json.loads(line)
+            out.write(json.dumps({key: record[key] for key in ("t", "posted", "alloc")}) + "\n")
+
+
+def test_traced_layers_are_called_by_the_commands(tmp_path, monkeypatch, capsys):
+    # The benchmark's traced run: the four commands in-process, at its
+    # duopoly-q-audit workload's tiny sizes, then the audit's public stages
+    # one by one. Each layer is counted wherever the tracer would wrap it:
+    # in every regretaudit module that binds the function.
+    calls = dict.fromkeys(traced_layers(), 0)
+    modules = [m for n, m in sorted(sys.modules.items()) if n.split(".")[0] == "regretaudit"]
+    for name in calls:
+        module, attr = name.rsplit(".", 1)
+        original = getattr(importlib.import_module(f"regretaudit.{module}"), attr)
+        for m in modules:
+            if m.__dict__.get(attr) is original:
+                monkeypatch.setattr(m, attr, counting(name, original, calls))
+    cli = regretaudit.cli
+    sim, fig, reduced = tmp_path / "sim", tmp_path / "fig", tmp_path / "reduced.jsonl"
+    seller1 = sim / "transcript_rep0_seller1.jsonl"
+    costs = ["--cost-lo", "0.1", "--cost-hi", "0.9"]
+    gamma = math.log(1 / 5e-4) / math.log(600)
+    duopoly = ["--preset", "duopoly", "--replications", "1", "--seed", "7"]
+    assert cli.main(["simulate", *duopoly, "--rounds", "600", "--out", str(sim)]) == 0
+    assert cli.main(["audit", str(seller1), *costs]) in (0, 2)
+    reduced_copy(seller1, reduced)
+    aggregated = ["--drift-gamma", repr(gamma), "--support-floor", "0.3"]
+    assert cli.main(["audit-aggregated", str(reduced), *costs, *aggregated]) in (0, 2)
+    assert cli.main(["figures", *duopoly, "--rounds", "300", "--sweep-points", "9", "--out", str(fig)]) == 0
+    audit_module = importlib.import_module("regretaudit.audit")
+    transcript = read_transcript(str(seller1))
+    audit_module.estimate_allocations(transcript)
+    curve = audit_module.regret_curve(transcript)
+    audit_module.error_margin(transcript, 0.05)
+    audit_module.minimize_over_cost(curve, CostRange(0.1, 0.9))
+    capsys.readouterr()
+    assert [name for name, n in calls.items() if n == 0] == []
