@@ -152,19 +152,25 @@ def estimate_distributions(
     k = len(grid)
     if T < 1:
         raise ValueError("empty price sequence")
-    eps = drift.step_drift(T)
-    log_term = math.log(2.0 * T * k / delta)
+    window, rho = _balancing_window(T, k, drift, delta)
+    return DistributionEstimate(posted, k, rho, window)
+
+
+def _balancing_window(rounds: int, k: int, drift: DriftAssumption, delta: float) -> tuple[int, float]:
+    """The window length and its error bound rho; ValueError if the window
+    exceeds the horizon."""
+    eps = drift.step_drift(rounds)
+    log_term = math.log(2.0 * rounds * k / delta)
     t_opt = (eps * log_term / 2.0) ** (1.0 / 3.0)
     # The window grows as the drift bound shrinks; a bound that underflows
     # to 0 (T ** -gamma for a large gamma) balances at no finite window.
     window = math.ceil(log_term / (2.0 * t_opt * t_opt)) if t_opt > 0 else math.inf
-    if window > T:
+    if window > rounds:
         raise ValueError(
             f"the balancing window ({window} rounds at drift bound {eps:.3g} per step) "
-            f"exceeds the {T}-round horizon"
+            f"exceeds the {rounds}-round horizon"
         )
-    rho = (4.0 * eps * log_term) ** (1.0 / 3.0)
-    return DistributionEstimate(posted, k, rho, window)
+    return window, (4.0 * eps * log_term) ** (1.0 / 3.0)
 
 
 def aggregated_error_margin(
@@ -187,10 +193,20 @@ def aggregated_error_margin(
     return estimation + concentration
 
 
-def _rho_prime(drift: DriftAssumption, rounds: int, k: int, delta: float) -> float:
+def check_horizon(rounds: int, k: int, drift: DriftAssumption, delta: float) -> float:
+    """rho_prime, the error bound of the estimated distributions over
+    `rounds` rounds (at least 1) on k prices. Raises InsufficientData when
+    it reaches the support floor, then ValueError when the balancing window
+    exceeds the horizon: both depend on the number of rounds, not on the
+    rounds themselves, so a file can be checked before it is read."""
     if drift.gamma is not None:
-        return (rounds ** -drift.gamma * math.log(8.0 * rounds * k**3 / delta)) ** (1.0 / 3.0)
-    return (4.0 * drift.epsilon * math.log(2.0 * rounds * k / delta)) ** (1.0 / 3.0)
+        rho_prime = (rounds ** -drift.gamma * math.log(8.0 * rounds * k**3 / delta)) ** (1.0 / 3.0)
+    else:
+        rho_prime = (4.0 * drift.epsilon * math.log(2.0 * rounds * k / delta)) ** (1.0 / 3.0)
+    if rho_prime >= drift.support_floor:
+        raise InsufficientData(rho_prime, drift.support_floor)
+    _balancing_window(rounds, k, drift, delta)
+    return rho_prime
 
 
 def audit_aggregated(
@@ -222,9 +238,7 @@ def audit_aggregated(
         raise TranscriptValidationError(violations)
     k = len(grid)
     delta = config.confidence_alpha
-    rho_prime = _rho_prime(drift, T, k, delta)
-    if rho_prime >= drift.support_floor:
-        raise InsufficientData(rho_prime, drift.support_floor)
+    rho_prime = check_horizon(T, k, drift, delta)
     est = estimate_distributions(posted, grid, drift, delta)
     # Each round is its own distinct row: a block of rounds is a transcript.
     m = np.zeros((k, k))
@@ -248,7 +262,7 @@ def _estimated_table(freqs: np.ndarray, posted: np.ndarray, rho_prime: float) ->
     # zeros in between would regroup numpy's unrolled summation.
     sizes = keep.sum(axis=1)
     totals = np.empty(T)
-    for m in np.unique(sizes).tolist():
+    for m in np.flatnonzero(np.bincount(sizes)).tolist():  # np.unique would import numpy.ma
         rows = np.flatnonzero(sizes == m)
         totals[rows] = freqs[rows][keep[rows]].reshape(-1, m).sum(axis=1)
     return np.where(keep, freqs, 0.0) / totals[:, None]
@@ -257,12 +271,12 @@ def _estimated_table(freqs: np.ndarray, posted: np.ndarray, rho_prime: float) ->
 def read_price_series(source: Union[str, IO[str]]):
     """Read a reduced transcript (records may lack support/probs fields).
 
-    Returns (grid, posted indices, allocations), validated like a full
-    transcript's. Full transcript files are accepted; their distribution
-    fields are ignored.
+    Returns (grid, posted indices, allocations), the last two as int64 and
+    float64 columns, validated like a full transcript's. Full transcript
+    files are accepted; their distribution fields are ignored.
     """
     grid, lines, (posted, alloc) = read_records(
         source, {"posted": "an integer", "alloc": "a number"}
     )
     raise_violations(validate_series(grid, posted, alloc), lines)
-    return grid, posted, [float(a) for a in alloc]
+    return grid, posted, alloc

@@ -18,13 +18,14 @@ from typing import Sequence
 import numpy as np
 
 from . import figures
-from .aggregate import DriftAssumption, audit_aggregated, read_price_series
+from .aggregate import DriftAssumption, audit_aggregated, check_horizon, read_price_series
 from .audit import audit, minimize_over_cost, regret_curve
 from .core import (
     AuditConfig,
     CostRange,
     PriceGrid,
     check_keys,
+    count_records,
     load_json,
     read_transcript,
     write_transcript,
@@ -286,10 +287,14 @@ def cmd_audit(args) -> int:
 
 def cmd_audit_aggregated(args) -> int:
     config = _audit_config_from_args(args)
+    drift = DriftAssumption(args.drift_eps, args.drift_gamma, args.support_floor)
+    # Too few rounds fail on the count of records, before any is decoded.
+    grid, rounds = count_records(args.transcript)
+    if rounds:
+        check_horizon(rounds, len(grid), drift, config.confidence_alpha)
     grid, posted, allocations = read_price_series(args.transcript)
     if args.h is not None:
         grid = _checked_grid(grid.levels, args.h, f"--h {args.h:g}")
-    drift = DriftAssumption(args.drift_eps, args.drift_gamma, args.support_floor)
     report = audit_aggregated(posted, allocations, grid, drift, config)
     print(report.to_json())
     return 0 if report.verdict == "PASS" else 2

@@ -12,10 +12,12 @@ from __future__ import annotations
 import json
 import math
 import re
+import struct
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import IO, Iterable, Sequence, Union
 
 import numpy as np
@@ -26,6 +28,7 @@ import numpy as np
 MIN_SUPPORT_PROB = 1e-15
 
 PROB_SUM_TOL = 1e-12
+_SUM_BLOCK_ROWS = 1024  # rows whose exact sums validate takes at once
 
 
 class TranscriptParseError(ValueError):
@@ -145,33 +148,21 @@ def _sparse_problem(support: tuple, probs: tuple, k: int) -> tuple[str, str] | N
     return None
 
 
-def _encode_distributions(support: tuple, probs: tuple, k: int, lines: Sequence[int]):
-    """Dictionary-encode a file's distributions from read_records' (ids,
-    values) columns of "support" and "probs".
-
-    Returns (T,) ids into an (n, k) table of the n distinct (support, probs)
-    pairs in order of first appearance. Each distinct pair is checked once,
-    in that order, and a breach names the first round that carries it;
-    `lines[t]` is round t's line in the file.
-    """
-    (support_ids, supports), (probs_ids, probs) = support, probs
-    # Number the distinct pairs of ids in order of first appearance.
-    _, first, inverse = np.unique(support_ids * len(probs) + probs_ids, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    rounds = first[order]
-    keys = [(supports[s], probs[p]) for s, p in zip(support_ids[rounds].tolist(), probs_ids[rounds].tolist())]
-    for t, (s, p) in zip((rounds + 1).tolist(), keys):
-        if len(s) != len(p):
-            raise TranscriptParseError(lines[t], "support and probs have different lengths")
-        problem = _sparse_problem(s, p, k)
-        if problem is not None:
-            raise TranscriptValidationError([Violation(t, *problem, lines[t])])
-    table = np.zeros((len(keys), k))
-    rows = np.repeat(np.arange(len(keys)), [len(s) for s, _ in keys])
-    table[rows, list(chain.from_iterable(s for s, _ in keys))] = list(chain.from_iterable(p for _, p in keys))
-    return rank[inverse], table
+def _distribution_row(values: list, k: int, t: int, line_no: int) -> list:
+    """Round t's dense row over the grid from its "support" and "probs"
+    (read_records' `row` for transcripts). Lists of different lengths raise
+    TranscriptParseError; support or probs that no dense row can hold raise
+    TranscriptValidationError, both naming line `line_no`."""
+    support, probs = values
+    if len(support) != len(probs):
+        raise TranscriptParseError(line_no, "support and probs have different lengths")
+    problem = _sparse_problem(support, probs, k)
+    if problem is not None:
+        raise TranscriptValidationError([Violation(t, *problem, line_no)])
+    row = [0.0] * k
+    for i, p in zip(support, probs):
+        row[i] = p
+    return row
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,8 +277,12 @@ def _violations(grid, posted, alloc, dist_index=None, dist_table=None) -> list[V
         posted_ok, outside = on_grid, f"grid of size {len(grid)}"
     else:
         problems = _row_problems(dist_table)
-        posted_ok, outside = np.zeros(len(posted), dtype=bool), "support"
-        posted_ok[on_grid] = dist_table[dist_index[on_grid], posted[on_grid]] != 0
+        supported, outside = dist_table != 0, "support"
+        if on_grid.all():  # gathers without copying the columns
+            posted_ok = supported[dist_index, posted]
+        else:
+            posted_ok = np.zeros(len(posted), dtype=bool)
+            posted_ok[on_grid] = supported[dist_index[on_grid], posted[on_grid]]
     alloc_ok = (alloc >= 0.0) & (alloc <= 1.0)
     bad = ~(posted_ok & alloc_ok)
     if problems:
@@ -309,8 +304,12 @@ def _row_problems(table: np.ndarray) -> dict[int, list[tuple[str, str]]]:
     empty = ~table.any(axis=1)
     negative = (table < 0).any(axis=1)
     tiny = ((table > 0) & (table < MIN_SUPPORT_PROB)).any(axis=1)
-    summed = zip(table.tolist(), finite & ~empty)
-    off_sum = np.array([ok and abs(math.fsum(row) - 1.0) > PROB_SUM_TOL for row, ok in summed], bool)
+    summed = finite & ~empty
+    off_sum = np.zeros(len(table), dtype=bool)
+    # A block of rows at a time, so that no Python list holds every row.
+    for lo in range(0, len(table), _SUM_BLOCK_ROWS):
+        rows = zip(table[lo : lo + _SUM_BLOCK_ROWS].tolist(), summed[lo : lo + _SUM_BLOCK_ROWS])
+        off_sum[lo : lo + _SUM_BLOCK_ROWS] = [ok and abs(math.fsum(row) - 1.0) > PROB_SUM_TOL for row, ok in rows]
     out = {}
     for d in np.flatnonzero(empty | ~finite | negative | tiny | off_sum).tolist():
         row = out[d] = []
@@ -474,31 +473,49 @@ def _grid_of(header, line_no: int) -> PriceGrid:
 # becomes one of these lone surrogates, which no UTF-8 text decodes to.
 _NOT_UTF8 = re.compile("[\udc80-\udcff]")
 
+# The array typecode of each scalar kind that read_records reads.
+_TYPECODES = {"an integer": "q", "a number": "d"}
 
-def _tail_ids(tail: str, listed: list[tuple], interned: list[dict]) -> tuple:
-    """The value ids of a record tail (see read_records) that decodes to an
-    object holding exactly the list fields, each of its kind; () for any
-    other tail.
+# How many tails of the records last decoded whole read_records keeps. A
+# Q-learner has one distinct row per greedy price, so on up to 64 prices
+# every row it draws from reaches the tail cache.
+_RECENT_TAILS = 64
+
+
+def _open(path: str) -> IO[str]:
+    return open(path, "r", encoding="utf-8", errors="surrogateescape")
+
+
+def _decode(line: str, line_no: int):
+    """A whole line's JSON value; a byte that is not UTF-8, bad JSON and
+    JSON nested too deeply raise TranscriptParseError naming the line."""
+    if not line.isascii() and (byte := _NOT_UTF8.search(line)):
+        raise TranscriptParseError(line_no, f"invalid UTF-8 byte 0x{ord(byte.group()) - 0xDC00:02x}")
+    try:
+        return _DECODER.decode(line)
+    except (ValueError, RecursionError) as e:
+        raise TranscriptParseError(line_no, f"bad JSON: {getattr(e, 'msg', e)}") from e
+
+
+def _holds_lists(tail: str, listed: list[tuple]) -> bool:
+    """Whether a record tail (see read_records) decodes to an object holding
+    exactly the list fields, each of its kind.
 
     A line that carries such a tail and decodes whole splits at a top-level
-    member, so its list fields hold the tail's values: the line that first
-    carried the tail has interned them already.
+    member, so its list fields hold the tail's values.
     """
     try:
         obj = _DECODER.decode(f'{{"{listed[0][0]}": {tail}')
     except (ValueError, RecursionError):
-        return ()
+        return False
     if type(obj) is not dict or obj.keys() != {name for name, _, _ in listed}:
-        return ()
-    if not all(ok(obj[name]) for name, ok, _ in listed):
-        return ()
-    ids = tuple(seen.get(tuple(obj[name])) for (name, _, _), seen in zip(listed, interned))
-    return () if None in ids else ids
+        return False
+    return all(ok(obj[name]) for name, ok, _ in listed)
 
 
 def read_records(
-    source: Union[str, IO[str]], fields: dict[str, str]
-) -> tuple[PriceGrid, list[int], list]:
+    source: Union[str, IO[str]], fields: dict[str, str], row=None
+) -> tuple[PriceGrid, array, list]:
     """Read a line-oriented JSON file: a grid header, then one record per round.
 
     `source` is a path, read as UTF-8, or an open text handle; blank lines
@@ -506,56 +523,72 @@ def read_records(
     whose `fields` (name -> kind, see KINDS) hold values of their kind; other
     keys are ignored. Scalar fields are checked before list-valued ones.
 
-    Returns the grid, the line numbers (the header's first, then round t's at
-    index t) and one column per field. A scalar field's column lists its
-    values, one per round. A list field's column is a pair (ids, values):
-    `values` holds its distinct values as tuples, in order of first
-    appearance, and `ids` is a (T,) int64 array of indices into them. Values
-    that compare equal share an id, whatever their text (so 0.5 and 5e-1,
-    but also 1 and 1.0, or 0.0 and -0.0); the first one read is kept.
+    Returns the grid, the line numbers as an array("q") (the header's first,
+    then round t's at index t) and a numpy column per scalar field, int64
+    for "an integer" and float64 for "a number"; "t" is checked, not kept.
+    If `fields` has list fields, `row(values, k, t, line_no)` makes a
+    record's dense row of k numbers from its list values, in `fields` order,
+    and one more entry follows the columns: (ids, table), a (T,) int64
+    column of indices into the (n, k) float64 table of the distinct rows, in
+    order of first appearance. Rows that compare equal share an id, whatever
+    their text (so 0.5 and 5e-1, but also 1 and 1.0, or 0.0 and -0.0); the
+    first one read is kept. So a round costs a few typed bytes and no Python
+    object: a distinct row is kept once, packed as float64 in one buffer
+    that becomes the table and as the bytes key that finds it again.
 
     Malformed input raises TranscriptParseError naming its line, in line
     order; an invalid grid or a "t" out of order raises
-    TranscriptValidationError, also naming the line.
+    TranscriptValidationError, also naming the line. `row` raises either
+    for a row it cannot make, naming the line too; the first such error is
+    raised once the file is read, unless the file is malformed further on.
 
-    Each distinct record tail is decoded once. A record's tail is the text
-    after the first `, "<f>": `, where f is the first list field, to the end
-    of the line. On its second sighting, `{"<f>": ` + tail is decoded on its
-    own. If that gives an object holding exactly the list fields, each of its
-    kind, the lines that carry the tail from then on decode only their head,
-    the text before the marker, + "}". Such a line is accepted if that text
-    is one object, with nothing around it, whose scalar fields pass and
-    whose "t" is the next round. The head then ends at a top-level member,
-    so the whole line would decode to the head's members followed by the
+    Most lines decode only their head. A record's tail is the text after the
+    first `, "<f>": `, where f is the first list field, to the end of the
+    line. When a line's tail is that of one of the last 64 lines decoded
+    whole, `{"<f>": ` + tail is decoded on its own. If that gives an object
+    holding exactly the list fields, each of its kind, the tail is cached
+    with that line's row, and the lines that carry it from then on decode
+    only their head, the text before the marker, + "}". Such a line is accepted if that
+    text is one object, with nothing around it, whose scalar fields pass and
+    whose "t" is the next round. The head then ends at a top-level member, so
+    the whole line would decode to the head's members followed by the
     tail's, and the tail's list fields win over any in the head, as the last
     duplicate key does in JSON. Other lines, and lines that are not ASCII,
-    are decoded whole.
+    are decoded whole. Only those 64 tails and the cached ones are kept: a
+    Q-learner's handful of rows is cached at each row's second line, and a
+    multiplicative-weights learner's rows, which never repeat, leave no
+    tail behind.
     """
     if isinstance(source, (str, bytes)):
-        with open(source, "r", encoding="utf-8", errors="surrogateescape") as fh:
-            return read_records(fh, fields)
+        with _open(source) as fh:
+            return read_records(fh, fields, row)
     scalars = [("t", KINDS["an integer"], "an integer")]
     listed = []
     for name, kind in fields.items():
         (listed if kind.startswith("a list") else scalars).append((name, KINDS[kind], kind))
-    columns: list[list] = [[] for _ in scalars]
-    id_columns: list[list[int]] = [[] for _ in listed]
-    interned: list[dict[tuple, int]] = [{} for _ in listed]
+    checks = scalars + listed
+    t_ok = scalars[0][1]
+    columns = [array(_TYPECODES[kind]) for _, _, kind in scalars[1:]]
+    record: list = []  # a record's "t", then its list values
+    targets = [record, *columns, *[record] * len(listed)]
+    lines = array("q")
+    ids = array("q")  # each round's row in `packed`
+    packed = array("d")  # the distinct rows, k values each
+    distinct: dict[bytes, int] = {}  # a row's bytes, with -0.0 as 0.0 -> its row in `packed`
     marker = f', "{listed[0][0]}": ' if listed else None
-    tails: dict[str, tuple | bool] = {}  # False: seen once; (): decoded whole
-    lines: list[int] = []
+    tails: dict[str, int] = {}  # tail -> its row in `packed`, or -1: decode whole
+    recent: dict[str, int] = {}  # the tails of the last records decoded whole -> their rows
+    held = None  # the first error that `row` raised
     for line_no, line in enumerate(source, 1):
         if line.isspace():
             continue
         t = len(lines)
         if marker:
             head, split, tail = line.partition(marker)
-            ids = tails.get(tail) if split else ()
-            if ids is None:
-                tails[tail] = False
-            elif ids is False:
-                ids = tails[tail] = _tail_ids(tail, listed, interned)
-            if ids and line.isascii():
+            d = tails.get(tail) if split else -1
+            if d is None and tail in recent:
+                d = tails[tail] = recent[tail] if _holds_lists(tail, listed) else -1
+            if d is not None and d >= 0 and line.isascii():
                 # raw_decode skips decode's whitespace matches; a head that
                 # does not end at the closing brace takes the whole-line path.
                 text = head + "}"
@@ -563,51 +596,73 @@ def read_records(
                     head, end = _DECODER.raw_decode(text)
                 except (ValueError, RecursionError):
                     head, end = None, 0
-                if type(head) is dict and end == len(text):
+                if type(head) is dict and end == len(text) and t_ok(head.get("t")) and head["t"] == t:
                     # A check that fails here fails on the whole line too,
                     # which then raises below.
-                    for (name, ok, _), column in zip(scalars, columns):
+                    for (name, ok, _), column in zip(scalars[1:], columns):
                         value = head.get(name)
                         if not ok(value):
                             break
                         column.append(value)
                     else:
-                        if columns[0][-1] == t:
-                            for column, d in zip(id_columns, ids):
-                                column.append(d)
-                            lines.append(line_no)
-                            continue
-        if not line.isascii() and (byte := _NOT_UTF8.search(line)):
-            raise TranscriptParseError(line_no, f"invalid UTF-8 byte 0x{ord(byte.group()) - 0xDC00:02x}")
-        try:
-            obj = _DECODER.decode(line)
-        except (ValueError, RecursionError) as e:
-            raise TranscriptParseError(line_no, f"bad JSON: {getattr(e, 'msg', e)}") from e
+                        ids.append(d)
+                        lines.append(line_no)
+                        continue
+        obj = _decode(line, line_no)
         if not lines:
             grid = _grid_of(obj, line_no)
+            k = len(grid)
+            pack = struct.Struct(f"{k}d").pack
         elif type(obj) is not dict:
             raise TranscriptParseError(line_no, "record must be a JSON object")
         else:
-            for (name, ok, kind), column in zip(scalars, columns):
+            record.clear()
+            for (name, ok, kind), target in zip(checks, targets):
                 value = obj.get(name)
                 if not ok(value):
                     raise TranscriptParseError(line_no, _field_problem(obj, name, kind))
-                column.append(value)
-            # Reduced files have no list field; they skip even an empty loop.
-            for (name, ok, kind), column, seen in zip(listed, id_columns, interned) if listed else ():
-                value = obj.get(name)
-                if not ok(value):
-                    raise TranscriptParseError(line_no, _field_problem(obj, name, kind))
-                column.append(seen.setdefault(tuple(value), len(seen)))
-            if columns[0][-1] != t:
-                raise RoundOrderError(line_no, columns[0][-1], t)
+                target.append(value)
+            if record[0] != t:
+                raise RoundOrderError(line_no, record[0], t)
+            # Reduced files have no list field; they skip the row.
+            if listed:
+                try:
+                    values = row(record[1:], k, t, line_no)
+                except (TranscriptParseError, TranscriptValidationError) as e:
+                    held, d = held or e, -1
+                else:
+                    raw = pack(*values)
+                    # Rows that compare equal share one: so do 0.0 and -0.0.
+                    key = pack(*[v + 0.0 for v in values]) if 0.0 in values else raw
+                    d = distinct.get(key)
+                    if d is None:
+                        d = distinct[key] = len(distinct)
+                        packed.frombytes(raw)
+                ids.append(d)
+                if split:
+                    recent[tail] = d
+                    if len(recent) > _RECENT_TAILS:
+                        del recent[next(iter(recent))]
         lines.append(line_no)
     if not lines:
         raise TranscriptParseError(1, "missing header line")
-    out = {name: column for (name, _, _), column in zip(scalars, columns)}
-    for (name, _, _), column, seen in zip(listed, id_columns, interned):
-        out[name] = (np.asarray(column, dtype=np.int64), list(seen))
-    return grid, lines, [out[name] for name in fields]
+    if held is not None:
+        raise held
+    out = [np.frombuffer(column, dtype=column.typecode) for column in columns]
+    if listed:
+        out.append((np.frombuffer(ids, dtype=np.int64), np.frombuffer(packed).reshape(-1, k)))
+    return grid, lines, out
+
+
+def count_records(path: str) -> tuple[PriceGrid, int]:
+    """The grid of a line-oriented JSON file and its number of records, the
+    non-blank lines after the header, counted without decoding them. The
+    header raises what read_records raises for it."""
+    with _open(path) as fh:
+        for line_no, line in enumerate(fh, 1):
+            if not line.isspace():
+                return _grid_of(_decode(line, line_no), line_no), sum(not line.isspace() for line in fh)
+    raise TranscriptParseError(1, "missing header line")
 
 
 def _field_problem(obj: dict, name: str, kind: str) -> str:
@@ -629,10 +684,9 @@ def read_transcript(source: Union[str, IO[str]]) -> Transcript:
     yields a valid T=0 transcript.
     """
     kinds = ("an integer", "a number", "a list of integers", "a list of numbers")
-    grid, lines, (posted, alloc, support, probs) = read_records(
-        source, dict(zip(("posted", "alloc", "support", "probs"), kinds))
+    grid, lines, (posted, alloc, dists) = read_records(
+        source, dict(zip(("posted", "alloc", "support", "probs"), kinds)), _distribution_row
     )
-    dists = _encode_distributions(support, probs, len(grid), lines)
     transcript = Transcript(grid, posted, alloc, *dists)
     raise_violations(validate(transcript), lines)
     return transcript

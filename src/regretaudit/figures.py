@@ -42,14 +42,16 @@ def write_truth(truth: GroundTruth, sink: Union[str, IO[str]]) -> None:
     )
 
 
+def _allocation_row(values: list, k: int, t: int, line_no: int) -> list:
+    """Round t's "x" as its row (read_records' `row` for sidecars)."""
+    (x,) = values
+    if len(x) != k:
+        raise TranscriptParseError(line_no, f'"x" must have {k} entries, one per price')
+    return x
+
+
 def read_truth(source: Union[str, IO[str]]) -> GroundTruth:
-    grid, lines, ((ids, rows),) = read_records(source, {"x": "a list of numbers"})
-    k = len(grid)
-    for d, row in enumerate(rows):
-        if len(row) != k:
-            t = int(np.argmax(ids == d)) + 1  # the first round that carries it
-            raise TranscriptParseError(lines[t], f'"x" must have {k} entries, one per price')
-    table = np.array(rows, dtype=float).reshape(len(rows), k)
+    grid, lines, ((ids, table),) = read_records(source, {"x": "a list of numbers"}, _allocation_row)
     in_range = ((table >= 0.0) & (table <= 1.0)).all(axis=1)  # false for NaN and inf
     raise_violations(
         [Violation(r + 1, "x", "allocation out of [0,1]") for r in np.flatnonzero(~in_range[ids]).tolist()],
@@ -261,5 +263,5 @@ def log_spaced_horizons(total: int) -> list[int]:
     """Up to eight log-spaced horizons from 1,000 rounds to `total`."""
     if total <= 1000:
         return [total]
-    out = np.unique(np.round(np.logspace(3.0, math.log10(total), 8)).astype(int))
-    return [int(v) for v in out]
+    # sorted(set()), not np.unique, which imports numpy.ma.
+    return sorted(set(np.round(np.logspace(3.0, math.log10(total), 8)).astype(int).tolist()))

@@ -172,12 +172,12 @@ class TestReducedTranscript:
         )
         g, posted, allocs = read_price_series(io.StringIO(reduced))
         assert g.levels == grid.levels
-        assert posted == [0, 1]
-        assert allocs == [0.25, 0.75]
+        assert posted.tolist() == [0, 1]
+        assert allocs.tolist() == [0.25, 0.75]
         dists = [np.array([0.5, 0.5])] * 2
         tr = transcript_from(grid, dists, [0, 1], [0.25, 0.75])
         g, posted, allocs = read_price_series(io.StringIO(dumps_transcript(tr)))
-        assert posted == [0, 1]
+        assert posted.tolist() == [0, 1]
 
     def test_round_contiguity_enforced(self):
         text = (

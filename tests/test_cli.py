@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -264,6 +267,61 @@ class TestAggregatedCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "insufficient data" in err
 
+    GRID = '{"grid": [0.5, 1.0], "continuum_upper": null}'
+    RECORD = '{"t": %d, "posted": 1, "alloc": 0.5}'
+    # At k = 2 and the default alpha, a drift of 0.01 per step balances at a
+    # window of 35 rounds, so 34 rounds are too few.
+    EPS_FLAGS = ["--cost-lo", "0", "--cost-hi", "0.5", "--drift-eps", "0.01", "--support-floor", "0.9"]
+    WINDOW_ERROR = "error: the balancing window (35 rounds at drift bound 0.01 per step) exceeds the 34-round horizon\n"
+
+    @pytest.mark.parametrize("rounds", [34, 35])
+    def test_horizon_checked_on_the_exact_count_of_records(self, tmp_path, capsys, rounds):
+        # Blank and whitespace-only lines are not records, whatever their number.
+        path = tmp_path / "reduced.jsonl"
+        lines = ["", self.GRID, " \t"] + [f"{self.RECORD % t}\n\r\n  " for t in range(1, rounds + 1)]
+        path.write_text("\n".join(lines) + "\n")
+        code = main(["audit-aggregated", str(path), *self.EPS_FLAGS])
+        captured = capsys.readouterr()
+        if rounds == 34:
+            assert (code, captured.out, captured.err) == (1, "", self.WINDOW_ERROR)
+        else:
+            assert code in (0, 2) and json.loads(captured.out)["provenance"] == "aggregated"
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "not JSON",
+            '{"t": 6, "posted": 1, "alloc": true}',
+            '{"t": 7, "posted": 1, "alloc": 0.5}',
+            '{"t": 6, "posted": 5, "alloc": 0.5}',
+            '{"t": 6, "posted": 1, "alloc": 0.5, "support": [0, 1], "probs": [0.5, NaN]}',
+        ],
+        ids=["bad-json", "kind", "round-order", "off-grid", "full-record"],
+    )
+    def test_too_few_rounds_win_over_a_malformed_record(self, tmp_path, capsys, bad):
+        # The count of records is checked before any record is decoded: a
+        # file both too short and malformed reports its count, first the
+        # insufficient data, then the window; a file long enough reports
+        # the record's line.
+        path = tmp_path / "reduced.jsonl"
+        flags = {
+            "insufficient": ["--cost-lo", "0", "--cost-hi", "0.5", "--drift-gamma", "0.2", "--support-floor", "0.3"],
+            "window": self.EPS_FLAGS,
+        }
+        for rounds, case in ((34, "insufficient"), (34, "window"), (35, "window")):
+            lines = [self.GRID] + [self.RECORD % t for t in range(1, rounds + 1)]
+            lines[6] = bad
+            path.write_text("\n".join(lines) + "\n")
+            code = main(["audit-aggregated", str(path), *flags[case]])
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (1, "")
+            if rounds == 35:
+                assert captured.err.startswith("error: ") and "line 7: " in captured.err
+            elif case == "window":
+                assert captured.err == self.WINDOW_ERROR
+            else:
+                assert captured.err.startswith("error: insufficient data for aggregated audit: ")
+
 
 class TestMalformedInputs:
     """Malformed input exits 1 naming its line, and is never audited."""
@@ -355,7 +413,9 @@ class TestMalformedInputs:
         sweep = tmp_path / "sweep.csv"
         argv = {
             "transcript": ["audit", str(transcript), *self.AUDIT_FLAGS],
-            "reduced": ["audit-aggregated", str(reduced), *self.AUDIT_FLAGS, "--drift-gamma", "0.7"],
+            # A floor that 4,000 rounds meet: a file with too few rounds fails
+            # on its count of records before any is decoded.
+            "reduced": ["audit-aggregated", str(reduced), *self.AUDIT_FLAGS, "--drift-gamma", "0.7", "--support-floor", "0.9"],
             "truth": ["audit", str(transcript), *self.AUDIT_FLAGS, "--sweep", str(sweep), "--truth", str(truth)],
         }[reader]
         code = main(argv)
@@ -710,7 +770,9 @@ class TestMalformedInputs:
             # Rounds 2 and 3 cache the tail, so round 4 decodes only its head.
             ("transcript", [GRID, ROUND % (1, ""), ROUND % (2, ""), ROUND % (3, ""), ROUND % (4, f'"deep": {DEEP}, ')],
              "line 5: bad JSON: "),
-            ("reduced", [GRID, '{"t": 1, "posted": 0, "alloc": 0.5}', DEEP], "line 3: bad JSON: "),
+            # Enough rounds for the count check, which precedes decoding.
+            ("reduced", [GRID, '{"t": 1, "posted": 0, "alloc": 0.5}', DEEP, *['{"t": 3, "posted": 0, "alloc": 0.5}'] * 3998],
+             "line 3: bad JSON: "),
             ("truth", [GRID, f'{{"t": 1, "x": {DEEP}}}'], "line 2: bad JSON: "),
             ("config", [DEEP], "bad JSON: "),
             ("table", [f'{{"v1_levels": {DEEP}}}'], "bad JSON: "),
@@ -728,7 +790,7 @@ class TestMalformedInputs:
         out, sweep = str(tmp_path / "out"), str(tmp_path / "sweep.csv")
         argv = {
             "transcript": ["audit", str(data), *self.AUDIT_FLAGS],
-            "reduced": ["audit-aggregated", str(data), *self.AUDIT_FLAGS, "--drift-gamma", "0.7"],
+            "reduced": ["audit-aggregated", str(data), *self.AUDIT_FLAGS, "--drift-gamma", "0.7", "--support-floor", "0.9"],
             "truth": ["audit", str(transcript), *self.AUDIT_FLAGS, "--sweep", sweep, "--truth", str(data)],
             "config": ["simulate", "--config", str(data), "--out", out],
             "table": ["simulate", "--config", str(config), "--out", out],
@@ -958,3 +1020,27 @@ class TestOutputErrors:
         assert captured.out == ""
         assert captured.err.startswith("error: Unable to allocate ") and captured.err.count("\n") == 1
         assert not out.exists()
+
+
+def test_commands_leave_numpy_ma_unimported(tmp_path):
+    # np.unique without optional outputs imports numpy.ma: about 9 ms and
+    # 1.2 MB of RSS for a command that never uses it.
+    reduced = tmp_path / "reduced.jsonl"
+    lines = ['{"grid": [0.5, 1.0, 1.5], "continuum_upper": null}']
+    lines += [f'{{"t": {t}, "posted": {t % 3}, "alloc": 0.5}}' for t in range(1, 2001)]
+    reduced.write_text("\n".join(lines) + "\n")
+    audit = ["audit-aggregated", str(reduced), "--cost-lo", "0", "--cost-hi", "0.5", "--drift-gamma", "0.7", "--support-floor", "0.9"]
+    # Past 1,000 rounds figures evaluates log-spaced horizons.
+    figures = ["figures", "--preset", "duopoly", "--rounds", "1001", "--replications", "1", "--sweep-points", "3", "--out", str(tmp_path / "fig")]
+    program = (
+        "import contextlib, io, sys\n"
+        "from regretaudit.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main({audit!r}), main({figures!r})]\n"
+        "print(codes, 'numpy.ma' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    result = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True, env=env, check=True)
+    codes, imported = result.stdout.rsplit(" ", 1)
+    assert json.loads(codes)[1] == 0 and json.loads(codes)[0] in (0, 2)
+    assert imported.strip() == "False"

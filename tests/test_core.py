@@ -269,8 +269,8 @@ class TestPersistence:
         text = HEADER + '{"t": 1, "posted": 1, "x": [0.5]}\n\n{"t": 2, "posted": 0, "x": []}\n'
         grid, lines, columns = read_records(io.StringIO(text), {"posted": "an integer"})
         assert grid == PriceGrid([1.0, 2.0])
-        assert lines == [1, 2, 4]
-        assert columns == [[1, 0]]
+        assert lines.tolist() == [1, 2, 4]
+        assert [column.tolist() for column in columns] == [[1, 0]]
 
     def test_distinct_distributions_stored_once(self):
         grid = PriceGrid([1.0, 2.0])
