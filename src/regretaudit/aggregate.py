@@ -9,7 +9,6 @@ with a modified error margin that also pays for the estimation error.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import IO, Sequence, Union
@@ -63,7 +62,7 @@ class DistributionEstimate:
 
     Round t's estimate is the frequency of each price among the `window`
     posted prices from start(t) on. It is computed a block of rounds at a
-    time (`blocks`), so no (T, k) array is needed; `freqs` gathers them all.
+    time (`blocks`), so no (T, k) array is needed.
     """
 
     posted: np.ndarray  # (T,) int64 grid indices
@@ -104,11 +103,6 @@ class DistributionEstimate:
             opened, closed, s = opening[-1].copy(), closing[-1].copy(), s_next
             del opening, closing  # not held while the caller works on the block
             yield a, freqs
-
-    @functools.cached_property
-    def freqs(self) -> np.ndarray:
-        """Every round's estimate, (T, k)."""
-        return np.concatenate([freqs for _, freqs in self.blocks()])
 
 
 def _running_counts(before: np.ndarray, prices: np.ndarray, k: int) -> np.ndarray:

@@ -82,9 +82,6 @@ class PWLInCost:
     intercepts: np.ndarray  # (k, k)
     breakpoints: tuple[float, ...]  # sorted costs where some per-p envelope changes leader
 
-    def value(self, c: float) -> float:
-        return float(self.values([c])[0])
-
     def values(self, cs: np.ndarray) -> np.ndarray:
         cs = np.asarray(cs, dtype=float)
         # best[i, p] = max_q of the line at cost cs[i], one p at a time, so a
@@ -138,9 +135,9 @@ def pair_sums(transcript: Transcript) -> np.ndarray:
     S[n, lead] / pi_n(lead), with S[n, j] the row's allocations summed over
     its rounds posting j and lead its nearest supported price at or below q;
     it is the row's round count C[n] when no price is. M sums pi_n(p) times
-    that over the rows, a block of rows at a time. Against the dense
-    dists().T @ estimate_allocations(), only the order of the additions
-    changes.
+    that over the rows, a block of rows at a time. Against the dense product
+    of the per-round rows with estimate_allocations(), only the order of the
+    additions changes.
     """
     if len(transcript) < 1:
         raise ValueError("empty transcript")

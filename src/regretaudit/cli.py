@@ -276,10 +276,7 @@ def cmd_audit(args) -> int:
     if args.sweep:  # before the report, so that a failed write prints nothing
         curve = regret_curve(transcript)
         header = ["cost", "estimated_regret"] + (["true_regret"] if truth is not None else [])
-        dists = None if truth is None else transcript.dists()
-        rows = figures.cost_sweep_rows(
-            curve, args.cost_lo, args.cost_hi, args.sweep_points, truth, dists
-        )
+        rows = figures.cost_sweep_rows(curve, args.cost_lo, args.cost_hi, args.sweep_points, truth, transcript)
         figures.write_csv(args.sweep, header, rows)
     print(report.to_json())
     return 0 if report.verdict == "PASS" else 2
@@ -303,14 +300,21 @@ def cmd_audit_aggregated(args) -> int:
 def cmd_figures(args) -> int:
     _check_sweep_points(args.sweep_points)
     config = _config_from_args(args)
-    results = [run_replication(config, rep) for rep in range(config.replications)]
+    # Only the first replication is kept whole; of the others, fig1 needs
+    # the last rounds' posted prices (copies, so each result can be freed).
+    first, tails = None, []
+    for rep in range(config.replications):
+        result = run_replication(config, rep)
+        if rep == 0:
+            first = result
+        tails.append(tuple(tr.posted[-figures.HEATMAP_ROUNDS :].copy() for tr in result.transcripts))
+    del result
     os.makedirs(config.out, exist_ok=True)
     grid, oracle, costs = config.market
     levels = grid.levels
 
     # Strategy-pair heatmap over the last rounds of every replication.
-    pairs = [r.transcripts for r in results]
-    counts = figures.pair_heatmap_counts(pairs)
+    counts = figures.pair_heatmap_counts(tails, len(levels))
     eq = best_pure_equilibrium(expected_payoff_matrix(oracle, levels, costs))
     highlight = eq[2] if eq else None
     rows = [
@@ -331,12 +335,10 @@ def cmd_figures(args) -> int:
     )
 
     # Estimated and true regret against the assumed cost, first replication.
-    first = results[0]
     lo, hi = config.cost_range.lo, config.cost_range.hi
     curve = regret_curve(first.transcripts[0])
     truth = materialize_truth(oracle, levels, first.transcripts[1].posted, 0)
-    dists = first.transcripts[0].dists()
-    sweep = figures.cost_sweep_rows(curve, lo, hi, args.sweep_points, truth, dists)
+    sweep = figures.cost_sweep_rows(curve, lo, hi, args.sweep_points, truth, first.transcripts[0])
     figures.write_csv(
         os.path.join(config.out, "fig2_regret_vs_cost.csv"),
         ["cost", "estimated_regret", "true_regret"],
@@ -398,7 +400,8 @@ def cmd_manipulate_demo(args) -> int:
     # The seed as given, not replication_seed: the demo is one run.
     result = simulate(grid, (manipulator, learner), table, costs, total, "expected", args.seed)
 
-    posted1, posted2 = (tr.posted for tr in result.transcripts)
+    seller1, seller2 = result.transcripts
+    posted2 = seller2.posted
     top = grid.levels.index(schedule.phase2_price)
     window_start = phase1 + math.ceil(3 * epsilon * phase1)
     freq_top = float((posted2[window_start - 1 :] == top).mean())
@@ -408,22 +411,20 @@ def cmd_manipulate_demo(args) -> int:
     bench = (total * float(eq[1][0]), total * float(eq[1][1]))
     totals = (float(result.payoffs[0].sum()), float(result.payoffs[1].sum()))
 
-    lv = np.asarray(grid.levels)
     truths = [materialize_truth(table, grid.levels, result.transcripts[1 - i].posted, i) for i in range(2)]
-    regrets = [
-        best_in_hindsight_regret(lv[None, :] * truths[i].as_array(), result.payoffs[i]) for i in range(2)
-    ]
+    regrets = [best_in_hindsight_regret(truths[i], costs[i], result.payoffs[i]) for i in range(2)]
     # Float truth: the table's exact demands would take the Fraction path.
     truth1 = GroundTruth(grid.levels, truths[0].table.astype(float), truths[0].index)
-    cal1 = true_calibrated_regret(result.transcripts[0].dists(), truth1, 0.0)
+    cal1 = true_calibrated_regret(seller1.dist_table, seller1.dist_index, truth1, 0.0)
 
     # The learner's cumulative rewards before each round: a running sum of
     # its normalized rewards, added in the order the simulator added them.
     gamma = mean_based_gamma(args.eta, total)
     _, _, _, util2 = payoff_tables(table, grid, costs)
-    rewards = learner.rewards(util2[:, posted1].T)
+    rewards = learner.rewards(util2[:, seller1.posted].T)
     before = np.vstack([np.zeros((1, len(grid))), np.cumsum(rewards, axis=0)[:-1]])
-    flags = is_mean_based_violation(before, result.transcripts[1].dists(), posted2, gamma, total)
+    probs = seller2.dist_table[seller2.dist_index, posted2]
+    flags = is_mean_based_violation(before, probs, posted2, gamma, total)
     violations = int(flags.sum())
 
     summary = {

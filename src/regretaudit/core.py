@@ -193,18 +193,11 @@ class Transcript:
     def from_rounds(grid: PriceGrid, posted, alloc, rows) -> "Transcript":
         """Columns from per-round values. `rows` holds each round's
         distribution as a dense row over the grid: a (T, k) array or a
-        sequence of length-k rows. Rows are dictionary-encoded by their
-        bytes, in order of first appearance; validate checks their values."""
-        k = len(grid)
-        ids: dict[bytes, int] = {}
-        index = []
-        for row in rows:
-            row = np.asarray(row, dtype=float)
-            if row.shape != (k,):
-                raise ValueError(f"distribution row of shape {row.shape}, expected ({k},)")
-            index.append(ids.setdefault(row.tobytes(), len(ids)))
-        table = np.frombuffer(b"".join(ids), dtype=float).reshape(len(ids), k)
-        return Transcript(grid, posted, alloc, index, table)
+        sequence of length-k rows, encoded as read_records encodes them;
+        validate checks their values."""
+        table = DistinctRows(len(grid))
+        index = np.array(array("q", map(table.add, rows)), dtype=np.int64)
+        return Transcript(grid, posted, alloc, index, table.table())
 
     def __len__(self) -> int:
         return len(self.posted)
@@ -212,12 +205,62 @@ class Transcript:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Transcript):
             return NotImplemented
-        pairs = zip((self.posted, self.alloc, self.dists()), (other.posted, other.alloc, other.dists()))
-        return self.grid == other.grid and all(np.array_equal(a, b) for a, b in pairs)
+        pairs = zip((self.posted, self.alloc), (other.posted, other.alloc))
+        if self.grid != other.grid or not all(np.array_equal(a, b) for a, b in pairs):
+            return False
+        # Each distinct (id, id) pair of the rounds compares its two rows once.
+        mine, theirs, _ = pair_counts(self.dist_index, other.dist_index, len(other.dist_table))
+        return np.array_equal(self.dist_table[mine], other.dist_table[theirs])
 
-    def dists(self) -> np.ndarray:
-        """The per-round distributions as dense rows, (T, k)."""
-        return self.dist_table[self.dist_index]
+
+class DistinctRows:
+    """Dense rows of k floats, dictionary-encoded: `add` returns a row's id.
+    Each distinct row is packed once as float64, in order of first
+    appearance; rows that compare equal (1 and 1.0, 0.0 and -0.0) share an
+    id, and the first one added is kept."""
+
+    def __init__(self, k: int):
+        self.k = k
+        self._row = struct.Struct(f"{k}d")
+        self._ids: dict[bytes, int] = {}  # a row's bytes, with -0.0 as 0.0 -> its id
+        self._packed = array("d")
+
+    def add(self, values) -> int:
+        """The id of k numbers, as a sequence or an array; ValueError else."""
+        if isinstance(values, np.ndarray) and values.shape == (self.k,):
+            raw = values.astype(float, copy=False).tobytes()
+        else:
+            try:
+                raw = self._row.pack(*values)
+            except struct.error:
+                raise ValueError(f"a distribution row must be {self.k} numbers, one per grid price") from None
+        d = self._ids.get(raw)
+        if d is None:  # a new row, or one holding -0.0, which is keyed as 0.0
+            values = self._row.unpack(raw)  # Python floats, which are quick to scan
+            key = self._row.pack(*[v + 0.0 for v in values]) if 0.0 in values else raw
+            d = self._ids.get(key)
+            if d is None:
+                d = self._ids[key] = len(self._ids)
+                self._packed.frombytes(raw)
+        return d
+
+    def table(self) -> np.ndarray:
+        """The distinct rows, (n, k) float64, row d holding id d."""
+        return np.frombuffer(self._packed).reshape(-1, self.k)
+
+
+def pair_counts(first, second, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct pairs (first[t], second[t]), ids in increasing order, and
+    how many t give each; second's ids lie in [0, size). One sort of a key
+    per t, not np.unique, which imports numpy.ma."""
+    keys = np.asarray(first, dtype=np.int64) * size
+    keys += second
+    keys.sort()
+    new = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    distinct = keys[starts]
+    return distinct // size, distinct % size, np.diff(starts, append=len(keys))
 
 
 @dataclass(frozen=True)
@@ -529,12 +572,11 @@ def read_records(
     If `fields` has list fields, `row(values, k, t, line_no)` makes a
     record's dense row of k numbers from its list values, in `fields` order,
     and one more entry follows the columns: (ids, table), a (T,) int64
-    column of indices into the (n, k) float64 table of the distinct rows, in
-    order of first appearance. Rows that compare equal share an id, whatever
-    their text (so 0.5 and 5e-1, but also 1 and 1.0, or 0.0 and -0.0); the
-    first one read is kept. So a round costs a few typed bytes and no Python
-    object: a distinct row is kept once, packed as float64 in one buffer
-    that becomes the table and as the bytes key that finds it again.
+    column of indices into the (n, k) float64 table of the distinct rows,
+    encoded by DistinctRows (so 0.5 and 5e-1 share an id too). So a round
+    costs a few typed bytes and no Python object: a distinct row is kept
+    once, packed as float64 in one buffer that becomes the table and as the
+    bytes key that finds it again.
 
     Malformed input raises TranscriptParseError naming its line, in line
     order; an invalid grid or a "t" out of order raises
@@ -572,11 +614,9 @@ def read_records(
     record: list = []  # a record's "t", then its list values
     targets = [record, *columns, *[record] * len(listed)]
     lines = array("q")
-    ids = array("q")  # each round's row in `packed`
-    packed = array("d")  # the distinct rows, k values each
-    distinct: dict[bytes, int] = {}  # a row's bytes, with -0.0 as 0.0 -> its row in `packed`
+    ids = array("q")  # each round's row id
     marker = f', "{listed[0][0]}": ' if listed else None
-    tails: dict[str, int] = {}  # tail -> its row in `packed`, or -1: decode whole
+    tails: dict[str, int] = {}  # tail -> its row id, or -1: decode whole
     recent: dict[str, int] = {}  # the tails of the last records decoded whole -> their rows
     held = None  # the first error that `row` raised
     for line_no, line in enumerate(source, 1):
@@ -611,8 +651,7 @@ def read_records(
         obj = _decode(line, line_no)
         if not lines:
             grid = _grid_of(obj, line_no)
-            k = len(grid)
-            pack = struct.Struct(f"{k}d").pack
+            rows = DistinctRows(len(grid))
         elif type(obj) is not dict:
             raise TranscriptParseError(line_no, "record must be a JSON object")
         else:
@@ -627,17 +666,11 @@ def read_records(
             # Reduced files have no list field; they skip the row.
             if listed:
                 try:
-                    values = row(record[1:], k, t, line_no)
+                    values = row(record[1:], rows.k, t, line_no)
                 except (TranscriptParseError, TranscriptValidationError) as e:
                     held, d = held or e, -1
                 else:
-                    raw = pack(*values)
-                    # Rows that compare equal share one: so do 0.0 and -0.0.
-                    key = pack(*[v + 0.0 for v in values]) if 0.0 in values else raw
-                    d = distinct.get(key)
-                    if d is None:
-                        d = distinct[key] = len(distinct)
-                        packed.frombytes(raw)
+                    d = rows.add(values)
                 ids.append(d)
                 if split:
                     recent[tail] = d
@@ -650,7 +683,7 @@ def read_records(
         raise held
     out = [np.frombuffer(column, dtype=column.typecode) for column in columns]
     if listed:
-        out.append((np.frombuffer(ids, dtype=np.int64), np.frombuffer(packed).reshape(-1, k)))
+        out.append((np.frombuffer(ids, dtype=np.int64), rows.table()))
     return grid, lines, out
 
 

@@ -216,46 +216,37 @@ def svg_heatmap(
 # ---------------------------------------------------------------------------
 
 
-def pair_heatmap_counts(transcript_pairs: Sequence[tuple[Transcript, Transcript]]) -> np.ndarray:
-    """Tally of the strategy pairs of the last HEATMAP_ROUNDS rounds across
-    replications; the total count is replications * HEATMAP_ROUNDS."""
-    k = len(transcript_pairs[0][0].grid)
+def pair_heatmap_counts(tails: Sequence[tuple[np.ndarray, np.ndarray]], k: int) -> np.ndarray:
+    """Tally of the strategy pairs in the posted-price tails of the two
+    sellers, one pair of tails per replication (its last HEATMAP_ROUNDS
+    rounds); the total count is the number of pairs in the tails."""
     counts = np.zeros((k, k), dtype=np.int64)
-    for t1, t2 in transcript_pairs:
-        np.add.at(counts, (t1.posted[-HEATMAP_ROUNDS:], t2.posted[-HEATMAP_ROUNDS:]), 1)
+    for posted1, posted2 in tails:
+        np.add.at(counts, (posted1, posted2), 1)
     return counts
 
 
-def cost_sweep_rows(
-    curve,
-    cost_lo: float,
-    cost_hi: float,
-    points: int,
-    truth: GroundTruth | None = None,
-    distributions: np.ndarray | None = None,
-):
-    """(cost, estimated regret[, true regret]) rows for a regret-vs-cost figure."""
+def cost_sweep_rows(curve, cost_lo: float, cost_hi: float, points: int, truth=None, transcript=None):
+    """(cost, estimated regret[, true regret]) rows for a regret-vs-cost
+    figure; the true regret, given a GroundTruth, is that of the
+    Transcript's distributions."""
     cs = np.linspace(cost_lo, cost_hi, points).tolist()
     columns = [cs, curve.values(cs).tolist()]
     if truth is not None:
-        columns.append([float(v) for v in true_calibrated_regret(distributions, truth, cs)])
+        regrets = true_calibrated_regret(transcript.dist_table, transcript.dist_index, truth, cs)
+        columns.append([float(v) for v in regrets])
     return [list(row) for row in zip(*columns)]
 
 
-def horizon_rows(
-    transcript: Transcript,
-    truth: GroundTruth,
-    costs: Sequence[float],
-    horizons: Sequence[int],
-):
+def horizon_rows(transcript: Transcript, truth: GroundTruth, costs: Sequence[float], horizons: Sequence[int]):
     """True regret at the given costs for truncated prefixes of a transcript."""
-    dists = transcript.dists()
     table = np.asarray(truth.table, dtype=float)  # float work, even on an exact truth
     costs = [float(c) for c in costs]
     rows = []
     for h in horizons:
         prefix = GroundTruth(truth.levels, table, truth.index[:h])
-        rows.append([int(h), *map(float, true_calibrated_regret(dists[:h], prefix, costs))])
+        regrets = true_calibrated_regret(transcript.dist_table, transcript.dist_index[:h], prefix, costs)
+        rows.append([int(h), *map(float, regrets)])
     return rows
 
 

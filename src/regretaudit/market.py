@@ -195,9 +195,6 @@ class PayoffMatrix:
     seller1: tuple[tuple[Numeric, ...], ...]
     seller2: tuple[tuple[Numeric, ...], ...]
 
-    def pair(self, i: int, j: int) -> tuple[Numeric, Numeric]:
-        return self.seller1[i][j], self.seller2[i][j]
-
 
 def demand_table(oracle, levels: Sequence[Numeric]):
     """Both sellers' demands at every price pair: x1[i][j], x2[i][j] =

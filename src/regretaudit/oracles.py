@@ -16,6 +16,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from .core import pair_counts
 from .market import demand_table
 
 Numeric = Union[int, float, Fraction]
@@ -42,10 +43,6 @@ class GroundTruth:
     def exact(self) -> bool:
         return self.table.dtype == object
 
-    def as_array(self) -> np.ndarray:
-        """The per-round vectors as floats, (T, k)."""
-        return np.asarray(self.table, dtype=float)[self.index]
-
 
 def materialize_truth(oracle, levels: Sequence[Numeric], opponent_indices: Sequence[int], seller: int) -> GroundTruth:
     """The seller's allocation vectors against the opponent's realized price
@@ -60,66 +57,55 @@ def materialize_truth(oracle, levels: Sequence[Numeric], opponent_indices: Seque
 
 
 # ---------------------------------------------------------------------------
-# Sparse views and exactness dispatch
-# ---------------------------------------------------------------------------
-
-
-def _sparse_rows(distributions):
-    """Per round, the (index, probability) pairs of positive probability.
-
-    `distributions` holds one dense row per round, of floats or of Fractions:
-    a (T, k) array or a sequence of rows.
-    """
-    for row in np.asarray(distributions).tolist():
-        yield [(i, p) for i, p in enumerate(row) if p > 0]
-
-
-def _exact_sum(values) -> Fraction:
-    """Exact sum, as integers over the least common denominator (a power of
-    two when every value is a float)."""
-    ratios = [(v if type(v) is float else Fraction(v)).as_integer_ratio() for v in values]
-    den = math.lcm(*(d for _, d in ratios))
-    return Fraction(sum(n * (den // d) for n, d in ratios), den)
-
-
-def _wants_exact(truth: GroundTruth, costs: Sequence[Numeric] = ()) -> bool:
-    """Exact work for an exact truth, or for a Fraction cost."""
-    return truth.exact or any(isinstance(c, Fraction) for c in costs)
-
-
-# ---------------------------------------------------------------------------
 # Calibrated regret
 # ---------------------------------------------------------------------------
 
 
-def _exact_pair_sums(distributions, truth: GroundTruth) -> list[list[Fraction]]:
-    """M[p][q] = sum_t pi_t(p) x_t(q), exact.
+def _exact_sum(values, weights) -> Fraction:
+    """Exact sum of w * v over values v and integer weights w, as integers over
+    the least common denominator (a power of two when every value is a float)."""
+    ratios = [(v if type(v) is float else Fraction(v)).as_integer_ratio() for v in values]
+    den = math.lcm(*(d for _, d in ratios))
+    return Fraction(sum(w * n * (den // d) for (n, d), w in zip(ratios, weights)), den)
 
-    Rounds that share a truth row share x_t, so pi_t(p) is summed once per
-    row and the sum multiplies that row: T*s exact additions plus
-    rows*k^2 products, where s is the support size. Raises ValueError
-    unless there is one distribution per round of the truth.
+
+def _pair_sums(dist_table, dist_index, truth: GroundTruth, exact: bool) -> np.ndarray:
+    """M[p, q] = sum_t pi_t(p) x_t(q), (k, k), exact or float.
+
+    The rounds are grouped into their distinct (distribution n, truth row i)
+    pairs with their counts, so M = P^T X with X the truth's table and
+    P[i] = sum of count * pi_n over the pairs of row i. Only P's sums differ
+    between the paths: exact integer-weighted sums, or np.bincount's float
+    ones. Raises ValueError unless there is one distribution id per round
+    of the truth.
     """
-    k = len(truth.levels)
-    groups: dict[int, list[list]] = {}
-    for row, i in zip(_sparse_rows(distributions), truth.index.tolist(), strict=True):
-        if i not in groups:
-            groups[i] = [[] for _ in range(k)]
-        for p, prob in row:
-            groups[i][p].append(prob)
-    m = [[Fraction(0)] * k for _ in range(k)]
-    for i, probs in groups.items():
-        x = [Fraction(v) for v in truth.table[i].tolist()]
-        for p, values in enumerate(probs):
-            if values:
-                total = _exact_sum(values)
-                m[p] = [acc + total * v for acc, v in zip(m[p], x)]
-    return m
+    if len(dist_index) != truth.rounds:
+        raise ValueError(f"{len(dist_index)} distribution ids for the truth's {truth.rounds} rounds")
+    m, k = truth.table.shape
+    dists, rows, counts = pair_counts(dist_index, truth.index, m)
+    if exact:
+        groups: dict[int, list[tuple[int, int]]] = {}
+        for n, i, c in zip(dists.tolist(), rows.tolist(), counts.tolist()):
+            groups.setdefault(i, []).append((n, c))
+        p = np.full((m, k), Fraction(0), dtype=object)
+        for i, pairs in groups.items():
+            ns, cs = zip(*pairs)
+            p[i] = [_exact_sum(column, cs) for column in zip(*dist_table[list(ns)].tolist())]
+        x = np.frompyfunc(Fraction, 1, 1)(truth.table)
+    else:
+        table = np.asarray(dist_table, dtype=float)
+        p = np.empty((m, k))
+        for j in range(k):
+            p[:, j] = np.bincount(rows, weights=counts * table[dists, j], minlength=m)
+        x = np.asarray(truth.table, dtype=float)
+    return p.T @ x
 
 
-def true_calibrated_regret(distributions, truth: GroundTruth, cost: Union[Numeric, Sequence[Numeric]]):
+def true_calibrated_regret(dist_table, dist_index, truth: GroundTruth, cost: Union[Numeric, Sequence[Numeric]]):
     """Maximum average gain over all swap maps, via per-price decomposition.
 
+    Round t drew its price from the dense row dist_table[dist_index[t]]: a
+    float table, or an object table of exact values such as Fractions.
     Decomposing (best replacement separately for each posted price) equals
     maximizing over all k^k swap maps because the objective is additive over
     the posted price. The pair sums M do not depend on the cost, so a
@@ -127,12 +113,12 @@ def true_calibrated_regret(distributions, truth: GroundTruth, cost: Union[Numeri
     a single cost returns a Fraction on the exact path, else a float.
     """
     costs = [cost] if np.ndim(cost) == 0 else list(cost)
-    if _wants_exact(truth, costs):
-        m = np.array(_exact_pair_sums(distributions, truth), dtype=object)
+    exact = truth.exact or any(isinstance(c, Fraction) for c in costs)
+    m = _pair_sums(dist_table, dist_index, truth, exact)
+    if exact:
         levels = np.array([Fraction(v) for v in truth.levels], dtype=object)
         cs = np.array([Fraction(c) for c in costs], dtype=object)
     else:
-        m = np.asarray(distributions, dtype=float).T @ truth.as_array()  # m[p, q] = sum_t pi_t(p) x_t(q)
         levels = np.asarray(truth.levels, dtype=float)
         cs = np.asarray(costs, dtype=float)
     # best[i, p] = max_q of (l_q - c_i) M[p, q] - (l_p - c_i) M[p, p], one p
@@ -146,14 +132,11 @@ def true_calibrated_regret(distributions, truth: GroundTruth, cost: Union[Numeri
     return regrets[0] if np.ndim(cost) == 0 else regrets
 
 
-def best_in_hindsight_regret(counterfactual_utilities, realized_utilities) -> float:
-    """Per-round gap to the best single fixed price in hindsight.
-
-    counterfactual_utilities[t][p] is the utility price p would have earned in
-    round t; realized_utilities[t] is what the seller actually earned.
-    """
-    u = np.asarray(counterfactual_utilities, dtype=float)
-    realized = np.asarray(realized_utilities, dtype=float)
-    T = u.shape[0]
-    return float((u.sum(axis=0).max() - realized.sum()) / T)
-
+def best_in_hindsight_regret(truth: GroundTruth, cost: float, realized_utilities) -> float:
+    """Per-round gap to the best single fixed price in hindsight: price p
+    earns (l_p - cost) x_t(p) in round t, summed from the counts of the
+    truth's row ids; realized_utilities[t] is what the seller earned."""
+    counts = np.bincount(truth.index, minlength=len(truth.table))
+    allocations = np.asarray(counts @ truth.table, dtype=float)  # exact on an exact truth
+    utilities = (np.asarray(truth.levels, dtype=float) - cost) * allocations
+    return float((utilities.max() - np.asarray(realized_utilities, dtype=float).sum()) / truth.rounds)

@@ -192,16 +192,16 @@ def mean_based_gamma(step_size: float, horizon: int) -> float:
     return hi
 
 
-def is_mean_based_violation(cumulative_rewards, probs, posted, gamma: float, horizon: int) -> np.ndarray:
+def is_mean_based_violation(cumulative_rewards, posted_probs, posted, gamma: float, horizon: int) -> np.ndarray:
     """Per round, rounds on the leading axis: True when the posted price
     trails the cumulative-reward leader by more than gamma * horizon yet was
-    posted with probability above gamma. `cumulative_rewards` and `probs`
-    (dense over the grid) are the learner's before the round."""
+    posted with probability above gamma. `cumulative_rewards` (over the
+    grid) are the learner's before the round, and `posted_probs` the
+    probability it gave the posted price."""
     sigma = np.asarray(cumulative_rewards, dtype=float)
     index = np.asarray(posted)[..., None]
     gap = sigma.max(axis=-1) - np.take_along_axis(sigma, index, axis=-1)[..., 0]
-    prob = np.take_along_axis(np.asarray(probs, dtype=float), index, axis=-1)[..., 0]
-    return (gap > gamma * horizon) & (prob > gamma)
+    return (gap > gamma * horizon) & (np.asarray(posted_probs, dtype=float) > gamma)
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,10 @@ from regretaudit.sellers import (
 from conftest import dense_row, random_instance, transcript_from
 from witnesses import (
     brute_force_estimator_expectation,
+    encode_rows,
     indistinguishable_ground_truths,
+    per_round_allocations,
+    per_round_dists,
     reduction_estimate,
     sample_transcript,
     true_pessimistic_regret,
@@ -193,13 +196,13 @@ def concentration_environment():
 def test_criterion_04_concentration():
     t0 = time.time()
     grid, dists, truth = concentration_environment()
-    rounds, k = truth.as_array().shape
+    rounds, k = per_round_allocations(truth).shape
     c = 0.2
     target = float(true_pessimistic_regret(truth, dists, c))
     dense = np.stack(dists)
     cums = np.cumsum(dense, axis=1)
     last_support = np.array([np.flatnonzero(d)[-1] for d in dists])
-    values = truth.as_array()
+    values = per_round_allocations(truth)
     delta = None
     exceed = 0
     n_transcripts = 500
@@ -211,7 +214,7 @@ def test_criterion_04_concentration():
         )
         if delta is None:
             delta = error_margin(transcript, alpha=0.05)
-        estimate = regret_curve(transcript).value(c)
+        estimate = regret_curve(transcript).values([c])[0]
         exceed += abs(estimate - target) > delta
     rate = exceed / n_transcripts
     ok = rate <= 0.05
@@ -297,9 +300,7 @@ def manipulation_run():
 def test_criterion_06_manipulation(manipulation_run):
     t0 = time.time()
     grid, table, schedule, result = manipulation_run
-    total = schedule.total_rounds
     phase1 = schedule.phase1_rounds
-    lv = np.asarray(grid.levels)
 
     posted = [tr.posted for tr in result.transcripts]
     window_start = phase1 + math.ceil(3 * MANIP_EPSILON * phase1)
@@ -308,19 +309,12 @@ def test_criterion_06_manipulation(manipulation_run):
     benchmark = (2.583 * phase1, 1.617 * phase1)  # 2.1T times the (1.23, 0.77) equilibrium
     totals = (float(result.payoffs[0].sum()), float(result.payoffs[1].sum()))
 
-    bih = []
-    truths = []
-    for i in range(2):
-        truth = materialize_truth(table, grid.levels, posted[1 - i], i)
-        truths.append(truth.as_array())
-        util = lv[None, :] * truths[i]
-        bih.append(best_in_hindsight_regret(util, result.payoffs[i]))
+    truths = [materialize_truth(table, grid.levels, posted[1 - i], i) for i in range(2)]
+    bih = [best_in_hindsight_regret(truths[i], 0.0, result.payoffs[i]) for i in range(2)]
 
-    dists1 = np.zeros((total, 4))
-    dists1[np.arange(total), posted[0]] = 1.0
-    calibrated1 = true_calibrated_regret(
-        dists1, GroundTruth(tuple(float(v) for v in grid.levels), truths[0], np.arange(total)), 0.0
-    )
+    # The manipulator posts one price for sure: one one-hot row per price.
+    float_truth = GroundTruth(tuple(float(v) for v in grid.levels), truths[0].table.astype(float), truths[0].index)
+    calibrated1 = true_calibrated_regret(np.eye(4), posted[0], float_truth, 0.0)
 
     parts = {
         "freq": freq_top >= 0.95,
@@ -410,22 +404,22 @@ def desk_run(seed: int) -> dict:
     # Under expected feedback the oracle allocations are the exact ground
     # truth, and under full support the pessimistic completion is the truth
     # itself, so true_calibrated_regret is exactly the audit's target.
-    probs = seller1.dists()
+    probs = per_round_dists(seller1)
     assert (probs > 0).all(), "criterion 7 needs full-support distributions"
     posted1 = seller1.posted
     truth = materialize_truth(env, grid.levels, seller2.posted, 0)
-    alloc = truth.as_array()
+    alloc = per_round_allocations(truth)
     assert np.array_equal(alloc[np.arange(len(posted1)), posted1], seller1.alloc)
 
     costs = (c_tilde, DESK_TRUE_COST)
     sd_sums = estimator_sd_sum(probs, alloc, grid.levels, costs)
     summary = {"modal": (grid.levels[modal[0]], grid.levels[modal[1]]), "c_wide": c_wide}
     for name, c, estimate, sd_sum in zip(
-        ("plausible", "true_cost"), costs, (plausible, curve.value(DESK_TRUE_COST)), sd_sums
+        ("plausible", "true_cost"), costs, (plausible, curve.values([DESK_TRUE_COST])[0]), sd_sums
     ):
         summary[name] = {
             "estimate": estimate,
-            "exact": true_calibrated_regret(probs, truth, c),
+            "exact": true_calibrated_regret(seller1.dist_table, seller1.dist_index, truth, c),
             "sd_sum": float(sd_sum),
         }
     return summary
@@ -534,7 +528,7 @@ def test_criterion_08_aggregated_audit():
 
     # Per-step sup-norm drift of both learners' distributions stays under eta.
     drift_ok = all(
-        np.abs(np.diff(tr.dists(), axis=0)).max() <= eta + 1e-12 for tr in result.transcripts
+        np.abs(np.diff(per_round_dists(tr), axis=0)).max() <= eta + 1e-12 for tr in result.transcripts
     )
 
     transcript = result.transcripts[0]
@@ -604,7 +598,8 @@ def test_criterion_10_indistinguishable_pair():
         sample_transcript(grid, dists, low, seed) == sample_transcript(grid, dists, high, seed)
         for seed in range(20)
     )
-    gap = true_calibrated_regret(dists, high, 0) - true_calibrated_regret(dists, low, 0)
+    table, index = encode_rows(dists)
+    gap = true_calibrated_regret(table, index, high, 0) - true_calibrated_regret(table, index, low, 0)
     predicted = F(1) * (F(3) - F(2))
     pessimistic = true_pessimistic_regret(low, dists, 0)
 
@@ -615,7 +610,7 @@ def test_criterion_10_indistinguishable_pair():
         transcript = sample_transcript(grid, dists, low, seed)
         if delta is None:
             delta = error_margin(transcript, alpha=0.05)
-        estimate = regret_curve(transcript).value(0.0)
+        estimate = regret_curve(transcript).values([0.0])[0]
         tracked += abs(estimate - float(pessimistic)) <= delta
     frac = tracked / seeds
     parts = {

@@ -23,7 +23,13 @@ from regretaudit.market import manipulation_valuation_table
 from regretaudit.sellers import FixedPriceStrategy, MWUStrategy, reward_bounds, simulate
 
 from conftest import transcript_from
-from witnesses import drift_horizon_floor, dumps_transcript, minimum_rounds_for_aggregated_audit
+from witnesses import (
+    drift_horizon_floor,
+    dumps_transcript,
+    minimum_rounds_for_aggregated_audit,
+    per_round_dists,
+    per_round_freqs,
+)
 
 
 class TestEstimateDistributions:
@@ -31,8 +37,8 @@ class TestEstimateDistributions:
         grid = PriceGrid([1.0, 2.0, 3.0])
         drift = DriftAssumption(epsilon=1e-3, support_floor=0.5)
         est = estimate_distributions([1] * 500, grid, drift, 0.05)
-        assert np.array_equal(est.freqs[:, 1], np.ones(500))
-        assert est.freqs[:, 0].max() == 0.0
+        assert np.array_equal(per_round_freqs(est)[:, 1], np.ones(500))
+        assert per_round_freqs(est)[:, 0].max() == 0.0
 
     def test_window_length_formula_and_clamping(self, rng):
         grid = PriceGrid([1.0, 2.0])
@@ -50,8 +56,8 @@ class TestEstimateDistributions:
         L = est.window
         for i in (0, 1, T // 2, T - 2, T - 1):
             start = min(max(i - (L - 1) // 2, 0), T - L)
-            assert np.allclose(est.freqs[i], onehot[start : start + L].mean(axis=0))
-            assert est.freqs[i].sum() == pytest.approx(1.0)
+            assert np.allclose(per_round_freqs(est)[i], onehot[start : start + L].mean(axis=0))
+            assert per_round_freqs(est)[i].sum() == pytest.approx(1.0)
 
     def test_drift_too_large_for_horizon(self):
         # The balancing window grows as the drift bound shrinks: a small
@@ -79,8 +85,8 @@ class TestEstimateDistributions:
             res = simulate(grid, (FixedPriceStrategy(1, 4), learner), tab, (0, 0), T, "expected", seed)
             tr = res.transcripts[1]
             est = estimate_distributions(tr.posted, grid, drift, delta)
-            true = tr.dists()
-            err = float(np.abs(est.freqs - true).max())
+            true = per_round_dists(tr)
+            err = float(np.abs(per_round_freqs(est) - true).max())
             hits += err <= bound
         assert hits >= 95
 
@@ -97,7 +103,7 @@ class TestEstimateDistributions:
                 r = np.random.default_rng(seed)
                 posted = r.choice(3, size=T, p=probs).tolist()
                 est = estimate_distributions(posted, grid, drift, delta)
-                per_seed.append(float(np.abs(est.freqs - probs[None, :]).mean()))
+                per_seed.append(float(np.abs(per_round_freqs(est) - probs[None, :]).mean()))
             errs.append(np.mean(per_seed))
             windows.append(est.window)
         expected_ratio = math.sqrt(windows[1] / windows[0])

@@ -23,7 +23,7 @@ from regretaudit.core import (
 )
 
 from conftest import dense_row, dyadic_distribution, random_instance, sample_posted, transcript_from
-from witnesses import per_round_truth, pessimistic_allocation, true_pessimistic_regret
+from witnesses import per_round_allocations, per_round_truth, pessimistic_allocation, true_pessimistic_regret
 
 F = Fraction
 
@@ -145,7 +145,7 @@ class TestRegretCurve:
         tr = transcript_from(grid, [dist] * 3, [0, 0, 0], [0.5, 0.6, 0.7])
         curve = regret_curve(tr)
         for c in (0.0, 0.5, 1.0):
-            assert curve.value(c) == 0.0
+            assert curve.values([c])[0] == 0.0
 
     def test_matches_direct_evaluation(self, rng):
         tr = random_transcript(rng, k=5, rounds=40)
@@ -154,7 +154,7 @@ class TestRegretCurve:
         order = range(len(tr))
         for c in rng.uniform(0, 2.5, size=100):
             direct = [max(direct_term(tr, est, p, q, c, order) for q in range(5)) for p in range(5)]
-            assert curve.value(c) == pytest.approx(sum(direct), abs=1e-10)
+            assert curve.values([c])[0] == pytest.approx(sum(direct), abs=1e-10)
             best = [max(s * c + b for s, b in zip(curve.slopes[p], curve.intercepts[p])) for p in range(5)]
             assert best == pytest.approx(direct, abs=1e-10)
 
@@ -168,13 +168,13 @@ class TestRegretCurve:
             for _ in range(100):
                 a, b = np.sort(rng.uniform(-1, 3, size=2))
                 m = (a + b) / 2
-                assert curve.value(m) <= (curve.value(a) + curve.value(b)) / 2 + 1e-9
+                assert curve.values([m])[0] <= (curve.values([a])[0] + curve.values([b])[0]) / 2 + 1e-9
             # Active slopes never decrease from left to right.
             slopes = []
             for lo, hi in zip(probes, probes[1:]):
                 if hi - lo < 1e-9:
                     continue
-                slopes.append((curve.value(hi) - curve.value(lo)) / (hi - lo))
+                slopes.append((curve.values([hi])[0] - curve.values([lo])[0]) / (hi - lo))
             assert all(b >= a - 1e-7 for a, b in zip(slopes, slopes[1:]))
 
 
@@ -374,7 +374,7 @@ class TestEstimatorTargetsPessimisticRegret:
             grid_obj, dists, truth = random_instance(rng, k=k, rounds=rounds)
             slopes = np.zeros((k, k))
             intercepts = np.zeros((k, k))
-            values = truth.as_array()
+            values = per_round_allocations(truth)
             for path in itertools.product(*[np.flatnonzero(d).tolist() for d in dists]):
                 prob = float(np.prod([d[a] for d, a in zip(dists, path)]))
                 tr = transcript_from(

@@ -852,14 +852,15 @@ class TestOracleCallsPerFigure:
         oracle = figures.true_calibrated_regret
         calls = []
 
-        def counting(distributions, truth, cost):
+        def counting(dist_table, dist_index, truth, cost):
             calls.append(cost)
-            return oracle(distributions, truth, cost)
+            return oracle(dist_table, dist_index, truth, cost)
 
         monkeypatch.setattr(figures, "true_calibrated_regret", counting)
-        rows = figures.cost_sweep_rows(regret_curve(tr), 0.0, 1.0, 81, truth, tr.dists())
+        rows = figures.cost_sweep_rows(regret_curve(tr), 0.0, 1.0, 81, truth, tr)
         assert len(calls) == 1 and len(rows) == 81
-        assert [row[2] for row in rows] == [float(oracle(tr.dists(), truth, c)) for c, *_ in rows]
+        columns = tr.dist_table, tr.dist_index
+        assert [row[2] for row in rows] == [float(oracle(*columns, truth, c)) for c, *_ in rows]
         calls.clear()
         hrows = figures.horizon_rows(tr, truth, [0.0, 0.5], [10, 100, 300])
         assert calls == [[0.0, 0.5]] * 3

@@ -22,7 +22,7 @@ from regretaudit.core import (
     write_transcript,
 )
 
-from conftest import dense_row, dyadic_distribution, transcript_from
+from conftest import dense_row, dyadic_distribution, sample_posted, transcript_from
 from witnesses import dumps_transcript, loads_transcript
 
 
@@ -317,6 +317,30 @@ class TestConfigTypes:
         for rows in ([np.array([1.0])], [[0.5, 0.5], [1.0]], np.ones((2, 3)) / 3):
             with pytest.raises(ValueError):
                 Transcript.from_rounds(grid, [0, 0], [0.5, 0.5], rows)
+
+    def test_rows_that_compare_equal_share_an_id(self):
+        # 0.0 and -0.0, or 1 and 1.0, make one distribution; the first row
+        # given is kept, as the reader keeps the first one read.
+        grid = PriceGrid([1.0, 2.0])
+        tr = Transcript.from_rounds(grid, [0, 0, 1, 0], [0.5] * 4, [[1.0, -0.0], [1, 0.0], [0.5, 0.5], [1.0, 0.0]])
+        assert tr.dist_index.tolist() == [0, 0, 1, 0]
+        assert tr.dist_table.tobytes() == np.array([[1.0, -0.0], [0.5, 0.5]]).tobytes()
+
+    def test_in_memory_encoding_matches_the_read_back_copy(self, rng):
+        grid = PriceGrid([0.3, 0.5, 0.7, 0.9])
+        rows = [dyadic_distribution(rng, 4) for _ in range(300)]
+        tr = transcript_from(grid, rows, sample_posted(rng, rows), rng.random(300))
+        back = loads_transcript(dumps_transcript(tr))
+        assert back.dist_index.tobytes() == tr.dist_index.tobytes()
+        assert back.dist_table.tobytes() == tr.dist_table.tobytes()
+
+    def test_equality_compares_each_rounds_row(self):
+        grid = PriceGrid([1.0, 2.0])
+        a, b = [0.5, 0.5], [1.0, 0.0]
+        one = Transcript(grid, [0, 0, 0], [0.1, 0.2, 0.3], [0, 1, 0], [a, b])
+        assert one == Transcript(grid, [0, 0, 0], [0.1, 0.2, 0.3], [1, 0, 1], [b, a])
+        assert one != Transcript(grid, [0, 0, 0], [0.1, 0.2, 0.3], [0, 0, 0], [a, b])
+        assert one != Transcript(grid, [0, 0, 0], [0.1, 0.2, 0.3], [0, 1, 1], [a, b])
 
     def test_draw_past_last_cumulative_probability(self):
         # The probabilities sum to 1 - 2**-52, so u = 1 - 2**-53 lies above

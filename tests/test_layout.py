@@ -5,8 +5,9 @@ top, and no module imports another module's private (underscore) names;
 nor does any module of the tests.
 No module keeps a private twin `_name` of a module-level function `name`:
 one code path per computation.
-Every public module-level name is used by the package itself or traced by
-the benchmark: what only tests call lives under tests/. Likewise the package
+Every public module-level name, and every public method or property of the
+package's classes, is used by the package itself or traced by the
+benchmark: what only tests call lives under tests/. Likewise the package
 directory holds Python modules only: data that only tests read lives there
 too.
 The functions the benchmark's traced run wraps keep their names, modules
@@ -68,7 +69,8 @@ def private_twins(tree: ast.Module) -> list[str]:
 
 
 def public_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
-    """Each public (or dunder) module-level name, with the statement defining it."""
+    """Each public (or dunder) module-level name, and `Class.name` for each
+    public method or property of a class, with the statement defining it."""
     out = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -79,34 +81,57 @@ def public_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
         else:
             continue
         out.update((name, node) for name in names if not name.startswith("_") or name.endswith("__"))
+        if isinstance(node, ast.ClassDef):
+            out.update(
+                (f"{node.name}.{item.name}", item)
+                for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_")
+            )
     return out
 
 
+def statements(tree: ast.Module):
+    """(node, top-level statement holding it) for each top-level statement,
+    and for each decorator, base and body statement of a class."""
+    for node in tree.body:
+        parts = [node]
+        if isinstance(node, ast.ClassDef):
+            parts = [*node.decorator_list, *node.bases, *node.keywords, *node.body]
+        yield from ((part, node) for part in parts)
+
+
 def referenced(node: ast.AST) -> set[str]:
-    """The names and attribute names that code under `node` refers to."""
+    """The names that code under `node` refers to, and its attribute names
+    with a leading dot."""
     return {
-        sub.id if isinstance(sub, ast.Name) else sub.attr
+        sub.id if isinstance(sub, ast.Name) else "." + sub.attr
         for sub in ast.walk(node)
         if isinstance(sub, (ast.Name, ast.Attribute))
     }
 
 
 def unreferenced_names(trees: dict[str, ast.Module], keep: set[str]) -> list[str]:
-    """`module.name` of each public module-level name of `trees` (module ->
-    parsed source) that is not in `keep` and that no module except __init__
-    refers to outside the statement defining it."""
+    """`module.name` of each public definition of `trees` (module -> parsed
+    source) that is not in `keep` and that no module except __init__ refers
+    to outside the statement defining it: a module-level name outside its
+    top-level statement, by name or as an attribute, and a method
+    (`module.Class.name`) outside its own body, as an attribute."""
     uses = [
-        (node, referenced(node))
+        (node, top, referenced(node))
         for module, tree in trees.items()
         if module != "__init__"
-        for node in tree.body
+        for node, top in statements(tree)
     ]
     return sorted(
         f"{module}.{name}"
         for module, tree in trees.items()
         for name, definition in public_definitions(tree).items()
         if f"{module}.{name}" not in keep
-        and not any(name in names for node, names in uses if node is not definition)
+        and not any(
+            ("." + name.rsplit(".", 1)[-1]) in names or name in names
+            for node, top, names in uses
+            if (node if "." in name else top) is not definition
+        )
     )
 
 
@@ -143,15 +168,24 @@ def test_rules_catch_offending_source():
         "def dead():\n"
         "    return dead()\n"
         "LIMIT = f(g)\n"
+        "class C:\n"
+        "    def used(self):\n"
+        "        return self.helper()\n"
+        "    def helper(self):\n"
+        "        return 1\n"
+        "    def unused(self):\n"
+        "        return self.unused()\n"
+        "C().used()\n"
     )
     assert function_local_imports(tree) == [3]
     assert private_imports(tree) == [(1, "_fmt")]
     assert private_twins(tree) == ["g"]
     a_test = ast.parse("from conftest import _helper\nfrom regretaudit.core import _DECODER, validate\n")
     assert private_imports(a_test) == [(2, "_DECODER")]
-    # A use in __init__ does not count; LIMIT is kept by name.
+    # A use in __init__ does not count; LIMIT is kept by name. A method
+    # counts as used from its own class, but not from its own body.
     trees = {"m": tree, "__init__": ast.parse("from .m import dead\nprint(dead)\n")}
-    assert unreferenced_names(trees, {"m.LIMIT"}) == ["m.dead"]
+    assert unreferenced_names(trees, {"m.LIMIT"}) == ["m.C.unused", "m.dead"]
 
 
 def non_modules(package: Path) -> list[str]:

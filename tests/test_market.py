@@ -39,8 +39,8 @@ def affine_payoffs(eps_probe=F(1, 100)):
     out = {}
     for i in range(3):
         for j in range(3):
-            b1, b2 = m0.pair(i, j)
-            v1, v2 = m1.pair(i, j)
+            b1, b2 = m0.seller1[i][j], m0.seller2[i][j]
+            v1, v2 = m1.seller1[i][j], m1.seller2[i][j]
             out[(i, j)] = (
                 (b1, (v1 - b1) / eps_probe),
                 (b2, (v2 - b2) / eps_probe),
@@ -66,7 +66,7 @@ class TestDiscreteMarket:
         probe = F(1, 50)
         m = expected_payoff_matrix(manipulation_valuation_table(probe), [1, 2, 3], (0, 0))
         for (i, j), ((b1, s1), (b2, s2)) in EXPECTED_AFFINE.items():
-            assert m.pair(i, j) == (b1 + s1 * probe, b2 + s2 * probe)
+            assert (m.seller1[i][j], m.seller2[i][j]) == (b1 + s1 * probe, b2 + s2 * probe)
 
     def test_same_price_demand_splits_tie_mass(self):
         tab = manipulation_valuation_table(0)

@@ -1,13 +1,15 @@
-"""Peak memory of the two audits and of the file readers grows by a few bytes per round.
+"""Peak memory of the two audits, of the ground-truth oracle and of the file
+readers grows by a few bytes per round.
 
 Both audits reduce a transcript to the k x k pair sums, so neither needs a
-(T, k) array: at k = 19 one such float array alone is 152 B per round. The
-readers keep typed columns, a few 8-byte entries per round, and no Python
-object per round. The peak is measured with the standard library's
+(T, k) array: at k = 19 one such float array alone is 152 B per round. Nor
+does the oracle, which groups the rounds into distinct (distribution, truth
+row) pairs by sorting one 8-byte key per round. The readers keep typed
+columns, a few 8-byte entries per round, and no Python object per round. The peak is measured with the standard library's
 tracemalloc, which numpy reports its buffers to, between two horizons on
 inputs built beforehand: T = 20,000 and 200,000 rounds for the audits and
-the reduced file, and 2,000 and 20,000 for full transcripts, whose lines
-are about 20 times longer.
+the reduced file and the oracle's figure rows, and 2,000 and 20,000 for
+full transcripts, whose lines are about 20 times longer.
 """
 
 from __future__ import annotations
@@ -18,6 +20,9 @@ import numpy as np
 
 from regretaudit.aggregate import DriftAssumption, audit_aggregated, read_price_series
 from regretaudit.audit import regret_curve
+from regretaudit.figures import cost_sweep_rows, horizon_rows, log_spaced_horizons
+from regretaudit.market import UniformDuopoly
+from regretaudit.oracles import materialize_truth
 from regretaudit.core import (
     AuditConfig,
     CostRange,
@@ -84,6 +89,35 @@ def test_regret_curve_peak_grows_by_a_few_bytes_per_round():
         return (Transcript(GRID, posted, alloc, greedy, table),)
 
     assert growth_per_round(make_args, regret_curve) <= MAX_GROWTH_BYTES_PER_ROUND
+
+
+def q_transcript_and_truth(rounds: int):
+    """A k = 19 Q-learner's transcript against a random opponent trace, and
+    the uniform duopoly's ground truth along that trace."""
+    explore = 0.01
+    table = np.full((K, K), explore / K) + np.eye(K) * (1.0 - explore)
+    greedy, posted, alloc = greedy_rounds(rounds, explore)
+    opponent = np.random.default_rng(rounds + 1).integers(K, size=rounds)
+    truth = materialize_truth(UniformDuopoly(0.1, 0.2), GRID.levels, opponent, 0)
+    return Transcript(GRID, posted, alloc, greedy, table), truth
+
+
+def test_true_regret_sweep_peak_grows_by_a_few_bytes_per_round():
+    def make_args(rounds):
+        transcript, truth = q_transcript_and_truth(rounds)
+        return regret_curve(transcript), truth, transcript
+
+    def sweep(curve, truth, transcript):
+        return cost_sweep_rows(curve, 0.1, 0.9, 81, truth, transcript)
+
+    assert growth_per_round(make_args, sweep) <= MAX_GROWTH_BYTES_PER_ROUND
+
+
+def test_true_regret_horizons_peak_grows_by_a_few_bytes_per_round():
+    def horizons(transcript, truth):
+        return horizon_rows(transcript, truth, [0.1, 0.5], log_spaced_horizons(len(transcript)))
+
+    assert growth_per_round(q_transcript_and_truth, horizons) <= MAX_GROWTH_BYTES_PER_ROUND
 
 
 def test_transcript_reader_peak_grows_by_a_few_bytes_per_round(tmp_path):

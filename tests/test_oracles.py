@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regretaudit.core import PriceGrid
+from regretaudit.core import PriceGrid, pair_counts
 from regretaudit.market import manipulation_valuation_table
 from regretaudit.oracles import GroundTruth, best_in_hindsight_regret, materialize_truth, true_calibrated_regret
 
@@ -18,7 +18,9 @@ from witnesses import (
     brute_force_estimator_expectation,
     brute_force_realized_average,
     calibrated_regret_of_swap,
+    encode_rows,
     indistinguishable_ground_truths,
+    per_round_allocations,
     per_round_truth,
     pessimistic_allocation,
     reduction_estimate,
@@ -45,7 +47,7 @@ class TestCalibratedRegret:
         for _ in range(20):
             _, dists, truth = random_instance(rng, k=3, rounds=3)
             c = F(int(rng.integers(0, 200)), 100)
-            by_decomposition = true_calibrated_regret(dists, truth, c)
+            by_decomposition = true_calibrated_regret(*encode_rows(dists), truth, c)
             by_enumeration = max(
                 calibrated_regret_of_swap(dists, truth, c, SwapMap(sigma))
                 for sigma in itertools.product(range(3), repeat=3)
@@ -60,7 +62,7 @@ class TestCalibratedRegret:
         best = max(range(3), key=lambda p: (levels[p] - c) * x[p])
         dists = [dense_row(3, (best,), (1.0,))] * 5
         truth = GroundTruth(levels, np.array([x]), np.zeros(5, dtype=np.int64))
-        assert true_calibrated_regret(dists, truth, c) == pytest.approx(0.0, abs=1e-15)
+        assert true_calibrated_regret(*encode_rows(dists), truth, c) == pytest.approx(0.0, abs=1e-15)
 
     def test_fixed_prices_in_discrete_game(self):
         # Both sellers stuck at the low price: rerouting to the middle price
@@ -69,7 +71,7 @@ class TestCalibratedRegret:
         levels = (0, 1, 2, 3)
         dists = [dense_row(4, (1,), (1.0,))] * 6
         truth = materialize_truth(tab, levels, [1] * 6, 0)
-        regret = true_calibrated_regret(dists, truth, 0)
+        regret = true_calibrated_regret(*encode_rows(dists), truth, 0)
         assert regret == F(77, 100) - F(123, 200)  # 0.155
 
     def test_length_mismatch_is_rejected_on_both_paths(self):
@@ -79,11 +81,12 @@ class TestCalibratedRegret:
         float_truth = GroundTruth(truth.levels, truth.table.astype(float), truth.index)
         row = dense_row(4, (1,), (1.0,))
         for dists in ([row] * 2, [row] * 4):
+            table, index = encode_rows(dists)
             for t in (truth, float_truth):
                 with pytest.raises(ValueError):
-                    true_calibrated_regret(dists, t, 0.0)
+                    true_calibrated_regret(table, index, t, 0.0)
             with pytest.raises(ValueError):
-                true_calibrated_regret(dists, truth, [F(0), F(1, 2)])
+                true_calibrated_regret(table, index, truth, [F(0), F(1, 2)])
 
     @settings(derandomize=True, deadline=None, max_examples=60, database=None)
     @given(
@@ -103,7 +106,8 @@ class TestCalibratedRegret:
         opponent = [j for j, _ in rounds]
         truth = materialize_truth(manipulation_valuation_table(F(1, 100)), levels, opponent, seller)
         dists = [row for _, row in rounds]
-        exact = true_calibrated_regret(dists, truth, cost)
+        table, index = encode_rows(dists)
+        exact = true_calibrated_regret(table, index, truth, cost)
         assert isinstance(exact, Fraction)
         assert exact == max(
             calibrated_regret_of_swap(dists, truth, cost, SwapMap(sigma))
@@ -111,18 +115,48 @@ class TestCalibratedRegret:
         )
         dense = np.array([[float(p) for p in row] for _, row in rounds])
         float_truth = GroundTruth(levels, truth.table.astype(float), truth.index)
-        fast = true_calibrated_regret(dense, float_truth, float(cost))
+        float_table, float_index = encode_rows(dense)
+        fast = true_calibrated_regret(float_table, float_index, float_truth, float(cost))
         assert fast == pytest.approx(float(exact), abs=1e-12)
         # A cost sequence is evaluated from one pair-sum matrix: the same
         # values as one call per cost, exactly, and bit for bit on floats.
         costs = [cost, *more_costs]
-        assert true_calibrated_regret(dists, truth, costs) == [
-            true_calibrated_regret(dists, truth, c) for c in costs
+        assert true_calibrated_regret(table, index, truth, costs) == [
+            true_calibrated_regret(table, index, truth, c) for c in costs
         ]
         float_costs = [float(c) for c in costs]
-        assert [v.hex() for v in true_calibrated_regret(dense, float_truth, float_costs)] == [
-            true_calibrated_regret(dense, float_truth, c).hex() for c in float_costs
+        assert [v.hex() for v in true_calibrated_regret(float_table, float_index, float_truth, float_costs)] == [
+            true_calibrated_regret(float_table, float_index, float_truth, c).hex() for c in float_costs
         ]
+
+    @settings(derandomize=True, deadline=None, max_examples=40, database=None)
+    @given(
+        rows=st.lists(st.one_of(dyadic_row, rational_row), min_size=1, max_size=3),
+        rounds=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3)), max_size=6),
+        seller=st.integers(0, 1),
+        cost=st.fractions(min_value=0, max_value=3, max_denominator=20),
+    )
+    def test_exact_path_on_recurring_pairs(self, rows, rounds, seller, cost):
+        # Distribution row 0 recurs under two truth rows, and every round is
+        # played twice, so each (distribution, truth row) pair has a count
+        # above 1. The table is the rows as given: floats and Fractions.
+        rounds = [(0, 0), (0, 1), *[(d % len(rows), j) for d, j in rounds]] * 2
+        levels = tuple(F(v) for v in range(4))
+        opponent = [j for _, j in rounds]
+        truth = materialize_truth(manipulation_valuation_table(F(1, 100)), levels, opponent, seller)
+        table, index = np.array(rows, dtype=object), np.array([d for d, _ in rounds])
+        _, _, counts = pair_counts(index, truth.index, len(truth.table))
+        assert counts.min() > 1
+        exact = true_calibrated_regret(table, index, truth, cost)
+        assert isinstance(exact, Fraction)
+        dists = [rows[d] for d, _ in rounds]
+        assert exact == max(
+            calibrated_regret_of_swap(dists, truth, cost, SwapMap(sigma))
+            for sigma in itertools.product(range(4), repeat=4)
+        )
+        float_truth = GroundTruth(levels, truth.table.astype(float), truth.index)
+        fast = true_calibrated_regret(table.astype(float), index, float_truth, float(cost))
+        assert fast == pytest.approx(float(exact), abs=1e-12)
 
     def test_cost_sequence_matches_per_cost_float_formula(self, rng):
         # Bit for bit against one cost at a time, on instances large enough
@@ -135,19 +169,19 @@ class TestCalibratedRegret:
             truth = per_round_truth(tuple(np.sort(rng.uniform(0.1, 3.0, k)).tolist()), rng.random((rounds, k)))
             costs = np.linspace(rng.uniform(-1, 1), rng.uniform(1, 3), 81).tolist()
             levels = np.asarray(truth.levels)
-            m = probs.T @ truth.as_array()
+            m = probs.T @ per_round_allocations(truth)
             expected = []
             for c in costs:
                 gains = (levels[None, :] - c) * m - ((levels - c) * np.diag(m))[:, None]
                 expected.append(float(gains.max(axis=1).sum() / rounds).hex())
-            got = true_calibrated_regret(probs, truth, costs)
+            got = true_calibrated_regret(*encode_rows(probs), truth, costs)
             assert all(type(v) is float for v in got)
             assert [v.hex() for v in got] == expected
 
     def test_float_and_exact_paths_agree(self, rng):
         _, dists, truth = random_instance(rng, k=3, rounds=4)
-        exact = true_calibrated_regret(dists, truth, F(1, 4))
-        fast = true_calibrated_regret(np.stack(dists), truth, 0.25)
+        exact = true_calibrated_regret(*encode_rows(dists), truth, F(1, 4))
+        fast = true_calibrated_regret(*encode_rows(np.stack(dists)), truth, 0.25)
         assert float(exact) == pytest.approx(fast, abs=1e-12)
 
 
@@ -156,7 +190,7 @@ class TestPessimisticAllocation:
         _, _, truth = random_instance(rng, k=3, rounds=2)
         dists = [np.array([0.25, 0.25, 0.5])] * 2
         z = pessimistic_allocation(truth, dists)
-        assert np.array_equal(z.as_array(), truth.as_array())
+        assert np.array_equal(per_round_allocations(z), per_round_allocations(truth))
 
     def test_fill_rule(self):
         truth = per_round_truth((0.3, 0.5, 0.7), [(0.9, 0.6, 0.2)], exact=True)
@@ -177,8 +211,9 @@ class TestPessimisticAllocation:
         _, dists, truth = random_instance(rng, k=3, rounds=3)
         z = pessimistic_allocation(truth, dists)
         c = float(min(truth.levels) * rng.random())
-        base = true_calibrated_regret(dists, per_round_truth(truth.levels, z.as_array()), c)
-        values = truth.as_array()
+        table, index = encode_rows(dists)
+        base = true_calibrated_regret(table, index, per_round_truth(truth.levels, per_round_allocations(z)), c)
+        values = per_round_allocations(truth)
         for _ in range(200):
             completion = values.copy()
             for t, dist in enumerate(dists):
@@ -193,49 +228,58 @@ class TestPessimisticAllocation:
                     completion[t, p] = rng.uniform(lo, hi)
                     hi = completion[t, p]
             other = per_round_truth(truth.levels, completion)
-            assert true_calibrated_regret(dists, other, c) <= base + 1e-12
+            assert true_calibrated_regret(table, index, other, c) <= base + 1e-12
 
     def test_pessimistic_regret_bounds_true_regret(self, rng):
         for _ in range(1000):
             k = int(rng.integers(2, 4))
             _, dists, truth = random_instance(rng, k=k, rounds=int(rng.integers(1, 4)))
             c = float(min(truth.levels) * rng.random())
-            assert true_pessimistic_regret(truth, dists, c) >= true_calibrated_regret(
-                dists, truth, c
-            ) - 1e-12
+            table, index = encode_rows(dists)
+            assert true_pessimistic_regret(truth, dists, c) >= true_calibrated_regret(table, index, truth, c) - 1e-12
 
     def test_monotone_when_truth_monotone(self, rng):
         for _ in range(50):
             _, dists, truth = random_instance(rng, k=3, rounds=3)
-            z = pessimistic_allocation(truth, dists).as_array()
+            z = per_round_allocations(pessimistic_allocation(truth, dists))
             assert np.all(np.diff(z, axis=1) <= 1e-12)
 
     def test_full_support_pessimistic_equals_calibrated(self, rng):
         _, _, truth = random_instance(rng, k=3, rounds=3)
         dists = [np.array([0.5, 0.25, 0.25])] * 3
         c = 0.3
-        assert true_pessimistic_regret(truth, dists, c) == true_calibrated_regret(
-            dists, truth, c
-        )
+        assert true_pessimistic_regret(truth, dists, c) == true_calibrated_regret(*encode_rows(dists), truth, c)
 
 
 class TestBestInHindsight:
     def test_playing_best_fixed_price_gives_zero(self):
-        util = np.array([[0.5, 0.2], [0.4, 0.3], [0.6, 0.1]])
-        realized = util[:, 0]
-        assert best_in_hindsight_regret(util, realized) == pytest.approx(0.0)
+        # Utilities (l_p - c) x_t(p) of [[0.5, 0.2], [0.4, 0.3], [0.6, 0.1]]
+        # at cost 0, the first truth row drawn twice.
+        table = np.array([[0.5, 0.1], [0.4, 0.15], [0.6, 0.05]])
+        truth = GroundTruth((1.0, 2.0), table, np.array([0, 1, 2, 0]))
+        realized = table[truth.index, 0]
+        assert best_in_hindsight_regret(truth, 0.0, realized) == pytest.approx(0.0)
+
+    def test_counts_of_truth_rows_match_the_per_round_sum(self, rng):
+        truth = GroundTruth((0.5, 1.0, 2.0), rng.random((3, 3)), rng.integers(0, 3, 50))
+        realized = rng.random(50)
+        util = (np.asarray(truth.levels) - 0.25) * per_round_allocations(truth)
+        expected = (util.sum(axis=0).max() - realized.sum()) / 50
+        assert best_in_hindsight_regret(truth, 0.25, realized) == pytest.approx(expected, rel=1e-12)
+        exact = GroundTruth(truth.levels, np.array([[F(v) for v in row] for row in truth.table.tolist()]), truth.index)
+        assert best_in_hindsight_regret(exact, 0.25, realized) == pytest.approx(expected, rel=1e-12)
 
     def test_never_exceeds_calibrated_regret(self, rng):
         for _ in range(50):
             _, dists, truth = random_instance(rng, k=3, rounds=4)
             c = 0.2
             levels = np.asarray(truth.levels, dtype=float)
-            values = truth.as_array()
+            values = per_round_allocations(truth)
             util = (levels[None, :] - c) * values
             probs = np.stack(dists)
             realized = (probs * util).sum(axis=1)  # expected realized utility
-            bih = best_in_hindsight_regret(util, realized)
-            cal = true_calibrated_regret(probs, per_round_truth(truth.levels, values), c)
+            bih = best_in_hindsight_regret(truth, c, realized)
+            cal = true_calibrated_regret(*encode_rows(probs), per_round_truth(truth.levels, values), c)
             assert bih <= cal + 1e-12
 
 
@@ -329,7 +373,8 @@ class TestIndistinguishablePair:
 
     def test_regret_gap_is_top_price_step(self):
         dists, low, high = indistinguishable_ground_truths(rounds=6, a=1)
-        gap = true_calibrated_regret(dists, high, 0) - true_calibrated_regret(dists, low, 0)
+        table, index = encode_rows(dists)
+        gap = true_calibrated_regret(table, index, high, 0) - true_calibrated_regret(table, index, low, 0)
         assert gap == F(3) - F(2)
 
     def test_point_mass_variant_strictness(self):
@@ -337,14 +382,12 @@ class TestIndistinguishablePair:
         # strictly exceeds the regret of the truth whose top allocation is 0.
         dists, low, _ = indistinguishable_ground_truths(rounds=4, a=1, mode="point")
         pess = true_pessimistic_regret(low, dists, 0)
-        base = true_calibrated_regret(dists, low, 0)
+        base = true_calibrated_regret(*encode_rows(dists), low, 0)
         assert pess > base
 
     def test_pessimistic_equals_high_truth_regret(self):
         dists, low, high = indistinguishable_ground_truths(rounds=5)
-        assert true_pessimistic_regret(low, dists, 0) == true_calibrated_regret(
-            dists, high, 0
-        )
+        assert true_pessimistic_regret(low, dists, 0) == true_calibrated_regret(*encode_rows(dists), high, 0)
 
     def test_shipped_fixture_consistent(self):
         ref = Path(__file__).parent / "data" / "indistinguishable_pair.json"

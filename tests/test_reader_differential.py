@@ -31,7 +31,7 @@ from regretaudit.core import (
 from regretaudit.figures import read_truth
 from regretaudit.oracles import GroundTruth
 
-from witnesses import loads_transcript
+from witnesses import loads_transcript, per_round_allocations
 
 HEADER = '{"grid": [0.4, 0.8, 1.2], "continuum_upper": 1.5}'
 TRANSCRIPT_FIELDS = {"posted": "an integer", "alloc": "a number", "support": "a list of integers", "probs": "a list of numbers"}
@@ -134,7 +134,7 @@ def outcome(read, text):
     if isinstance(result, Transcript):
         columns = (result.posted, result.alloc, result.dist_index, result.dist_table)
         return result.grid, [(a.dtype, a.shape, a.tobytes()) for a in columns]
-    values = result.as_array()
+    values = per_round_allocations(result)
     return result.levels, values.dtype, values.shape, values.tobytes()
 
 

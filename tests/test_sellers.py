@@ -29,7 +29,7 @@ from regretaudit.sellers import (
 )
 
 from conftest import sample_posted
-from witnesses import dumps_transcript
+from witnesses import dumps_transcript, per_round_dists
 
 
 class TestQLearner:
@@ -115,16 +115,16 @@ class TestMWU:
         # Trailing by 2 * gamma * horizon while posted with prob 0.5.
         cumulative = np.array([0.0, 2 * gamma * horizon])
         probs = mwu_distribution(cumulative, 1e-9)
-        assert is_mean_based_violation(cumulative, probs, posted=0, gamma=gamma, horizon=horizon)
+        assert is_mean_based_violation(cumulative, probs[0], posted=0, gamma=gamma, horizon=horizon)
         cumulative = np.array([5.0, 5.0])
         probs = mwu_distribution(cumulative, 1e-9)
-        assert not is_mean_based_violation(cumulative, probs, posted=0, gamma=gamma, horizon=horizon)
+        assert not is_mean_based_violation(cumulative, probs[0], posted=0, gamma=gamma, horizon=horizon)
 
     def test_mean_based_violation_over_rounds(self):
         # Rounds on the leading axis give the per-round flags of the rows.
         cumulative = np.array([[0.0, 20.0], [5.0, 5.0], [0.0, 20.0]])
         probs = np.array([[0.5, 0.5], [0.5, 0.5], [0.05, 0.95]])
-        flags = is_mean_based_violation(cumulative, probs, np.array([0, 0, 0]), 0.1, 100)
+        flags = is_mean_based_violation(cumulative, probs[:, 0], np.array([0, 0, 0]), 0.1, 100)
         assert flags.tolist() == [True, False, False]
 
     def test_hedge_run_never_violates_its_own_gamma(self, rng):
@@ -137,7 +137,7 @@ class TestMWU:
         for _ in range(horizon):
             dist = mwu_distribution(cumulative, eta)
             [posted] = sample_posted(rng, [np.array(dist)])
-            violations += is_mean_based_violation(cumulative, dist, posted, gamma, horizon)
+            violations += is_mean_based_violation(cumulative, dist[posted], posted, gamma, horizon)
             cumulative = mwu_step(cumulative, rng.random(3))
         assert violations == 0
 
@@ -192,7 +192,7 @@ class TestSimulate:
         grid, tab = self.grid_and_table()
         res = simulate(grid, (FixedPriceStrategy(1, 4), FixedPriceStrategy(2, 4)), tab, (0, 0), 3, seed=1)
         for tr in res.transcripts:
-            assert ((tr.dists() > 0).sum(axis=1) == 1).all()
+            assert ((per_round_dists(tr) > 0).sum(axis=1) == 1).all()
         x1 = float(tab.demand(1, 2)[0])
         assert res.payoffs[0].tolist() == pytest.approx([x1, x1, x1])
 
@@ -256,7 +256,7 @@ class TestSimulate:
         window_start = phase1 + math.ceil(3 * epsilon * phase1)
         posted = res.transcripts[1].posted
         assert (posted[window_start - 1 :] == top).mean() >= 0.9
-        probs = res.transcripts[1].dists()[:, top]
+        probs = per_round_dists(res.transcripts[1])[:, top]
         settled = next(t for t in range(phase1, len(probs)) if probs[t] >= 0.95)
         assert settled - phase1 <= 10 * epsilon * phase1
         assert all(p >= 0.95 for p in probs[settled:])
@@ -295,7 +295,7 @@ class TestSimulate:
         _, _, _, u2 = payoff_tables(tab, grid, (0, 0))
         rewards = learner.rewards(u2[:, res.transcripts[0].posted].T)
         before = np.vstack([np.zeros((1, 4)), np.cumsum(rewards, axis=0)[:-1]])
-        dists, posted = res.transcripts[1].dists(), res.transcripts[1].posted
+        dists, posted = per_round_dists(res.transcripts[1]), res.transcripts[1].posted
         cumulative = np.zeros(4)
         for t in range(sched.total_rounds):
             assert np.array_equal(before[t], cumulative)
@@ -303,8 +303,8 @@ class TestSimulate:
             cumulative = mwu_step(cumulative, rewards[t])
         assert np.array_equal(cumulative, learner.cumulative_rewards)
         horizon = sched.total_rounds
-        flags = is_mean_based_violation(before, dists, posted, 1e-4, horizon)
-        one_by_one = [is_mean_based_violation(before[t], dists[t], p, 1e-4, horizon) for t, p in enumerate(posted)]
+        flags = is_mean_based_violation(before, dists[np.arange(horizon), posted], posted, 1e-4, horizon)
+        one_by_one = [is_mean_based_violation(before[t], dists[t, p], p, 1e-4, horizon) for t, p in enumerate(posted)]
         assert flags.any() and flags.tolist() == [bool(f) for f in one_by_one]
 
     def test_strategy_from_config_kinds(self):
@@ -412,7 +412,7 @@ class TestPinnedOutput:
                     for p in probs[keep].tolist():
                         total += p
                     expected = np.where(keep, probs / total, 0.0)
-                    row = Transcript.from_rounds(grid, [0], [0.0], [mwu_distribution(sigma, step_size)]).dists()[0]
+                    row = Transcript.from_rounds(grid, [0], [0.0], [mwu_distribution(sigma, step_size)]).dist_table[0]
                     assert row.tobytes() == expected.tobytes()
                     pruned += int(not keep.all())
                     ties += int(len(np.unique(sigma)) < k)
@@ -620,4 +620,4 @@ class TestArrayLoopReference:
             assert result.payoffs[i].tobytes() == payoffs[i].tobytes()
         if name == "mwu-mwu-table-expected":
             # The long-step learner's rows lose prices to the 1e-12 prune.
-            assert (result.transcripts[1].dists() == 0).any()
+            assert (per_round_dists(result.transcripts[1]) == 0).any()

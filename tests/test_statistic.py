@@ -4,8 +4,8 @@
 array, and `audit_aggregated` adds M up over fixed-size blocks of rounds.
 Both are pinned here to dense references written on the test side:
 
-- M against the dense `dists().T @ estimate_allocations()` and against M
-  summed exactly in `Fraction`s. Only the order of the float additions
+- M against the dense `per_round_dists(tr).T @ estimate_allocations(tr)`
+  and against M summed exactly in `Fraction`s. Only the order of the float additions
   differs, and every term is non-negative, so each entry's error is at most
   about (T + k) units in the last place of max|M|. The stated bound is
   1e-12 * max|M| for T <= 200;
@@ -46,6 +46,8 @@ from regretaudit.audit import (
 from regretaudit.core import AuditConfig, CostRange, PriceGrid, Transcript
 from regretaudit.oracles import GroundTruth, true_calibrated_regret
 
+from witnesses import per_round_dists, per_round_freqs
+
 F = Fraction
 M_REL_TOL = 1e-12
 
@@ -78,7 +80,7 @@ def exact_pair_sums(tr: Transcript) -> np.ndarray:
     """M from its definition, round by round and price by price, in Fractions."""
     k = tr.dist_table.shape[1]
     m = [[F(0)] * k for _ in range(k)]
-    for row, j, a in zip(tr.dists().tolist(), tr.posted.tolist(), tr.alloc.tolist()):
+    for row, j, a in zip(per_round_dists(tr).tolist(), tr.posted.tolist(), tr.alloc.tolist()):
         xhat, fill = [], F(1)
         for q in range(k):
             if row[q] > 0:
@@ -99,7 +101,7 @@ class TestPairSums:
         scale = float(max(abs(v) for v in exact.ravel()))
         error = max(abs(F(float(a)) - b) for a, b in zip(m.ravel(), exact.ravel()))
         assert float(error) <= M_REL_TOL * scale
-        dense = tr.dists().T @ estimate_allocations(tr)
+        dense = per_round_dists(tr).T @ estimate_allocations(tr)
         assert np.abs(m - dense).max() <= M_REL_TOL * scale
 
     def test_curve_is_the_curve_of_the_pair_sums(self, rng):
@@ -122,7 +124,7 @@ class TestPairSums:
         table /= table.sum(axis=1, keepdims=True)
         posted = np.array([rng.choice(k, p=row) for row in table])
         tr = Transcript(PriceGrid([1.0, 2.0, 3.0]), posted, rng.random(rounds), np.arange(rounds), table)
-        dense = tr.dists().T @ estimate_allocations(tr)
+        dense = per_round_dists(tr).T @ estimate_allocations(tr)
         assert np.abs(pair_sums(tr) - dense).max() <= 1e-12 * np.abs(dense).max()
 
     def test_empty_transcript_rejected(self):
@@ -177,7 +179,7 @@ class TestBlockedEstimates:
         for window in windows_for(T):
             est = DistributionEstimate(posted, K, 0.1, window)
             expected = dense_freqs(posted, K, window)
-            assert est.freqs.tobytes() == expected.tobytes()
+            assert per_round_freqs(est).tobytes() == expected.tobytes()
             lo, hi = T // 3, T - T // 5
             blocks = [f for _, f in est.blocks(lo, hi)]
             assert [a for a, _ in est.blocks(lo, hi)] == list(range(lo, hi, B))
@@ -189,7 +191,7 @@ class TestBlockedEstimates:
         est = estimate_distributions(posted, PriceGrid(range(1, K + 1)), DriftAssumption(epsilon=1e-4), 0.05)
         log_term = math.log(2 * 4000 * K / 0.05)
         assert est.window == math.ceil(log_term / (2 * (1e-4 * log_term / 2) ** (2 / 3)))
-        assert est.freqs.tobytes() == dense_freqs(posted, K, est.window).tobytes()
+        assert per_round_freqs(est).tobytes() == dense_freqs(posted, K, est.window).tobytes()
 
     @pytest.mark.parametrize(
         "T, target", [(T, L) for T in HORIZONS[1:] for L in (37, B + 11) if L <= T]
@@ -214,7 +216,7 @@ class TestBlockedEstimates:
         assert np.concatenate(seen).tobytes() == rows.tobytes()
         assert len(seen) == math.ceil(T / B)
         tr = Transcript(grid, posted, alloc, np.arange(T), rows)
-        dense = tr.dists().T @ estimate_allocations(tr)
+        dense = per_round_dists(tr).T @ estimate_allocations(tr)
         curve = PWLInCost.from_pair_sums(dense, grid.levels, T)
         expected = audit_with_margin(curve, grid, T, cfg, report.error_margin, "aggregated")
         assert report.verdict == expected.verdict
@@ -258,7 +260,8 @@ class TestCostSweeps:
         cs = rng.uniform(0, 1, size=9)
         truth = GroundTruth(tuple(levels.tolist()), values, np.arange(rounds))
         m = dists.T @ values
-        assert true_calibrated_regret(dists, truth, cs) == broadcast_true_regret(m, levels, cs, rounds)
+        ids = np.arange(rounds)  # a table row per round
+        assert true_calibrated_regret(dists, ids, truth, cs) == broadcast_true_regret(m, levels, cs, rounds)
         # Exact: the same floats, held as Fractions.
         table = np.array([[F(v) for v in row] for row in values.tolist()], dtype=object)
         exact = GroundTruth(truth.levels, table, truth.index)
@@ -270,7 +273,7 @@ class TestCostSweeps:
         levels_exact = np.array([F(v) for v in levels.tolist()], dtype=object)
         cs_exact = np.array([F(c) for c in cs.tolist()], dtype=object)
         expected = broadcast_true_regret(m_exact, levels_exact, cs_exact, rounds)
-        assert true_calibrated_regret(dists, exact, cs.tolist()) == expected
+        assert true_calibrated_regret(dists, ids, exact, cs.tolist()) == expected
 
     def test_long_sweep_stays_small(self, rng):
         k = 19

@@ -12,7 +12,10 @@ quantities it cannot compute, and the tests compute them here:
 - brute-force expectations of the audit estimator on instances small enough
   to enumerate every realization path;
 - the horizons the aggregated audit's guarantee needs;
-- transcripts as text, for round trips through the one reader and writer.
+- transcripts as text, for round trips through the one reader and writer;
+- dense per-round views of the package's distinct-row tables (transcript
+  distributions, ground truths and windowed estimates), and the way back:
+  dense or Fraction rows as a table of distinct rows plus per-round ids.
 
 Tests import this module as they import `conftest` helpers; its name does
 not match pytest's `test_*.py` pattern, so nothing here is collected. It
@@ -33,6 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from regretaudit.aggregate import DistributionEstimate
 from regretaudit.core import PriceGrid, Transcript, draw, read_transcript, running_sums, write_transcript
 from regretaudit.oracles import GroundTruth, Numeric, true_calibrated_regret
 
@@ -42,6 +46,33 @@ def per_round_truth(levels: Sequence[Numeric], rows, exact: bool = False) -> Gro
     for exact work, or a float one."""
     table = np.array(rows, dtype=object if exact else float)
     return GroundTruth(levels, table, np.arange(len(table)))
+
+
+def per_round_dists(transcript: Transcript) -> np.ndarray:
+    """The transcript's distributions as dense rows, (T, k)."""
+    return transcript.dist_table[transcript.dist_index]
+
+
+def per_round_allocations(truth: GroundTruth) -> np.ndarray:
+    """The truth's allocation vectors as floats, (T, k)."""
+    return np.asarray(truth.table, dtype=float)[truth.index]
+
+
+def per_round_freqs(estimate: DistributionEstimate) -> np.ndarray:
+    """Every round's windowed estimate, (T, k), gathered from its blocks."""
+    return np.concatenate([freqs for _, freqs in estimate.blocks()])
+
+
+def encode_rows(rows) -> tuple[np.ndarray, np.ndarray]:
+    """Per-round dense rows as (table, ids): each distinct row once, in
+    order of first appearance, and each round's row id, as the oracles take
+    distributions. Rows that compare equal share an id. The table has
+    object dtype, holding the values as given, when any is a Fraction, so
+    that exact work stays exact; otherwise it is float64."""
+    ids: dict[tuple, int] = {}
+    index = [ids.setdefault(tuple(row), len(ids)) for row in rows]
+    exact = any(isinstance(v, Fraction) for row in ids for v in row)
+    return np.array(list(ids), dtype=object if exact else float), np.array(index, dtype=np.int64)
 
 
 def dumps_transcript(transcript: Transcript) -> str:
@@ -123,7 +154,7 @@ def pessimistic_allocation(truth: GroundTruth, distributions) -> GroundTruth:
 def true_pessimistic_regret(truth: GroundTruth, distributions, cost: Numeric) -> Numeric:
     """Calibrated regret of the pessimistic completion: the supremum over all
     ground truths indistinguishable from the observed data."""
-    return true_calibrated_regret(distributions, pessimistic_allocation(truth, distributions), cost)
+    return true_calibrated_regret(*encode_rows(distributions), pessimistic_allocation(truth, distributions), cost)
 
 
 # ---------------------------------------------------------------------------
