@@ -22,10 +22,11 @@ import numpy as np
 
 from .core import AuditConfig, CostRange, PriceGrid, Transcript
 
-# Entries per block of rows in pair_sums and in the aggregated audit's walk
-# over rounds: bounds their temporaries, whatever T is. A float block is
-# 64 KiB; eight times that raised the aggregated audit's peak RSS by about
-# 4 MB at k = 19 and made it no faster.
+# Entries per block of rows in pair_sums, in the aggregated audit's walk
+# over rounds and in the manipulation demo's mean-based check: bounds their
+# temporaries, whatever T is. A float block is 64 KiB; eight times that
+# raised the aggregated audit's peak RSS by about 4 MB at k = 19 and made
+# it no faster.
 BLOCK_ENTRIES = 1 << 13
 
 

@@ -45,8 +45,8 @@ from .oracles import (
 )
 from .sellers import (
     ManipulatorSchedule,
-    is_mean_based_violation,
     mean_based_gamma,
+    mean_based_violations,
     payoff_tables,
     simulate,
     strategy_from_config,
@@ -417,15 +417,9 @@ def cmd_manipulate_demo(args) -> int:
     truth1 = GroundTruth(grid.levels, truths[0].table.astype(float), truths[0].index)
     cal1 = true_calibrated_regret(seller1.dist_table, seller1.dist_index, truth1, 0.0)
 
-    # The learner's cumulative rewards before each round: a running sum of
-    # its normalized rewards, added in the order the simulator added them.
     gamma = mean_based_gamma(args.eta, total)
     _, _, _, util2 = payoff_tables(table, grid, costs)
-    rewards = learner.rewards(util2[:, seller1.posted].T)
-    before = np.vstack([np.zeros((1, len(grid))), np.cumsum(rewards, axis=0)[:-1]])
-    probs = seller2.dist_table[seller2.dist_index, posted2]
-    flags = is_mean_based_violation(before, probs, posted2, gamma, total)
-    violations = int(flags.sum())
+    violations = mean_based_violations(learner, util2, seller1.posted, seller2, gamma, total)
 
     summary = {
         "phase1_rounds": phase1,

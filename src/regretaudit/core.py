@@ -18,7 +18,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate
-from typing import IO, Iterable, Sequence, Union
+from typing import IO, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -28,7 +28,8 @@ import numpy as np
 MIN_SUPPORT_PROB = 1e-15
 
 PROB_SUM_TOL = 1e-12
-_SUM_BLOCK_ROWS = 1024  # rows whose exact sums validate takes at once
+_FLOAT64 = np.dtype(float)
+_BLOCK = 1024  # rows that validate sums, or rounds that a writer formats, at once
 
 
 class TranscriptParseError(ValueError):
@@ -189,16 +190,6 @@ class Transcript:
         if not len(self.posted) == len(self.alloc) == len(self.dist_index):
             raise ValueError("posted, alloc and dist_index need one entry per round")
 
-    @staticmethod
-    def from_rounds(grid: PriceGrid, posted, alloc, rows) -> "Transcript":
-        """Columns from per-round values. `rows` holds each round's
-        distribution as a dense row over the grid: a (T, k) array or a
-        sequence of length-k rows, encoded as read_records encodes them;
-        validate checks their values."""
-        table = DistinctRows(len(grid))
-        index = np.array(array("q", map(table.add, rows)), dtype=np.int64)
-        return Transcript(grid, posted, alloc, index, table.table())
-
     def __len__(self) -> int:
         return len(self.posted)
 
@@ -227,8 +218,8 @@ class DistinctRows:
 
     def add(self, values) -> int:
         """The id of k numbers, as a sequence or an array; ValueError else."""
-        if isinstance(values, np.ndarray) and values.shape == (self.k,):
-            raw = values.astype(float, copy=False).tobytes()
+        if isinstance(values, np.ndarray) and values.ndim == 1 and len(values) == self.k:
+            raw = (values if values.dtype is _FLOAT64 else values.astype(float)).tobytes()
         else:
             try:
                 raw = self._row.pack(*values)
@@ -350,9 +341,9 @@ def _row_problems(table: np.ndarray) -> dict[int, list[tuple[str, str]]]:
     summed = finite & ~empty
     off_sum = np.zeros(len(table), dtype=bool)
     # A block of rows at a time, so that no Python list holds every row.
-    for lo in range(0, len(table), _SUM_BLOCK_ROWS):
-        rows = zip(table[lo : lo + _SUM_BLOCK_ROWS].tolist(), summed[lo : lo + _SUM_BLOCK_ROWS])
-        off_sum[lo : lo + _SUM_BLOCK_ROWS] = [ok and abs(math.fsum(row) - 1.0) > PROB_SUM_TOL for row, ok in rows]
+    for lo in range(0, len(table), _BLOCK):
+        rows = zip(table[lo : lo + _BLOCK].tolist(), summed[lo : lo + _BLOCK])
+        off_sum[lo : lo + _BLOCK] = [ok and abs(math.fsum(row) - 1.0) > PROB_SUM_TOL for row, ok in rows]
     out = {}
     for d in np.flatnonzero(empty | ~finite | negative | tiny | off_sum).tolist():
         row = out[d] = []
@@ -395,20 +386,44 @@ def write_records(sink: Union[str, IO[str]], grid: PriceGrid, lines: Iterable[st
     sink.writelines(lines)
 
 
+def row_texts(table: np.ndarray, index: np.ndarray, text) -> Iterator[tuple[int, list[str]]]:
+    """Round t's row as text, `text` of table[index[t]] as a list, a block
+    of rounds at a time: (lo, the texts of rounds lo, lo + 1, ...). A row
+    that recurs in `index` is formatted once, in the block where it first
+    appears, and kept; a row of one round is formatted in its block and
+    dropped. So no list holds every round, nor every row."""
+    recurs = np.bincount(index, minlength=len(table)) > 1
+    pending = recurs.copy()  # recurring rows not formatted yet
+    texts = np.empty(len(table), dtype=object)  # row id -> its text, while kept
+    for lo in range(0, len(index), _BLOCK):
+        ids = index[lo : lo + _BLOCK]
+        once = ids[~recurs[ids]]
+        new = np.concatenate([np.fromiter(set(ids[pending[ids]].tolist()), dtype=np.int64), once])
+        pending[new] = False
+        texts[new] = list(map(text, table[new].tolist()))
+        yield lo, texts[ids].tolist()
+        texts[once] = None
+
+
+def _distribution_text(row: list) -> str:
+    support = [i for i, p in enumerate(row) if p]
+    sup = ", ".join(map(str, support))
+    pr = ", ".join(format_float(row[i]) for i in support)
+    return f'"support": [{sup}], "probs": [{pr}]'
+
+
 def write_transcript(transcript: Transcript, sink: Union[str, IO[str]]) -> None:
-    """Serialize to the line-oriented JSON format. Caller guarantees validity."""
-    dists = []
-    for row in transcript.dist_table.tolist():
-        support = [i for i, p in enumerate(row) if p]
-        sup = ", ".join(map(str, support))
-        pr = ", ".join(format_float(row[i]) for i in support)
-        dists.append(f'"support": [{sup}], "probs": [{pr}]')
-    columns = (transcript.posted.tolist(), transcript.alloc.tolist(), transcript.dist_index.tolist())
-    lines = (
-        f'{{"t": {t}, "posted": {p}, "alloc": {format_float(a)}, {dists[d]}}}\n'
-        for t, (p, a, d) in enumerate(zip(*columns), 1)
-    )
-    write_records(sink, transcript.grid, lines)
+    """Serialize to the line-oriented JSON format, a block of rounds at a
+    time. Caller guarantees validity."""
+    tr = transcript
+
+    def lines():
+        for lo, dists in row_texts(tr.dist_table, tr.dist_index, _distribution_text):
+            hi = lo + len(dists)
+            for t, p, a, dist in zip(range(lo + 1, hi + 1), tr.posted[lo:hi].tolist(), tr.alloc[lo:hi].tolist(), dists):
+                yield f'{{"t": {t}, "posted": {p}, "alloc": {format_float(a)}, {dist}}}\n'
+
+    write_records(sink, tr.grid, lines())
 
 
 def _reject_constant(name: str):

@@ -20,6 +20,7 @@ from .core import (
     format_float,
     raise_violations,
     read_records,
+    row_texts,
     write_records,
 )
 from .oracles import GroundTruth, true_calibrated_regret
@@ -34,12 +35,13 @@ HEATMAP_ROUNDS = 10  # the last rounds of each replication that fig1 counts
 
 
 def write_truth(truth: GroundTruth, sink: Union[str, IO[str]]) -> None:
-    rows = [", ".join(map(format_float, row)) for row in truth.table.tolist()]
-    write_records(
-        sink,
-        PriceGrid(truth.levels),
-        (f'{{"t": {t}, "x": [{rows[i]}]}}\n' for t, i in enumerate(truth.index.tolist(), 1)),
-    )
+    blocks = row_texts(truth.table, truth.index, _allocation_text)
+    lines = (f'{{"t": {t}, "x": [{x}]}}\n' for lo, texts in blocks for t, x in enumerate(texts, lo + 1))
+    write_records(sink, PriceGrid(truth.levels), lines)
+
+
+def _allocation_text(row: list) -> str:
+    return ", ".join(map(format_float, row))
 
 
 def _allocation_row(values: list, k: int, t: int, line_no: int) -> list:

@@ -13,13 +13,15 @@ audit consumes.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .core import PriceGrid, Transcript, draw, running_sums
+from .audit import block_rows
+from .core import DistinctRows, PriceGrid, Transcript, draw, running_sums
 from .market import demand_table
 
 # Probabilities at most this small are dropped from the emitted row; core
@@ -204,6 +206,31 @@ def is_mean_based_violation(cumulative_rewards, posted_probs, posted, gamma: flo
     return (gap > gamma * horizon) & (np.asarray(posted_probs, dtype=float) > gamma)
 
 
+def mean_based_violations(
+    learner: MWUStrategy, utilities, opponent_posted, transcript: Transcript, gamma: float, horizon: int
+) -> int:
+    """How many rounds of a multiplicative-weights learner's transcript are
+    mean-based violations (see is_mean_based_violation). `utilities` holds
+    its payoffs indexed [own price, opponent's price] and `opponent_posted`
+    the opponent's price each round. Its cumulative rewards before each
+    round are a running sum of its normalized rewards, added in the order
+    the simulator added them: np.cumsum adds rows in order, so a block of
+    rounds that starts from the sum carried from the last one gives the
+    same floats as one sum over every round."""
+    posted = transcript.posted
+    carry = np.zeros((1, len(transcript.grid)))
+    step = block_rows(len(transcript.grid))
+    count = 0
+    for lo in range(0, len(posted), step):
+        hi = lo + step
+        rewards = learner.rewards(utilities[:, opponent_posted[lo:hi]].T)
+        sums = np.cumsum(np.vstack([carry, rewards]), axis=0)
+        carry = sums[-1:]
+        probs = transcript.dist_table[transcript.dist_index[lo:hi], posted[lo:hi]]
+        count += int(is_mean_based_violation(sums[:-1], probs, posted[lo:hi], gamma, horizon).sum())
+    return count
+
+
 # ---------------------------------------------------------------------------
 # Manipulator schedule
 # ---------------------------------------------------------------------------
@@ -364,7 +391,9 @@ def simulate(
         strat.rewards(u.T).tolist() if full else None
         for strat, u, full in zip(strategies, (u1, u2), full_feedback)
     ]
-    action_u = (_stream(seed, 0).random(rounds).tolist(), _stream(seed, 1).random(rounds).tolist())
+    # One draw per stream, before the loop: a horizon too large to allocate
+    # fails here. Iterating a memoryview gives each uniform as a Python float.
+    action_u = zip(memoryview(_stream(seed, 0).random(rounds)), memoryview(_stream(seed, 1).random(rounds)))
     realized = feedback_mode == "realized"
     if realized:
         buyer_u = _stream(seed, 2).random((rounds, 3))
@@ -375,18 +404,19 @@ def simulate(
             cum = np.cumsum([float(p) for _, p in items])
             diff_cells = (diffs, cum)
 
-    posteds = ([], [])
-    allocs = ([], [])
-    dists = ([], [])
-    payoffs = ([], [])
+    # Per seller: the strategy, typed columns of its posted prices,
+    # allocations and row ids, filled as the rounds are drawn, and its
+    # distinct rows. Each round's row is encoded at once, so no per-round
+    # object outlives its round.
+    sellers = [(strat, array("q"), array("d"), array("q"), DistinctRows(len(grid))) for strat in strategies]
 
-    for t in range(rounds):
+    for t, uniforms in enumerate(action_u):
         current = [strat.distribution() for strat in strategies]
-        actions = [draw(sums, action_u[i][t]) for i, (_, sums) in enumerate(current)]
+        actions = [draw(sums, u) for (_, sums), u in zip(current, uniforms)]
         if realized:
             vecs = _realized_vectors(oracle, lv, actions, buyer_u[t], diff_cells)
             util_vecs = [(lv - costs[i]) * vecs[i] for i in range(2)]
-        for i, strat in enumerate(strategies):
+        for i, (strat, posted, allocs, dist_ids, table) in enumerate(sellers):
             a, opp = actions[i], actions[1 - i]
             if realized:
                 alloc, util = float(vecs[i][a]), float(util_vecs[i][a])
@@ -394,16 +424,24 @@ def simulate(
             else:
                 alloc, util = alloc_rows[i][opp][a], util_rows[i][opp][a]
                 rewards = reward_rows[i][opp] if full_feedback[i] else None
-            posteds[i].append(a)
-            allocs[i].append(alloc)
-            dists[i].append(current[i][0])
-            payoffs[i].append(util)
+            posted.append(a)
+            allocs.append(alloc)
+            dist_ids.append(table.add(current[i][0]))
             strat.observe(a, util, rewards)
 
     transcripts = tuple(
-        Transcript.from_rounds(grid, posteds[i], allocs[i], dists[i]) for i in range(2)
+        Transcript(grid, *map(_column, (posted, allocs, dist_ids)), table.table())
+        for _, posted, allocs, dist_ids, table in sellers
     )
-    return SimulationResult(transcripts, (np.array(payoffs[0]), np.array(payoffs[1])))
+    # Each round's payoff, the utility the seller observed: (price - cost) *
+    # allocation, the product that the payoff tables and the realized
+    # utility vectors hold.
+    payoffs = tuple((lv - costs[i])[tr.posted] * tr.alloc for i, tr in enumerate(transcripts))
+    return SimulationResult(transcripts, payoffs)
+
+
+def _column(values: array) -> np.ndarray:
+    return np.frombuffer(values, dtype=values.typecode)
 
 
 def _realized_vectors(oracle, lv: np.ndarray, actions, draws, diff_cells):

@@ -14,6 +14,8 @@ import pytest
 from regretaudit.core import PriceGrid, Transcript
 from regretaudit.oracles import GroundTruth
 
+from witnesses import transcript_from_rounds
+
 
 def dense_row(k: int, support, probs) -> np.ndarray:
     """A distribution over k grid prices: `probs` on `support`, 0 elsewhere."""
@@ -44,7 +46,7 @@ def random_instance(rng: np.random.Generator, k: int, rounds: int):
 
 
 def transcript_from(grid, dists, posted, allocs) -> Transcript:
-    return Transcript.from_rounds(grid, posted, allocs, dists)
+    return transcript_from_rounds(grid, posted, allocs, dists)
 
 
 def sample_posted(rng: np.random.Generator, dists) -> list[int]:

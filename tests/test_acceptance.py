@@ -33,7 +33,6 @@ from regretaudit.core import (
     AuditConfig,
     CostRange,
     PriceGrid,
-    Transcript,
 )
 from regretaudit.market import (
     UniformDuopoly,
@@ -61,6 +60,7 @@ from witnesses import (
     per_round_dists,
     reduction_estimate,
     sample_transcript,
+    transcript_from_rounds,
     true_pessimistic_regret,
 )
 
@@ -209,7 +209,7 @@ def test_criterion_04_concentration():
     for seed in range(n_transcripts):
         u = np.random.default_rng((9000, seed)).random(rounds)
         posted = np.minimum((cums <= u[:, None]).sum(axis=1), last_support)
-        transcript = Transcript.from_rounds(
+        transcript = transcript_from_rounds(
             grid, posted, values[np.arange(rounds), posted], dists
         )
         if delta is None:

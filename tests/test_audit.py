@@ -19,11 +19,16 @@ from regretaudit.core import (
     AuditConfig,
     CostRange,
     PriceGrid,
-    Transcript,
 )
 
 from conftest import dense_row, dyadic_distribution, random_instance, sample_posted, transcript_from
-from witnesses import per_round_allocations, per_round_truth, pessimistic_allocation, true_pessimistic_regret
+from witnesses import (
+    per_round_allocations,
+    per_round_truth,
+    pessimistic_allocation,
+    transcript_from_rounds,
+    true_pessimistic_regret,
+)
 
 F = Fraction
 
@@ -273,7 +278,7 @@ class TestDiscretizationLoss:
 
 class TestAudit:
     def test_empty_transcript_rejected(self):
-        tr = Transcript.from_rounds(PriceGrid([1.0]), [], [], [])
+        tr = transcript_from_rounds(PriceGrid([1.0]), [], [], [])
         cfg = AuditConfig(CostRange(0.0, 1.0), 0.1, 0.05)
         with pytest.raises(ValueError):
             audit(tr, cfg)

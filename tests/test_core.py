@@ -8,6 +8,7 @@ import pytest
 from regretaudit.core import (
     AuditConfig,
     CostRange,
+    DistinctRows,
     PriceGrid,
     Transcript,
     TranscriptParseError,
@@ -21,9 +22,11 @@ from regretaudit.core import (
     validate_series,
     write_transcript,
 )
+from regretaudit.figures import read_truth, write_truth
+from regretaudit.oracles import GroundTruth
 
 from conftest import dense_row, dyadic_distribution, sample_posted, transcript_from
-from witnesses import dumps_transcript, loads_transcript
+from witnesses import dumps_transcript, loads_transcript, transcript_from_rounds
 
 
 HEADER = '{"grid": [1.0, 2.0], "continuum_upper": null}\n'
@@ -39,7 +42,7 @@ def record_line(t, posted=0, alloc=0.5, support="[0]", probs="[1.0]"):
 def make_simple_transcript():
     grid = PriceGrid([0.3, 0.5, 0.7])
     dist = dense_row(3, (0, 1), (0.5, 0.5))
-    return Transcript.from_rounds(grid, [0, 1, 1], [0.9, 0.4, 0.2], [dist] * 3)
+    return transcript_from_rounds(grid, [0, 1, 1], [0.9, 0.4, 0.2], [dist] * 3)
 
 
 class TestValidate:
@@ -49,7 +52,7 @@ class TestValidate:
     def test_posted_outside_support_names_round(self):
         grid = PriceGrid([0.3, 0.5])
         dist = dense_row(2, (0,), (1.0,))
-        tr = Transcript.from_rounds(grid, [1], [0.5], [dist])
+        tr = transcript_from_rounds(grid, [1], [0.5], [dist])
         violations = validate(tr)
         assert len(violations) == 1
         assert violations[0].round == 1
@@ -58,19 +61,19 @@ class TestValidate:
     def test_allocation_out_of_range_names_round_two(self):
         grid = PriceGrid([0.3, 0.5])
         dist = dense_row(2, (0,), (1.0,))
-        tr = Transcript.from_rounds(grid, [0, 0], [0.5, 1.2], [dist, dist])
+        tr = transcript_from_rounds(grid, [0, 0], [0.5, 1.2], [dist, dist])
         violations = validate(tr)
         assert [(v.round, v.field) for v in violations] == [(2, "allocation")]
         assert "allocation out of [0,1]" in violations[0].message
 
     def test_probability_below_support_threshold_rejected(self):
         dist = np.array([1e-16, 1.0 - 1e-16])
-        tr = Transcript.from_rounds(PriceGrid([1.0, 2.0]), [1], [0.5], [dist])
+        tr = transcript_from_rounds(PriceGrid([1.0, 2.0]), [1], [0.5], [dist])
         assert any(v.field == "probs" for v in validate(tr))
 
     def test_probs_must_sum_to_one(self):
         dist = np.array([0.6, 0.6])
-        tr = Transcript.from_rounds(PriceGrid([1.0, 2.0]), [0], [0.5], [dist])
+        tr = transcript_from_rounds(PriceGrid([1.0, 2.0]), [0], [0.5], [dist])
         assert any("sum" in v.message for v in validate(tr))
 
     def test_unsorted_or_duplicate_support(self):
@@ -102,7 +105,7 @@ class TestValidate:
         grid = PriceGrid([1.0, 2.0])
         a = np.array([0.6, 0.6])
         b = np.array([1.0, 0.0])
-        tr = Transcript.from_rounds(grid, [0, 1, 1, 0], [0.5, 1.5, 2.0, 0.5], [a, b, a, b])
+        tr = transcript_from_rounds(grid, [0, 1, 1, 0], [0.5, 1.5, 2.0, 0.5], [a, b, a, b])
         assert len(tr.dist_table) == 2
         assert validate(tr) == [
             Violation(1, "probs", "probabilities do not sum to 1"),
@@ -132,14 +135,14 @@ class TestValidate:
                     expected.append(Violation(t, "posted_index", "posted price outside support"))
                 if not 0.0 <= a <= 1.0:
                     expected.append(Violation(t, "allocation", "allocation out of [0,1]"))
-            assert validate(Transcript.from_rounds(grid, posted, alloc, rounds)) == expected
+            assert validate(transcript_from_rounds(grid, posted, alloc, rounds)) == expected
 
     def test_non_finite_values(self):
         grid = PriceGrid([1.0, 2.0])
         nan = float("nan")
-        tr = Transcript.from_rounds(grid, [0], [0.5], [np.array([nan, 1.0])])
+        tr = transcript_from_rounds(grid, [0], [0.5], [np.array([nan, 1.0])])
         assert [(v.round, v.field) for v in validate(tr)] == [(1, "probs")]
-        tr = Transcript.from_rounds(grid, [0], [nan], [np.array([1.0, 0.0])])
+        tr = transcript_from_rounds(grid, [0], [nan], [np.array([1.0, 0.0])])
         assert [(v.round, v.field) for v in validate(tr)] == [(1, "allocation")]
         assert [v.field for v in PriceGrid([nan, 1.0]).violations()] == ["levels"]
         inf = float("inf")
@@ -158,7 +161,7 @@ class TestValidate:
 class TestPersistence:
     def test_one_round_round_trip(self):
         grid = PriceGrid([0.3, 0.5, 0.7])
-        tr = Transcript.from_rounds(grid, [1], [0.4], [dense_row(3, (1,), (1.0,))])
+        tr = transcript_from_rounds(grid, [1], [0.4], [dense_row(3, (1,), (1.0,))])
         text = dumps_transcript(tr)
         assert len(text.strip().split("\n")) == 2
         assert loads_transcript(text) == tr
@@ -276,7 +279,7 @@ class TestPersistence:
         grid = PriceGrid([1.0, 2.0])
         a = np.array([0.25, 0.75])
         b = np.array([0.0, 1.0])
-        tr = Transcript.from_rounds(grid, [0, 1, 1, 1], [0.1, 0.2, 0.3, 0.4], [a, b, a, a])
+        tr = transcript_from_rounds(grid, [0, 1, 1, 1], [0.1, 0.2, 0.3, 0.4], [a, b, a, a])
         assert tr.dist_index.tolist() == [0, 1, 0, 0]
         assert tr.dist_table.tolist() == [[0.25, 0.75], [0.0, 1.0]]
         assert loads_transcript(dumps_transcript(tr)) == tr
@@ -286,6 +289,31 @@ class TestPersistence:
         path = tmp_path / "t.jsonl"
         write_transcript(tr, str(path))
         assert read_transcript(str(path)) == tr
+
+    def test_writers_give_each_round_its_rows_text_in_any_encoding(self, rng):
+        # The same 2,500 rounds, several blocks of them, encoded three ways:
+        # ids in no particular order, over rows that recur within a block,
+        # across blocks or not at all (and rows that no round uses); one
+        # row per round; ids in order of first appearance.
+        k, rounds = 3, 2500
+        grid = PriceGrid([1.0, 2.0, 3.0])
+        table = np.array([dyadic_distribution(rng, k) for _ in range(900)])
+        index = rng.integers(len(table) - 50, size=rounds)
+        dists = table[index]
+        posted, alloc = sample_posted(rng, dists), rng.random(rounds)
+        shared = Transcript(grid, posted, alloc, index, table)
+        assert (np.bincount(index) == 1).any() and (np.bincount(index) > 1).any()
+        text = dumps_transcript(shared)
+        assert text == dumps_transcript(Transcript(grid, posted, alloc, np.arange(rounds), dists))
+        assert text == dumps_transcript(transcript_from_rounds(grid, posted, alloc, dists))
+        assert loads_transcript(text) == shared
+        values = rng.random((len(table), k))
+        sidecars = [io.StringIO(), io.StringIO()]
+        write_truth(GroundTruth(grid.levels, values, index), sidecars[0])
+        write_truth(GroundTruth(grid.levels, values[index], np.arange(rounds)), sidecars[1])
+        assert sidecars[0].getvalue() == sidecars[1].getvalue()
+        truth = read_truth(io.StringIO(sidecars[0].getvalue()))
+        assert np.array_equal(truth.table[truth.index], values[index])
 
 
 class TestConfigTypes:
@@ -316,15 +344,27 @@ class TestConfigTypes:
         grid = PriceGrid([1.0, 2.0])
         for rows in ([np.array([1.0])], [[0.5, 0.5], [1.0]], np.ones((2, 3)) / 3):
             with pytest.raises(ValueError):
-                Transcript.from_rounds(grid, [0, 0], [0.5, 0.5], rows)
+                transcript_from_rounds(grid, [0, 0], [0.5, 0.5], rows)
 
     def test_rows_that_compare_equal_share_an_id(self):
         # 0.0 and -0.0, or 1 and 1.0, make one distribution; the first row
         # given is kept, as the reader keeps the first one read.
         grid = PriceGrid([1.0, 2.0])
-        tr = Transcript.from_rounds(grid, [0, 0, 1, 0], [0.5] * 4, [[1.0, -0.0], [1, 0.0], [0.5, 0.5], [1.0, 0.0]])
+        tr = transcript_from_rounds(grid, [0, 0, 1, 0], [0.5] * 4, [[1.0, -0.0], [1, 0.0], [0.5, 0.5], [1.0, 0.0]])
         assert tr.dist_index.tolist() == [0, 0, 1, 0]
         assert tr.dist_table.tobytes() == np.array([[1.0, -0.0], [0.5, 0.5]]).tobytes()
+
+    def test_array_rows_of_any_dtype_share_the_id_of_their_values(self):
+        # An array row of another dtype or byte order is keyed by its values
+        # as float64, as a list row is; an array of another shape is no row.
+        rows = DistinctRows(2)
+        same = [[0.25, 0.75], np.array([0.25, 0.75]), np.array([0.25, 0.75], dtype=">f8"), np.array([0.25, 0.75], dtype=np.float32)]
+        assert [rows.add(row) for row in same] == [0, 0, 0, 0]
+        assert rows.add(np.array([1, 0])) == rows.add([1.0, 0.0]) == 1
+        for bad in (np.array([[0.25, 0.75]]), np.array([0.5, 0.25, 0.25])):
+            with pytest.raises(ValueError):
+                rows.add(bad)
+        assert rows.table().tolist() == [[0.25, 0.75], [1.0, 0.0]]
 
     def test_in_memory_encoding_matches_the_read_back_copy(self, rng):
         grid = PriceGrid([0.3, 0.5, 0.7, 0.9])

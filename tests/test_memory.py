@@ -1,15 +1,18 @@
-"""Peak memory of the two audits, of the ground-truth oracle and of the file
-readers grows by a few bytes per round.
+"""Peak memory of the simulator, the two audits, the ground-truth oracle,
+the file writers and readers grows by a few bytes per round.
 
 Both audits reduce a transcript to the k x k pair sums, so neither needs a
 (T, k) array: at k = 19 one such float array alone is 152 B per round. Nor
 does the oracle, which groups the rounds into distinct (distribution, truth
-row) pairs by sorting one 8-byte key per round. The readers keep typed
-columns, a few 8-byte entries per round, and no Python object per round. The peak is measured with the standard library's
-tracemalloc, which numpy reports its buffers to, between two horizons on
-inputs built beforehand: T = 20,000 and 200,000 rounds for the audits and
-the reduced file and the oracle's figure rows, and 2,000 and 20,000 for
-full transcripts, whose lines are about 20 times longer.
+row) pairs by sorting one 8-byte key per round. The simulator and the
+readers keep typed columns, a few 8-byte entries per round, and no Python
+object per round. The writers and the manipulation demo's mean-based check
+walk a block of rounds at a time and keep nothing per round. The peak is
+measured with the standard library's tracemalloc, which numpy reports its
+buffers to, between two horizons on inputs built beforehand: T = 20,000
+and 200,000 rounds for the audits, the reduced file, the oracle's figure
+rows and the demo's check, and 2,000 and 20,000 for the simulator and for
+full transcripts and truth sidecars, whose lines are about 20 times longer.
 """
 
 from __future__ import annotations
@@ -20,9 +23,17 @@ import numpy as np
 
 from regretaudit.aggregate import DriftAssumption, audit_aggregated, read_price_series
 from regretaudit.audit import regret_curve
-from regretaudit.figures import cost_sweep_rows, horizon_rows, log_spaced_horizons
-from regretaudit.market import UniformDuopoly
+from regretaudit.figures import cost_sweep_rows, horizon_rows, log_spaced_horizons, write_truth
+from regretaudit.market import UniformDuopoly, manipulation_valuation_table
 from regretaudit.oracles import materialize_truth
+from regretaudit.sellers import (
+    MWUStrategy,
+    QLearnerStrategy,
+    mean_based_violations,
+    payoff_tables,
+    reward_bounds,
+    simulate,
+)
 from regretaudit.core import (
     AuditConfig,
     CostRange,
@@ -44,6 +55,18 @@ MAX_GROWTH_BYTES_PER_ROUND = 24
 # table and a bytes key, about 120 B with its dictionary entry.
 MAX_READ_GROWTH_BYTES_PER_ROUND = 48
 MAX_READ_DISTINCT_GROWTH_BYTES_PER_ROUND = 224
+# The simulator keeps, per seller, the posted prices, the allocations, the
+# payoffs and the row ids, and the uniforms of both sellers' draws: 80 B per
+# round. When no row repeats, each seller's new row of k = 4 floats is
+# also kept in its table and as the bytes key of its dictionary entry.
+MAX_SIMULATE_GROWTH_BYTES_PER_ROUND = 96
+MAX_SIMULATE_DISTINCT_GROWTH_BYTES_PER_ROUND = 448
+# A walk a block of rounds at a time keeps nothing per round. A writer
+# keeps two flags and a reference to its text per distinct row, 10 B per
+# row, which is per round when no row repeats.
+MAX_BLOCKED_GROWTH_BYTES_PER_ROUND = 2
+MAX_WRITE_DISTINCT_GROWTH_BYTES_PER_ROUND = 16
+TABLE_GRID = PriceGrid([0.0, 1.0, 2.0, 3.0])
 
 
 def peak_bytes(fn, *args) -> int:
@@ -135,16 +158,18 @@ def test_transcript_reader_peak_grows_by_a_few_bytes_per_round(tmp_path):
     assert growth <= MAX_READ_GROWTH_BYTES_PER_ROUND
 
 
-def test_transcript_reader_peak_with_a_new_row_every_round(tmp_path):
-    # A multiplicative-weights learner's rows: every round's is new.
-    grid = PriceGrid([0.0, 1.0, 2.0, 3.0])
+def distinct_rows_transcript(rounds: int) -> Transcript:
+    """A multiplicative-weights learner's transcript: every round's row is new."""
+    rng = np.random.default_rng(rounds)
+    rows = rng.dirichlet(np.ones(len(TABLE_GRID)), size=rounds)
+    posted = rng.integers(len(TABLE_GRID), size=rounds)
+    return Transcript(TABLE_GRID, posted, rng.random(rounds), np.arange(rounds), rows)
 
+
+def test_transcript_reader_peak_with_a_new_row_every_round(tmp_path):
     def make_args(rounds):
-        rng = np.random.default_rng(rounds)
-        rows = rng.dirichlet(np.ones(len(grid)), size=rounds)
-        posted = rng.integers(len(grid), size=rounds)
         path = str(tmp_path / f"mwu{rounds}.jsonl")
-        write_transcript(Transcript(grid, posted, rng.random(rounds), np.arange(rounds), rows), path)
+        write_transcript(distinct_rows_transcript(rounds), path)
         return (path,)
 
     growth = growth_per_round(make_args, read_transcript, SMALL // 10, LARGE // 10)
@@ -163,3 +188,67 @@ def test_price_series_reader_peak_grows_by_a_few_bytes_per_round(tmp_path):
         return (path,)
 
     assert growth_per_round(make_args, read_price_series) <= MAX_READ_GROWTH_BYTES_PER_ROUND
+
+
+def q_duopoly(rounds: int):
+    """simulate's arguments: two fresh Q-learners on the k = 19 duopoly."""
+    market, costs = UniformDuopoly(0.1, 0.2), (0.1, 0.2)
+    strategies = tuple(QLearnerStrategy.standard(GRID, cost) for cost in costs)
+    return GRID, strategies, market, costs, rounds
+
+
+def mwu_table(rounds: int):
+    """simulate's arguments: two fresh MWU learners on the k = 4 table."""
+    market, costs = manipulation_valuation_table(0.005), (0.0, 0.0)
+    bounds = reward_bounds(market, TABLE_GRID, costs)
+    return TABLE_GRID, tuple(MWUStrategy.fresh(4, 1e-3, *bounds) for _ in costs), market, costs, rounds
+
+
+def test_simulate_peak_grows_by_its_columns():
+    simulate(*q_duopoly(100))  # first calls fill caches that later runs reuse
+    growth = growth_per_round(q_duopoly, simulate, SMALL // 10, LARGE // 10)
+    assert growth <= MAX_SIMULATE_GROWTH_BYTES_PER_ROUND
+
+
+def test_simulate_peak_with_a_new_row_every_round():
+    simulate(*mwu_table(100))
+    growth = growth_per_round(mwu_table, simulate, SMALL // 10, LARGE // 10)
+    assert growth <= MAX_SIMULATE_DISTINCT_GROWTH_BYTES_PER_ROUND
+
+
+def test_transcript_writer_keeps_nothing_per_round(tmp_path):
+    def make_args(rounds):
+        transcript, _ = q_transcript_and_truth(rounds)
+        return transcript, str(tmp_path / "q.jsonl")
+
+    growth = growth_per_round(make_args, write_transcript, SMALL // 10, LARGE // 10)
+    assert growth <= MAX_BLOCKED_GROWTH_BYTES_PER_ROUND
+
+
+def test_transcript_writer_peak_with_a_new_row_every_round(tmp_path):
+    def make_args(rounds):
+        return distinct_rows_transcript(rounds), str(tmp_path / "mwu.jsonl")
+
+    growth = growth_per_round(make_args, write_transcript, SMALL // 10, LARGE // 10)
+    assert growth <= MAX_WRITE_DISTINCT_GROWTH_BYTES_PER_ROUND
+
+
+def test_truth_writer_keeps_nothing_per_round(tmp_path):
+    def make_args(rounds):
+        _, truth = q_transcript_and_truth(rounds)
+        return truth, str(tmp_path / "truth.jsonl")
+
+    growth = growth_per_round(make_args, write_truth, SMALL // 10, LARGE // 10)
+    assert growth <= MAX_BLOCKED_GROWTH_BYTES_PER_ROUND
+
+
+def test_mean_based_check_keeps_nothing_per_round():
+    market, costs = manipulation_valuation_table(0.005), (0.0, 0.0)
+    _, _, _, utilities = payoff_tables(market, TABLE_GRID, costs)
+
+    def make_args(rounds):
+        learner = MWUStrategy.fresh(4, 2.0, *reward_bounds(market, TABLE_GRID, costs))
+        opponent = np.random.default_rng(rounds + 1).integers(4, size=rounds)
+        return learner, utilities, opponent, distinct_rows_transcript(rounds), 1e-4, rounds
+
+    assert growth_per_round(make_args, mean_based_violations) <= MAX_BLOCKED_GROWTH_BYTES_PER_ROUND

@@ -31,7 +31,7 @@ from regretaudit.core import (
 from regretaudit.figures import read_truth
 from regretaudit.oracles import GroundTruth
 
-from witnesses import loads_transcript, per_round_allocations
+from witnesses import loads_transcript, per_round_allocations, transcript_from_rounds
 
 HEADER = '{"grid": [0.4, 0.8, 1.2], "continuum_upper": 1.5}'
 TRANSCRIPT_FIELDS = {"posted": "an integer", "alloc": "a number", "support": "a list of integers", "probs": "a list of numbers"}
@@ -101,7 +101,7 @@ def reference_transcript(text):
     rows = np.zeros((len(pairs), k))
     for row, (support, probs) in zip(rows, pairs):
         row[list(support)] = probs
-    transcript = Transcript.from_rounds(grid, c["posted"], c["alloc"], rows)
+    transcript = transcript_from_rounds(grid, c["posted"], c["alloc"], rows)
     raise_violations(validate(transcript), lines)
     return transcript
 

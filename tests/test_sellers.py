@@ -6,7 +6,8 @@ from itertools import accumulate
 import numpy as np
 import pytest
 
-from regretaudit.core import PriceGrid, Transcript, running_sums
+from regretaudit.audit import block_rows
+from regretaudit.core import PriceGrid, running_sums
 from regretaudit.market import UniformDuopoly, demand_table, manipulation_valuation_table
 from regretaudit.sellers import (
     FixedPriceStrategy,
@@ -18,6 +19,7 @@ from regretaudit.sellers import (
     is_mean_based_violation,
     manipulator_next,
     mean_based_gamma,
+    mean_based_violations,
     mwu_distribution,
     mwu_step,
     optimistic_q_init,
@@ -29,7 +31,7 @@ from regretaudit.sellers import (
 )
 
 from conftest import sample_posted
-from witnesses import dumps_transcript, per_round_dists
+from witnesses import dumps_transcript, per_round_dists, transcript_from_rounds
 
 
 class TestQLearner:
@@ -307,6 +309,28 @@ class TestSimulate:
         one_by_one = [is_mean_based_violation(before[t], dists[t, p], p, 1e-4, horizon) for t, p in enumerate(posted)]
         assert flags.any() and flags.tolist() == [bool(f) for f in one_by_one]
 
+    def test_mean_based_violations_carry_the_running_sum_across_blocks(self):
+        # The manipulation demo's count, a block of rounds at a time, equals
+        # the count over one running sum of every round, on a horizon of
+        # several blocks and with gammas small enough to flag rounds.
+        grid, tab = self.grid_and_table()
+        sched = ManipulatorSchedule.standard(2000)
+        horizon = sched.total_rounds
+        assert horizon > 2 * block_rows(4)
+        learner = MWUStrategy.fresh(4, 2.0, *reward_bounds(tab, grid, (0, 0)))
+        res = simulate(grid, (ManipulatorStrategy(sched, grid), learner), tab, (0, 0), horizon, seed=3)
+        _, _, _, u2 = payoff_tables(tab, grid, (0, 0))
+        opponent, seller2 = res.transcripts[0].posted, res.transcripts[1]
+        rewards = learner.rewards(u2[:, opponent].T)
+        before = np.vstack([np.zeros((1, 4)), np.cumsum(rewards, axis=0)[:-1]])
+        probs = seller2.dist_table[seller2.dist_index, seller2.posted]
+        counts = []
+        for gamma in (1e-5, 1e-4, 1e-3, mean_based_gamma(2.0, horizon)):
+            flags = is_mean_based_violation(before, probs, seller2.posted, gamma, horizon)
+            counts.append(mean_based_violations(learner, u2, opponent, seller2, gamma, horizon))
+            assert counts[-1] == int(flags.sum())
+        assert counts[0] > counts[2] > 0
+
     def test_strategy_from_config_kinds(self):
         grid, tab = self.grid_and_table()
         costs = (0.0, 0.0)
@@ -412,7 +436,7 @@ class TestPinnedOutput:
                     for p in probs[keep].tolist():
                         total += p
                     expected = np.where(keep, probs / total, 0.0)
-                    row = Transcript.from_rounds(grid, [0], [0.0], [mwu_distribution(sigma, step_size)]).dist_table[0]
+                    row = transcript_from_rounds(grid, [0], [0.0], [mwu_distribution(sigma, step_size)]).dist_table[0]
                     assert row.tobytes() == expected.tobytes()
                     pruned += int(not keep.all())
                     ties += int(len(np.unique(sigma)) < k)
@@ -615,7 +639,7 @@ class TestArrayLoopReference:
         result = simulate(grid, strategies(), env, costs, rounds, feedback, seed=seed)
         posteds, allocs, dists, payoffs = reference_simulate(grid, strategies(), env, costs, rounds, feedback, seed)
         for i in range(2):
-            expected = Transcript.from_rounds(grid, posteds[i], allocs[i], dists[i])
+            expected = transcript_from_rounds(grid, posteds[i], allocs[i], dists[i])
             assert dumps_transcript(result.transcripts[i]) == dumps_transcript(expected)
             assert result.payoffs[i].tobytes() == payoffs[i].tobytes()
         if name == "mwu-mwu-table-expected":

@@ -46,7 +46,7 @@ from regretaudit.audit import (
 from regretaudit.core import AuditConfig, CostRange, PriceGrid, Transcript
 from regretaudit.oracles import GroundTruth, true_calibrated_regret
 
-from witnesses import per_round_dists, per_round_freqs
+from witnesses import per_round_dists, per_round_freqs, transcript_from_rounds
 
 F = Fraction
 M_REL_TOL = 1e-12
@@ -129,7 +129,7 @@ class TestPairSums:
 
     def test_empty_transcript_rejected(self):
         with pytest.raises(ValueError, match="empty transcript"):
-            pair_sums(Transcript.from_rounds(PriceGrid([1.0]), [], [], []))
+            pair_sums(transcript_from_rounds(PriceGrid([1.0]), [], [], []))
 
 
 def dense_freqs(posted: np.ndarray, k: int, window: int) -> np.ndarray:

@@ -15,7 +15,8 @@ quantities it cannot compute, and the tests compute them here:
 - transcripts as text, for round trips through the one reader and writer;
 - dense per-round views of the package's distinct-row tables (transcript
   distributions, ground truths and windowed estimates), and the way back:
-  dense or Fraction rows as a table of distinct rows plus per-round ids.
+  dense or Fraction rows as a table of distinct rows plus per-round ids,
+  and a transcript built from per-round rows.
 
 Tests import this module as they import `conftest` helpers; its name does
 not match pytest's `test_*.py` pattern, so nothing here is collected. It
@@ -30,6 +31,7 @@ from __future__ import annotations
 import io
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -37,7 +39,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from regretaudit.aggregate import DistributionEstimate
-from regretaudit.core import PriceGrid, Transcript, draw, read_transcript, running_sums, write_transcript
+from regretaudit.core import DistinctRows, PriceGrid, Transcript, draw, read_transcript, running_sums, write_transcript
 from regretaudit.oracles import GroundTruth, Numeric, true_calibrated_regret
 
 
@@ -73,6 +75,16 @@ def encode_rows(rows) -> tuple[np.ndarray, np.ndarray]:
     index = [ids.setdefault(tuple(row), len(ids)) for row in rows]
     exact = any(isinstance(v, Fraction) for row in ids for v in row)
     return np.array(list(ids), dtype=object if exact else float), np.array(index, dtype=np.int64)
+
+
+def transcript_from_rounds(grid: PriceGrid, posted, alloc, rows) -> Transcript:
+    """Columns from per-round values. `rows` holds each round's
+    distribution as a dense row over the grid: a (T, k) array or a
+    sequence of length-k rows, encoded as read_records encodes them;
+    validate checks their values."""
+    table = DistinctRows(len(grid))
+    index = np.array(array("q", map(table.add, rows)), dtype=np.int64)
+    return Transcript(grid, posted, alloc, index, table.table())
 
 
 def dumps_transcript(transcript: Transcript) -> str:
@@ -340,7 +352,7 @@ def sample_transcript(
     rng = np.random.default_rng(seed)
     posted = [draw(running_sums(row), rng.random()) for row in distributions]
     alloc = [float(truth.table[truth.index[t], p]) for t, p in enumerate(posted)]
-    return Transcript.from_rounds(grid, posted, alloc, distributions)
+    return transcript_from_rounds(grid, posted, alloc, distributions)
 
 
 # ---------------------------------------------------------------------------
