@@ -17,7 +17,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import IO, Iterable, Iterator, Sequence, Union
 
 import numpy as np
@@ -30,6 +30,7 @@ MIN_SUPPORT_PROB = 1e-15
 PROB_SUM_TOL = 1e-12
 _FLOAT64 = np.dtype(float)
 _BLOCK = 1024  # rows that validate sums, or rounds that a writer formats, at once
+_CHUNK = 1 << 14  # about this many characters of lines go into one `%` call of a writer
 
 
 class TranscriptParseError(ValueError):
@@ -386,44 +387,83 @@ def write_records(sink: Union[str, IO[str]], grid: PriceGrid, lines: Iterable[st
     sink.writelines(lines)
 
 
-def row_texts(table: np.ndarray, index: np.ndarray, text) -> Iterator[tuple[int, list[str]]]:
-    """Round t's row as text, `text` of table[index[t]] as a list, a block
-    of rounds at a time: (lo, the texts of rounds lo, lo + 1, ...). A row
-    that recurs in `index` is formatted once, in the block where it first
-    appears, and kept; a row of one round is formatted in its block and
-    dropped. So no list holds every round, nor every row."""
+def block_lines(
+    head: str, columns: Sequence[np.ndarray], table: np.ndarray, index: np.ndarray, body, sparse: bool
+) -> Iterator[str]:
+    """JSONL lines, a block of rounds at a time. Round t's line is `head`
+    filled with t and the columns' entries at round t, then the text of its
+    row table[index[t - 1]], then "}\n". A row's text is `body(support)`
+    filled with the row's entries on `support`: the indices of its nonzero
+    entries if `sparse`, else all of them. Each support's template is built
+    once per call.
+
+    A row that recurs in `index` is formatted once, in the block where it
+    first appears, and kept; a row of one round is formatted in its block
+    and dropped. So no list holds every round, nor every row. A block whose
+    rows are all of one round each is one string, from one `%` call over its
+    numbers. Other blocks go as strings of about _CHUNK characters, each from
+    one `%` call that takes the rows' texts as %s arguments, so that a long
+    row is never copied into a block-sized string. Rows are converted to
+    float as float() converts them (an exact Fraction table included), and a
+    non-finite entry or column value raises ValueError."""
     recurs = np.bincount(index, minlength=len(table)) > 1
     pending = recurs.copy()  # recurring rows not formatted yet
     texts = np.empty(len(table), dtype=object)  # row id -> its text, while kept
+    bodies: dict[bytes, str] = {}  # a support, as its mask's bytes -> its body template
+
+    def template(mask: np.ndarray) -> str:
+        key = mask.tobytes()
+        if key not in bodies:
+            bodies[key] = body(np.flatnonzero(mask).tolist())
+        return bodies[key]
+
+    line = head + "%s}\n"
     for lo in range(0, len(index), _BLOCK):
         ids = index[lo : lo + _BLOCK]
-        once = ids[~recurs[ids]]
-        new = np.concatenate([np.fromiter(set(ids[pending[ids]].tolist()), dtype=np.int64), once])
+        cols = [col[lo : lo + _BLOCK] for col in columns]
+        once = ~recurs[ids]
+        new = np.concatenate([np.fromiter(set(ids[pending[ids]].tolist()), dtype=np.int64), ids[once]])
         pending[new] = False
-        texts[new] = list(map(text, table[new].tolist()))
-        yield lo, texts[ids].tolist()
-        texts[once] = None
+        rows = np.asarray(table[new], dtype=float)
+        if not (np.isfinite(rows).all() and all(np.isfinite(col).all() for col in cols)):
+            raise ValueError("non-finite float in transcript")
+        masks = rows != 0 if sparse else np.ones(rows.shape, dtype=bool)
+        t = range(lo + 1, lo + len(ids) + 1)
+        if once.all():
+            # rows[i] is round lo + i's row. The block's numbers in line
+            # order (t and the integer columns as floats, which %d writes as
+            # integers), and its lines' template, shared by rounds in a run
+            # of one support.
+            numbers = np.column_stack([t, *cols, rows])
+            taken = np.column_stack([np.ones((len(ids), 1 + len(cols)), dtype=bool), masks])
+            starts = [0, *(np.flatnonzero((masks[1:] != masks[:-1]).any(axis=1)) + 1).tolist()]
+            runs = zip(starts, starts[1:] + [len(ids)])
+            fmt = "".join((head + template(masks[s]) + "}\n") * (e - s) for s, e in runs)
+            yield fmt % tuple(numbers[taken].tolist())
+            continue
+        for d, row, mask in zip(new.tolist(), rows, masks):
+            texts[d] = template(mask) % tuple(row[mask].tolist())
+        values = [t, *[col.tolist() for col in cols], texts[ids].tolist()]
+        step = max(1, _CHUNK // (len(line) + len(values[-1][0])))  # lines of about _CHUNK characters
+        for a in range(0, len(ids), step):
+            chunk = [v[a : a + step] for v in values]
+            yield (line * len(chunk[0])) % tuple(chain.from_iterable(zip(*chunk)))
+        texts[ids[once]] = None
 
 
-def _distribution_text(row: list) -> str:
-    support = [i for i, p in enumerate(row) if p]
+def _distribution_text(support: list[int]) -> str:
     sup = ", ".join(map(str, support))
-    pr = ", ".join(format_float(row[i]) for i in support)
-    return f'"support": [{sup}], "probs": [{pr}]'
+    probs = ", ".join(["%.17g"] * len(support))
+    return f'"support": [{sup}], "probs": [{probs}]'
 
 
 def write_transcript(transcript: Transcript, sink: Union[str, IO[str]]) -> None:
     """Serialize to the line-oriented JSON format, a block of rounds at a
     time. Caller guarantees validity."""
     tr = transcript
-
-    def lines():
-        for lo, dists in row_texts(tr.dist_table, tr.dist_index, _distribution_text):
-            hi = lo + len(dists)
-            for t, p, a, dist in zip(range(lo + 1, hi + 1), tr.posted[lo:hi].tolist(), tr.alloc[lo:hi].tolist(), dists):
-                yield f'{{"t": {t}, "posted": {p}, "alloc": {format_float(a)}, {dist}}}\n'
-
-    write_records(sink, tr.grid, lines())
+    head = '{"t": %d, "posted": %d, "alloc": %.17g, '
+    lines = block_lines(head, (tr.posted, tr.alloc), tr.dist_table, tr.dist_index, _distribution_text, sparse=True)
+    write_records(sink, tr.grid, lines)
 
 
 def _reject_constant(name: str):

@@ -17,10 +17,9 @@ from .core import (
     Transcript,
     TranscriptParseError,
     Violation,
-    format_float,
+    block_lines,
     raise_violations,
     read_records,
-    row_texts,
     write_records,
 )
 from .oracles import GroundTruth, true_calibrated_regret
@@ -35,13 +34,12 @@ HEATMAP_ROUNDS = 10  # the last rounds of each replication that fig1 counts
 
 
 def write_truth(truth: GroundTruth, sink: Union[str, IO[str]]) -> None:
-    blocks = row_texts(truth.table, truth.index, _allocation_text)
-    lines = (f'{{"t": {t}, "x": [{x}]}}\n' for lo, texts in blocks for t, x in enumerate(texts, lo + 1))
+    lines = block_lines('{"t": %d, ', (), truth.table, truth.index, _allocation_text, sparse=False)
     write_records(sink, PriceGrid(truth.levels), lines)
 
 
-def _allocation_text(row: list) -> str:
-    return ", ".join(map(format_float, row))
+def _allocation_text(support: list[int]) -> str:
+    return '"x": [' + ", ".join(["%.17g"] * len(support)) + "]"
 
 
 def _allocation_row(values: list, k: int, t: int, line_no: int) -> list:

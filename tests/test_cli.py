@@ -10,7 +10,7 @@ import pytest
 from regretaudit import figures
 from regretaudit.audit import regret_curve
 from regretaudit.cli import PRESETS, ExperimentConfig, main
-from regretaudit.core import PriceGrid, write_transcript
+from regretaudit.core import PriceGrid, read_transcript, write_transcript
 from regretaudit.market import DiscreteValuationTable, manipulation_valuation_table
 from regretaudit.oracles import GroundTruth, materialize_truth
 from regretaudit.sellers import greedy_distribution
@@ -53,8 +53,6 @@ class TestSimulateCommand:
         assert len(payoffs) == 3
 
     def test_manipulation_preset_phase_structure(self, tmp_path):
-        from regretaudit.core import read_transcript
-
         out = tmp_path / "m"
         assert main(["simulate", "--preset", "manipulation", "--rounds", "420", "--out", str(out)]) == 0
         tr = read_transcript(str(out / "transcript_rep0_seller1.jsonl"))
@@ -80,7 +78,17 @@ class TestSimulateCommand:
             ]
         )
         assert code == 0
-        assert (out / "truth_rep0_seller1.jsonl").exists()
+        # The manipulation table's oracle is exact: its Fraction truths are
+        # written as their float roundings.
+        grid, oracle, _ = ExperimentConfig(**PRESETS["manipulation"]).market
+        for i in range(2):
+            opponent = read_transcript(str(out / f"transcript_rep0_seller{2 - i}.jsonl")).posted
+            expected = materialize_truth(oracle, grid.levels, opponent, i)
+            assert expected.exact
+            written = figures.read_truth(str(out / f"truth_rep0_seller{i + 1}.jsonl"))
+            assert written.levels == grid.levels
+            rounded = np.asarray(expected.table, dtype=float)[expected.index]
+            assert np.array_equal(written.table[written.index], rounded)
 
     def test_config_file_round_trip(self, tmp_path):
         config = {

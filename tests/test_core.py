@@ -1,9 +1,12 @@
 
 import io
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regretaudit.core import (
     AuditConfig,
@@ -20,13 +23,20 @@ from regretaudit.core import (
     running_sums,
     validate,
     validate_series,
+    write_records,
     write_transcript,
 )
 from regretaudit.figures import read_truth, write_truth
 from regretaudit.oracles import GroundTruth
 
 from conftest import dense_row, dyadic_distribution, sample_posted, transcript_from
-from witnesses import dumps_transcript, loads_transcript, transcript_from_rounds
+from witnesses import (
+    dumps_transcript,
+    loads_transcript,
+    reference_transcript_text,
+    reference_truth_text,
+    transcript_from_rounds,
+)
 
 
 HEADER = '{"grid": [1.0, 2.0], "continuum_upper": null}\n'
@@ -314,6 +324,82 @@ class TestPersistence:
         assert sidecars[0].getvalue() == sidecars[1].getvalue()
         truth = read_truth(io.StringIO(sidecars[0].getvalue()))
         assert np.array_equal(truth.table[truth.index], values[index])
+
+
+def truth_text(truth: GroundTruth) -> str:
+    buf = io.StringIO()
+    write_truth(truth, buf)
+    return buf.getvalue()
+
+
+# Values whose text is easy to get wrong: signed zeros (off the support in a
+# distribution, written in a truth), the least subnormal, 1e16 and numbers
+# that 17 digits round.
+EDGE_VALUES = (0.0, -0.0, 5e-324, 1.0, 1e16, 0.1, 1 / 3)
+values = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(allow_nan=False, allow_infinity=False))
+exact_values = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**9)
+
+
+@st.composite
+def writer_cases(draw):
+    """(levels, table, exact table, index, posted, alloc): rows of every
+    support size, a few rounds drawn over them, after a lead of rounds that
+    repeat one more row. A lead of 984 to 1024 rounds puts the drawn rounds
+    across the writers' block boundary at round 1024, so that rows recur
+    within a block, across it, or not at all."""
+    k = draw(st.integers(1, 5))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        support = draw(st.sets(st.integers(0, k - 1)))
+        rows.append([draw(values) if i in support else draw(st.sampled_from((0.0, -0.0))) for i in range(k)])
+    exact = [draw(st.lists(exact_values, min_size=k, max_size=k)) for _ in rows]
+    drawn = draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=40))
+    lead = draw(st.one_of(st.just(0), st.integers(1024 - 40, 1024)))
+    index = [len(rows)] * lead + drawn
+    posted = [0] * lead + draw(st.lists(st.integers(0, k - 1), min_size=len(drawn), max_size=len(drawn)))
+    alloc = [0.5] * lead + draw(st.lists(values, min_size=len(drawn), max_size=len(drawn)))
+    table = np.array([*rows, [0.25] * k])
+    exact_table = np.array([*exact, [Fraction(1, 4)] * k], dtype=object)
+    return tuple(range(1, k + 1)), table, exact_table, np.array(index), posted, alloc
+
+
+class TestWriters:
+    @settings(derandomize=True, deadline=None, max_examples=120, database=None)
+    @given(case=writer_cases())
+    def test_match_the_per_value_reference(self, case):
+        levels, table, exact_table, index, posted, alloc = case
+        transcript = Transcript(PriceGrid(levels), posted, alloc, index, table)
+        assert dumps_transcript(transcript) == reference_transcript_text(transcript)
+        for truth in (GroundTruth(levels, table, index), GroundTruth(levels, exact_table, index)):
+            assert truth_text(truth) == reference_truth_text(truth)
+
+    def test_exact_truth_writes_the_bytes_of_its_float_rounding(self):
+        exact = np.array(
+            [[Fraction(1, 3), Fraction(0), Fraction(2, 7)], [Fraction(1), Fraction(5, 9), Fraction(1, 10**20)]],
+            dtype=object,
+        )
+        rounded = np.array([[float(v) for v in row] for row in exact])
+        levels, index = (1.0, 2.0, 3.0), np.array([0, 1, 1, 0, 1])
+        assert truth_text(GroundTruth(levels, exact, index)) == truth_text(GroundTruth(levels, rounded, index))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["alloc", "a row of one round", "a recurring row", "a truth row", "a grid level"])
+    def test_non_finite_values_are_rejected(self, bad, where):
+        grid = PriceGrid([1.0, 2.0])
+        good, broken = np.array([0.5, 0.5]), np.array([bad, 1.0])
+        writes = {
+            "alloc": lambda: write_transcript(Transcript(grid, [0, 1], [0.5, bad], [0, 0], [good]), io.StringIO()),
+            "a row of one round": lambda: write_transcript(
+                Transcript(grid, [0, 1], [0.5, 0.5], [0, 1], [good, broken]), io.StringIO()
+            ),
+            "a recurring row": lambda: write_transcript(
+                Transcript(grid, [0, 1], [0.5, 0.5], [0, 0], [broken]), io.StringIO()
+            ),
+            "a truth row": lambda: truth_text(GroundTruth(grid.levels, np.array([good, broken]), np.array([0, 1, 1]))),
+            "a grid level": lambda: write_records(io.StringIO(), PriceGrid([1.0, bad]), []),
+        }
+        with pytest.raises(ValueError, match="^non-finite float in transcript$"):
+            writes[where]()
 
 
 class TestConfigTypes:

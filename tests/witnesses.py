@@ -12,7 +12,8 @@ quantities it cannot compute, and the tests compute them here:
 - brute-force expectations of the audit estimator on instances small enough
   to enumerate every realization path;
 - the horizons the aggregated audit's guarantee needs;
-- transcripts as text, for round trips through the one reader and writer;
+- transcripts as text, for round trips through the one reader and writer,
+  and the writers' per-value reference, which formats one number per call;
 - dense per-round views of the package's distinct-row tables (transcript
   distributions, ground truths and windowed estimates), and the way back:
   dense or Fraction rows as a table of distinct rows plus per-round ids,
@@ -39,7 +40,17 @@ from typing import Callable, Sequence
 import numpy as np
 
 from regretaudit.aggregate import DistributionEstimate
-from regretaudit.core import DistinctRows, PriceGrid, Transcript, draw, read_transcript, running_sums, write_transcript
+from regretaudit.core import (
+    DistinctRows,
+    PriceGrid,
+    Transcript,
+    draw,
+    format_float,
+    read_transcript,
+    running_sums,
+    write_records,
+    write_transcript,
+)
 from regretaudit.oracles import GroundTruth, Numeric, true_calibrated_regret
 
 
@@ -95,6 +106,31 @@ def dumps_transcript(transcript: Transcript) -> str:
 
 def loads_transcript(text: str) -> Transcript:
     return read_transcript(io.StringIO(text))
+
+
+def reference_transcript_text(transcript: Transcript) -> str:
+    """write_transcript's text, a round and a number at a time: each value
+    through format_float, each round's row from the dense table."""
+    lines = []
+    rows = transcript.dist_table[transcript.dist_index].tolist()
+    for t, (p, a, row) in enumerate(zip(transcript.posted.tolist(), transcript.alloc.tolist(), rows), 1):
+        support = [i for i, q in enumerate(row) if q]
+        sup = ", ".join(map(str, support))
+        probs = ", ".join(format_float(row[i]) for i in support)
+        lines.append(f'{{"t": {t}, "posted": {p}, "alloc": {format_float(a)}, "support": [{sup}], "probs": [{probs}]}}\n')
+    buf = io.StringIO()
+    write_records(buf, transcript.grid, lines)
+    return buf.getvalue()
+
+
+def reference_truth_text(truth: GroundTruth) -> str:
+    """figures.write_truth's text, a round and a number at a time: each
+    value, a Fraction included, through format_float."""
+    rows = truth.table[truth.index].tolist()
+    lines = [f'{{"t": {t}, "x": [{", ".join(map(format_float, row))}]}}\n' for t, row in enumerate(rows, 1)]
+    buf = io.StringIO()
+    write_records(buf, PriceGrid(truth.levels), lines)
+    return buf.getvalue()
 
 
 def _sparse_dists(distributions) -> list[list[tuple[int, Fraction]]]:
