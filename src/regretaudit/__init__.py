@@ -40,7 +40,6 @@ from .core import (
 )
 from .market import (
     DiscreteValuationTable,
-    PayoffMatrix,
     UniformDuopoly,
     best_pure_equilibrium,
     discrete_demand,

@@ -315,7 +315,7 @@ def cmd_figures(args) -> int:
 
     # Strategy-pair heatmap over the last rounds of every replication.
     counts = figures.pair_heatmap_counts(tails, len(levels))
-    eq = best_pure_equilibrium(expected_payoff_matrix(oracle, levels, costs))
+    eq = best_pure_equilibrium(levels, expected_payoff_matrix(oracle, levels, costs))
     highlight = eq[2] if eq else None
     rows = [
         [levels[i], levels[j], int(counts[i, j])]
@@ -406,8 +406,7 @@ def cmd_manipulate_demo(args) -> int:
     window_start = phase1 + math.ceil(3 * epsilon * phase1)
     freq_top = float((posted2[window_start - 1 :] == top).mean())
 
-    matrix = expected_payoff_matrix(table, grid.levels, costs)
-    eq = best_pure_equilibrium(matrix)
+    eq = best_pure_equilibrium(grid.levels, expected_payoff_matrix(table, grid.levels, costs))
     bench = (total * float(eq[1][0]), total * float(eq[1][1]))
     totals = (float(result.payoffs[0].sum()), float(result.payoffs[1].sum()))
 
@@ -418,7 +417,7 @@ def cmd_manipulate_demo(args) -> int:
     cal1 = true_calibrated_regret(seller1.dist_table, seller1.dist_index, truth1, 0.0)
 
     gamma = mean_based_gamma(args.eta, total)
-    _, _, _, util2 = payoff_tables(table, grid, costs)
+    _, util2 = payoff_tables(table, grid, costs)[1]
     violations = mean_based_violations(learner, util2, seller1.posted, seller2, gamma, total)
 
     summary = {
@@ -456,11 +455,15 @@ def _config_from_args(args) -> ExperimentConfig:
     config = ExperimentConfig.from_json(args.config) if args.config else ExperimentConfig(**PRESETS[args.preset])
     flags = {name: getattr(args, name, None) for name in ("rounds", "replications", "seed", "out", "feedback")}
     overrides = {name: value for name, value in flags.items() if value is not None}
-    if args.rounds is not None and config.strategies[0].get("kind") == "manipulator":
-        # Keep the two-phase structure: interpret --rounds as the total.
+    if args.rounds is not None and any(spec.get("kind") == "manipulator" for spec in config.strategies):
+        # Keep a manipulator's two-phase structure, in either seat: interpret --rounds as the total.
         phase1 = math.ceil(args.rounds / 2.1)
-        spec = {k: v for k, v in config.strategies[0].items() if k != "phase2_rounds"}
-        overrides["strategies"] = [{**spec, "phase1_rounds": phase1}, *config.strategies[1:]]
+        strategies = []
+        for spec in config.strategies:
+            if spec.get("kind") == "manipulator":
+                spec = {**{k: v for k, v in spec.items() if k != "phase2_rounds"}, "phase1_rounds": phase1}
+            strategies.append(spec)
+        overrides["strategies"] = strategies
         overrides["rounds"] = ManipulatorSchedule.standard(phase1).total_rounds
     # replace runs the construction checks again on the overridden values.
     return replace(config, **overrides)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import IO, Sequence, Union
 
 from .core import check_keys, load_json
@@ -62,13 +63,18 @@ class DiscreteValuationTable:
 
     def diff_distribution(self) -> dict[Fraction, Fraction]:
         """Distribution of v1 - v2."""
+        return dict(self._diff_cells)
+
+    @cached_property
+    def _diff_cells(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        # Built once, and not a field: equality and hashing compare the fields alone.
         out: dict[Fraction, Fraction] = {}
         for i, v1 in enumerate(self.v1_levels):
             for j, v2 in enumerate(self.v2_levels):
                 p = self.joint_probs[i][j]
                 if p:
                     out[v1 - v2] = out.get(v1 - v2, Fraction(0)) + p
-        return out
+        return tuple(out.items())
 
     def demand(self, p1: Numeric, p2: Numeric) -> tuple[Fraction, Fraction]:
         return discrete_demand(self, p1, p2)
@@ -137,7 +143,7 @@ def discrete_demand(
         raise ValueError(f"prices must lie on the construction grid {sorted(admissible)}")
     gap = p1 - p2
     x1 = Fraction(0)
-    for d, prob in table.diff_distribution().items():
+    for d, prob in table._diff_cells:
         if d > gap:
             x1 += prob
         elif d == gap:
@@ -187,53 +193,46 @@ def uniform_demand(env: UniformDuopoly, p1: float, p2: float) -> tuple[float, fl
     return x1, x2
 
 
-@dataclass(frozen=True)
-class PayoffMatrix:
-    """Expected per-round payoffs for each price pair on a finite grid."""
-
-    levels: tuple[Numeric, ...]
-    seller1: tuple[tuple[Numeric, ...], ...]
-    seller2: tuple[tuple[Numeric, ...], ...]
-
-
 def demand_table(oracle, levels: Sequence[Numeric]):
-    """Both sellers' demands at every price pair: x1[i][j], x2[i][j] =
-    oracle.demand(levels[i], levels[j]); exact where the oracle is exact."""
+    """Both sellers' demands, (x1, x2), in the one layout of the market's
+    tables: x_s[j][p] is seller s's demand at own price levels[p] when the
+    opponent posts levels[j]. Exact where the oracle is exact."""
+    # pairs[i][j]: seller 1 posts levels[i] and seller 2 levels[j].
     pairs = [[oracle.demand(p1, p2) for p2 in levels] for p1 in levels]
-    x1 = tuple(tuple(x for x, _ in row) for row in pairs)
+    x1 = tuple(tuple(row[j][0] for row in pairs) for j in range(len(levels)))
     x2 = tuple(tuple(x for _, x in row) for row in pairs)
     return x1, x2
 
 
-def expected_payoff_matrix(oracle, levels: Sequence[Numeric], costs: Sequence[Numeric]) -> PayoffMatrix:
-    """payoff_i(p1, p2) = (p_i - c_i) * x_i(p1, p2); exact where the oracle is exact."""
-    c1, c2 = costs
-    x1, x2 = demand_table(oracle, levels)
-    m1 = tuple(tuple((p1 - c1) * x for x in row) for p1, row in zip(levels, x1))
-    m2 = tuple(tuple((p2 - c2) * x for p2, x in zip(levels, row)) for row in x2)
-    return PayoffMatrix(tuple(levels), m1, m2)
+def expected_payoff_matrix(oracle, levels: Sequence[Numeric], costs: Sequence[Numeric]):
+    """Both sellers' expected payoffs in demand_table's layout, (u1, u2):
+    u_s[j][p] = (levels[p] - c_s) * x_s[j][p]. Exact where the oracle is exact."""
+    return tuple(
+        tuple(tuple((p - cost) * x for p, x in zip(levels, row)) for row in table)
+        for table, cost in zip(demand_table(oracle, levels), costs)
+    )
 
 
-def best_pure_equilibrium(matrix: PayoffMatrix):
+def best_pure_equilibrium(levels: Sequence[Numeric], payoffs):
     """Highest-total-payoff pure Nash equilibrium of the stage game, or None.
 
-    A cell is an equilibrium when neither seller gains from a unilateral
-    deviation. Ties on total payoff break toward the lexicographically
-    smallest index pair.
+    `payoffs` is expected_payoff_matrix's (u1, u2). Prices (levels[i],
+    levels[j]) are an equilibrium when neither seller gains from a
+    unilateral deviation: u1[j][i] is the best of u1[j], u2[i][j] of u2[i].
+    Ties on total payoff break toward the lexicographically smallest index
+    pair. Returns the prices, their payoffs and (i, j).
     """
-    k = len(matrix.levels)
+    u1, u2 = payoffs
+    k = len(levels)
     best = None
     for i in range(k):
         for j in range(k):
-            u1, u2 = matrix.seller1[i][j], matrix.seller2[i][j]
-            if any(matrix.seller1[i2][j] > u1 for i2 in range(k)):
-                continue
-            if any(matrix.seller2[i][j2] > u2 for j2 in range(k)):
-                continue
-            total = u1 + u2
-            if best is None or total > best[0]:
-                best = (total, (i, j), (u1, u2))
+            v1, v2 = u1[j][i], u2[i][j]
+            if v1 == max(u1[j]) and v2 == max(u2[i]):
+                total = v1 + v2
+                if best is None or total > best[0]:
+                    best = (total, (i, j), (v1, v2))
     if best is None:
         return None
-    _, pair, payoffs = best
-    return (matrix.levels[pair[0]], matrix.levels[pair[1]]), payoffs, pair
+    _, (i, j), values = best
+    return (levels[i], levels[j]), values, (i, j)

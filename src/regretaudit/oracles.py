@@ -48,11 +48,9 @@ def materialize_truth(oracle, levels: Sequence[Numeric], opponent_indices: Seque
     """The seller's allocation vectors against the opponent's realized price
     trace (as grid indices): k rows, one per opponent price, indexed by the
     trace. Exact when the oracle is."""
-    x1, x2 = demand_table(oracle, levels)
-    # by_opp[j][p]: the seller's demand at own price p against opponent price j.
-    by_opp = tuple(zip(*x1)) if seller == 0 else x2
-    exact = any(isinstance(v, Fraction) for row in by_opp for v in row)
-    table = np.array(by_opp, dtype=object if exact else float)
+    demand = demand_table(oracle, levels)[seller]
+    exact = any(isinstance(v, Fraction) for row in demand for v in row)
+    table = np.array(demand, dtype=object if exact else float)
     return GroundTruth(tuple(levels), table, np.asarray(opponent_indices, dtype=np.int64))
 
 

@@ -211,7 +211,7 @@ def mean_based_violations(
 ) -> int:
     """How many rounds of a multiplicative-weights learner's transcript are
     mean-based violations (see is_mean_based_violation). `utilities` holds
-    its payoffs indexed [own price, opponent's price] and `opponent_posted`
+    its payoffs indexed [opponent's price][own price] and `opponent_posted`
     the opponent's price each round. Its cumulative rewards before each
     round are a running sum of its normalized rewards, added in the order
     the simulator added them: np.cumsum adds rows in order, so a block of
@@ -223,7 +223,7 @@ def mean_based_violations(
     count = 0
     for lo in range(0, len(posted), step):
         hi = lo + step
-        rewards = learner.rewards(utilities[:, opponent_posted[lo:hi]].T)
+        rewards = learner.rewards(utilities[opponent_posted[lo:hi]])
         sums = np.cumsum(np.vstack([carry, rewards]), axis=0)
         carry = sums[-1:]
         probs = transcript.dist_table[transcript.dist_index[lo:hi], posted[lo:hi]]
@@ -330,14 +330,11 @@ def _stream(seed: int, tag: int) -> np.random.Generator:
 
 
 def payoff_tables(oracle, grid: PriceGrid, costs: Sequence[float]):
-    """Per-seller allocation and utility tables indexed [own price, opponent price]."""
-    x1, x2 = demand_table(oracle, grid.levels)
-    a1 = np.array(x1, dtype=float)
-    a2 = np.array(x2, dtype=float).T
+    """Each seller's float (allocation, utility) tables, indexed
+    [opponent's price][own price] as demand_table lays them out."""
     lv = np.asarray(grid.levels)
-    u1 = (lv - costs[0])[:, None] * a1
-    u2 = (lv - costs[1])[:, None] * a2
-    return a1, a2, u1, u2
+    allocs = [np.array(demand, dtype=float) for demand in demand_table(oracle, grid.levels)]
+    return tuple((alloc, (lv - cost) * alloc) for alloc, cost in zip(allocs, costs))
 
 
 def reward_bounds(
@@ -352,7 +349,7 @@ def reward_bounds(
     if feedback_mode == "realized":
         margins = [lv - c for lv in grid.levels for c in costs]
         return min(0.0, min(margins)), max(margins)
-    _, _, u1, u2 = payoff_tables(oracle, grid, costs)
+    (_, u1), (_, u2) = payoff_tables(oracle, grid, costs)
     lo = min(0.0, float(u1.min()), float(u2.min()))
     hi = max(float(u1.max()), float(u2.max()))
     return lo, hi
@@ -383,13 +380,13 @@ def simulate(
     if feedback_mode not in ("expected", "realized"):
         raise ValueError("feedback_mode must be 'expected' or 'realized'")
     lv = np.asarray(grid.levels)
-    a1, a2, u1, u2 = payoff_tables(oracle, grid, costs)
-    alloc_rows = (a1.T.tolist(), a2.T.tolist())
-    util_rows = (u1.T.tolist(), u2.T.tolist())
+    tables = payoff_tables(oracle, grid, costs)
+    alloc_rows = [alloc.tolist() for alloc, _ in tables]
+    util_rows = [util.tolist() for _, util in tables]
     full_feedback = [isinstance(strat, MWUStrategy) for strat in strategies]
     reward_rows = [
-        strat.rewards(u.T).tolist() if full else None
-        for strat, u, full in zip(strategies, (u1, u2), full_feedback)
+        strat.rewards(util).tolist() if full else None
+        for strat, (_, util), full in zip(strategies, tables, full_feedback)
     ]
     # One draw per stream, before the loop: a horizon too large to allocate
     # fails here. Iterating a memoryview gives each uniform as a Python float.

@@ -70,6 +70,7 @@ class TestEstimateDistributions:
             with pytest.raises(ValueError, match=rf"balancing window \({window} rounds .* exceeds the 3000-round horizon"):
                 estimate_distributions([0] * 3000, grid, DriftAssumption(gamma=gamma, support_floor=0.9), 0.05)
 
+    @pytest.mark.slow
     def test_mwu_errors_respect_lemma_bound(self, rng):
         # 100 seeded runs of a slow learner against a fixed opponent; the
         # measured sup-norm error must stay below the stated bound in at

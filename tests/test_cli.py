@@ -63,6 +63,27 @@ class TestSimulateCommand:
         assert set(levels[:200]) == {1.0}
         assert set(levels[200:]) == {3.0}
 
+    def test_rounds_rescale_a_manipulator_in_the_second_seat(self, tmp_path):
+        # The preset's seats swapped: seller 2 gets the same phases as the
+        # preset's seller 1 under --rounds 420.
+        config = {
+            "environment": {"kind": "table"},
+            "strategies": [
+                {"kind": "mwu", "step_size": 2.0},
+                {"kind": "manipulator", "phase1_rounds": 10_000},
+            ],
+            "rounds": 21_000,
+        }
+        path = tmp_path / "mirrored.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "m"
+        assert main(["simulate", "--config", str(path), "--rounds", "420", "--out", str(out)]) == 0
+        tr = read_transcript(str(out / "transcript_rep0_seller2.jsonl"))
+        assert len(tr) == 421
+        levels = [tr.grid.levels[p] for p in tr.posted]
+        assert set(levels[:200]) == {1.0}
+        assert set(levels[200:]) == {3.0}
+
     def test_emit_truth_sidecars(self, tmp_path):
         out = tmp_path / "t"
         code = main(

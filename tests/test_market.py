@@ -39,8 +39,8 @@ def affine_payoffs(eps_probe=F(1, 100)):
     out = {}
     for i in range(3):
         for j in range(3):
-            b1, b2 = m0.seller1[i][j], m0.seller2[i][j]
-            v1, v2 = m1.seller1[i][j], m1.seller2[i][j]
+            b1, b2 = m0[0][j][i], m0[1][i][j]
+            v1, v2 = m1[0][j][i], m1[1][i][j]
             out[(i, j)] = (
                 (b1, (v1 - b1) / eps_probe),
                 (b2, (v2 - b2) / eps_probe),
@@ -58,15 +58,22 @@ class TestDiscreteMarket:
         x1, x2 = demand_table(tab, levels)
         for i, p1 in enumerate(levels):
             for j, p2 in enumerate(levels):
-                assert (x1[i][j], x2[i][j]) == tab.demand(p1, p2)
-                assert type(x1[i][j]) is Fraction and type(x2[i][j]) is Fraction
+                assert (x1[j][i], x2[i][j]) == tab.demand(p1, p2)
+                assert type(x1[j][i]) is Fraction and type(x2[i][j]) is Fraction
 
     def test_entries_are_affine_in_tilt(self):
         # A third probe point confirms affinity, not just two-point agreement.
         probe = F(1, 50)
         m = expected_payoff_matrix(manipulation_valuation_table(probe), [1, 2, 3], (0, 0))
         for (i, j), ((b1, s1), (b2, s2)) in EXPECTED_AFFINE.items():
-            assert (m.seller1[i][j], m.seller2[i][j]) == (b1 + s1 * probe, b2 + s2 * probe)
+            assert (m[0][j][i], m[1][i][j]) == (b1 + s1 * probe, b2 + s2 * probe)
+
+    def test_demand_leaves_equality_and_hash_alone(self):
+        # The v1 - v2 cells are built on the first demand and kept off the fields.
+        used, fresh = manipulation_valuation_table(F(1, 100)), manipulation_valuation_table(F(1, 100))
+        used.demand(1, 2)
+        assert used == fresh and hash(used) == hash(fresh)
+        assert used.diff_distribution() == fresh.diff_distribution()
 
     def test_same_price_demand_splits_tie_mass(self):
         tab = manipulation_valuation_table(0)
@@ -116,8 +123,8 @@ class TestDiscreteMarket:
 
     def test_zero_cost_seller_at_price_zero_earns_nothing(self):
         m = expected_payoff_matrix(manipulation_valuation_table(0), [0, 1, 2, 3], (0, 0))
-        assert all(m.seller1[0][j] == 0 for j in range(4))
-        assert all(m.seller2[i][0] == 0 for i in range(4))
+        assert all(m[0][j][0] == 0 for j in range(4))
+        assert all(m[1][i][0] == 0 for i in range(4))
 
 
 class TestUniformDuopoly:
@@ -185,7 +192,7 @@ class TestEquilibrium:
         m = expected_payoff_matrix(
             manipulation_valuation_table(F(1, 100)), [1, 2, 3], (0, 0)
         )
-        pair, payoffs, _ = best_pure_equilibrium(m)
+        pair, payoffs, _ = best_pure_equilibrium([1, 2, 3], m)
         assert pair == (2, 2)
         assert payoffs == (F(123, 100), F(77, 100))
 
@@ -193,20 +200,16 @@ class TestEquilibrium:
         grid = [round(0.05 * i, 2) for i in range(1, 20)]
         env = UniformDuopoly(0.1, 0.2)
         m = expected_payoff_matrix(env, grid, (0.1, 0.2))
-        pair, payoffs, _ = best_pure_equilibrium(m)
+        pair, payoffs, _ = best_pure_equilibrium(grid, m)
         assert pair == (0.5, 0.55)
         assert payoffs[0] == pytest.approx(0.1595, abs=1e-6)
 
     def test_tie_breaks_to_first_lexicographic_pair(self):
-        from regretaudit.market import PayoffMatrix
-
-        flat = PayoffMatrix((1, 2), ((1, 1), (1, 1)), ((1, 1), (1, 1)))
-        pair, _, idx = best_pure_equilibrium(flat)
+        flat = (((1, 1), (1, 1)), ((1, 1), (1, 1)))
+        pair, _, idx = best_pure_equilibrium((1, 2), flat)
         assert idx == (0, 0)
 
     def test_no_pure_equilibrium_returns_none(self):
-        from regretaudit.market import PayoffMatrix
-
         # Matching-pennies payoffs admit no pure equilibrium.
-        m = PayoffMatrix((1, 2), ((1, 0), (0, 1)), ((0, 1), (1, 0)))
-        assert best_pure_equilibrium(m) is None
+        m = (((1, 0), (0, 1)), ((0, 1), (1, 0)))
+        assert best_pure_equilibrium((1, 2), m) is None

@@ -20,6 +20,7 @@ from __future__ import annotations
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from regretaudit.aggregate import DriftAssumption, audit_aggregated, read_price_series
 from regretaudit.audit import regret_curve
@@ -176,6 +177,7 @@ def test_transcript_reader_peak_with_a_new_row_every_round(tmp_path):
     assert growth <= MAX_READ_DISTINCT_GROWTH_BYTES_PER_ROUND
 
 
+@pytest.mark.slow
 def test_price_series_reader_peak_grows_by_a_few_bytes_per_round(tmp_path):
     def make_args(rounds):
         _, posted, alloc = greedy_rounds(rounds)
@@ -244,7 +246,7 @@ def test_truth_writer_keeps_nothing_per_round(tmp_path):
 
 def test_mean_based_check_keeps_nothing_per_round():
     market, costs = manipulation_valuation_table(0.005), (0.0, 0.0)
-    _, _, _, utilities = payoff_tables(market, TABLE_GRID, costs)
+    _, utilities = payoff_tables(market, TABLE_GRID, costs)[1]
 
     def make_args(rounds):
         learner = MWUStrategy.fresh(4, 2.0, *reward_bounds(market, TABLE_GRID, costs))

@@ -88,6 +88,7 @@ class TestCalibratedRegret:
             with pytest.raises(ValueError):
                 true_calibrated_regret(table, index, truth, [F(0), F(1, 2)])
 
+    @pytest.mark.slow
     @settings(derandomize=True, deadline=None, max_examples=60, database=None)
     @given(
         rounds=st.lists(

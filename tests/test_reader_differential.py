@@ -14,6 +14,7 @@ import io
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -232,12 +233,14 @@ def record_files(draw, heads, tails):
     return "".join(out)
 
 
+@pytest.mark.slow
 @settings(derandomize=True, deadline=None, max_examples=400, database=None)
 @given(text=record_files(TRANSCRIPT_HEADS, TRANSCRIPT_TAILS))
 def test_transcript_reader_matches_whole_line_reference(text):
     assert outcome(loads_transcript, text) == outcome(reference_transcript, text)
 
 
+@pytest.mark.slow
 @settings(derandomize=True, deadline=None, max_examples=300, database=None)
 @given(text=record_files(TRUTH_HEADS, TRUTH_TAILS))
 def test_truth_reader_matches_whole_line_reference(text):

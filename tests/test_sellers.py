@@ -9,6 +9,7 @@ import pytest
 from regretaudit.audit import block_rows
 from regretaudit.core import PriceGrid, running_sums
 from regretaudit.market import UniformDuopoly, demand_table, manipulation_valuation_table
+from regretaudit.oracles import materialize_truth
 from regretaudit.sellers import (
     FixedPriceStrategy,
     ManipulatorSchedule,
@@ -294,8 +295,8 @@ class TestSimulate:
         res = simulate(
             grid, (ManipulatorStrategy(sched, grid), learner), tab, (0, 0), sched.total_rounds, seed=3
         )
-        _, _, _, u2 = payoff_tables(tab, grid, (0, 0))
-        rewards = learner.rewards(u2[:, res.transcripts[0].posted].T)
+        _, u2 = payoff_tables(tab, grid, (0, 0))[1]
+        rewards = learner.rewards(u2[res.transcripts[0].posted])
         before = np.vstack([np.zeros((1, 4)), np.cumsum(rewards, axis=0)[:-1]])
         dists, posted = per_round_dists(res.transcripts[1]), res.transcripts[1].posted
         cumulative = np.zeros(4)
@@ -319,9 +320,9 @@ class TestSimulate:
         assert horizon > 2 * block_rows(4)
         learner = MWUStrategy.fresh(4, 2.0, *reward_bounds(tab, grid, (0, 0)))
         res = simulate(grid, (ManipulatorStrategy(sched, grid), learner), tab, (0, 0), horizon, seed=3)
-        _, _, _, u2 = payoff_tables(tab, grid, (0, 0))
+        _, u2 = payoff_tables(tab, grid, (0, 0))[1]
         opponent, seller2 = res.transcripts[0].posted, res.transcripts[1]
-        rewards = learner.rewards(u2[:, opponent].T)
+        rewards = learner.rewards(u2[opponent])
         before = np.vstack([np.zeros((1, 4)), np.cumsum(rewards, axis=0)[:-1]])
         probs = seller2.dist_table[seller2.dist_index, seller2.posted]
         counts = []
@@ -355,13 +356,40 @@ class TestSimulate:
 
     def test_payoff_tables_match_oracle(self):
         grid, tab = self.grid_and_table()
-        a1, a2, u1, u2 = payoff_tables(tab, grid, (0.0, 0.0))
+        (a1, u1), (a2, u2) = payoff_tables(tab, grid, (0.0, 0.0))
         for i in range(4):
             for j in range(4):
                 x1, x2 = tab.demand(grid.levels[i], grid.levels[j])
-                assert a1[i, j] == pytest.approx(float(x1))
-                assert a2[j, i] == pytest.approx(float(x2))
-                assert u1[i, j] == pytest.approx(grid.levels[i] * float(x1))
+                assert a1[j, i] == pytest.approx(float(x1))
+                assert a2[i, j] == pytest.approx(float(x2))
+                assert u1[j, i] == pytest.approx(grid.levels[i] * float(x1))
+
+    @pytest.mark.parametrize("seller", [0, 1])
+    @pytest.mark.parametrize("market", ["duopoly", "table"])
+    def test_one_layout_for_every_market_table(self, market, seller):
+        # Seller s's tables are demand_table's x_s[j][p], its demand at own
+        # price p against opponent price j, read as given by the ground
+        # truth, the payoff tables and the simulator's feedback.
+        if market == "duopoly":
+            grid = PriceGrid([round(0.05 * i, 2) for i in range(1, 20)])
+            oracle, costs = UniformDuopoly(0.1, 0.2), (0.1, 0.2)
+        else:
+            grid, oracle = self.grid_and_table()
+            costs = (0.0, 0.5)
+        demand = demand_table(oracle, grid.levels)[seller]
+        opponent = np.arange(len(grid))
+        truth = materialize_truth(oracle, grid.levels, opponent, seller)
+        assert truth.table.tolist() == [list(row) for row in demand]
+        alloc, util = payoff_tables(oracle, grid, costs)[seller]
+        for j, row in enumerate(demand):
+            for p, x in enumerate(row):
+                assert alloc[j, p] == float(x)
+                assert util[j, p] == (grid.levels[p] - costs[seller]) * float(x)
+        strategies = [QLearnerStrategy.standard(grid, c, explore_eps=0.5) for c in costs]
+        result = simulate(grid, strategies, oracle, costs, 300, seed=1)
+        own, opp = result.transcripts[seller], result.transcripts[1 - seller]
+        assert len(set(zip(opp.posted.tolist(), own.posted.tolist()))) > len(grid)
+        assert own.alloc.tolist() == [float(demand[j][p]) for j, p in zip(opp.posted, own.posted)]
 
 
 class TestPinnedOutput:
@@ -556,8 +584,8 @@ def reference_simulate(grid, strategies, oracle, costs, rounds, feedback_mode, s
     learners = [REFERENCE_LEARNERS[type(s)](s, grid) for s in strategies]
     lv = np.asarray(grid.levels)
     x1, x2 = demand_table(oracle, grid.levels)
-    a1, a2 = np.array(x1, dtype=float), np.array(x2, dtype=float).T
-    u1, u2 = (lv - costs[0])[:, None] * a1, (lv - costs[1])[:, None] * a2
+    a1, a2 = np.array(x1, dtype=float), np.array(x2, dtype=float)
+    u1, u2 = (lv - costs[0]) * a1, (lv - costs[1]) * a2
 
     def stream(tag):
         return np.random.Generator(np.random.Philox(key=[int(seed) % 2**64, tag]))
@@ -579,8 +607,8 @@ def reference_simulate(grid, strategies, oracle, costs, rounds, feedback_mode, s
             vecs = reference_realized_vectors(oracle, lv, actions, buyer_u[t], diff_cells)
             util_vecs = [(lv - costs[i]) * vecs[i] for i in range(2)]
         else:
-            vecs = [(a1, a2)[i][:, actions[1 - i]] for i in range(2)]
-            util_vecs = [(u1, u2)[i][:, actions[1 - i]] for i in range(2)]
+            vecs = [(a1, a2)[i][actions[1 - i]] for i in range(2)]
+            util_vecs = [(u1, u2)[i][actions[1 - i]] for i in range(2)]
         for i, learner in enumerate(learners):
             a = actions[i]
             posteds[i].append(a)
