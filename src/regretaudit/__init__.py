@@ -17,13 +17,13 @@ from .aggregate import (
 )
 from .audit import (
     AuditReport,
+    CellStats,
     PWLInCost,
     audit,
     discretization_loss,
     error_margin,
     estimate_allocations,
     minimize_over_cost,
-    pair_sums,
     regret_curve,
 )
 from .core import (

@@ -15,12 +15,12 @@ from typing import IO, Sequence, Union
 
 import numpy as np
 
-from .audit import AuditReport, PWLInCost, audit_with_margin, block_rows, pair_sums
+from .audit import AuditReport, CellStats, PWLInCost, audit_with_margin
 from .core import (
     AuditConfig,
     PriceGrid,
-    Transcript,
     TranscriptValidationError,
+    block_rows,
     raise_violations,
     read_records,
     validate_series,
@@ -58,7 +58,7 @@ class DriftAssumption:
 
 @dataclass(frozen=True)
 class DistributionEstimate:
-    """Windowed empirical distributions with the guaranteed sup-norm error.
+    """Windowed empirical distributions.
 
     Round t's estimate is the frequency of each price among the `window`
     posted prices from start(t) on. It is computed a block of rounds at a
@@ -67,7 +67,6 @@ class DistributionEstimate:
 
     posted: np.ndarray  # (T,) int64 grid indices
     k: int
-    error_bound: float  # rho: holds for every round with probability 1 - delta
     window: int
 
     def start(self, rounds: np.ndarray) -> np.ndarray:
@@ -146,13 +145,11 @@ def estimate_distributions(
     k = len(grid)
     if T < 1:
         raise ValueError("empty price sequence")
-    window, rho = _balancing_window(T, k, drift, delta)
-    return DistributionEstimate(posted, k, rho, window)
+    return DistributionEstimate(posted, k, _balancing_window(T, k, drift, delta))
 
 
-def _balancing_window(rounds: int, k: int, drift: DriftAssumption, delta: float) -> tuple[int, float]:
-    """The window length and its error bound rho; ValueError if the window
-    exceeds the horizon."""
+def _balancing_window(rounds: int, k: int, drift: DriftAssumption, delta: float) -> int:
+    """The window length; ValueError if it exceeds the horizon."""
     eps = drift.step_drift(rounds)
     log_term = math.log(2.0 * rounds * k / delta)
     t_opt = (eps * log_term / 2.0) ** (1.0 / 3.0)
@@ -164,7 +161,7 @@ def _balancing_window(rounds: int, k: int, drift: DriftAssumption, delta: float)
             f"the balancing window ({window} rounds at drift bound {eps:.3g} per step) "
             f"exceeds the {rounds}-round horizon"
         )
-    return window, (4.0 * eps * log_term) ** (1.0 / 3.0)
+    return window
 
 
 def aggregated_error_margin(
@@ -204,11 +201,7 @@ def check_horizon(rounds: int, k: int, drift: DriftAssumption, delta: float) -> 
 
 
 def audit_aggregated(
-    prices: Sequence[int],
-    allocations: Sequence[float],
-    grid: PriceGrid,
-    drift: DriftAssumption,
-    config: AuditConfig,
+    prices: Sequence[int], allocations: Sequence[float], grid: PriceGrid, drift: DriftAssumption, config: AuditConfig
 ) -> AuditReport:
     """Run the audit pipeline on windowed empirical distributions.
 
@@ -234,24 +227,22 @@ def audit_aggregated(
     delta = config.confidence_alpha
     rho_prime = check_horizon(T, k, drift, delta)
     est = estimate_distributions(posted, grid, drift, delta)
-    # Each round is its own distinct row: a block of rounds is a transcript.
     m = np.zeros((k, k))
     for a, freqs in est.blocks():
         b = a + len(freqs)
-        rows = _estimated_table(freqs, posted[a:b], rho_prime)
-        m += pair_sums(Transcript(grid, posted[a:b], alloc[a:b], np.arange(b - a), rows))
+        m += _block_stats(grid, freqs, posted[a:b], alloc[a:b], rho_prime).pair_sums()
     curve = PWLInCost.from_pair_sums(m, grid.levels, T)
-    delta_margin = aggregated_error_margin(
-        T, k, grid.max_level, rho_prime, drift.support_floor, delta
-    )
+    delta_margin = aggregated_error_margin(T, k, grid.max_level, rho_prime, drift.support_floor, delta)
     return audit_with_margin(curve, grid, T, config, delta_margin, "aggregated")
 
 
-def _estimated_table(freqs: np.ndarray, posted: np.ndarray, rho_prime: float) -> np.ndarray:
-    """Each round's windowed frequencies, renormalized over its estimated support."""
+def _block_stats(grid: PriceGrid, freqs, posted, alloc, rho_prime: float) -> CellStats:
+    """A block of rounds, each its own row: its windowed frequencies
+    renormalized over its estimated support, its allocation at its price."""
     T = len(posted)
+    rounds = np.arange(T)
     keep = freqs >= rho_prime
-    keep[np.arange(T), posted] = True
+    keep[rounds, posted] = True
     # Each row's total sums its kept entries alone, as a (m,) vector would:
     # zeros in between would regroup numpy's unrolled summation.
     sizes = keep.sum(axis=1)
@@ -259,7 +250,10 @@ def _estimated_table(freqs: np.ndarray, posted: np.ndarray, rho_prime: float) ->
     for m in np.flatnonzero(np.bincount(sizes)).tolist():  # np.unique would import numpy.ma
         rows = np.flatnonzero(sizes == m)
         totals[rows] = freqs[rows][keep[rows]].reshape(-1, m).sum(axis=1)
-    return np.where(keep, freqs, 0.0) / totals[:, None]
+    sums = np.zeros_like(freqs)
+    sums[rounds, posted] = alloc
+    table = np.where(keep, freqs, 0.0) / totals[:, None]
+    return CellStats(grid, table, np.ones(T, dtype=np.int64), sums)
 
 
 def read_price_series(source: Union[str, IO[str]]):

@@ -5,29 +5,22 @@ posted price, with a pessimistic fill at prices outside the round's support:
 copy the estimate of the nearest supported lower price, or 1 when none
 exists. The benefit of substituting price p with q is then affine in the
 unknown cost c, with coefficients that depend on the transcript only through
-the k x k pair sums M[p, q] = sum_t pi_t(p) xhat_t(q) (`pair_sums`). So the
-estimated regret (sum over p of the best substitution for p) is a convex
-piecewise-linear function of c, built from M alone. Minimizing it over the
-plausible cost range, adding a concentration margin, and comparing against
-twice the threshold gives the verdict.
+the k x k pair sums M[p, q] = sum_t pi_t(p) xhat_t(q), which `CellStats`
+builds from per-row sums. So the estimated regret (sum over p of the best
+substitution for p) is a convex piecewise-linear function of c, built from M
+alone. Minimizing it over the plausible cost range, adding a concentration
+margin, and comparing against twice the threshold gives the verdict.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import AuditConfig, CostRange, PriceGrid, Transcript
-
-# Entries per block of rows in pair_sums, in the aggregated audit's walk
-# over rounds and in the manipulation demo's mean-based check: bounds their
-# temporaries, whatever T is. A float block is 64 KiB; eight times that
-# raised the aggregated audit's peak RSS by about 4 MB at k = 19 and made
-# it no faster.
-BLOCK_ENTRIES = 1 << 13
+from .core import AuditConfig, CostRange, PriceGrid, Transcript, block_rows
 
 
 def _lead_prices(rows: np.ndarray) -> np.ndarray:
@@ -38,7 +31,9 @@ def _lead_prices(rows: np.ndarray) -> np.ndarray:
 
 def estimate_allocations(transcript: Transcript) -> np.ndarray:
     """Propensity-score allocation table x-hat, (T, k), with the pessimistic
-    off-support fill; entries may exceed 1."""
+    off-support fill; entries may exceed 1. The audit never builds it (it
+    reads CellStats); it stays as the dense reference, which the benchmark's
+    traced stages measure."""
     if len(transcript) < 1:
         raise ValueError("empty transcript")
     table, index, posted = transcript.dist_table, transcript.dist_index, transcript.posted
@@ -112,55 +107,76 @@ class PWLInCost:
         return tuple(int(np.argmax(row >= b)) for row, b in zip(vals, best))
 
 
-def block_rows(k: int) -> int:
-    """Rows per block when walking an (m, k) table: about BLOCK_ENTRIES
-    entries, so a block's temporaries take the same memory whatever m is."""
-    return max(1, BLOCK_ENTRIES // k)
+@dataclass(frozen=True)
+class CellStats:
+    """The audit's one statistic: per distinct row n of a transcript, its
+    round count C[n] and its allocations summed over its rounds that
+    posted price j, S[n, j]. M, the curve and the margin read it alone."""
 
+    grid: PriceGrid
+    table: np.ndarray  # (n, k) the distinct distribution rows
+    counts: np.ndarray  # (n,) int64 C[n]
+    sums: np.ndarray  # (n, k) S[n, j]
 
-def _cell_sums(transcript: Transcript) -> tuple[np.ndarray, np.ndarray]:
-    """Per distinct row n: its round count C[n], and S[n, j], its
-    allocations summed over its rounds that posted j, (n, k)."""
-    n, k = transcript.dist_table.shape
-    cells = transcript.dist_index * k
-    cells += transcript.posted
-    counts = np.bincount(transcript.dist_index, minlength=n)
-    return counts, np.bincount(cells, weights=transcript.alloc, minlength=n * k).reshape(n, k)
+    @classmethod
+    def of(cls, transcript: Transcript) -> "CellStats":
+        if len(transcript) < 1:
+            raise ValueError("empty transcript")
+        n, k = transcript.dist_table.shape
+        cells = transcript.dist_index * k
+        cells += transcript.posted
+        sums = np.bincount(cells, weights=transcript.alloc, minlength=n * k).reshape(n, k)
+        del cells  # not held next to the counts
+        counts = np.bincount(transcript.dist_index, minlength=n)
+        return cls(transcript.grid, transcript.dist_table, counts, sums)
 
+    def pair_sums(self) -> np.ndarray:
+        """M[p, q] = sum_t pi_t(p) xhat_t(q), (k, k), without a (T, k) array.
 
-def pair_sums(transcript: Transcript) -> np.ndarray:
-    """M[p, q] = sum_t pi_t(p) xhat_t(q), (k, k), without a (T, k) array.
+        The sum of x-hat over row n's rounds at price q is S[n, lead] /
+        pi_n(lead), with lead the row's nearest supported price at or below
+        q; it is C[n] when no price is. M sums pi_n(p) times that over the
+        rows, a block of rows at a time. Against the dense product of the
+        per-round rows with estimate_allocations(), only the order of the
+        additions changes.
+        """
+        n, k = self.table.shape
+        m = np.zeros((k, k))
+        step = block_rows(k)
+        for a in range(0, n, step):
+            rows = self.table[a : a + step]
+            lead = _lead_prices(rows)
+            r = np.arange(len(rows))[:, None]
+            x = self.sums[a + r, lead]
+            np.divide(x, rows[r, lead], out=x, where=lead >= 0)
+            np.copyto(x, self.counts[a : a + step, None], where=lead < 0)
+            m += rows.T @ x
+        return m
 
-    Rounds that share a distinct row n differ in x-hat only through the
-    posted price, so the sum of x-hat over row n's rounds at price q is
-    S[n, lead] / pi_n(lead), with S[n, j] the row's allocations summed over
-    its rounds posting j and lead its nearest supported price at or below q;
-    it is the row's round count C[n] when no price is. M sums pi_n(p) times
-    that over the rows, a block of rows at a time. Against the dense product
-    of the per-round rows with estimate_allocations(), only the order of the
-    additions changes.
-    """
-    if len(transcript) < 1:
-        raise ValueError("empty transcript")
-    counts, sums = _cell_sums(transcript)
-    table = transcript.dist_table
-    n, k = table.shape
-    m = np.zeros((k, k))
-    step = block_rows(k)
-    for a in range(0, n, step):
-        rows = table[a : a + step]
-        lead = _lead_prices(rows)
-        r = np.arange(len(rows))[:, None]
-        x = sums[a + r, lead]
-        np.divide(x, rows[r, lead], out=x, where=lead >= 0)
-        np.copyto(x, counts[a : a + step, None], where=lead < 0)
-        m += rows.T @ x
-    return m
+    def curve(self) -> PWLInCost:
+        return PWLInCost.from_pair_sums(self.pair_sums(), self.grid.levels, int(self.counts.sum()))
+
+    def margin(self, alpha: float) -> float:
+        """Concentration allowance added to the estimated regret before the
+        verdict: (k p_bar / T) sqrt(2 ln(2k^2 / alpha) sum_n C[n] (1 / min
+        pi_n + 1)^2), with the minimum over row n's support, summed a block
+        of rows at a time so that nothing of the table's size sits next to S."""
+        if not (0 < alpha < 1):
+            raise ValueError("alpha must be in (0, 1)")
+        n, k = self.table.shape
+        total = 0.0
+        step = block_rows(k)
+        for a in range(0, n, step):
+            rows = self.table[a : a + step]
+            support_min = np.where(rows > 0, rows, np.inf).min(axis=1)
+            total += float((self.counts[a : a + step] * (1.0 / support_min + 1.0) ** 2).sum())
+        scale = k * self.grid.max_level / int(self.counts.sum())
+        return scale * math.sqrt(2.0 * math.log(2.0 * k * k / alpha) * total)
 
 
 def regret_curve(transcript: Transcript) -> PWLInCost:
     """Estimated regret of the transcript as an explicit function of cost."""
-    return PWLInCost.from_pair_sums(pair_sums(transcript), transcript.grid.levels, len(transcript))
+    return CellStats.of(transcript).curve()
 
 
 def minimize_over_cost(curve: PWLInCost, cost_range: CostRange) -> tuple[float, float]:
@@ -178,21 +194,8 @@ def minimize_over_cost(curve: PWLInCost, cost_range: CostRange) -> tuple[float, 
 
 
 def error_margin(transcript: Transcript, alpha: float) -> float:
-    """Concentration allowance added to the estimated regret before the verdict.
-
-    Uses each round's minimum probability over the support only; empty
-    supports are a validation error upstream.
-    """
-    if not (0 < alpha < 1):
-        raise ValueError("alpha must be in (0, 1)")
-    if len(transcript) < 1:
-        raise ValueError("empty transcript")
-    table = transcript.dist_table
-    T, k = len(transcript), table.shape[1]
-    support_min = np.where(table > 0, table, np.inf).min(axis=1)
-    per_round = ((1.0 / support_min + 1.0) ** 2)[transcript.dist_index]
-    p_bar = transcript.grid.max_level
-    return (k * p_bar / T) * math.sqrt(2.0 * math.log(2.0 * k * k / alpha) * float(per_round.sum()))
+    """Concentration allowance added to the estimated regret before the verdict."""
+    return CellStats.of(transcript).margin(alpha)
 
 
 def discretization_loss(grid: PriceGrid) -> float:
@@ -218,6 +221,7 @@ class AuditReport:
     rounds: int
     swap_at_optimum: tuple[int, ...] = ()
     provenance: str = "exact"
+    curve: PWLInCost | None = field(default=None, compare=False, repr=False)  # for sweeps; not in to_dict
 
     def to_dict(self) -> dict:
         return {
@@ -238,19 +242,8 @@ class AuditReport:
         return json.dumps(self.to_dict(), indent=2, allow_nan=False)
 
 
-def _verdict(regret: float, delta: float, d: float, r: float) -> str:
-    # Exact comparison on the computed values: r is the policy knob, not a
-    # tolerance band.
-    return "PASS" if regret + delta + d <= 2.0 * r else "FAIL"
-
-
 def audit_with_margin(
-    curve: PWLInCost,
-    grid: PriceGrid,
-    rounds: int,
-    config: AuditConfig,
-    delta: float,
-    provenance: str,
+    curve: PWLInCost, grid: PriceGrid, rounds: int, config: AuditConfig, delta: float, provenance: str
 ) -> AuditReport:
     """The verdict on an estimated regret curve over `rounds` rounds on the
     grid, with the given error margin: the exact audit's concentration
@@ -260,18 +253,22 @@ def audit_with_margin(
     sample_cs = sorted({lo, hi, c_tilde} | {b for b in curve.breakpoints if lo < b < hi})
     samples = tuple(zip(sample_cs, curve.values(sample_cs).tolist()))
     d = discretization_loss(grid) if config.endogenous else 0.0
+    # Exact comparison on the computed values: r is the policy knob, not a
+    # tolerance band.
+    verdict = "PASS" if regret + delta + d <= 2.0 * config.threshold_r else "FAIL"
     return AuditReport(
         estimated_plausible_cost=c_tilde,
         estimated_regret=regret,
         error_margin=delta,
         discretization_loss=d,
-        verdict=_verdict(regret, delta, d, config.threshold_r),
+        verdict=verdict,
         curve_samples=samples,
         threshold_r=config.threshold_r,
         confidence_alpha=config.confidence_alpha,
         rounds=rounds,
         swap_at_optimum=curve.argmax_swap(c_tilde),
         provenance=provenance,
+        curve=curve,
     )
 
 
@@ -281,6 +278,6 @@ def audit(transcript: Transcript, config: AuditConfig) -> AuditReport:
     PASS means estimated plausible regret + error margin (+ discretization
     loss when the grid is endogenous) is at most twice the threshold.
     """
-    delta = error_margin(transcript, config.confidence_alpha)
-    curve = regret_curve(transcript)
-    return audit_with_margin(curve, transcript.grid, len(transcript), config, delta, "exact")
+    stats = CellStats.of(transcript)
+    delta = stats.margin(config.confidence_alpha)
+    return audit_with_margin(stats.curve(), transcript.grid, len(transcript), config, delta, "exact")

@@ -274,9 +274,8 @@ def cmd_audit(args) -> int:
             raise ValueError(f"--truth has {truth.rounds} rounds, the transcript {len(transcript)}")
     report = audit(transcript, config)
     if args.sweep:  # before the report, so that a failed write prints nothing
-        curve = regret_curve(transcript)
         header = ["cost", "estimated_regret"] + (["true_regret"] if truth is not None else [])
-        rows = figures.cost_sweep_rows(curve, args.cost_lo, args.cost_hi, args.sweep_points, truth, transcript)
+        rows = figures.cost_sweep_rows(report.curve, args.cost_lo, args.cost_hi, args.sweep_points, truth, transcript)
         figures.write_csv(args.sweep, header, rows)
     print(report.to_json())
     return 0 if report.verdict == "PASS" else 2

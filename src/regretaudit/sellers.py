@@ -20,8 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .audit import block_rows
-from .core import DistinctRows, PriceGrid, Transcript, draw, running_sums
+from .core import DistinctRows, PriceGrid, Transcript, block_rows, draw, running_sums
 from .market import demand_table
 
 # Probabilities at most this small are dropped from the emitted row; core

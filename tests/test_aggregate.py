@@ -49,7 +49,6 @@ class TestEstimateDistributions:
         log_term = math.log(2 * T * k / delta)
         t_opt = (eps * log_term / 2) ** (1 / 3)
         assert est.window == math.ceil(log_term / (2 * t_opt**2))
-        assert est.error_bound == pytest.approx((4 * eps * log_term) ** (1 / 3))
         # Boundary windows shift inward but always average exactly L rounds.
         onehot = np.zeros((T, k))
         onehot[np.arange(T), posted] = 1.0

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from regretaudit import figures
-from regretaudit.audit import regret_curve
+from regretaudit.audit import CellStats, regret_curve
 from regretaudit.cli import PRESETS, ExperimentConfig, main
 from regretaudit.core import PriceGrid, read_transcript, write_transcript
 from regretaudit.market import DiscreteValuationTable, manipulation_valuation_table
@@ -146,6 +146,20 @@ class TestAuditCommand:
         report = json.loads(out)
         assert report["verdict"] == "PASS"
         assert code == 0
+
+    def test_sweep_reads_the_audits_pair_sums(self, tmp_path, rng, monkeypatch):
+        # The report and the sweep CSV come from one curve, so M is built once.
+        path, sweep = tmp_path / "t.jsonl", tmp_path / "sweep.csv"
+        write_best_responder_transcript(path, rng, rounds=500)
+        calls = []
+        original = CellStats.pair_sums
+        monkeypatch.setattr(CellStats, "pair_sums", lambda stats: calls.append(stats) or original(stats))
+        flags = ["--cost-lo", "0.1", "--cost-hi", "0.3", "--sweep-points", "9"]
+        assert main(["audit", str(path), *flags, "--sweep", str(sweep)]) in (0, 2)
+        assert len(calls) == 1
+        curve = regret_curve(read_transcript(str(path)))
+        rows = [[float(v) for v in line.split(",")] for line in sweep.read_text().splitlines()[1:]]
+        assert rows == figures.cost_sweep_rows(curve, 0.1, 0.3, 9)
 
     def test_fail_exit_code(self, tmp_path, rng):
         path = tmp_path / "good.jsonl"

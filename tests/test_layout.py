@@ -13,6 +13,9 @@ too.
 The functions the benchmark's traced run wraps keep their names, modules
 and the parameter it reads, and the commands it runs still call each of
 them through a module attribute, where the tracer can wrap it.
+The auditor never sees a market or an oracle: `audit` imports only `core`,
+and `aggregate` only `core` and `audit`; and the market, the oracles, the
+simulator and the figures never import either audit.
 """
 
 import ast
@@ -60,6 +63,21 @@ def private_imports(tree: ast.AST) -> list[tuple[int, str]]:
         for alias in node.names
         if alias.name.startswith("_")
     ]
+
+
+def package_imports(tree: ast.AST) -> set[str]:
+    """The package modules that a module imports, relatively or from regretaudit."""
+    out = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        path = node.module or ""
+        if node.level == 0:
+            if path.split(".")[0] != "regretaudit":
+                continue
+            path = path.removeprefix("regretaudit").lstrip(".")
+        out |= {path.split(".")[0]} if path else {alias.name for alias in node.names}
+    return out
 
 
 def private_twins(tree: ast.Module) -> list[str]:
@@ -180,12 +198,29 @@ def test_rules_catch_offending_source():
     assert function_local_imports(tree) == [3]
     assert private_imports(tree) == [(1, "_fmt")]
     assert private_twins(tree) == ["g"]
+    assert package_imports(tree) == {"core"}
+    other = ast.parse("from . import figures\nfrom regretaudit.audit import x\nimport json\n")
+    assert package_imports(other) == {"figures", "audit"}
     a_test = ast.parse("from conftest import _helper\nfrom regretaudit.core import _DECODER, validate\n")
     assert private_imports(a_test) == [(2, "_DECODER")]
     # A use in __init__ does not count; LIMIT is kept by name. A method
     # counts as used from its own class, but not from its own body.
     trees = {"m": tree, "__init__": ast.parse("from .m import dead\nprint(dead)\n")}
     assert unreferenced_names(trees, {"m.LIMIT"}) == ["m.C.unused", "m.dead"]
+
+
+def module_imports(name: str) -> set[str]:
+    return package_imports(ast.parse((PACKAGE / f"{name}.py").read_text()))
+
+
+@pytest.mark.parametrize("module, allowed", [("audit", {"core"}), ("aggregate", {"core", "audit"})])
+def test_the_audits_import_only_core(module, allowed):
+    assert module_imports(module) <= allowed
+
+
+@pytest.mark.parametrize("module", ["market", "oracles", "sellers", "figures"])
+def test_markets_oracles_and_the_simulator_never_import_the_audits(module):
+    assert module_imports(module) & {"audit", "aggregate"} == set()
 
 
 def non_modules(package: Path) -> list[str]:

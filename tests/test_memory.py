@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from regretaudit.aggregate import DriftAssumption, audit_aggregated, read_price_series
-from regretaudit.audit import regret_curve
+from regretaudit.audit import audit, regret_curve
 from regretaudit.figures import cost_sweep_rows, horizon_rows, log_spaced_horizons, write_truth
 from regretaudit.market import UniformDuopoly, manipulation_valuation_table
 from regretaudit.oracles import materialize_truth
@@ -56,6 +56,13 @@ MAX_GROWTH_BYTES_PER_ROUND = 24
 # table and a bytes key, about 120 B with its dictionary entry.
 MAX_READ_GROWTH_BYTES_PER_ROUND = 48
 MAX_READ_DISTINCT_GROWTH_BYTES_PER_ROUND = 224
+# The exact audit keeps per distinct row its round count and its k
+# allocation sums, 40 B at k = 4, which is per round when no row repeats
+# (an 8-byte cell id per round stands in for the counts while the sums are
+# built). The bound is the figure measured when the margin still read a
+# weight per round (47.2 B): any per-row temporary of the margin held next
+# to the sums would exceed it.
+MAX_AUDIT_DISTINCT_GROWTH_BYTES_PER_ROUND = 48
 # The simulator keeps, per seller, the posted prices, the allocations, the
 # payoffs and the row ids, and the uniforms of both sellers' draws: 80 B per
 # round. When no row repeats, each seller's new row of k = 4 floats is
@@ -165,6 +172,15 @@ def distinct_rows_transcript(rounds: int) -> Transcript:
     rows = rng.dirichlet(np.ones(len(TABLE_GRID)), size=rounds)
     posted = rng.integers(len(TABLE_GRID), size=rounds)
     return Transcript(TABLE_GRID, posted, rng.random(rounds), np.arange(rounds), rows)
+
+
+def test_audit_peak_with_a_new_row_every_round():
+    config = AuditConfig(CostRange(0.0, 1.0), 6e-3, 0.05)
+
+    def make_args(rounds):
+        return distinct_rows_transcript(rounds), config
+
+    assert growth_per_round(make_args, audit) <= MAX_AUDIT_DISTINCT_GROWTH_BYTES_PER_ROUND
 
 
 def test_transcript_reader_peak_with_a_new_row_every_round(tmp_path):

@@ -6,8 +6,7 @@ from itertools import accumulate
 import numpy as np
 import pytest
 
-from regretaudit.audit import block_rows
-from regretaudit.core import PriceGrid, running_sums
+from regretaudit.core import PriceGrid, block_rows, running_sums
 from regretaudit.market import UniformDuopoly, demand_table, manipulation_valuation_table
 from regretaudit.oracles import materialize_truth
 from regretaudit.sellers import (
