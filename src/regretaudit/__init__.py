@@ -40,6 +40,7 @@ from .core import (
 )
 from .market import (
     DiscreteValuationTable,
+    Market,
     UniformDuopoly,
     best_pure_equilibrium,
     discrete_demand,

@@ -32,6 +32,7 @@ from .core import (
 )
 from .market import (
     DiscreteValuationTable,
+    Market,
     UniformDuopoly,
     best_pure_equilibrium,
     expected_payoff_matrix,
@@ -47,7 +48,6 @@ from .sellers import (
     ManipulatorSchedule,
     mean_based_gamma,
     mean_based_violations,
-    payoff_tables,
     simulate,
     strategy_from_config,
 )
@@ -140,7 +140,7 @@ class ExperimentConfig:
         return ExperimentConfig(**obj)
 
     @cached_property
-    def market(self):
+    def market(self) -> Market:
         return build_environment(self.environment)
 
 
@@ -163,8 +163,8 @@ PRESETS = {
 }
 
 
-def build_environment(spec: dict):
-    """Returns (grid, oracle, costs) for an environment spec."""
+def build_environment(spec: dict) -> Market:
+    """The market of an environment spec."""
     costs = (spec.get("cost1", 0.0), spec.get("cost2", 0.0))
     if spec["kind"] == "uniform":
         oracle = UniformDuopoly(spec.get("cost1", 0.1), spec.get("cost2", 0.2))
@@ -175,7 +175,7 @@ def build_environment(spec: dict):
     else:  # "table_file", the one kind that _check_spec leaves
         oracle = DiscreteValuationTable.from_json(spec["path"])
         levels = [float(v) for v in oracle.price_levels]
-    return _checked_grid(spec.get("grid", levels), spec.get("h"), "environment grid"), oracle, costs
+    return Market(_checked_grid(spec.get("grid", levels), spec.get("h"), "environment grid"), oracle, costs)
 
 
 def replication_seed(base: int, replication: int) -> int:
@@ -184,13 +184,12 @@ def replication_seed(base: int, replication: int) -> int:
 
 
 def run_replication(config: ExperimentConfig, replication: int):
-    grid, oracle, costs = config.market
     strategies = tuple(
-        strategy_from_config(spec, grid, oracle, costs, i, config.rounds, config.feedback)
+        strategy_from_config(spec, config.market, i, config.rounds, config.feedback)
         for i, spec in enumerate(config.strategies)
     )
     seed = replication_seed(config.seed, replication)
-    return simulate(grid, strategies, oracle, costs, config.rounds, config.feedback, seed)
+    return simulate(config.market, strategies, config.rounds, config.feedback, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +212,9 @@ def cmd_simulate(args) -> int:
                 [rep, i + 1, config.rounds, float(payoff.sum()), float(payoff.mean())]
             )
         if args.emit_truth:
-            grid, oracle, _ = config.market
             for i in range(2):
                 opp = result.transcripts[1 - i].posted
-                truth = materialize_truth(oracle, grid.levels, opp, i)
+                truth = materialize_truth(config.market, opp, i)
                 figures.write_truth(
                     truth, os.path.join(config.out, f"truth_rep{rep}_seller{i + 1}.jsonl")
                 )
@@ -309,12 +307,12 @@ def cmd_figures(args) -> int:
         tails.append(tuple(tr.posted[-figures.HEATMAP_ROUNDS :].copy() for tr in result.transcripts))
     del result
     os.makedirs(config.out, exist_ok=True)
-    grid, oracle, costs = config.market
-    levels = grid.levels
+    market = config.market
+    levels = market.grid.levels
 
     # Strategy-pair heatmap over the last rounds of every replication.
     counts = figures.pair_heatmap_counts(tails, len(levels))
-    eq = best_pure_equilibrium(levels, expected_payoff_matrix(oracle, levels, costs))
+    eq = best_pure_equilibrium(levels, expected_payoff_matrix(market.oracle, levels, market.costs))
     highlight = eq[2] if eq else None
     rows = [
         [levels[i], levels[j], int(counts[i, j])]
@@ -336,7 +334,7 @@ def cmd_figures(args) -> int:
     # Estimated and true regret against the assumed cost, first replication.
     lo, hi = config.cost_range.lo, config.cost_range.hi
     curve = regret_curve(first.transcripts[0])
-    truth = materialize_truth(oracle, levels, first.transcripts[1].posted, 0)
+    truth = materialize_truth(market, first.transcripts[1].posted, 0)
     sweep = figures.cost_sweep_rows(curve, lo, hi, args.sweep_points, truth, first.transcripts[0])
     figures.write_csv(
         os.path.join(config.out, "fig2_regret_vs_cost.csv"),
@@ -358,7 +356,7 @@ def cmd_figures(args) -> int:
     )
 
     # True regret at the true and plausible costs across horizons.
-    c_true = costs[0]
+    c_true = market.costs[0]
     c_plausible, _ = minimize_over_cost(curve, config.cost_range)
     horizons = figures.log_spaced_horizons(config.rounds)
     hrows = figures.horizon_rows(first.transcripts[0], truth, [c_true, c_plausible], horizons)
@@ -391,13 +389,12 @@ def cmd_manipulate_demo(args) -> int:
     schedule = ManipulatorSchedule.standard(phase1)
     total = schedule.total_rounds
     epsilon = args.epsilon
-    grid, table, costs = build_environment({"kind": "table", "epsilon": epsilon})
+    market = build_environment({"kind": "table", "epsilon": epsilon})
+    grid, costs = market.grid, market.costs
     specs = ({"kind": "manipulator", "phase1_rounds": phase1}, {"kind": "mwu", "step_size": args.eta})
-    manipulator, learner = (
-        strategy_from_config(spec, grid, table, costs, i, total) for i, spec in enumerate(specs)
-    )
+    manipulator, learner = (strategy_from_config(spec, market, i, total) for i, spec in enumerate(specs))
     # The seed as given, not replication_seed: the demo is one run.
-    result = simulate(grid, (manipulator, learner), table, costs, total, "expected", args.seed)
+    result = simulate(market, (manipulator, learner), total, "expected", args.seed)
 
     seller1, seller2 = result.transcripts
     posted2 = seller2.posted
@@ -405,18 +402,18 @@ def cmd_manipulate_demo(args) -> int:
     window_start = phase1 + math.ceil(3 * epsilon * phase1)
     freq_top = float((posted2[window_start - 1 :] == top).mean())
 
-    eq = best_pure_equilibrium(grid.levels, expected_payoff_matrix(table, grid.levels, costs))
+    eq = best_pure_equilibrium(grid.levels, expected_payoff_matrix(market.oracle, grid.levels, costs))
     bench = (total * float(eq[1][0]), total * float(eq[1][1]))
     totals = (float(result.payoffs[0].sum()), float(result.payoffs[1].sum()))
 
-    truths = [materialize_truth(table, grid.levels, result.transcripts[1 - i].posted, i) for i in range(2)]
+    truths = [materialize_truth(market, result.transcripts[1 - i].posted, i) for i in range(2)]
     regrets = [best_in_hindsight_regret(truths[i], costs[i], result.payoffs[i]) for i in range(2)]
     # Float truth: the table's exact demands would take the Fraction path.
     truth1 = GroundTruth(grid.levels, truths[0].table.astype(float), truths[0].index)
     cal1 = true_calibrated_regret(seller1.dist_table, seller1.dist_index, truth1, 0.0)
 
     gamma = mean_based_gamma(args.eta, total)
-    _, util2 = payoff_tables(table, grid, costs)[1]
+    _, util2 = market.tables[1]
     violations = mean_based_violations(learner, util2, seller1.posted, seller2, gamma, total)
 
     summary = {

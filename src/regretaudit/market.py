@@ -1,10 +1,11 @@
-"""Ground-truth demand oracles and exact expected-payoff computation.
+"""Ground-truth demand oracles, the market a command runs on, and exact
+expected-payoff computation.
 
 Two environments are provided: a discrete two-good market driven by a joint
 valuation table (exact rational arithmetic), and a duopoly with valuations
-i.i.d. uniform on [0,1]^2 (closed-form piecewise-polynomial demand). Demand
-oracles are for the simulator and for oracle tests only; the audit never
-sees them.
+i.i.d. uniform on [0,1]^2 (closed-form piecewise-polynomial demand); each
+also draws one buyer's choice, for realized feedback. Demand oracles are for
+the simulator and for oracle tests only; the audit never sees them.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import IO, Sequence, Union
 
-from .core import check_keys, load_json
+import numpy as np
+
+from .core import PriceGrid, check_keys, load_json
 
 Numeric = Union[int, float, Fraction]
 
@@ -76,8 +79,28 @@ class DiscreteValuationTable:
                     out[v1 - v2] = out.get(v1 - v2, Fraction(0)) + p
         return tuple(out.items())
 
+    @cached_property
+    def _float_cells(self) -> tuple[np.ndarray, np.ndarray]:
+        # The values of v1 - v2 in increasing order, as floats, and their
+        # cumulative probabilities, which a uniform draw picks a value by.
+        items = sorted(self.diff_distribution().items())
+        return np.array([float(d) for d, _ in items]), np.cumsum([float(p) for _, p in items])
+
     def demand(self, p1: Numeric, p2: Numeric) -> tuple[Fraction, Fraction]:
         return discrete_demand(self, p1, p2)
+
+    def realized_choice(self, levels: np.ndarray, actions, draws) -> tuple[np.ndarray, np.ndarray]:
+        """One buyer's choice, as each seller's indicator allocations over its
+        own prices against the other's levels[actions[1 - s]], by
+        discrete_demand's rule: draws[0] picks the value of v1 - v2 and
+        draws[2] < 1/2 is the coin that gives good 1 a tie."""
+        diffs, cum = self._float_cells
+        d = diffs[min(int(np.searchsorted(cum, draws[0], side="right")), len(diffs) - 1)]
+        tie = 1.0 if draws[2] < 0.5 else 0.0
+        gaps1 = levels - levels[actions[1]]
+        gaps2 = levels[actions[0]] - levels
+        vec1 = np.where(d > gaps1, 1.0, np.where(d == gaps1, tie, 0.0))
+        return vec1, np.where(d < gaps2, 1.0, np.where(d == gaps2, 1.0 - tie, 0.0))
 
     @staticmethod
     def from_json(source: Union[str, IO[str], dict]) -> "DiscreteValuationTable":
@@ -166,6 +189,15 @@ class UniformDuopoly:
     def demand(self, p1: float, p2: float) -> tuple[float, float]:
         return uniform_demand(self, p1, p2)
 
+    def realized_choice(self, levels: np.ndarray, actions, draws) -> tuple[np.ndarray, np.ndarray]:
+        """One buyer's choice, as in DiscreteValuationTable, by uniform_demand's
+        rule: valuations v1 = draws[0] and v2 = draws[1], and good 1 on a
+        (measure-zero) tie."""
+        own1, own2 = draws[0] - levels, draws[1] - levels
+        vec1 = (own1 >= 0) & (own1 >= draws[1] - levels[actions[1]])
+        vec2 = (own2 >= 0) & (own2 > draws[0] - levels[actions[0]])
+        return vec1.astype(float), vec2.astype(float)
+
 
 def _clamped_linear_integral(lo: float, hi: float, shift: float) -> float:
     """Integral of clamp(v + shift, 0, 1) dv over [lo, hi] (hi >= lo)."""
@@ -202,6 +234,31 @@ def demand_table(oracle, levels: Sequence[Numeric]):
     x1 = tuple(tuple(row[j][0] for row in pairs) for j in range(len(levels)))
     x2 = tuple(tuple(x for _, x in row) for row in pairs)
     return x1, x2
+
+
+@dataclass(frozen=True)
+class Market:
+    """The environment a command runs on: the price grid, the demand oracle
+    and the two sellers' unit costs. Its tables are built on first use and
+    shared by everything that reads them: the simulator, the learners'
+    reward bounds and the ground truth."""
+
+    grid: PriceGrid
+    oracle: object
+    costs: tuple[float, float]
+
+    @cached_property
+    def demand(self):
+        """demand_table(oracle, grid.levels), exact where the oracle is."""
+        return demand_table(self.oracle, self.grid.levels)
+
+    @cached_property
+    def tables(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Each seller's float (allocation, utility) tables, in demand's
+        layout: utility[j][p] = (levels[p] - cost) * allocation[j][p]."""
+        lv = np.asarray(self.grid.levels)
+        allocs = [np.array(x, dtype=float) for x in self.demand]
+        return tuple((alloc, (lv - cost) * alloc) for alloc, cost in zip(allocs, self.costs))
 
 
 def expected_payoff_matrix(oracle, levels: Sequence[Numeric], costs: Sequence[Numeric]):

@@ -17,7 +17,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .core import pair_counts
-from .market import demand_table
+from .market import Market
 
 Numeric = Union[int, float, Fraction]
 
@@ -44,14 +44,14 @@ class GroundTruth:
         return self.table.dtype == object
 
 
-def materialize_truth(oracle, levels: Sequence[Numeric], opponent_indices: Sequence[int], seller: int) -> GroundTruth:
-    """The seller's allocation vectors against the opponent's realized price
-    trace (as grid indices): k rows, one per opponent price, indexed by the
-    trace. Exact when the oracle is."""
-    demand = demand_table(oracle, levels)[seller]
+def materialize_truth(market: Market, opponent_indices: Sequence[int], seller: int) -> GroundTruth:
+    """The seller's allocation vectors on the market against the opponent's
+    realized price trace (as grid indices): k rows, one per opponent price,
+    indexed by the trace. Exact when the market's oracle is."""
+    demand = market.demand[seller]
     exact = any(isinstance(v, Fraction) for row in demand for v in row)
     table = np.array(demand, dtype=object if exact else float)
-    return GroundTruth(tuple(levels), table, np.asarray(opponent_indices, dtype=np.int64))
+    return GroundTruth(market.grid.levels, table, np.asarray(opponent_indices, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------

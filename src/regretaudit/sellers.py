@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import DistinctRows, PriceGrid, Transcript, block_rows, draw, running_sums
-from .market import demand_table
+from .market import Market
 
 # Probabilities at most this small are dropped from the emitted row; core
 # rejects probabilities under 1e-15, so the support must stay explicit.
@@ -300,11 +300,8 @@ class ManipulatorStrategy:
             for level in (schedule.phase1_price, schedule.phase2_price)
         }
 
-    def _level(self) -> float:
-        return manipulator_next(self.schedule, self._round)
-
     def distribution(self) -> Distribution:
-        return self._rows[self._level()]
+        return self._rows[manipulator_next(self.schedule, self._round)]
 
     def observe(self, posted: int, utility: float, rewards) -> None:
         self._round += 1
@@ -328,17 +325,7 @@ def _stream(seed: int, tag: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[int(seed) % 2**64, tag]))
 
 
-def payoff_tables(oracle, grid: PriceGrid, costs: Sequence[float]):
-    """Each seller's float (allocation, utility) tables, indexed
-    [opponent's price][own price] as demand_table lays them out."""
-    lv = np.asarray(grid.levels)
-    allocs = [np.array(demand, dtype=float) for demand in demand_table(oracle, grid.levels)]
-    return tuple((alloc, (lv - cost) * alloc) for alloc, cost in zip(allocs, costs))
-
-
-def reward_bounds(
-    oracle, grid: PriceGrid, costs: Sequence[float], feedback_mode: str = "expected"
-) -> tuple[float, float]:
+def reward_bounds(market: Market, feedback_mode: str = "expected") -> tuple[float, float]:
     """Affine normalization range for learners needing rewards in [0, 1].
 
     Expected feedback spans the payoff matrix: [min(0, lowest payoff),
@@ -346,46 +333,37 @@ def reward_bounds(
     range must cover the raw margins instead.
     """
     if feedback_mode == "realized":
-        margins = [lv - c for lv in grid.levels for c in costs]
+        margins = [lv - c for lv in market.grid.levels for c in market.costs]
         return min(0.0, min(margins)), max(margins)
-    (_, u1), (_, u2) = payoff_tables(oracle, grid, costs)
-    lo = min(0.0, float(u1.min()), float(u2.min()))
-    hi = max(float(u1.max()), float(u2.max()))
-    return lo, hi
+    (_, u1), (_, u2) = market.tables
+    return min(0.0, float(u1.min()), float(u2.min())), max(float(u1.max()), float(u2.max()))
 
 
-def simulate(
-    grid: PriceGrid,
-    strategies,
-    oracle,
-    costs: Sequence[float],
-    rounds: int,
-    feedback_mode: str = "expected",
-    seed: int = 0,
-) -> SimulationResult:
-    """Run two strategies against each other for `rounds` rounds.
+def simulate(market: Market, strategies, rounds: int, feedback_mode: str = "expected", seed: int = 0) -> SimulationResult:
+    """Run two strategies against each other on the market for `rounds` rounds.
 
     feedback_mode "expected" gives each seller the expected payoff
     (price - cost) * x of every price; "realized" draws the buyer's actual
-    decision and gives indicator allocations. Deterministic given the seed.
+    decision, the oracle's realized_choice, and gives indicator allocations.
+    Deterministic given the seed.
 
     A strategy's `distribution()` gives a Distribution;
     `observe(posted, utility, rewards)` gets the full-feedback reward row
     (the utility vector through `rewards`) if the strategy is a
     multiplicative-weights learner, else None. Expected feedback reads every
-    round's payoffs and rewards from tables built once, as nested lists
+    round's payoffs and rewards from the market's tables, as nested lists
     indexed [opponent's price][own price].
     """
     if feedback_mode not in ("expected", "realized"):
         raise ValueError("feedback_mode must be 'expected' or 'realized'")
+    grid, costs = market.grid, market.costs
     lv = np.asarray(grid.levels)
-    tables = payoff_tables(oracle, grid, costs)
-    alloc_rows = [alloc.tolist() for alloc, _ in tables]
-    util_rows = [util.tolist() for _, util in tables]
+    alloc_rows = [alloc.tolist() for alloc, _ in market.tables]
+    util_rows = [util.tolist() for _, util in market.tables]
     full_feedback = [isinstance(strat, MWUStrategy) for strat in strategies]
     reward_rows = [
         strat.rewards(util).tolist() if full else None
-        for strat, (_, util), full in zip(strategies, tables, full_feedback)
+        for strat, (_, util), full in zip(strategies, market.tables, full_feedback)
     ]
     # One draw per stream, before the loop: a horizon too large to allocate
     # fails here. Iterating a memoryview gives each uniform as a Python float.
@@ -393,12 +371,7 @@ def simulate(
     realized = feedback_mode == "realized"
     if realized:
         buyer_u = _stream(seed, 2).random((rounds, 3))
-        diff_cells = None
-        if hasattr(oracle, "diff_distribution"):
-            items = sorted(oracle.diff_distribution().items())
-            diffs = np.array([float(d) for d, _ in items])
-            cum = np.cumsum([float(p) for _, p in items])
-            diff_cells = (diffs, cum)
+        choose = market.oracle.realized_choice
 
     # Per seller: the strategy, typed columns of its posted prices,
     # allocations and row ids, filled as the rounds are drawn, and its
@@ -410,7 +383,7 @@ def simulate(
         current = [strat.distribution() for strat in strategies]
         actions = [draw(sums, u) for (_, sums), u in zip(current, uniforms)]
         if realized:
-            vecs = _realized_vectors(oracle, lv, actions, buyer_u[t], diff_cells)
+            vecs = choose(lv, actions, buyer_u[t])
             util_vecs = [(lv - costs[i]) * vecs[i] for i in range(2)]
         for i, (strat, posted, allocs, dist_ids, table) in enumerate(sellers):
             a, opp = actions[i], actions[1 - i]
@@ -440,46 +413,15 @@ def _column(values: array) -> np.ndarray:
     return np.frombuffer(values, dtype=values.typecode)
 
 
-def _realized_vectors(oracle, lv: np.ndarray, actions, draws, diff_cells):
-    """Indicator allocation vectors over each seller's own grid for one round."""
-    if diff_cells is not None:
-        diffs, cum = diff_cells
-        cell = int(np.searchsorted(cum, draws[0], side="right"))
-        d = diffs[min(cell, len(diffs) - 1)]
-        coin = draws[2] < 0.5
-        # Buyer takes good 1 when v1 - v2 beats the price gap, coin on ties.
-        gaps1 = lv - lv[actions[1]]
-        gaps2 = lv[actions[0]] - lv
-        vec1 = np.where(d > gaps1, 1.0, np.where(d == gaps1, 1.0 if coin else 0.0, 0.0))
-        vec2 = np.where(d < gaps2, 1.0, np.where(d == gaps2, 0.0 if coin else 1.0, 0.0))
-        return vec1, vec2
-    v1, v2 = draws[0], draws[1]
-    m2 = v2 - lv[actions[1]]
-    m1 = v1 - lv[actions[0]]
-    own1 = v1 - lv
-    own2 = v2 - lv
-    vec1 = ((own1 >= 0) & (own1 >= m2)).astype(float)
-    vec2 = ((own2 >= 0) & (own2 > m1)).astype(float)
-    return vec1, vec2
-
-
 # ---------------------------------------------------------------------------
 # Strategy configuration (JSON wire format)
 # ---------------------------------------------------------------------------
 
 
-def strategy_from_config(
-    config: dict,
-    grid: PriceGrid,
-    oracle,
-    costs: Sequence[float],
-    seller_index: int,
-    rounds: int,
-    feedback_mode: str = "expected",
-):
-    """Build a strategy from {"kind": "q"|"mwu"|"fixed"|"manipulator", ...}."""
+def strategy_from_config(config: dict, market: Market, seller_index: int, rounds: int, feedback_mode: str = "expected"):
+    """Build a strategy on the market from {"kind": "q"|"mwu"|"fixed"|"manipulator", ...}."""
     kind = config.get("kind")
-    cost = costs[seller_index]
+    grid, cost = market.grid, market.costs[seller_index]
     if kind == "q":
         init = config.get("init")
         keys = ("learning_rate", "discount", "explore_eps")
@@ -490,9 +432,11 @@ def strategy_from_config(
             **{key: config[key] for key in keys if key in config},
         )
     if kind == "mwu":
-        lo, hi = reward_bounds(oracle, grid, costs, feedback_mode)
+        lo, hi = reward_bounds(market, feedback_mode)
         return MWUStrategy.fresh(len(grid), config["step_size"], lo, hi)
     if kind == "fixed":
+        if "index" in config and "price" in config:
+            raise ValueError("fixed strategy: give key 'price' or 'index', not both")
         if "index" in config:
             return FixedPriceStrategy(config["index"], len(grid))
         if "price" not in config:

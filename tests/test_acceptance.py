@@ -35,6 +35,7 @@ from regretaudit.core import (
     PriceGrid,
 )
 from regretaudit.market import (
+    Market,
     UniformDuopoly,
     best_pure_equilibrium,
     expected_payoff_matrix,
@@ -287,12 +288,11 @@ def manipulation_run():
     table = manipulation_valuation_table(MANIP_EPSILON)
     grid = PriceGrid([0.0, 1.0, 2.0, 3.0])
     schedule = ManipulatorSchedule.standard(MANIP_PHASE1)
-    learner = MWUStrategy.fresh(4, MANIP_ETA, *reward_bounds(table, grid, (0.0, 0.0)))
+    market = Market(grid, table, (0.0, 0.0))
+    learner = MWUStrategy.fresh(4, MANIP_ETA, *reward_bounds(market))
     result = simulate(
-        grid,
+        market,
         (ManipulatorStrategy(schedule, grid), learner),
-        table,
-        (0.0, 0.0),
         schedule.total_rounds,
         "expected",
         seed=0,
@@ -312,7 +312,7 @@ def test_criterion_06_manipulation(manipulation_run):
     benchmark = (2.583 * phase1, 1.617 * phase1)  # 2.1T times the (1.23, 0.77) equilibrium
     totals = (float(result.payoffs[0].sum()), float(result.payoffs[1].sum()))
 
-    truths = [materialize_truth(table, grid.levels, posted[1 - i], i) for i in range(2)]
+    truths = [materialize_truth(Market(grid, table, (0.0, 0.0)), posted[1 - i], i) for i in range(2)]
     bih = [best_in_hindsight_regret(truths[i], 0.0, result.payoffs[i]) for i in range(2)]
 
     # The manipulator posts one price for sure: one one-hot row per price.
@@ -394,7 +394,8 @@ def desk_run(seed: int) -> dict:
     env = UniformDuopoly(0.1, 0.2)
     s1 = QLearnerStrategy.standard(grid, DESK_TRUE_COST)
     s2 = QLearnerStrategy.standard(grid, 0.2)
-    result = simulate(grid, (s1, s2), env, (DESK_TRUE_COST, 0.2), DESK_ROUNDS, "expected", seed=seed)
+    market = Market(grid, env, (DESK_TRUE_COST, 0.2))
+    result = simulate(market, (s1, s2), DESK_ROUNDS, "expected", seed=seed)
     seller1, seller2 = result.transcripts
     last1 = seller1.posted[-10:].tolist()
     last2 = seller2.posted[-10:].tolist()
@@ -410,7 +411,7 @@ def desk_run(seed: int) -> dict:
     probs = per_round_dists(seller1)
     assert (probs > 0).all(), "criterion 7 needs full-support distributions"
     posted1 = seller1.posted
-    truth = materialize_truth(env, grid.levels, seller2.posted, 0)
+    truth = materialize_truth(market, seller2.posted, 0)
     alloc = per_round_allocations(truth)
     assert np.array_equal(alloc[np.arange(len(posted1)), posted1], seller1.alloc)
 
@@ -526,9 +527,10 @@ def test_criterion_08_aggregated_audit():
     eta, rounds = 1e-3, 20_000
     table = manipulation_valuation_table(0.005)
     grid = PriceGrid([0.0, 1.0, 2.0, 3.0])
-    bounds = reward_bounds(table, grid, (0.0, 0.0))
+    market = Market(grid, table, (0.0, 0.0))
+    bounds = reward_bounds(market)
     learners = (MWUStrategy.fresh(4, eta, *bounds), MWUStrategy.fresh(4, eta, *bounds))
-    result = simulate(grid, learners, table, (0.0, 0.0), rounds, "expected", seed=11)
+    result = simulate(market, learners, rounds, "expected", seed=11)
 
     # Per-step sup-norm drift of both learners' distributions stays under eta.
     drift_ok = all(

@@ -19,7 +19,7 @@ from regretaudit.core import (
     PriceGrid,
     TranscriptParseError,
 )
-from regretaudit.market import manipulation_valuation_table
+from regretaudit.market import Market, manipulation_valuation_table
 from regretaudit.sellers import FixedPriceStrategy, MWUStrategy, reward_bounds, simulate
 
 from conftest import transcript_from
@@ -79,10 +79,11 @@ class TestEstimateDistributions:
         eta, T, delta = 1e-3, 4000, 0.05
         drift = DriftAssumption(epsilon=eta, support_floor=0.05)
         bound = (4 * eta * math.log(2 * T * len(grid) / delta)) ** (1 / 3)
+        market = Market(grid, tab, (0, 0))
         hits = 0
         for seed in range(100):
-            learner = MWUStrategy.fresh(4, eta, *reward_bounds(tab, grid, (0, 0)))
-            res = simulate(grid, (FixedPriceStrategy(1, 4), learner), tab, (0, 0), T, "expected", seed)
+            learner = MWUStrategy.fresh(4, eta, *reward_bounds(market))
+            res = simulate(market, (FixedPriceStrategy(1, 4), learner), T, "expected", seed)
             tr = res.transcripts[1]
             est = estimate_distributions(tr.posted, grid, drift, delta)
             true = per_round_dists(tr)

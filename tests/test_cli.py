@@ -11,7 +11,7 @@ from regretaudit import figures
 from regretaudit.audit import CellStats, regret_curve
 from regretaudit.cli import PRESETS, ExperimentConfig, main
 from regretaudit.core import PriceGrid, read_transcript, write_transcript
-from regretaudit.market import DiscreteValuationTable, manipulation_valuation_table
+from regretaudit.market import DiscreteValuationTable, Market, demand_table, manipulation_valuation_table
 from regretaudit.oracles import GroundTruth, materialize_truth
 from regretaudit.sellers import greedy_distribution
 
@@ -101,10 +101,11 @@ class TestSimulateCommand:
         assert code == 0
         # The manipulation table's oracle is exact: its Fraction truths are
         # written as their float roundings.
-        grid, oracle, _ = ExperimentConfig(**PRESETS["manipulation"]).market
+        market = ExperimentConfig(**PRESETS["manipulation"]).market
+        grid = market.grid
         for i in range(2):
             opponent = read_transcript(str(out / f"transcript_rep0_seller{2 - i}.jsonl")).posted
-            expected = materialize_truth(oracle, grid.levels, opponent, i)
+            expected = materialize_truth(market, opponent, i)
             assert expected.exact
             written = figures.read_truth(str(out / f"truth_rep0_seller{i + 1}.jsonl"))
             assert written.levels == grid.levels
@@ -553,6 +554,8 @@ class TestMalformedInputs:
             ("simulate", [], {"strategies": [{"kind": "mwu"}, {"kind": "q"}]}, "missing key 'step_size'"),
             ("simulate", [], {"strategies": [{"kind": "fixed"}, {"kind": "q"}]}, "missing key 'price' or 'index'"),
             ("simulate", [], {"strategies": [{"kind": "fixed", "index": 4}, {"kind": "q"}]}, "index 4 outside grid"),
+            ("simulate", [], {"strategies": [{"kind": "fixed", "index": 0, "price": 3.0}, {"kind": "q"}]},
+             "give key 'price' or 'index', not both"),
             ("simulate", [], {"environment": {"kind": "table_file"}}, "missing key 'path'"),
             ("simulate", [], {"environment": {"kind": "uniform", "cost1": "0.1"}},
              "uniform environment key 'cost1' must be a finite number"),
@@ -603,7 +606,7 @@ class TestMalformedInputs:
         ids=[
             "replications-0", "rounds-0", "rounds-negative", "unknown-key", "missing-key",
             "rounds-string", "one-strategy", "mwu-no-step-size", "fixed-no-price",
-            "fixed-off-grid", "table-file-no-path", "cost1-string", "learning-rate-string",
+            "fixed-off-grid", "fixed-index-and-price", "table-file-no-path", "cost1-string", "learning-rate-string",
             "audit-cost-string", "init-list", "unknown-strategy-key", "unknown-audit-key",
             "index-fractional", "index-bool", "step-size-bool", "phase1-fractional",
             "phase2-string", "manipulator-off-grid", "fixed-price-off-grid",
@@ -891,7 +894,7 @@ class TestOracleCallsPerFigure:
         grid = PriceGrid([0.0, 1.0, 2.0, 3.0])
         dists = [dyadic_distribution(rng, 4) for _ in range(300)]
         tr = transcript_from(grid, dists, sample_posted(rng, dists), rng.random(300))
-        truth = materialize_truth(manipulation_valuation_table(0.005), grid.levels, rng.integers(0, 4, 300), 0)
+        truth = materialize_truth(Market(grid, manipulation_valuation_table(0.005), (0, 0)), rng.integers(0, 4, 300), 0)
         oracle = figures.true_calibrated_regret
         calls = []
 
@@ -915,7 +918,7 @@ class TestOracleCallsPerFigure:
         grid = PriceGrid([0.0, 1.0, 2.0, 3.0])
         dists = [dyadic_distribution(rng, 4) for _ in range(300)]
         tr = transcript_from(grid, dists, sample_posted(rng, dists), rng.random(300))
-        truth = materialize_truth(manipulation_valuation_table(0.005), grid.levels, rng.integers(0, 4, 300), 0)
+        truth = materialize_truth(Market(grid, manipulation_valuation_table(0.005), (0, 0)), rng.integers(0, 4, 300), 0)
         float_truth = GroundTruth(truth.levels, truth.table.astype(float), truth.index)
         costs, horizons = [0.0, 0.5], [10, 100, 300]
         assert truth.exact
@@ -1023,6 +1026,42 @@ class TestExperimentBuilders:
             assert main([*argv, *extra]) == 0
             counts[replications] = len(reads)
         assert counts == {1: 1, 3: 1}
+
+    @pytest.mark.parametrize(
+        "command, flags, most",
+        [
+            ("simulate", ["--replications", "2", "--emit-truth"], 1),
+            ("figures", ["--replications", "2", "--sweep-points", "3"], 2),
+            ("manipulate-demo", ["--rounds", "50"], 2),
+        ],
+    )
+    def test_market_tables_are_built_once(self, tmp_path, monkeypatch, capsys, command, flags, most):
+        # Two MWU learners on the table, as in the benchmark: the simulator,
+        # both learners' reward bounds and the ground truth read one build of
+        # the demand table. The one other build allowed is the equilibrium's,
+        # inside expected_payoff_matrix.
+        builds = []
+
+        def counting(oracle, levels):
+            builds.append(levels)
+            return demand_table(oracle, levels)
+
+        # Wherever a module binds the builder, as the benchmark's tracer wraps a layer.
+        for name, module in sorted(sys.modules.items()):
+            if name.split(".")[0] == "regretaudit" and module.__dict__.get("demand_table") is demand_table:
+                monkeypatch.setattr(module, "demand_table", counting)
+        argv = [command, *flags, "--out", str(tmp_path / "out")]
+        if command != "manipulate-demo":
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({
+                "environment": {"kind": "table", "epsilon": 0.005},
+                "strategies": [{"kind": "mwu", "step_size": 1e-3}, {"kind": "mwu", "step_size": 1e-3}],
+                "rounds": 60,
+            }))
+            argv += ["--config", str(config)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert 1 <= len(builds) <= most
 
     def test_market_is_not_a_config_key(self, tmp_path):
         path = tmp_path / "config.json"

@@ -16,6 +16,9 @@ them through a module attribute, where the tracer can wrap it.
 The auditor never sees a market or an oracle: `audit` imports only `core`,
 and `aggregate` only `core` and `audit`; and the market, the oracles, the
 simulator and the figures never import either audit.
+The market's decisions live in `market` alone: no other module builds a
+demand table or reads a valuation table's v1 - v2 distribution, by name or
+by string.
 """
 
 import ast
@@ -78,6 +81,17 @@ def package_imports(tree: ast.AST) -> set[str]:
             path = path.removeprefix("regretaudit").lstrip(".")
         out |= {path.split(".")[0]} if path else {alias.name for alias in node.names}
     return out
+
+
+def market_decisions(tree: ast.AST) -> list[int]:
+    """Lines that call demand_table or name diff_distribution: as a name, an
+    attribute or a string (as hasattr would)."""
+    return sorted({
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "demand_table"
+        or "diff_distribution" in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "value", None))
+    })
 
 
 def private_twins(tree: ast.Module) -> list[str]:
@@ -198,6 +212,15 @@ def test_rules_catch_offending_source():
     assert function_local_imports(tree) == [3]
     assert private_imports(tree) == [(1, "_fmt")]
     assert private_twins(tree) == ["g"]
+    decisions = ast.parse(
+        "x = demand_table(o, levels)\n"
+        "y = market.demand_table(o, levels)\n"
+        "z = o.diff_distribution()\n"
+        "w = hasattr(o, 'diff_distribution')\n"
+        "from .market import demand_table\n"
+        "v = o.demand(1, 2)\n"
+    )
+    assert market_decisions(decisions) == [1, 2, 3, 4]
     assert package_imports(tree) == {"core"}
     other = ast.parse("from . import figures\nfrom regretaudit.audit import x\nimport json\n")
     assert package_imports(other) == {"figures", "audit"}
@@ -221,6 +244,11 @@ def test_the_audits_import_only_core(module, allowed):
 @pytest.mark.parametrize("module", ["market", "oracles", "sellers", "figures"])
 def test_markets_oracles_and_the_simulator_never_import_the_audits(module):
     assert module_imports(module) & {"audit", "aggregate"} == set()
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "market"], ids=lambda p: p.name)
+def test_only_the_market_builds_demand_or_reads_valuations(path):
+    assert market_decisions(ast.parse(path.read_text())) == []
 
 
 def non_modules(package: Path) -> list[str]:

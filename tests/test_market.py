@@ -177,6 +177,39 @@ class TestUniformDuopoly:
             assert x1 + x2 <= 1 + 1e-12
 
 
+class TestRealizedChoice:
+    """Each oracle's realized buyer choice, averaged over the buyer's draws,
+    is its expected demand. With opponent price j on both sides, seller s's
+    indicator vector is its own row x_s[j] of demand_table."""
+
+    def test_table_choice_averages_to_demand(self):
+        # Each v1 - v2 value drawn at the midpoint of its cumulative
+        # interval, on both sides of the coin, weighted by its probability.
+        tab = manipulation_valuation_table(0.005)
+        levels = (0.0, 1.0, 2.0, 3.0)
+        lv = np.array(levels)
+        probs = [float(p) for _, p in sorted(tab.diff_distribution().items())]
+        upper = np.cumsum(probs)
+        midpoints = (upper - np.array(probs) / 2).tolist()
+        for j, rows in enumerate(zip(*demand_table(tab, levels))):
+            average = np.zeros((2, len(levels)))
+            for prob, u in zip(probs, midpoints):
+                for coin in (0.25, 0.75):
+                    average += prob / 2 * np.array(tab.realized_choice(lv, (j, j), (u, 0.0, coin)))
+            assert np.abs(average - np.array(rows, dtype=float)).max() <= 1e-15
+
+    def test_uniform_choice_matches_demand_in_monte_carlo(self, rng):
+        env = UniformDuopoly(0.1, 0.2)
+        levels = (0.1, 0.3, 0.5, 0.7, 0.9)
+        lv = np.array(levels)
+        n = 20_000
+        for j, rows in enumerate(zip(*demand_table(env, levels))):
+            frequency = np.mean([env.realized_choice(lv, (j, j), d) for d in rng.random((n, 3))], axis=0)
+            x = np.array(rows)
+            sigma = np.sqrt(x * (1 - x) / n)
+            assert (np.abs(frequency - x) <= 5 * sigma).all()
+
+
 class TestDemandInvariants:
     def test_discrete_monotone_in_own_price(self):
         tab = manipulation_valuation_table(F(1, 100))

@@ -25,13 +25,12 @@ import pytest
 from regretaudit.aggregate import DriftAssumption, audit_aggregated, read_price_series
 from regretaudit.audit import audit, regret_curve
 from regretaudit.figures import cost_sweep_rows, horizon_rows, log_spaced_horizons, write_truth
-from regretaudit.market import UniformDuopoly, manipulation_valuation_table
+from regretaudit.market import Market, UniformDuopoly, manipulation_valuation_table
 from regretaudit.oracles import materialize_truth
 from regretaudit.sellers import (
     MWUStrategy,
     QLearnerStrategy,
     mean_based_violations,
-    payoff_tables,
     reward_bounds,
     simulate,
 )
@@ -129,7 +128,7 @@ def q_transcript_and_truth(rounds: int):
     table = np.full((K, K), explore / K) + np.eye(K) * (1.0 - explore)
     greedy, posted, alloc = greedy_rounds(rounds, explore)
     opponent = np.random.default_rng(rounds + 1).integers(K, size=rounds)
-    truth = materialize_truth(UniformDuopoly(0.1, 0.2), GRID.levels, opponent, 0)
+    truth = materialize_truth(Market(GRID, UniformDuopoly(0.1, 0.2), (0.1, 0.2)), opponent, 0)
     return Transcript(GRID, posted, alloc, greedy, table), truth
 
 
@@ -210,16 +209,16 @@ def test_price_series_reader_peak_grows_by_a_few_bytes_per_round(tmp_path):
 
 def q_duopoly(rounds: int):
     """simulate's arguments: two fresh Q-learners on the k = 19 duopoly."""
-    market, costs = UniformDuopoly(0.1, 0.2), (0.1, 0.2)
-    strategies = tuple(QLearnerStrategy.standard(GRID, cost) for cost in costs)
-    return GRID, strategies, market, costs, rounds
+    market = Market(GRID, UniformDuopoly(0.1, 0.2), (0.1, 0.2))
+    strategies = tuple(QLearnerStrategy.standard(GRID, cost) for cost in market.costs)
+    return market, strategies, rounds
 
 
 def mwu_table(rounds: int):
     """simulate's arguments: two fresh MWU learners on the k = 4 table."""
-    market, costs = manipulation_valuation_table(0.005), (0.0, 0.0)
-    bounds = reward_bounds(market, TABLE_GRID, costs)
-    return TABLE_GRID, tuple(MWUStrategy.fresh(4, 1e-3, *bounds) for _ in costs), market, costs, rounds
+    market = Market(TABLE_GRID, manipulation_valuation_table(0.005), (0.0, 0.0))
+    bounds = reward_bounds(market)
+    return market, tuple(MWUStrategy.fresh(4, 1e-3, *bounds) for _ in market.costs), rounds
 
 
 def test_simulate_peak_grows_by_its_columns():
@@ -261,11 +260,11 @@ def test_truth_writer_keeps_nothing_per_round(tmp_path):
 
 
 def test_mean_based_check_keeps_nothing_per_round():
-    market, costs = manipulation_valuation_table(0.005), (0.0, 0.0)
-    _, utilities = payoff_tables(market, TABLE_GRID, costs)[1]
+    market = Market(TABLE_GRID, manipulation_valuation_table(0.005), (0.0, 0.0))
+    _, utilities = market.tables[1]
 
     def make_args(rounds):
-        learner = MWUStrategy.fresh(4, 2.0, *reward_bounds(market, TABLE_GRID, costs))
+        learner = MWUStrategy.fresh(4, 2.0, *reward_bounds(market))
         opponent = np.random.default_rng(rounds + 1).integers(4, size=rounds)
         return learner, utilities, opponent, distinct_rows_transcript(rounds), 1e-4, rounds
 

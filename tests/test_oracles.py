@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regretaudit.core import PriceGrid, pair_counts
-from regretaudit.market import manipulation_valuation_table
+from regretaudit.market import Market, manipulation_valuation_table
 from regretaudit.oracles import GroundTruth, best_in_hindsight_regret, materialize_truth, true_calibrated_regret
 
 from conftest import dense_row, random_instance
@@ -70,14 +70,14 @@ class TestCalibratedRegret:
         tab = manipulation_valuation_table(0)
         levels = (0, 1, 2, 3)
         dists = [dense_row(4, (1,), (1.0,))] * 6
-        truth = materialize_truth(tab, levels, [1] * 6, 0)
+        truth = materialize_truth(Market(PriceGrid(levels), tab, (0, 0)), [1] * 6, 0)
         regret = true_calibrated_regret(*encode_rows(dists), truth, 0)
         assert regret == F(77, 100) - F(123, 200)  # 0.155
 
     def test_length_mismatch_is_rejected_on_both_paths(self):
         # One distribution per round of the truth: the exact path neither
         # drops the truth's extra rounds nor runs past its last one.
-        truth = materialize_truth(manipulation_valuation_table(0), (0, 1, 2, 3), [1, 2, 1], 0)
+        truth = materialize_truth(Market(PriceGrid((0, 1, 2, 3)), manipulation_valuation_table(0), (0, 0)), [1, 2, 1], 0)
         float_truth = GroundTruth(truth.levels, truth.table.astype(float), truth.index)
         row = dense_row(4, (1,), (1.0,))
         for dists in ([row] * 2, [row] * 4):
@@ -105,7 +105,7 @@ class TestCalibratedRegret:
         # so the k=4 truth repeats rows whenever a trace revisits a price.
         levels = tuple(F(v) for v in range(4))
         opponent = [j for j, _ in rounds]
-        truth = materialize_truth(manipulation_valuation_table(F(1, 100)), levels, opponent, seller)
+        truth = materialize_truth(Market(PriceGrid(levels), manipulation_valuation_table(F(1, 100)), (0, 0)), opponent, seller)
         dists = [row for _, row in rounds]
         table, index = encode_rows(dists)
         exact = true_calibrated_regret(table, index, truth, cost)
@@ -144,7 +144,7 @@ class TestCalibratedRegret:
         rounds = [(0, 0), (0, 1), *[(d % len(rows), j) for d, j in rounds]] * 2
         levels = tuple(F(v) for v in range(4))
         opponent = [j for _, j in rounds]
-        truth = materialize_truth(manipulation_valuation_table(F(1, 100)), levels, opponent, seller)
+        truth = materialize_truth(Market(PriceGrid(levels), manipulation_valuation_table(F(1, 100)), (0, 0)), opponent, seller)
         table, index = np.array(rows, dtype=object), np.array([d for d, _ in rounds])
         _, _, counts = pair_counts(index, truth.index, len(truth.table))
         assert counts.min() > 1
@@ -408,7 +408,7 @@ class TestMaterializeTruth:
         tab = manipulation_valuation_table(0)
         levels = (0, 1, 2, 3)
         opp = [3, 1, 2]
-        truth = materialize_truth(tab, levels, opp, 1)
+        truth = materialize_truth(Market(PriceGrid(levels), tab, (0, 0)), opp, 1)
         for t, j in enumerate(opp):
             for p in range(4):
                 assert truth.table[truth.index[t], p] == tab.demand(levels[j], levels[p])[1]

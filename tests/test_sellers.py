@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from regretaudit.core import PriceGrid, block_rows, running_sums
-from regretaudit.market import UniformDuopoly, demand_table, manipulation_valuation_table
+from regretaudit.market import Market, UniformDuopoly, demand_table, manipulation_valuation_table
 from regretaudit.oracles import materialize_truth
 from regretaudit.sellers import (
     FixedPriceStrategy,
@@ -23,7 +23,6 @@ from regretaudit.sellers import (
     mwu_distribution,
     mwu_step,
     optimistic_q_init,
-    payoff_tables,
     q_step,
     reward_bounds,
     simulate,
@@ -169,7 +168,7 @@ class TestLearnerState:
             with pytest.raises(ValueError, match="reward bounds"):
                 MWUStrategy.fresh(2, 0.1, *bounds)
         with pytest.raises(ValueError, match="learning_rate"):
-            strategy_from_config({"kind": "q", "learning_rate": 2.0}, PriceGrid([0.5, 1.0]), None, (0.1, 0.1), 0, 10)
+            strategy_from_config({"kind": "q", "learning_rate": 2.0}, Market(PriceGrid([0.5, 1.0]), None, (0.1, 0.1)), 0, 10)
 
 
 class TestManipulator:
@@ -192,7 +191,7 @@ class TestSimulate:
 
     def test_fixed_strategies_produce_point_masses(self):
         grid, tab = self.grid_and_table()
-        res = simulate(grid, (FixedPriceStrategy(1, 4), FixedPriceStrategy(2, 4)), tab, (0, 0), 3, seed=1)
+        res = simulate(Market(grid, tab, (0, 0)), (FixedPriceStrategy(1, 4), FixedPriceStrategy(2, 4)), 3, seed=1)
         for tr in res.transcripts:
             assert ((per_round_dists(tr) > 0).sum(axis=1) == 1).all()
         x1 = float(tab.demand(1, 2)[0])
@@ -200,11 +199,12 @@ class TestSimulate:
 
     def test_determinism(self):
         grid, tab = self.grid_and_table()
+        market = Market(grid, tab, (0, 0))
 
         def run():
-            mwu = MWUStrategy.fresh(4, 0.5, *reward_bounds(tab, grid, (0, 0)))
+            mwu = MWUStrategy.fresh(4, 0.5, *reward_bounds(market))
             q = QLearnerStrategy.standard(grid, 0.0, explore_eps=0.05)
-            return simulate(grid, (q, mwu), tab, (0, 0), 200, "expected", seed=42)
+            return simulate(market, (q, mwu), 200, "expected", seed=42)
 
         a, b = run(), run()
         assert a.transcripts == b.transcripts
@@ -215,7 +215,7 @@ class TestSimulate:
         env = UniformDuopoly(0.1, 0.2)
         q1 = QLearnerStrategy.standard(grid, 0.1)
         q2 = QLearnerStrategy.standard(grid, 0.2)
-        res = simulate(grid, (q1, q2), env, (0.1, 0.2), 300, "realized", seed=5)
+        res = simulate(Market(grid, env, (0.1, 0.2)), (q1, q2), 300, "realized", seed=5)
         a1, a2 = (tr.alloc for tr in res.transcripts)
         assert set(np.unique(a1)) <= {0.0, 1.0}
         assert np.all(a1 + a2 <= 1.0)
@@ -223,10 +223,8 @@ class TestSimulate:
     def test_realized_feedback_table_buyer_always_buys(self):
         grid, tab = self.grid_and_table()
         res = simulate(
-            grid,
+            Market(grid, tab, (0, 0)),
             (FixedPriceStrategy(1, 4), FixedPriceStrategy(1, 4)),
-            tab,
-            (0, 0),
             400,
             "realized",
             seed=9,
@@ -244,12 +242,11 @@ class TestSimulate:
         phase1 = 2000
         epsilon = 0.005
         sched = ManipulatorSchedule.standard(phase1)
-        learner = MWUStrategy.fresh(4, 2.0, *reward_bounds(tab, grid, (0, 0)))
+        market = Market(grid, tab, (0, 0))
+        learner = MWUStrategy.fresh(4, 2.0, *reward_bounds(market))
         res = simulate(
-            grid,
+            market,
             (ManipulatorStrategy(sched, grid), learner),
-            tab,
-            (0, 0),
             sched.total_rounds,
             "expected",
             seed=0,
@@ -269,12 +266,11 @@ class TestSimulate:
         grid, tab = self.grid_and_table()
         phase1 = 5000
         sched = ManipulatorSchedule.standard(phase1)
-        learner = MWUStrategy.fresh(4, 2.0, *reward_bounds(tab, grid, (0, 0), "realized"))
+        market = Market(grid, tab, (0, 0))
+        learner = MWUStrategy.fresh(4, 2.0, *reward_bounds(market, "realized"))
         res = simulate(
-            grid,
+            market,
             (ManipulatorStrategy(sched, grid), learner),
-            tab,
-            (0, 0),
             sched.total_rounds,
             "realized",
             seed=4,
@@ -290,11 +286,10 @@ class TestSimulate:
         # distributions are the ones those states give.
         grid, tab = self.grid_and_table()
         sched = ManipulatorSchedule.standard(200)
-        learner = MWUStrategy.fresh(4, 2.0, *reward_bounds(tab, grid, (0, 0)))
-        res = simulate(
-            grid, (ManipulatorStrategy(sched, grid), learner), tab, (0, 0), sched.total_rounds, seed=3
-        )
-        _, u2 = payoff_tables(tab, grid, (0, 0))[1]
+        market = Market(grid, tab, (0, 0))
+        learner = MWUStrategy.fresh(4, 2.0, *reward_bounds(market))
+        res = simulate(market, (ManipulatorStrategy(sched, grid), learner), sched.total_rounds, seed=3)
+        _, u2 = market.tables[1]
         rewards = learner.rewards(u2[res.transcripts[0].posted])
         before = np.vstack([np.zeros((1, 4)), np.cumsum(rewards, axis=0)[:-1]])
         dists, posted = per_round_dists(res.transcripts[1]), res.transcripts[1].posted
@@ -317,9 +312,10 @@ class TestSimulate:
         sched = ManipulatorSchedule.standard(2000)
         horizon = sched.total_rounds
         assert horizon > 2 * block_rows(4)
-        learner = MWUStrategy.fresh(4, 2.0, *reward_bounds(tab, grid, (0, 0)))
-        res = simulate(grid, (ManipulatorStrategy(sched, grid), learner), tab, (0, 0), horizon, seed=3)
-        _, u2 = payoff_tables(tab, grid, (0, 0))[1]
+        market = Market(grid, tab, (0, 0))
+        learner = MWUStrategy.fresh(4, 2.0, *reward_bounds(market))
+        res = simulate(market, (ManipulatorStrategy(sched, grid), learner), horizon, seed=3)
+        _, u2 = market.tables[1]
         opponent, seller2 = res.transcripts[0].posted, res.transcripts[1]
         rewards = learner.rewards(u2[opponent])
         before = np.vstack([np.zeros((1, 4)), np.cumsum(rewards, axis=0)[:-1]])
@@ -333,29 +329,30 @@ class TestSimulate:
 
     def test_strategy_from_config_kinds(self):
         grid, tab = self.grid_and_table()
-        costs = (0.0, 0.0)
-        q = strategy_from_config({"kind": "q", "explore_eps": 0.02}, grid, tab, costs, 0, 100)
+        market = Market(grid, tab, (0.0, 0.0))
+        q = strategy_from_config({"kind": "q", "explore_eps": 0.02}, market, 0, 100)
         assert isinstance(q, QLearnerStrategy)
-        mwu = strategy_from_config({"kind": "mwu", "step_size": 0.3}, grid, tab, costs, 1, 100)
+        mwu = strategy_from_config({"kind": "mwu", "step_size": 0.3}, market, 1, 100)
         assert isinstance(mwu, MWUStrategy)
-        fixed = strategy_from_config({"kind": "fixed", "price": 2.0}, grid, tab, costs, 0, 100)
+        fixed = strategy_from_config({"kind": "fixed", "price": 2.0}, market, 0, 100)
         assert fixed.index == 2
-        manip = strategy_from_config({"kind": "manipulator"}, grid, tab, costs, 0, 2100)
+        manip = strategy_from_config({"kind": "manipulator"}, market, 0, 2100)
         assert isinstance(manip, ManipulatorStrategy)
         assert manip.schedule.phase1_rounds == 1000
         with pytest.raises(ValueError):
-            strategy_from_config({"kind": "nope"}, grid, tab, costs, 0, 100)
+            strategy_from_config({"kind": "nope"}, market, 0, 100)
 
     def test_reward_bounds_modes(self):
         grid, tab = self.grid_and_table()
-        lo, hi = reward_bounds(tab, grid, (0.0, 0.0))
+        market = Market(grid, tab, (0.0, 0.0))
+        lo, hi = reward_bounds(market)
         assert (lo, hi) == (0.0, pytest.approx(1.845))
-        lo_r, hi_r = reward_bounds(tab, grid, (0.0, 0.0), "realized")
+        lo_r, hi_r = reward_bounds(market, "realized")
         assert (lo_r, hi_r) == (0.0, 3.0)
 
     def test_payoff_tables_match_oracle(self):
         grid, tab = self.grid_and_table()
-        (a1, u1), (a2, u2) = payoff_tables(tab, grid, (0.0, 0.0))
+        (a1, u1), (a2, u2) = Market(grid, tab, (0.0, 0.0)).tables
         for i in range(4):
             for j in range(4):
                 x1, x2 = tab.demand(grid.levels[i], grid.levels[j])
@@ -377,15 +374,16 @@ class TestSimulate:
             costs = (0.0, 0.5)
         demand = demand_table(oracle, grid.levels)[seller]
         opponent = np.arange(len(grid))
-        truth = materialize_truth(oracle, grid.levels, opponent, seller)
+        market = Market(grid, oracle, costs)
+        truth = materialize_truth(market, opponent, seller)
         assert truth.table.tolist() == [list(row) for row in demand]
-        alloc, util = payoff_tables(oracle, grid, costs)[seller]
+        alloc, util = market.tables[seller]
         for j, row in enumerate(demand):
             for p, x in enumerate(row):
                 assert alloc[j, p] == float(x)
                 assert util[j, p] == (grid.levels[p] - costs[seller]) * float(x)
         strategies = [QLearnerStrategy.standard(grid, c, explore_eps=0.5) for c in costs]
-        result = simulate(grid, strategies, oracle, costs, 300, seed=1)
+        result = simulate(market, strategies, 300, seed=1)
         own, opp = result.transcripts[seller], result.transcripts[1 - seller]
         assert len(set(zip(opp.posted.tolist(), own.posted.tolist()))) > len(grid)
         assert own.alloc.tolist() == [float(demand[j][p]) for j, p in zip(opp.posted, own.posted)]
@@ -424,17 +422,18 @@ class TestPinnedOutput:
     def run(self, name):
         if name == "manipulator-fixed":
             sched = ManipulatorSchedule.standard(190)
-            table = manipulation_valuation_table(0.005)
-            fixed = strategy_from_config({"kind": "fixed", "index": 2}, self.TABLE, table, (0, 0), 1, 400)
+            market = Market(self.TABLE, manipulation_valuation_table(0.005), (0.0, 0.0))
+            fixed = strategy_from_config({"kind": "fixed", "index": 2}, market, 1, 400)
             strategies = (ManipulatorStrategy(sched, self.TABLE), fixed)
-            return simulate(self.TABLE, strategies, table, (0.0, 0.0), sched.total_rounds, seed=11)
+            return simulate(market, strategies, sched.total_rounds, seed=11)
         env, costs = UniformDuopoly(0.1, 0.2), (0.1, 0.2)
+        market = Market(self.DUOPOLY, env, costs)
         eps = 0.0 if name == "q-q-greedy" else 0.01
         sellers = [QLearnerStrategy.standard(self.DUOPOLY, c, explore_eps=eps) for c in costs]
         if name == "fixed-q":
-            sellers[0] = strategy_from_config({"kind": "fixed", "index": 11}, self.DUOPOLY, env, costs, 0, 400)
+            sellers[0] = strategy_from_config({"kind": "fixed", "index": 11}, market, 0, 400)
         feedback = "realized" if name == "q-q-realized" else "expected"
-        return simulate(self.DUOPOLY, tuple(sellers), env, costs, 400, feedback, seed=7)
+        return simulate(market, tuple(sellers), 400, feedback, seed=7)
 
     @pytest.mark.parametrize("name", sorted(DIGESTS))
     def test_transcript_digests(self, name):
@@ -655,15 +654,16 @@ class TestArrayLoopReference:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_simulate_matches_array_loop(self, name, seed):
-        market, specs, rounds, feedback = self.CASES[name]
-        grid, env, costs = self.environment(market)
+        kind, specs, rounds, feedback = self.CASES[name]
+        grid, env, costs = self.environment(kind)
+        market = Market(grid, env, costs)
 
         def strategies():
             return tuple(
-                strategy_from_config(spec, grid, env, costs, i, rounds, feedback) for i, spec in enumerate(specs)
+                strategy_from_config(spec, market, i, rounds, feedback) for i, spec in enumerate(specs)
             )
 
-        result = simulate(grid, strategies(), env, costs, rounds, feedback, seed=seed)
+        result = simulate(market, strategies(), rounds, feedback, seed=seed)
         posteds, allocs, dists, payoffs = reference_simulate(grid, strategies(), env, costs, rounds, feedback, seed)
         for i in range(2):
             expected = transcript_from_rounds(grid, posteds[i], allocs[i], dists[i])
