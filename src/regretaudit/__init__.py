@@ -61,7 +61,6 @@ from .sellers import (
     manipulator_next,
     mean_based_gamma,
     mwu_step,
-    q_step,
     simulate,
 )
 

@@ -29,6 +29,7 @@ MIN_SUPPORT_PROB = 1e-15
 
 PROB_SUM_TOL = 1e-12
 _FLOAT64 = np.dtype(float)
+_NEGATIVE_ZERO = struct.pack("d", -0.0)
 _BLOCK = 1024  # rows that validate sums, or rounds that a writer formats, at once
 _CHUNK = 1 << 14  # about this many characters of lines go into one `%` call of a writer
 # Entries per block of rows in the audits' walks and the mean-based check: a
@@ -128,23 +129,23 @@ def block_rows(k: int) -> int:
     return max(1, BLOCK_ENTRIES // k)
 
 
-def running_sums(row: Sequence[float]) -> tuple[list[float], int]:
+def running_sums(row: Sequence[float]) -> list[float]:
     """What draw reads of a dense distribution row: its running sums, added
-    in order, and the index of its last nonzero entry. Zeros add exactly to
-    the running sum."""
+    in order, with every entry from the row's last nonzero one on raised to
+    infinity. Zeros add exactly to the running sum, so the sums stay sorted."""
     last = len(row) - 1
     while not row[last]:
         last -= 1
-    return list(accumulate(row)), last
+    sums = list(accumulate(row))
+    sums[last:] = [math.inf] * (len(sums) - last)
+    return sums
 
 
-def draw(sums: tuple[list[float], int], u: float) -> int:
-    """The grid index a uniform u in [0, 1) picks from a dense distribution
-    row, given its running_sums: the first whose running sum exceeds u, or
-    the last nonzero one when rounding leaves u above them all."""
-    cumulative, last = sums
-    m = bisect_right(cumulative, u)
-    return m if m < len(cumulative) else last
+# draw(sums, u): the grid index that a uniform u in [0, 1) picks from a
+# dense distribution row, given its running_sums: the first whose running
+# sum exceeds u. The infinite tail makes that the last nonzero entry when
+# rounding leaves u at or above the finite running sums.
+draw = bisect_right
 
 
 def _sparse_problem(support: tuple, probs: tuple, k: int) -> tuple[str, str] | None:
@@ -227,6 +228,9 @@ class DistinctRows:
         self._ids: dict[bytes, int] = {}  # a row's bytes, with -0.0 as 0.0 -> its id
         self._packed = array("d")
 
+    def __len__(self) -> int:
+        return len(self._ids)
+
     def add(self, values) -> int:
         """The id of k numbers, as a sequence or an array; ValueError else."""
         if isinstance(values, np.ndarray) and values.ndim == 1 and len(values) == self.k:
@@ -238,9 +242,10 @@ class DistinctRows:
                 raise ValueError(f"a distribution row must be {self.k} numbers, one per grid price") from None
         d = self._ids.get(raw)
         if d is None:  # a new row, or one holding -0.0, which is keyed as 0.0
-            values = self._row.unpack(raw)  # Python floats, which are quick to scan
-            key = self._row.pack(*[v + 0.0 for v in values]) if 0.0 in values else raw
-            d = self._ids.get(key)
+            key = raw
+            if _NEGATIVE_ZERO in raw:  # maybe -0.0; a false match only costs time
+                key = self._row.pack(*[v + 0.0 for v in self._row.unpack(raw)])
+                d = self._ids.get(key)
             if d is None:
                 d = self._ids[key] = len(self._ids)
                 self._packed.frombytes(raw)
@@ -407,18 +412,20 @@ def block_lines(
     entries if `sparse`, else all of them. Each support's template is built
     once per call.
 
-    A row that recurs in `index` is formatted once, in the block where it
-    first appears, and kept; a row of one round is formatted in its block
-    and dropped. So no list holds every round, nor every row. A block whose
-    rows are all of one round each is one string, from one `%` call over its
-    numbers. Other blocks go as strings of about _CHUNK characters, each from
-    one `%` call that takes the rows' texts as %s arguments, so that a long
-    row is never copied into a block-sized string. Rows are converted to
-    float as float() converts them (an exact Fraction table included), and a
-    non-finite entry or column value raises ValueError."""
-    recurs = np.bincount(index, minlength=len(table)) > 1
-    pending = recurs.copy()  # recurring rows not formatted yet
-    texts = np.empty(len(table), dtype=object)  # row id -> its text, while kept
+    A round repeats a row when its id is at most the largest id of the
+    rounds before it: DistinctRows numbers rows in order of first
+    appearance, so then the row did occur before (any other order only adds
+    rows that are kept for nothing). A repeated row's text is kept, keyed by
+    its id; every other row is formatted in its block and dropped. So a row
+    is formatted at most twice, and nothing is kept per round, nor per row
+    of one round. A block that repeats no row is one string, from one `%`
+    call over its numbers. Other blocks go as strings of about _CHUNK
+    characters, each from one `%` call that takes the rows' texts as %s
+    arguments, so that a long row is never copied into a block-sized string.
+    Rows are converted to float as float() converts them (an exact Fraction
+    table included), and a non-finite entry or column value raises
+    ValueError."""
+    texts: dict[int, str] = {}  # a repeated row's id -> its text
     bodies: dict[bytes, str] = {}  # a support, as its mask's bytes -> its body template
 
     def template(mask: np.ndarray) -> str:
@@ -428,18 +435,29 @@ def block_lines(
         return bodies[key]
 
     line = head + "%s}\n"
+    top = -1  # the largest id of the rounds before the block
     for lo in range(0, len(index), _BLOCK):
         ids = index[lo : lo + _BLOCK]
         cols = [col[lo : lo + _BLOCK] for col in columns]
-        once = ~recurs[ids]
-        new = np.concatenate([np.fromiter(set(ids[pending[ids]].tolist()), dtype=np.int64), ids[once]])
-        pending[new] = False
+        highest = np.maximum.accumulate(np.concatenate([[top], ids]))
+        repeated = ids <= highest[:-1]
+        top = int(highest[-1])
+        fast = not repeated.any()
+        if not fast:
+            # The block's distinct ids, sorted, each round's place among
+            # them, and which of them a round repeats.
+            unique = np.sort(ids)
+            unique = unique[np.diff(unique, prepend=-1) != 0]
+            place = np.searchsorted(unique, ids)
+            kept = np.zeros(len(unique), dtype=bool)
+            kept[place[repeated]] = True
+        new = ids if fast else [d for d in unique.tolist() if d not in texts]
         rows = np.asarray(table[new], dtype=float)
         if not (np.isfinite(rows).all() and all(np.isfinite(col).all() for col in cols)):
             raise ValueError("non-finite float in transcript")
         masks = rows != 0 if sparse else np.ones(rows.shape, dtype=bool)
         t = range(lo + 1, lo + len(ids) + 1)
-        if once.all():
+        if fast:
             # rows[i] is round lo + i's row. The block's numbers in line
             # order (t and the integer columns as floats, which %d writes as
             # integers), and its lines' template, shared by rounds in a run
@@ -451,14 +469,17 @@ def block_lines(
             fmt = "".join((head + template(masks[s]) + "}\n") * (e - s) for s, e in runs)
             yield fmt % tuple(numbers[taken].tolist())
             continue
-        for d, row, mask in zip(new.tolist(), rows, masks):
+        for d, row, mask in zip(new, rows, masks):
             texts[d] = template(mask) % tuple(row[mask].tolist())
-        values = [t, *[col.tolist() for col in cols], texts[ids].tolist()]
+        distinct = np.array([texts[d] for d in unique.tolist()], dtype=object)
+        values = [t, *[col.tolist() for col in cols], distinct[place].tolist()]
         step = max(1, _CHUNK // (len(line) + len(values[-1][0])))  # lines of about _CHUNK characters
         for a in range(0, len(ids), step):
             chunk = [v[a : a + step] for v in values]
             yield (line * len(chunk[0])) % tuple(chain.from_iterable(zip(*chunk)))
-        texts[ids[once]] = None
+        for d, keep in zip(unique.tolist(), kept.tolist()):
+            if not keep:  # a row first seen here, not repeated here
+                del texts[d]
 
 
 def _distribution_text(support: list[int]) -> str:

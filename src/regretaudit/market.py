@@ -11,6 +11,7 @@ the simulator and for oracle tests only; the audit never sees them.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -80,27 +81,27 @@ class DiscreteValuationTable:
         return tuple(out.items())
 
     @cached_property
-    def _float_cells(self) -> tuple[np.ndarray, np.ndarray]:
+    def _float_cells(self) -> tuple[list[float], list[float]]:
         # The values of v1 - v2 in increasing order, as floats, and their
         # cumulative probabilities, which a uniform draw picks a value by.
         items = sorted(self.diff_distribution().items())
-        return np.array([float(d) for d, _ in items]), np.cumsum([float(p) for _, p in items])
+        return [float(d) for d, _ in items], np.cumsum([float(p) for _, p in items]).tolist()
 
     def demand(self, p1: Numeric, p2: Numeric) -> tuple[Fraction, Fraction]:
         return discrete_demand(self, p1, p2)
 
-    def realized_choice(self, levels: np.ndarray, actions, draws) -> tuple[np.ndarray, np.ndarray]:
+    def realized_choice(self, levels: Sequence[float], actions, draws) -> tuple[list[float], list[float]]:
         """One buyer's choice, as each seller's indicator allocations over its
         own prices against the other's levels[actions[1 - s]], by
         discrete_demand's rule: draws[0] picks the value of v1 - v2 and
         draws[2] < 1/2 is the coin that gives good 1 a tie."""
         diffs, cum = self._float_cells
-        d = diffs[min(int(np.searchsorted(cum, draws[0], side="right")), len(diffs) - 1)]
+        d = diffs[min(bisect_right(cum, draws[0]), len(diffs) - 1)]
         tie = 1.0 if draws[2] < 0.5 else 0.0
-        gaps1 = levels - levels[actions[1]]
-        gaps2 = levels[actions[0]] - levels
-        vec1 = np.where(d > gaps1, 1.0, np.where(d == gaps1, tie, 0.0))
-        return vec1, np.where(d < gaps2, 1.0, np.where(d == gaps2, 1.0 - tie, 0.0))
+        opponent1, opponent2 = levels[actions[1]], levels[actions[0]]
+        vec1 = [1.0 if d > gap else tie if d == gap else 0.0 for gap in [lv - opponent1 for lv in levels]]
+        vec2 = [1.0 if d < gap else 1.0 - tie if d == gap else 0.0 for gap in [opponent2 - lv for lv in levels]]
+        return vec1, vec2
 
     @staticmethod
     def from_json(source: Union[str, IO[str], dict]) -> "DiscreteValuationTable":
@@ -189,14 +190,15 @@ class UniformDuopoly:
     def demand(self, p1: float, p2: float) -> tuple[float, float]:
         return uniform_demand(self, p1, p2)
 
-    def realized_choice(self, levels: np.ndarray, actions, draws) -> tuple[np.ndarray, np.ndarray]:
+    def realized_choice(self, levels: Sequence[float], actions, draws) -> tuple[list[float], list[float]]:
         """One buyer's choice, as in DiscreteValuationTable, by uniform_demand's
         rule: valuations v1 = draws[0] and v2 = draws[1], and good 1 on a
         (measure-zero) tie."""
-        own1, own2 = draws[0] - levels, draws[1] - levels
-        vec1 = (own1 >= 0) & (own1 >= draws[1] - levels[actions[1]])
-        vec2 = (own2 >= 0) & (own2 > draws[0] - levels[actions[0]])
-        return vec1.astype(float), vec2.astype(float)
+        v1, v2 = draws[0], draws[1]
+        surplus1, surplus2 = v1 - levels[actions[0]], v2 - levels[actions[1]]
+        vec1 = [1.0 if own >= 0 and own >= surplus2 else 0.0 for own in [v1 - lv for lv in levels]]
+        vec2 = [1.0 if own >= 0 and own > surplus1 else 0.0 for own in [v2 - lv for lv in levels]]
+        return vec1, vec2
 
 
 def _clamped_linear_integral(lo: float, hi: float, shift: float) -> float:

@@ -3,11 +3,19 @@
 Strategies: stateless Q-learning with an epsilon-greedy policy, a
 multiplicative-weights learner (full feedback, the canonical mean-based
 no-regret algorithm), fixed prices, and the two-phase manipulator schedule.
-A learner owns its state, a list of floats, and updates it with a pure
-function that returns a new list (`q_step`, `mwu_step`). Each round the
-simulator records, per seller, the posted price, the observed allocation,
-and the price distribution it was drawn from, which is exactly what the
-audit consumes.
+
+A strategy owns its state and the rows it plays. Its `rows` table keeps
+each distinct distribution once, in order of first play, and
+`distribution()` returns the round's row as its id in that table with the
+running sums that draw reads. A row that recurs gets its id once: a
+Q-learner memoizes its rows by greedy price, a fixed price or a
+manipulator by price, and only a multiplicative-weights learner encodes a
+new row each round. A Q-learner updates its table in place, writing only
+the posted entry, from the maximum that the round's distribution() took;
+`mwu_step` is the multiplicative-weights update as a pure function. Each
+round the simulator records, per seller, the posted price, the observed
+allocation and the row id, which with the strategy's table is exactly what
+the audit consumes.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ import math
 from array import array
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -27,9 +36,9 @@ from .market import Market
 # rejects probabilities under 1e-15, so the support must stay explicit.
 _MWU_SUPPORT_PRUNE = 1e-12
 
-# What a strategy's distribution() returns: a dense row over the grid and
-# the row's running_sums, which draw reads.
-Distribution = tuple[Sequence[float], tuple[list[float], int]]
+# What a strategy's distribution() returns: the round's row as its id in
+# the strategy's `rows` table, and the row's running_sums, which draw reads.
+Distribution = tuple[int, list[float]]
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +53,7 @@ def optimistic_q_init(grid: PriceGrid, cost: float, discount: float) -> list[flo
 
 
 @lru_cache(maxsize=None)
-def greedy_distribution(k: int, explore_eps: float, argmax_index: int) -> Distribution:
+def greedy_distribution(k: int, explore_eps: float, argmax_index: int) -> tuple[np.ndarray, list[float]]:
     """Epsilon-greedy row and its running_sums: explore uniformly with
     probability eps; eps 0 gives the point mass. Cached and shared, so the
     row is read-only and its running sums are added once."""
@@ -54,23 +63,13 @@ def greedy_distribution(k: int, explore_eps: float, argmax_index: int) -> Distri
     return row, running_sums(row.tolist())
 
 
-def q_step(
-    q_values: Sequence[float], observed_utility: float, posted: int, learning_rate: float, discount: float
-) -> list[float]:
-    """One bandit update, returned as a new table: only the posted price's
-    entry moves, bootstrapping from the prior-step table."""
-    q = list(q_values)
-    target = observed_utility + discount * max(q)
-    q[posted] = (1.0 - learning_rate) * q[posted] + learning_rate * target
-    return q
-
-
 class QLearnerStrategy:
     """Stateless Q-learning: one continuation-payoff estimate per grid price.
 
     Bandit feedback: consumes only the posted price's utility. Plays the
     epsilon-greedy distribution of its current table, lowest index winning
-    argmax ties.
+    argmax ties. observe() follows the round's distribution(), whose
+    maximum of the table it bootstraps from.
     """
 
     def __init__(
@@ -86,23 +85,31 @@ class QLearnerStrategy:
         self.learning_rate = learning_rate
         self.discount = discount
         self.explore_eps = explore_eps
+        self.rows = DistinctRows(len(self.q_values))
+        self._played: list[Distribution | None] = [None] * len(self.q_values)  # greedy index -> its play
+        self._top = max(self.q_values)  # the table's maximum, as of the last distribution()
 
     @staticmethod
     def standard(grid: PriceGrid, cost: float, *, init=None, **params) -> "QLearnerStrategy":
         """Every entry starts at `init`, by default optimistically at the
         highest attainable continuation payoff; `params` as in the constructor."""
-        learner = QLearnerStrategy(np.zeros(len(grid)), **params)
         if init is None:
-            init = optimistic_q_init(grid, cost, learner.discount)
-        learner.q_values = np.asarray(init, dtype=float).tolist()
-        return learner
+            init = optimistic_q_init(grid, cost, QLearnerStrategy(np.zeros(len(grid)), **params).discount)
+        return QLearnerStrategy(init, **params)
 
     def distribution(self) -> Distribution:
         q = self.q_values
-        return greedy_distribution(len(q), self.explore_eps, q.index(max(q)))
+        self._top = top = max(q)
+        greedy = q.index(top)
+        played = self._played[greedy]
+        if played is None:
+            row, sums = greedy_distribution(len(q), self.explore_eps, greedy)
+            played = self._played[greedy] = (self.rows.add(row), sums)
+        return played
 
     def observe(self, posted: int, utility: float, rewards) -> None:
-        self.q_values = q_step(self.q_values, utility, posted, self.learning_rate, self.discount)
+        q, rate = self.q_values, self.learning_rate
+        q[posted] = (1.0 - rate) * q[posted] + rate * (utility + self.discount * self._top)
 
 
 # ---------------------------------------------------------------------------
@@ -114,13 +121,13 @@ def mwu_distribution(cumulative_rewards: Sequence[float], step_size: float) -> l
     """Weights (1 + step_size) ** cumulative reward, normalized, as a dense
     row; probabilities at most 1e-12 are pruned and the rest renormalized.
 
-    The weights take one np.exp over the grid, and numpy sums them: it adds
-    in order below 8 entries and in pairs from 8 up. The rest is float
-    arithmetic."""
+    The weights take one np.exp over the grid, and numpy sums them with
+    np.add.reduce, as ndarray.sum does: it adds in order below 8 entries and
+    in pairs from 8 up. The rest is float arithmetic."""
     top = max(cumulative_rewards)
     scale = math.log1p(step_size)
     w = np.exp([(s - top) * scale for s in cumulative_rewards])
-    total = float(w.sum())
+    total = float(np.add.reduce(w))
     probs = [x / total for x in w.tolist()]
     # A running sum of the kept entries; sum() of floats compensates from
     # Python 3.12 on.
@@ -142,7 +149,8 @@ class MWUStrategy:
     """Multiplicative weights: one cumulative reward per price.
 
     Full feedback: observes a reward for every price, the utility vector
-    mapped onto [0, 1] by `rewards`.
+    mapped onto [0, 1] by `rewards`. A new row nearly every round, so each
+    is encoded in `rows` as it is played.
     """
 
     def __init__(self, cumulative_rewards, step_size: float, reward_lo: float, reward_hi: float):
@@ -154,6 +162,7 @@ class MWUStrategy:
         self.step_size = step_size
         self.reward_lo = reward_lo
         self.reward_hi = reward_hi
+        self.rows = DistinctRows(len(self.cumulative_rewards))
 
     @staticmethod
     def fresh(k: int, step_size: float, reward_lo: float, reward_hi: float) -> "MWUStrategy":
@@ -165,7 +174,7 @@ class MWUStrategy:
 
     def distribution(self) -> Distribution:
         row = mwu_distribution(self.cumulative_rewards, self.step_size)
-        return row, running_sums(row)
+        return self.rows.add(row), running_sums(row)
 
     def observe(self, posted: int, utility: float, rewards: Sequence[float]) -> None:
         self.cumulative_rewards = mwu_step(self.cumulative_rewards, rewards)
@@ -275,15 +284,24 @@ def _price_index(grid: PriceGrid, price: float, who: str) -> int:
     return grid.levels.index(float(price))
 
 
+def _point_mass(rows: DistinctRows, index: int) -> Distribution:
+    """Grid index `index` played for sure, its row added to `rows`."""
+    row, sums = greedy_distribution(rows.k, 0.0, index)
+    return rows.add(row), sums
+
+
 class FixedPriceStrategy:
     def __init__(self, index: int, k: int):
         if not (0 <= index < k):
             raise ValueError(f"fixed price index {index} outside grid of size {k}")
         self.index = index
-        self._row = greedy_distribution(k, 0.0, index)
+        self.rows = DistinctRows(k)
+        self._played: Distribution | None = None
 
     def distribution(self) -> Distribution:
-        return self._row
+        if self._played is None:
+            self._played = _point_mass(self.rows, self.index)
+        return self._played
 
     def observe(self, posted: int, utility: float, rewards) -> None:
         pass
@@ -295,13 +313,18 @@ class ManipulatorStrategy:
     def __init__(self, schedule: ManipulatorSchedule, grid: PriceGrid):
         self.schedule = schedule
         self._round = 1
-        self._rows = {
-            level: greedy_distribution(len(grid), 0.0, _price_index(grid, level, "manipulator"))
-            for level in (schedule.phase1_price, schedule.phase2_price)
+        self.rows = DistinctRows(len(grid))
+        self._index = {
+            level: _price_index(grid, level, "manipulator") for level in (schedule.phase1_price, schedule.phase2_price)
         }
+        self._played: dict[float, Distribution] = {}  # a phase's price -> its play
 
     def distribution(self) -> Distribution:
-        return self._rows[manipulator_next(self.schedule, self._round)]
+        level = manipulator_next(self.schedule, self._round)
+        played = self._played.get(level)
+        if played is None:
+            played = self._played[level] = _point_mass(self.rows, self._index[level])
+        return played
 
     def observe(self, posted: int, utility: float, rewards) -> None:
         self._round += 1
@@ -339,6 +362,49 @@ def reward_bounds(market: Market, feedback_mode: str = "expected") -> tuple[floa
     return min(0.0, float(u1.min()), float(u2.min())), max(float(u1.max()), float(u2.max()))
 
 
+def _expected_feedback(market: Market, strategies):
+    """A round's feedback read from the market's tables, as nested lists
+    indexed [opponent's price][own price]: each seller's allocation and
+    utility at the posted prices, and its full-feedback reward row (the
+    utility row through `rewards`) if it is a multiplicative-weights
+    learner, else None."""
+    (a1, u1), (a2, u2) = market.tables
+    A1, U1, A2, U2 = a1.tolist(), u1.tolist(), a2.tolist(), u2.tolist()
+    R1, R2 = (
+        strat.rewards(util).tolist() if isinstance(strat, MWUStrategy) else [None] * len(util)
+        for strat, (_, util) in zip(strategies, market.tables)
+    )
+
+    def feedback(a: int, b: int, buyer) -> tuple:
+        return A1[b][a], U1[b][a], R1[b], A2[a][b], U2[a][b], R2[a]
+
+    return feedback
+
+
+def _realized_feedback(market: Market, strategies):
+    """A round's feedback from one buyer's choice, the oracle's
+    realized_choice: each seller's indicator allocation at the posted
+    prices, its utility (price - cost) * allocation, and its full-feedback
+    reward row (the utility row through `rewards`) if it is a
+    multiplicative-weights learner, else None."""
+    levels = list(market.grid.levels)
+    choose = market.oracle.realized_choice
+    m1, m2 = ([lv - cost for lv in levels] for cost in market.costs)
+
+    def reward_row(strat, margins):
+        if isinstance(strat, MWUStrategy):
+            return lambda alloc: strat.rewards([m * x for m, x in zip(margins, alloc)]).tolist()
+        return lambda alloc: None
+
+    r1, r2 = (reward_row(strat, margins) for strat, margins in zip(strategies, (m1, m2)))
+
+    def feedback(a: int, b: int, buyer) -> tuple:
+        x1, x2 = choose(levels, (a, b), buyer)
+        return x1[a], m1[a] * x1[a], r1(x1), x2[b], m2[b] * x2[b], r2(x2)
+
+    return feedback
+
+
 def simulate(market: Market, strategies, rounds: int, feedback_mode: str = "expected", seed: int = 0) -> SimulationResult:
     """Run two strategies against each other on the market for `rounds` rounds.
 
@@ -347,64 +413,60 @@ def simulate(market: Market, strategies, rounds: int, feedback_mode: str = "expe
     decision, the oracle's realized_choice, and gives indicator allocations.
     Deterministic given the seed.
 
-    A strategy's `distribution()` gives a Distribution;
-    `observe(posted, utility, rewards)` gets the full-feedback reward row
-    (the utility vector through `rewards`) if the strategy is a
-    multiplicative-weights learner, else None. Expected feedback reads every
-    round's payoffs and rewards from the market's tables, as nested lists
-    indexed [opponent's price][own price].
+    Each strategy plays one simulation, from a fresh `rows` table, which
+    becomes its transcript's table. Its `distribution()` gives a
+    Distribution; `observe(posted, utility, rewards)` gets the full-feedback
+    reward row if the strategy is a multiplicative-weights learner, else
+    None. Both modes run the one loop below, through a feedback function
+    chosen here.
     """
     if feedback_mode not in ("expected", "realized"):
         raise ValueError("feedback_mode must be 'expected' or 'realized'")
-    grid, costs = market.grid, market.costs
-    lv = np.asarray(grid.levels)
-    alloc_rows = [alloc.tolist() for alloc, _ in market.tables]
-    util_rows = [util.tolist() for _, util in market.tables]
-    full_feedback = [isinstance(strat, MWUStrategy) for strat in strategies]
-    reward_rows = [
-        strat.rewards(util).tolist() if full else None
-        for strat, (_, util), full in zip(strategies, market.tables, full_feedback)
-    ]
+    first, second = strategies
+    if len(first.rows) or len(second.rows):
+        raise ValueError("a strategy plays one simulation; build a new one for each run")
     # One draw per stream, before the loop: a horizon too large to allocate
     # fails here. Iterating a memoryview gives each uniform as a Python float.
-    action_u = zip(memoryview(_stream(seed, 0).random(rounds)), memoryview(_stream(seed, 1).random(rounds)))
-    realized = feedback_mode == "realized"
-    if realized:
-        buyer_u = _stream(seed, 2).random((rounds, 3))
-        choose = market.oracle.realized_choice
+    uniforms = zip(memoryview(_stream(seed, 0).random(rounds)), memoryview(_stream(seed, 1).random(rounds)))
+    if feedback_mode == "realized":
+        # Round t's buyer reads the stream's entries 3t, 3t + 1 and 3t + 2.
+        buyers = zip(*[iter(memoryview(_stream(seed, 2).random(3 * rounds)))] * 3)
+        feedback = _realized_feedback(market, strategies)
+    else:
+        buyers = repeat(None)
+        feedback = _expected_feedback(market, strategies)
 
-    # Per seller: the strategy, typed columns of its posted prices,
-    # allocations and row ids, filled as the rounds are drawn, and its
-    # distinct rows. Each round's row is encoded at once, so no per-round
-    # object outlives its round.
-    sellers = [(strat, array("q"), array("d"), array("q"), DistinctRows(len(grid))) for strat in strategies]
+    # Typed columns of each seller's posted prices, allocations and row
+    # ids, filled as the rounds are drawn; no per-round object outlives
+    # its round.
+    posted1, allocs1, ids1 = array("q"), array("d"), array("q")
+    posted2, allocs2, ids2 = array("q"), array("d"), array("q")
+    dist1, observe1 = first.distribution, first.observe
+    dist2, observe2 = second.distribution, second.observe
+    for (u1, u2), buyer in zip(uniforms, buyers):
+        d1, sums1 = dist1()
+        d2, sums2 = dist2()
+        a = draw(sums1, u1)
+        b = draw(sums2, u2)
+        x1, v1, r1, x2, v2, r2 = feedback(a, b, buyer)
+        posted1.append(a)
+        allocs1.append(x1)
+        ids1.append(d1)
+        observe1(a, v1, r1)
+        posted2.append(b)
+        allocs2.append(x2)
+        ids2.append(d2)
+        observe2(b, v2, r2)
 
-    for t, uniforms in enumerate(action_u):
-        current = [strat.distribution() for strat in strategies]
-        actions = [draw(sums, u) for (_, sums), u in zip(current, uniforms)]
-        if realized:
-            vecs = choose(lv, actions, buyer_u[t])
-            util_vecs = [(lv - costs[i]) * vecs[i] for i in range(2)]
-        for i, (strat, posted, allocs, dist_ids, table) in enumerate(sellers):
-            a, opp = actions[i], actions[1 - i]
-            if realized:
-                alloc, util = float(vecs[i][a]), float(util_vecs[i][a])
-                rewards = strat.rewards(util_vecs[i]).tolist() if full_feedback[i] else None
-            else:
-                alloc, util = alloc_rows[i][opp][a], util_rows[i][opp][a]
-                rewards = reward_rows[i][opp] if full_feedback[i] else None
-            posted.append(a)
-            allocs.append(alloc)
-            dist_ids.append(table.add(current[i][0]))
-            strat.observe(a, util, rewards)
-
-    transcripts = tuple(
-        Transcript(grid, *map(_column, (posted, allocs, dist_ids)), table.table())
-        for _, posted, allocs, dist_ids, table in sellers
+    grid, costs = market.grid, market.costs
+    transcripts = (
+        Transcript(grid, _column(posted1), _column(allocs1), _column(ids1), first.rows.table()),
+        Transcript(grid, _column(posted2), _column(allocs2), _column(ids2), second.rows.table()),
     )
     # Each round's payoff, the utility the seller observed: (price - cost) *
     # allocation, the product that the payoff tables and the realized
-    # utility vectors hold.
+    # utilities hold.
+    lv = np.asarray(grid.levels)
     payoffs = tuple((lv - costs[i])[tr.posted] * tr.alloc for i, tr in enumerate(transcripts))
     return SimulationResult(transcripts, payoffs)
 

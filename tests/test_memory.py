@@ -69,10 +69,11 @@ MAX_AUDIT_DISTINCT_GROWTH_BYTES_PER_ROUND = 48
 MAX_SIMULATE_GROWTH_BYTES_PER_ROUND = 96
 MAX_SIMULATE_DISTINCT_GROWTH_BYTES_PER_ROUND = 448
 # A walk a block of rounds at a time keeps nothing per round. A writer
-# keeps two flags and a reference to its text per distinct row, 10 B per
-# row, which is per round when no row repeats.
+# keeps the texts of repeated rows only, so nothing per round either when
+# no row repeats (10.2 B per round when it kept two flags and a reference
+# per distinct row).
 MAX_BLOCKED_GROWTH_BYTES_PER_ROUND = 2
-MAX_WRITE_DISTINCT_GROWTH_BYTES_PER_ROUND = 16
+MAX_WRITE_DISTINCT_GROWTH_BYTES_PER_ROUND = 2
 TABLE_GRID = PriceGrid([0.0, 1.0, 2.0, 3.0])
 
 

@@ -1,12 +1,13 @@
 import hashlib
 import math
+from collections import Counter
 from bisect import bisect_right
 from itertools import accumulate
 
 import numpy as np
 import pytest
 
-from regretaudit.core import PriceGrid, block_rows, running_sums
+from regretaudit.core import DistinctRows, PriceGrid, block_rows, running_sums
 from regretaudit.market import Market, UniformDuopoly, demand_table, manipulation_valuation_table
 from regretaudit.oracles import materialize_truth
 from regretaudit.sellers import (
@@ -23,14 +24,13 @@ from regretaudit.sellers import (
     mwu_distribution,
     mwu_step,
     optimistic_q_init,
-    q_step,
     reward_bounds,
     simulate,
     strategy_from_config,
 )
 
 from conftest import sample_posted
-from witnesses import dumps_transcript, per_round_dists, transcript_from_rounds
+from witnesses import dumps_transcript, per_round_dists, q_step, transcript_from_rounds
 
 
 class TestQLearner:
@@ -62,7 +62,8 @@ class TestQLearner:
     def test_argmax_tie_breaks_low(self):
         learner = QLearnerStrategy(np.array([3.0, 3.0]), 0.5, 0.0, 0.2)
         learner.observe(posted=1, utility=3.0, rewards=None)
-        dist, _ = learner.distribution()
+        played, _ = learner.distribution()
+        dist = learner.rows.table()[played]
         assert dist[0] > dist[1]
 
     def test_state_validation(self):
@@ -389,6 +390,47 @@ class TestSimulate:
         assert own.alloc.tolist() == [float(demand[j][p]) for j, p in zip(opp.posted, own.posted)]
 
 
+class TestRowEncoding:
+    """A strategy encodes a row in its table when it first plays it: once
+    per distinct row for a Q-learner, whose rows are memoized by greedy
+    price, and every round for a multiplicative-weights learner."""
+
+    @staticmethod
+    def encodings(monkeypatch, market, strategies, rounds):
+        calls = Counter()
+        original = DistinctRows.add
+
+        def counting(table, values):
+            calls[table] += 1
+            return original(table, values)
+
+        monkeypatch.setattr(DistinctRows, "add", counting)
+        result = simulate(market, strategies, rounds, seed=2)
+        return [calls[strategy.rows] for strategy in strategies], result
+
+    def test_q_learners_encode_each_distinct_row_once(self, monkeypatch):
+        grid = TestPinnedOutput.DUOPOLY
+        market = Market(grid, UniformDuopoly(0.1, 0.2), (0.1, 0.2))
+        strategies = tuple(QLearnerStrategy.standard(grid, cost) for cost in market.costs)
+        counts, result = self.encodings(monkeypatch, market, strategies, 8000)
+        assert counts == [len(tr.dist_table) for tr in result.transcripts]
+        assert all(1 < n <= len(grid) for n in counts)
+
+    def test_mwu_learners_encode_every_round(self, monkeypatch):
+        market = Market(TestPinnedOutput.TABLE, manipulation_valuation_table(0.005), (0.0, 0.0))
+        strategies = tuple(MWUStrategy.fresh(4, 1e-3, *reward_bounds(market)) for _ in market.costs)
+        counts, _ = self.encodings(monkeypatch, market, strategies, 2000)
+        assert counts == [2000, 2000]
+
+    def test_a_strategy_plays_one_simulation(self):
+        grid = TestPinnedOutput.TABLE
+        market = Market(grid, manipulation_valuation_table(0.005), (0.0, 0.0))
+        strategies = (FixedPriceStrategy(1, 4), QLearnerStrategy.standard(grid, 0.0))
+        simulate(market, strategies, 10)
+        with pytest.raises(ValueError, match="one simulation"):
+            simulate(market, strategies, 10)
+
+
 class TestPinnedOutput:
     """The simulator's transcripts, pinned before distributions became dense
     rows. These runs use only IEEE basic arithmetic, so the digests do not
@@ -496,6 +538,10 @@ class ReferenceQ:
     def distribution(self):
         return reference_greedy_row(len(self.q), self.explore_eps, int(self.q.argmax()))
 
+    @property
+    def state(self):
+        return self.q
+
     def observe(self, posted, utility, utility_vector):
         q = self.q.copy()
         target = utility + self.discount * float(q.max())
@@ -515,6 +561,10 @@ class ReferenceMWU:
         keep = probs > 1e-12
         total = np.cumsum(probs[keep])[-1]
         return np.where(keep, probs / total, 0.0)
+
+    @property
+    def state(self):
+        return self.sigma
 
     def observe(self, posted, utility, utility_vector):
         r = (np.asarray(utility_vector, float) - self.lo) / (self.hi - self.lo)
@@ -578,7 +628,7 @@ def reference_realized_vectors(oracle, lv, actions, draws, diff_cells):
 def reference_simulate(grid, strategies, oracle, costs, rounds, feedback_mode, seed):
     """The per-round array loop, fed fresh reference learners built from the
     given strategies' starting state. Returns the posted prices, allocations,
-    dense rows and payoffs of both sellers."""
+    dense rows and payoffs of both sellers, and the learners."""
     learners = [REFERENCE_LEARNERS[type(s)](s, grid) for s in strategies]
     lv = np.asarray(grid.levels)
     x1, x2 = demand_table(oracle, grid.levels)
@@ -614,7 +664,7 @@ def reference_simulate(grid, strategies, oracle, costs, rounds, feedback_mode, s
             dists[i].append(current[i])
             payoffs[i][t] = float(util_vecs[i][a])
             learner.observe(a, float(util_vecs[i][a]), util_vecs[i])
-    return posteds, allocs, dists, payoffs
+    return posteds, allocs, dists, payoffs, learners
 
 
 def mwu_spec(step_size):
@@ -644,7 +694,16 @@ class TestArrayLoopReference:
         "q-q-eps0.01": ("duopoly", (q_spec(0.01), q_spec(0.01)), 400, "expected"),
         "q-q-eps1": ("duopoly", (q_spec(1.0), q_spec(1.0)), 400, "expected"),
         "q-q-realized": ("duopoly", (q_spec(0.01), q_spec(0.05)), 400, "realized"),
+        "fixed-q": ("duopoly", ({"kind": "fixed", "index": 11}, q_spec(0.05)), 400, "expected"),
+        "fixed-q-realized": ("duopoly", ({"kind": "fixed", "index": 11}, q_spec(0.05)), 400, "realized"),
+        # k = 19: numpy sums the MWU weights in pairs.
+        "q-mwu": ("duopoly", (q_spec(0.05), mwu_spec(0.5)), 300, "expected"),
+        "q-mwu-realized": ("duopoly", (q_spec(0.05), mwu_spec(0.5)), 300, "realized"),
+        "manipulator-q": ("table", ({"kind": "manipulator"}, q_spec(0.05)), 420, "expected"),
+        "manipulator-q-realized": ("table", ({"kind": "manipulator"}, q_spec(0.05)), 420, "realized"),
     }
+    # A learner's state, updated in place, ends as the reference learner's.
+    STATE = {QLearnerStrategy: lambda s: s.q_values, MWUStrategy: lambda s: s.cumulative_rewards}
 
     def environment(self, market):
         if market == "table":
@@ -663,12 +722,16 @@ class TestArrayLoopReference:
                 strategy_from_config(spec, market, i, rounds, feedback) for i, spec in enumerate(specs)
             )
 
-        result = simulate(market, strategies(), rounds, feedback, seed=seed)
-        posteds, allocs, dists, payoffs = reference_simulate(grid, strategies(), env, costs, rounds, feedback, seed)
+        played = strategies()
+        result = simulate(market, played, rounds, feedback, seed=seed)
+        posteds, allocs, dists, payoffs, learners = reference_simulate(grid, strategies(), env, costs, rounds, feedback, seed)
         for i in range(2):
             expected = transcript_from_rounds(grid, posteds[i], allocs[i], dists[i])
             assert dumps_transcript(result.transcripts[i]) == dumps_transcript(expected)
             assert result.payoffs[i].tobytes() == payoffs[i].tobytes()
+        for strategy, learner in zip(played, learners):
+            if type(strategy) in self.STATE:
+                assert np.asarray(self.STATE[type(strategy)](strategy)).tobytes() == learner.state.tobytes()
         if name == "mwu-mwu-table-expected":
             # The long-step learner's rows lose prices to the 1e-12 prune.
             assert (per_round_dists(result.transcripts[1]) == 0).any()

@@ -14,6 +14,7 @@ quantities it cannot compute, and the tests compute them here:
 - the horizons the aggregated audit's guarantee needs;
 - transcripts as text, for round trips through the one reader and writer,
   and the writers' per-value reference, which formats one number per call;
+- a Q-learner's update as a pure function;
 - dense per-round views of the package's distinct-row tables (transcript
   distributions, ground truths and windowed estimates), and the way back:
   dense or Fraction rows as a table of distinct rows plus per-round ids,
@@ -52,6 +53,18 @@ from regretaudit.core import (
     write_transcript,
 )
 from regretaudit.oracles import GroundTruth, Numeric, true_calibrated_regret
+from regretaudit.sellers import QLearnerStrategy
+
+
+def q_step(
+    q_values: Sequence[float], observed_utility: float, posted: int, learning_rate: float, discount: float
+) -> list[float]:
+    """One bandit update, returned as a new table: only the posted price's
+    entry moves, bootstrapping from the prior-step table. A learner's
+    observe on a copy of the table, which updates it in place."""
+    learner = QLearnerStrategy(q_values, learning_rate, discount)
+    learner.observe(posted, observed_utility, None)
+    return learner.q_values
 
 
 def per_round_truth(levels: Sequence[Numeric], rows, exact: bool = False) -> GroundTruth:
