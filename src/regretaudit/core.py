@@ -28,7 +28,6 @@ import numpy as np
 MIN_SUPPORT_PROB = 1e-15
 
 PROB_SUM_TOL = 1e-12
-_FLOAT64 = np.dtype(float)
 _NEGATIVE_ZERO = struct.pack("d", -0.0)
 _BLOCK = 1024  # rows that validate sums, or rounds that a writer formats, at once
 _CHUNK = 1 << 14  # about this many characters of lines go into one `%` call of a writer
@@ -232,14 +231,12 @@ class DistinctRows:
         return len(self._ids)
 
     def add(self, values) -> int:
-        """The id of k numbers, as a sequence or an array; ValueError else."""
-        if isinstance(values, np.ndarray) and values.ndim == 1 and len(values) == self.k:
-            raw = (values if values.dtype is _FLOAT64 else values.astype(float)).tobytes()
-        else:
-            try:
-                raw = self._row.pack(*values)
-            except struct.error:
-                raise ValueError(f"a distribution row must be {self.k} numbers, one per grid price") from None
+        """The id of k numbers, any iterable of them (a list, or a 1-d array,
+        whose entries pack as the floats they convert to); ValueError else."""
+        try:
+            raw = self._row.pack(*values)
+        except struct.error:
+            raise ValueError(f"a distribution row must be {self.k} numbers, one per grid price") from None
         d = self._ids.get(raw)
         if d is None:  # a new row, or one holding -0.0, which is keyed as 0.0
             key = raw
@@ -418,10 +415,12 @@ def block_lines(
     rows that are kept for nothing). A repeated row's text is kept, keyed by
     its id; every other row is formatted in its block and dropped. So a row
     is formatted at most twice, and nothing is kept per round, nor per row
-    of one round. A block that repeats no row is one string, from one `%`
-    call over its numbers. Other blocks go as strings of about _CHUNK
-    characters, each from one `%` call that takes the rows' texts as %s
-    arguments, so that a long row is never copied into a block-sized string.
+    of one round. A block formats its ids that have no text yet, each once,
+    in order of first appearance; nothing is sorted, as texts are looked up
+    by id. A block that repeats no row is one string, from one `%` call over
+    its numbers. Other blocks go as strings of about _CHUNK characters, each
+    from one `%` call that takes the rows' texts as %s arguments, so that a
+    long row is never copied into a block-sized string.
     Rows are converted to float as float() converts them (an exact Fraction
     table included), and a non-finite entry or column value raises
     ValueError."""
@@ -443,15 +442,10 @@ def block_lines(
         repeated = ids <= highest[:-1]
         top = int(highest[-1])
         fast = not repeated.any()
-        if not fast:
-            # The block's distinct ids, sorted, each round's place among
-            # them, and which of them a round repeats.
-            unique = np.sort(ids)
-            unique = unique[np.diff(unique, prepend=-1) != 0]
-            place = np.searchsorted(unique, ids)
-            kept = np.zeros(len(unique), dtype=bool)
-            kept[place[repeated]] = True
-        new = ids if fast else [d for d in unique.tolist() if d not in texts]
+        # The rows to format: each round's if no round repeats one, else the
+        # block's distinct ids that have no text yet, in order of first
+        # appearance.
+        new = ids if fast else [d for d in dict.fromkeys(ids.tolist()) if d not in texts]
         rows = np.asarray(table[new], dtype=float)
         if not (np.isfinite(rows).all() and all(np.isfinite(col).all() for col in cols)):
             raise ValueError("non-finite float in transcript")
@@ -471,14 +465,14 @@ def block_lines(
             continue
         for d, row, mask in zip(new, rows, masks):
             texts[d] = template(mask) % tuple(row[mask].tolist())
-        distinct = np.array([texts[d] for d in unique.tolist()], dtype=object)
-        values = [t, *[col.tolist() for col in cols], distinct[place].tolist()]
+        values = [t, *[col.tolist() for col in cols], [texts[d] for d in ids.tolist()]]
         step = max(1, _CHUNK // (len(line) + len(values[-1][0])))  # lines of about _CHUNK characters
         for a in range(0, len(ids), step):
             chunk = [v[a : a + step] for v in values]
             yield (line * len(chunk[0])) % tuple(chain.from_iterable(zip(*chunk)))
-        for d, keep in zip(unique.tolist(), kept.tolist()):
-            if not keep:  # a row first seen here, not repeated here
+        repeats = set(ids[repeated].tolist())
+        for d in new:
+            if d not in repeats:  # a row first seen here, not repeated here
                 del texts[d]
 
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from itertools import repeat
 from typing import Sequence
 
@@ -52,15 +51,12 @@ def optimistic_q_init(grid: PriceGrid, cost: float, discount: float) -> list[flo
     return [top] * len(grid)
 
 
-@lru_cache(maxsize=None)
-def greedy_distribution(k: int, explore_eps: float, argmax_index: int) -> tuple[np.ndarray, list[float]]:
-    """Epsilon-greedy row and its running_sums: explore uniformly with
-    probability eps; eps 0 gives the point mass. Cached and shared, so the
-    row is read-only and its running sums are added once."""
-    row = np.full(k, explore_eps / k)
+def greedy_distribution(k: int, explore_eps: float, argmax_index: int) -> tuple[list[float], list[float]]:
+    """Epsilon-greedy row, a new list of k floats, and its running_sums:
+    explore uniformly with probability eps; eps 0 gives the point mass."""
+    row = [explore_eps / k] * k
     row[argmax_index] += 1.0 - explore_eps
-    row.flags.writeable = False
-    return row, running_sums(row.tolist())
+    return row, running_sums(row)
 
 
 class QLearnerStrategy:
@@ -117,18 +113,44 @@ class QLearnerStrategy:
 # ---------------------------------------------------------------------------
 
 
+def pairwise_sum(values: list[float]) -> float:
+    """The floats' sum, added in the order numpy's np.add.reduce (and so
+    ndarray.sum) adds a float64 vector: in order below 8 entries; up to 128,
+    eight accumulators, each taking every eighth entry, added in a fixed
+    tree, then the entries past the last multiple of 8 in order; above 128,
+    the sums of two halves, the first a multiple of 8 long."""
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return pairwise_sum(values[:half]) + pairwise_sum(values[half:])
+    end = n - n % 8
+    r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
+    for i in range(8, end, 8):
+        a0, a1, a2, a3, a4, a5, a6, a7 = values[i : i + 8]
+        r0, r1, r2, r3, r4, r5, r6, r7 = r0 + a0, r1 + a1, r2 + a2, r3 + a3, r4 + a4, r5 + a5, r6 + a6, r7 + a7
+    total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    for v in values[end:]:
+        total += v
+    return total
+
+
 def mwu_distribution(cumulative_rewards: Sequence[float], step_size: float) -> list[float]:
     """Weights (1 + step_size) ** cumulative reward, normalized, as a dense
     row; probabilities at most 1e-12 are pruned and the rest renormalized.
 
-    The weights take one np.exp over the grid, and numpy sums them with
-    np.add.reduce, as ndarray.sum does: it adds in order below 8 entries and
-    in pairs from 8 up. The rest is float arithmetic."""
+    The weights take one np.exp over the grid (math.exp differs from it in
+    the last bit on some inputs) and are summed by pairwise_sum, in numpy's
+    order. The rest is float arithmetic."""
     top = max(cumulative_rewards)
     scale = math.log1p(step_size)
-    w = np.exp([(s - top) * scale for s in cumulative_rewards])
-    total = float(np.add.reduce(w))
-    probs = [x / total for x in w.tolist()]
+    w = np.exp([(s - top) * scale for s in cumulative_rewards]).tolist()
+    total = pairwise_sum(w)
+    probs = [x / total for x in w]
     # A running sum of the kept entries; sum() of floats compensates from
     # Python 3.12 on.
     kept = 0.0

@@ -52,7 +52,7 @@ def transcript_from(grid, dists, posted, allocs) -> Transcript:
 def sample_posted(rng: np.random.Generator, dists) -> list[int]:
     # Zeros leave the running sums of p at the support unchanged, so this
     # draws what choosing among the support alone would.
-    return [int(rng.choice(len(row), p=row / sum(row.tolist()))) for row in dists]
+    return [int(rng.choice(len(row), p=np.divide(row, sum(map(float, row))))) for row in dists]
 
 
 @pytest.fixture

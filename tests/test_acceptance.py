@@ -18,17 +18,22 @@ is computed exactly from each run's distributions and oracle allocations
 (see estimator_pair_sd, pinned by path enumeration).
 """
 
+import contextlib
+import io
 import itertools
+import json
 import math
 import time
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from regretaudit.aggregate import DriftAssumption, audit_aggregated
 from regretaudit.audit import audit, error_margin, minimize_over_cost, regret_curve
+from regretaudit.cli import main
 from regretaudit.core import (
     AuditConfig,
     CostRange,
@@ -335,6 +340,72 @@ def test_criterion_06_manipulation(manipulation_run):
         f"{time.time() - t0:.0f}s",
     )
     assert ok, parts
+
+
+def demo_through_audit(out: Path, flags: list[str]) -> tuple[dict, dict]:
+    """`manipulate-demo --out` with `flags`, then `audit` of both written
+    transcripts over the cost ranges [0, 0] (the table's costs) and [0, 3]:
+    the demo's summary and each (seller, cost_hi) report."""
+    with contextlib.redirect_stdout(io.StringIO()) as printed:
+        assert main(["manipulate-demo", *flags, "--out", str(out)]) == 0
+    summary = json.loads(printed.getvalue())
+    reports = {}
+    for seller in (1, 2):
+        for hi in (0, 3):
+            path = str(out / f"manipulation_seller{seller}.jsonl")
+            with contextlib.redirect_stdout(io.StringIO()) as printed:
+                code = main(["audit", path, "--cost-lo", "0", "--cost-hi", str(hi)])
+            report = reports[seller, hi] = json.loads(printed.getvalue())
+            assert code == (0 if report["verdict"] == "PASS" else 2)
+    return summary, reports
+
+
+@pytest.fixture(scope="module")
+def default_demo_audits(tmp_path_factory):
+    return demo_through_audit(tmp_path_factory.mktemp("demo"), [])
+
+
+def test_manipulation_through_the_auditor(default_demo_audits):
+    # The demo's default horizon, 21,000 rounds. Both sellers' best-in-
+    # hindsight regret is small, and the manipulator's true calibrated
+    # regret is not; the auditor, from the transcript alone, fails the
+    # manipulator on the regret: its estimate exceeds the margin by more
+    # than 2r, whatever cost in [0, 3] it claims.
+    summary, reports = default_demo_audits
+    two_r = 2 * reports[1, 0]["threshold_r"]
+    assert two_r == 0.012
+    bih, calibrated = summary["best_in_hindsight_regret"], summary["manipulator_calibrated_regret"]
+    assert bih == [pytest.approx(0.0115, abs=5e-5), pytest.approx(1.8e-4, rel=0.02)]
+    assert calibrated == pytest.approx(0.0818, abs=5e-5)
+    assert max(bih) < two_r < calibrated
+    at_cost, widened = reports[1, 0], reports[1, 3]
+    assert at_cost["verdict"] == widened["verdict"] == "FAIL"
+    assert at_cost["rounds"] == 21_000
+    assert at_cost["regret"] == pytest.approx(0.6815, abs=5e-5)
+    assert at_cost["delta"] == widened["delta"] == pytest.approx(0.5954, abs=5e-5)
+    assert at_cost["regret"] - at_cost["delta"] > two_r
+    assert widened["regret"] == pytest.approx(0.592, abs=5e-4)
+    # Data, not the paper's claim: the learner FAILs on its margin alone,
+    # from MWU rows holding probabilities near 1e-12. This waits on a
+    # propensity floor for supports that fade (ROADMAP item 4).
+    learner = reports[2, 0]
+    assert learner["verdict"] == "FAIL"
+    assert learner["delta"] == pytest.approx(2.87e10, rel=2e-3)
+
+
+@pytest.mark.slow
+def test_manipulation_through_the_auditor_at_210001_rounds(tmp_path, default_demo_audits):
+    # Ten times the first phase: both best-in-hindsight regrets fall, while
+    # the manipulator's estimate over [0, 3] still exceeds its margin by
+    # more than 2r.
+    summary, reports = demo_through_audit(tmp_path / "demo", ["--rounds", "100000"])
+    short_summary, _ = default_demo_audits
+    assert summary["total_rounds"] == 210_001
+    assert all(a < b for a, b in zip(summary["best_in_hindsight_regret"], short_summary["best_in_hindsight_regret"]))
+    two_r = 2 * reports[1, 3]["threshold_r"]
+    assert summary["manipulator_calibrated_regret"] > two_r
+    assert reports[1, 0]["verdict"] == reports[1, 3]["verdict"] == "FAIL"
+    assert reports[1, 3]["regret"] - reports[1, 3]["delta"] > two_r
 
 
 # ---------------------------------------------------------------------------

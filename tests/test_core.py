@@ -373,6 +373,35 @@ class TestWriters:
         for truth in (GroundTruth(levels, table, index), GroundTruth(levels, exact_table, index)):
             assert truth_text(truth) == reference_truth_text(truth)
 
+    @pytest.mark.parametrize(
+        "case",
+        ["recurs blocks after its text was dropped", "first seen and repeated in one block", "only repeat is old"],
+    )
+    def test_id_orders_of_blocks_that_repeat_rows(self, case, rng):
+        # Six 1,024-round blocks of new rows, numbered by first appearance as
+        # DistinctRows numbers them, with labelled rows placed at the given
+        # rounds to repeat. "a" is seen once in block 0, so its text is
+        # dropped, and recurs in block 4 as that block's only repeat, then in
+        # block 5; "b" and "c" are first seen and repeated within blocks 0
+        # and 5.
+        k, n = 4, 6 * 1024
+        placed = {
+            "recurs blocks after its text was dropped": {0: "a", 4 * 1024 + 50: "a", 5 * 1024 + 7: "a"},
+            "first seen and repeated in one block": {100: "b", 200: "b", 5 * 1024 + 10: "c", 5 * 1024 + 900: "c"},
+            "only repeat is old": {3: "a", 4 * 1024 + 1023: "a", 5 * 1024: "a", 5 * 1024 + 1: "a"},
+        }[case]
+        labels = [placed.get(t, t) for t in range(n)]
+        ids = {label: d for d, label in enumerate(dict.fromkeys(labels))}
+        index = np.array([ids[label] for label in labels])
+        # Rows of several supports, zeros of either sign off them.
+        table = rng.random((len(ids), k)) * (rng.random((len(ids), k)) < 0.7)
+        table[rng.random(table.shape) < 0.1] = -0.0
+        posted, alloc = rng.integers(0, k, n), rng.random(n)
+        transcript = Transcript(PriceGrid([0.5, 1.0, 1.5, 2.0]), posted, alloc, index, table)
+        assert dumps_transcript(transcript) == reference_transcript_text(transcript)
+        truth = GroundTruth((0.5, 1.0, 1.5, 2.0), table, index)
+        assert truth_text(truth) == reference_truth_text(truth)
+
     def test_exact_truth_writes_the_bytes_of_its_float_rounding(self):
         exact = np.array(
             [[Fraction(1, 3), Fraction(0), Fraction(2, 7)], [Fraction(1), Fraction(5, 9), Fraction(1, 10**20)]],

@@ -24,6 +24,7 @@ from regretaudit.sellers import (
     mwu_distribution,
     mwu_step,
     optimistic_q_init,
+    pairwise_sum,
     reward_bounds,
     simulate,
     strategy_from_config,
@@ -55,9 +56,8 @@ class TestQLearner:
         assert np.count_nonzero(dist) == 19
         assert min(dist) == pytest.approx(0.01 / 19)
         assert sum(dist) == pytest.approx(1.0, abs=1e-12)
-        assert not dist.flags.writeable  # cached and shared between rounds
-        assert sums == running_sums(dist.tolist())
-        assert greedy_distribution(4, 0.0, 2)[0].tolist() == [0.0, 0.0, 1.0, 0.0]
+        assert sums == running_sums(dist)
+        assert greedy_distribution(4, 0.0, 2)[0] == [0.0, 0.0, 1.0, 0.0]
 
     def test_argmax_tie_breaks_low(self):
         learner = QLearnerStrategy(np.array([3.0, 3.0]), 0.5, 0.0, 0.2)
@@ -94,6 +94,16 @@ class TestMWU:
     def test_weight_ratio_follows_cumulative_gap(self):
         dist = mwu_distribution(np.array([2.0, 5.0]), 0.1)
         assert dist[1] / dist[0] == pytest.approx(1.1**3)
+
+    def test_pairwise_sum_is_numpys_sum(self, rng):
+        # np.add.reduce's order changes at 8 and 128 entries and splits at
+        # multiples of 8 above that: every length through 300, on weights of
+        # several magnitudes and on mixed signs.
+        for n in range(1, 301):
+            for _ in range(20):
+                values = np.exp(rng.normal(0.0, rng.choice([0.1, 5.0, 30.0]), n))
+                values *= rng.choice([1.0, -1.0], n) if rng.random() < 0.25 else 1.0
+                assert pairwise_sum(values.tolist()) == float(np.add.reduce(values))
 
     def test_reward_range_enforced(self):
         cumulative = np.zeros(2)
