@@ -43,10 +43,8 @@ from .market import (
     Market,
     UniformDuopoly,
     best_pure_equilibrium,
-    discrete_demand,
     expected_payoff_matrix,
     manipulation_valuation_table,
-    uniform_demand,
 )
 from .oracles import (
     GroundTruth,

@@ -165,10 +165,12 @@ PRESETS = {
 
 def build_environment(spec: dict) -> Market:
     """The market of an environment spec."""
-    costs = (spec.get("cost1", 0.0), spec.get("cost2", 0.0))
+    defaults = (0.1, 0.2) if spec["kind"] == "uniform" else (0.0, 0.0)
+    costs = (spec.get("cost1", defaults[0]), spec.get("cost2", defaults[1]))
     if spec["kind"] == "uniform":
-        oracle = UniformDuopoly(spec.get("cost1", 0.1), spec.get("cost2", 0.2))
-        levels, costs = DUOPOLY_GRID, (oracle.cost1, oracle.cost2)
+        if not all(0 <= c < 1 for c in costs):
+            raise ValueError("costs must lie in [0, 1)")
+        oracle, levels = UniformDuopoly(), DUOPOLY_GRID
     elif spec["kind"] == "table":
         oracle = manipulation_valuation_table(spec.get("epsilon", MANIPULATION_EPSILON))
         levels = MANIPULATION_GRID
@@ -312,7 +314,7 @@ def cmd_figures(args) -> int:
 
     # Strategy-pair heatmap over the last rounds of every replication.
     counts = figures.pair_heatmap_counts(tails, len(levels))
-    eq = best_pure_equilibrium(levels, expected_payoff_matrix(market.oracle, levels, market.costs))
+    eq = best_pure_equilibrium(levels, expected_payoff_matrix(market.demand, levels, market.costs))
     highlight = eq[2] if eq else None
     rows = [
         [levels[i], levels[j], int(counts[i, j])]
@@ -402,7 +404,7 @@ def cmd_manipulate_demo(args) -> int:
     window_start = phase1 + math.ceil(3 * epsilon * phase1)
     freq_top = float((posted2[window_start - 1 :] == top).mean())
 
-    eq = best_pure_equilibrium(grid.levels, expected_payoff_matrix(market.oracle, grid.levels, costs))
+    eq = best_pure_equilibrium(grid.levels, expected_payoff_matrix(market.demand, grid.levels, costs))
     bench = (total * float(eq[1][0]), total * float(eq[1][1]))
     totals = (float(result.payoffs[0].sum()), float(result.payoffs[1].sum()))
 
@@ -453,14 +455,14 @@ def _config_from_args(args) -> ExperimentConfig:
     overrides = {name: value for name, value in flags.items() if value is not None}
     if args.rounds is not None and any(spec.get("kind") == "manipulator" for spec in config.strategies):
         # Keep a manipulator's two-phase structure, in either seat: interpret --rounds as the total.
-        phase1 = math.ceil(args.rounds / 2.1)
+        schedule = ManipulatorSchedule.for_horizon(args.rounds)
         strategies = []
         for spec in config.strategies:
             if spec.get("kind") == "manipulator":
-                spec = {**{k: v for k, v in spec.items() if k != "phase2_rounds"}, "phase1_rounds": phase1}
+                spec = {**{k: v for k, v in spec.items() if k != "phase2_rounds"}, "phase1_rounds": schedule.phase1_rounds}
             strategies.append(spec)
         overrides["strategies"] = strategies
-        overrides["rounds"] = ManipulatorSchedule.standard(phase1).total_rounds
+        overrides["rounds"] = schedule.total_rounds
     # replace runs the construction checks again on the overridden values.
     return replace(config, **overrides)
 

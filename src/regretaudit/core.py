@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 import struct
 from array import array
@@ -389,7 +390,7 @@ def format_float(x: float) -> str:
 
 def write_records(sink: Union[str, IO[str]], grid: PriceGrid, lines: Iterable[str]) -> None:
     """Write the grid header and then `lines`, each ending in a newline."""
-    if isinstance(sink, (str, bytes)):
+    if isinstance(sink, (str, bytes, os.PathLike)):
         with open(sink, "w", encoding="utf-8") as fh:
             write_records(fh, grid, lines)
         return
@@ -681,7 +682,7 @@ def read_records(
     multiplicative-weights learner's rows, which never repeat, leave no
     tail behind.
     """
-    if isinstance(source, (str, bytes)):
+    if isinstance(source, (str, bytes, os.PathLike)):
         with _open(source) as fh:
             return read_records(fh, fields, row)
     scalars = [("t", KINDS["an integer"], "an integer")]

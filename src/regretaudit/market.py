@@ -88,12 +88,30 @@ class DiscreteValuationTable:
         return [float(d) for d, _ in items], np.cumsum([float(p) for _, p in items]).tolist()
 
     def demand(self, p1: Numeric, p2: Numeric) -> tuple[Fraction, Fraction]:
-        return discrete_demand(self, p1, p2)
+        """Exact demand split for one round of the discrete market.
+
+        The buyer takes good 1 when v1 - v2 exceeds p1 - p2, good 2 when it
+        falls short, and flips a fair coin on ties, so
+        x1 = Pr[v1 - v2 > p1 - p2] + (1/2) Pr[v1 - v2 = p1 - p2] and x2 = 1 - x1.
+        """
+        p1 = Fraction(p1)
+        p2 = Fraction(p2)
+        admissible = set(self.price_levels)
+        if p1 not in admissible or p2 not in admissible:
+            raise ValueError(f"prices must lie on the construction grid {sorted(admissible)}")
+        gap = p1 - p2
+        x1 = Fraction(0)
+        for d, prob in self._diff_cells:
+            if d > gap:
+                x1 += prob
+            elif d == gap:
+                x1 += prob / 2
+        return x1, 1 - x1
 
     def realized_choice(self, levels: Sequence[float], actions, draws) -> tuple[list[float], list[float]]:
         """One buyer's choice, as each seller's indicator allocations over its
         own prices against the other's levels[actions[1 - s]], by
-        discrete_demand's rule: draws[0] picks the value of v1 - v2 and
+        demand's rule: draws[0] picks the value of v1 - v2 and
         draws[2] < 1/2 is the coin that gives good 1 a tie."""
         diffs, cum = self._float_cells
         d = diffs[min(bisect_right(cum, draws[0]), len(diffs) - 1)]
@@ -151,47 +169,26 @@ def manipulation_valuation_table(epsilon: Numeric = 0) -> DiscreteValuationTable
     return DiscreteValuationTable(levels, levels, probs, e)
 
 
-def discrete_demand(
-    table: DiscreteValuationTable, p1: Numeric, p2: Numeric
-) -> tuple[Fraction, Fraction]:
-    """Exact demand split for one round of the discrete market.
-
-    The buyer takes good 1 when v1 - v2 exceeds p1 - p2, good 2 when it falls
-    short, and flips a fair coin on ties, so
-    x1 = Pr[v1 - v2 > p1 - p2] + (1/2) Pr[v1 - v2 = p1 - p2] and x2 = 1 - x1.
-    """
-    p1 = Fraction(p1)
-    p2 = Fraction(p2)
-    admissible = set(table.price_levels)
-    if p1 not in admissible or p2 not in admissible:
-        raise ValueError(f"prices must lie on the construction grid {sorted(admissible)}")
-    gap = p1 - p2
-    x1 = Fraction(0)
-    for d, prob in table._diff_cells:
-        if d > gap:
-            x1 += prob
-        elif d == gap:
-            x1 += prob / 2
-    return x1, 1 - x1
-
-
 @dataclass(frozen=True)
 class UniformDuopoly:
-    """Two sellers with unit costs, buyer valuations i.i.d. uniform on [0,1]^2."""
-
-    cost1: float
-    cost2: float
-
-    def __post_init__(self):
-        for c in (self.cost1, self.cost2):
-            if not (0 <= c < 1):
-                raise ValueError("costs must lie in [0, 1)")
+    """A buyer with valuations i.i.d. uniform on [0,1]^2 for two goods."""
 
     def demand(self, p1: float, p2: float) -> tuple[float, float]:
-        return uniform_demand(self, p1, p2)
+        """Closed-form demand: the buyer picks the good maximizing v_i - p_i
+        when that maximum is non-negative, otherwise abstains.
+
+        x1(p1, p2) integrates Pr[v2 <= v1 - p1 + p2] over v1 in [p1, 1], i.e.
+        the chance good 1 is affordable and weakly preferred (ties have
+        measure zero); symmetrically for x2.
+        """
+        if not (0 <= p1 <= 1 and 0 <= p2 <= 1):
+            raise ValueError("prices must lie in [0, 1]")
+        x1 = _clamped_linear_integral(p1, 1.0, p2 - p1)
+        x2 = _clamped_linear_integral(p2, 1.0, p1 - p2)
+        return x1, x2
 
     def realized_choice(self, levels: Sequence[float], actions, draws) -> tuple[list[float], list[float]]:
-        """One buyer's choice, as in DiscreteValuationTable, by uniform_demand's
+        """One buyer's choice, as in DiscreteValuationTable, by demand's
         rule: valuations v1 = draws[0] and v2 = draws[1], and good 1 on a
         (measure-zero) tie."""
         v1, v2 = draws[0], draws[1]
@@ -212,21 +209,6 @@ def _clamped_linear_integral(lo: float, hi: float, shift: float) -> float:
     return linear + (hi - b)
 
 
-def uniform_demand(env: UniformDuopoly, p1: float, p2: float) -> tuple[float, float]:
-    """Closed-form demand: the buyer picks the good maximizing v_i - p_i when
-    that maximum is non-negative, otherwise abstains.
-
-    x1(p1, p2) integrates Pr[v2 <= v1 - p1 + p2] over v1 in [p1, 1], i.e.
-    the chance good 1 is affordable and weakly preferred (ties have measure
-    zero); symmetrically for x2.
-    """
-    if not (0 <= p1 <= 1 and 0 <= p2 <= 1):
-        raise ValueError("prices must lie in [0, 1]")
-    x1 = _clamped_linear_integral(p1, 1.0, p2 - p1)
-    x2 = _clamped_linear_integral(p2, 1.0, p1 - p2)
-    return x1, x2
-
-
 def demand_table(oracle, levels: Sequence[Numeric]):
     """Both sellers' demands, (x1, x2), in the one layout of the market's
     tables: x_s[j][p] is seller s's demand at own price levels[p] when the
@@ -241,9 +223,9 @@ def demand_table(oracle, levels: Sequence[Numeric]):
 @dataclass(frozen=True)
 class Market:
     """The environment a command runs on: the price grid, the demand oracle
-    and the two sellers' unit costs. Its tables are built on first use and
-    shared by everything that reads them: the simulator, the learners'
-    reward bounds and the ground truth."""
+    (the buyer alone) and the two sellers' unit costs, which only it holds.
+    Its tables are built on first use and shared by everything that reads
+    them: the simulator, the learners' reward bounds and the ground truth."""
 
     grid: PriceGrid
     oracle: object
@@ -263,12 +245,12 @@ class Market:
         return tuple((alloc, (lv - cost) * alloc) for alloc, cost in zip(allocs, self.costs))
 
 
-def expected_payoff_matrix(oracle, levels: Sequence[Numeric], costs: Sequence[Numeric]):
-    """Both sellers' expected payoffs in demand_table's layout, (u1, u2):
-    u_s[j][p] = (levels[p] - c_s) * x_s[j][p]. Exact where the oracle is exact."""
+def expected_payoff_matrix(demand, levels: Sequence[Numeric], costs: Sequence[Numeric]):
+    """Both sellers' expected payoffs from demand_table's (x1, x2), in its
+    layout, (u1, u2): u_s[j][p] = (levels[p] - c_s) * x_s[j][p]. Exact where both are."""
     return tuple(
         tuple(tuple((p - cost) * x for p, x in zip(levels, row)) for row in table)
-        for table, cost in zip(demand_table(oracle, levels), costs)
+        for table, cost in zip(demand, costs)
     )
 
 

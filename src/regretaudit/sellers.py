@@ -287,6 +287,12 @@ class ManipulatorSchedule:
     def standard(phase1_rounds: int) -> "ManipulatorSchedule":
         return ManipulatorSchedule(phase1_rounds, 1.0, math.ceil(1.1 * phase1_rounds), 3.0)
 
+    @staticmethod
+    def for_horizon(rounds: int) -> "ManipulatorSchedule":
+        """The standard schedule whose phase 1 is ceil(rounds / 2.1), with
+        2.1 = 1 + standard's 1.1, so that it covers about `rounds` rounds."""
+        return ManipulatorSchedule.standard(math.ceil(rounds / 2.1))
+
 
 def manipulator_next(schedule: ManipulatorSchedule, round_no: int) -> float:
     """Price level for the given 1-based round."""
@@ -527,7 +533,11 @@ def strategy_from_config(config: dict, market: Market, seller_index: int, rounds
             raise ValueError("fixed strategy: missing key 'price' or 'index'")
         return FixedPriceStrategy(_price_index(grid, config["price"], "fixed"), len(grid))
     if kind == "manipulator":
-        standard = ManipulatorSchedule.standard(config.get("phase1_rounds", math.ceil(rounds / 2.1)))
+        standard = (
+            ManipulatorSchedule.standard(config["phase1_rounds"])
+            if "phase1_rounds" in config
+            else ManipulatorSchedule.for_horizon(rounds)
+        )
         given = {key: float(v) if key.endswith("_price") else v for key, v in config.items() if key != "kind"}
         schedule = replace(standard, **given)
         if schedule.total_rounds < rounds:

@@ -43,9 +43,9 @@ from regretaudit.market import (
     Market,
     UniformDuopoly,
     best_pure_equilibrium,
+    demand_table,
     expected_payoff_matrix,
     manipulation_valuation_table,
-    uniform_demand,
 )
 from regretaudit.oracles import GroundTruth, best_in_hindsight_regret, materialize_truth, true_calibrated_regret
 from regretaudit.sellers import (
@@ -98,8 +98,9 @@ def test_criterion_01_payoff_table_fidelity():
         (2, 2): ((F(369, 200), F(0)), (F(231, 200), F(0))),
     }
     probe = F(1, 128)
-    m0 = expected_payoff_matrix(manipulation_valuation_table(0), [1, 2, 3], (0, 0))
-    m1 = expected_payoff_matrix(manipulation_valuation_table(probe), [1, 2, 3], (0, 0))
+    levels = [1, 2, 3]
+    m0 = expected_payoff_matrix(demand_table(manipulation_valuation_table(0), levels), levels, (0, 0))
+    m1 = expected_payoff_matrix(demand_table(manipulation_valuation_table(probe), levels), levels, (0, 0))
     worst = F(0)
     for i in range(3):
         for j in range(3):
@@ -122,10 +123,10 @@ def test_criterion_01_payoff_table_fidelity():
 
 def test_criterion_02_duopoly_benchmarks():
     t0 = time.time()
-    env = UniformDuopoly(0.1, 0.2)
-    x1, x2 = uniform_demand(env, 0.5, 0.55)
+    env = UniformDuopoly()
+    x1, x2 = env.demand(0.5, 0.55)
     p_a = ((0.5 - 0.1) * x1, (0.55 - 0.2) * x2)
-    x1, x2 = uniform_demand(env, 0.6, 0.65)
+    x1, x2 = env.demand(0.6, 0.65)
     p_b = ((0.6 - 0.1) * x1, (0.65 - 0.2) * x2)
     tol = 5e-4 + 1e-12  # 0.1595 sits exactly 5e-4 from the rounded 0.159
     checks = [
@@ -137,7 +138,7 @@ def test_criterion_02_duopoly_benchmarks():
         abs(p_b[1] - 0.122) <= tol,
     ]
     grid = [round(0.05 * i, 2) for i in range(1, 20)]
-    eq = best_pure_equilibrium(grid, expected_payoff_matrix(env, grid, (0.1, 0.2)))
+    eq = best_pure_equilibrium(grid, expected_payoff_matrix(demand_table(env, grid), grid, (0.1, 0.2)))
     checks.append(eq[0] == (0.5, 0.55))
     ok = all(checks)
     report_line(
@@ -462,7 +463,7 @@ def desk_run(seed: int) -> dict:
     beside its exact regret and the estimator's noise scale, at the true cost
     and at the estimated plausible cost."""
     grid = DESK_GRID
-    env = UniformDuopoly(0.1, 0.2)
+    env = UniformDuopoly()
     s1 = QLearnerStrategy.standard(grid, DESK_TRUE_COST)
     s2 = QLearnerStrategy.standard(grid, 0.2)
     market = Market(grid, env, (DESK_TRUE_COST, 0.2))

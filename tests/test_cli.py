@@ -11,7 +11,7 @@ from regretaudit import figures
 from regretaudit.audit import CellStats, regret_curve
 from regretaudit.cli import PRESETS, ExperimentConfig, main
 from regretaudit.core import PriceGrid, read_transcript, write_transcript
-from regretaudit.market import DiscreteValuationTable, Market, demand_table, manipulation_valuation_table
+from regretaudit.market import DiscreteValuationTable, Market, UniformDuopoly, demand_table, manipulation_valuation_table
 from regretaudit.oracles import GroundTruth, materialize_truth
 from regretaudit.sellers import greedy_distribution
 
@@ -749,8 +749,10 @@ class TestMalformedInputs:
             ({"audit": {"cost_lo": 0.9, "cost_hi": 0.1}},
              "config key 'audit': cost range requires 0 <= lo <= hi, got [0.9, 0.1]"),
             ({"audit": {"cost_lo": -5}}, "config key 'audit': cost range requires 0 <= lo <= hi, got [-5, 0.9]"),
+            # Checked where the market is built: the uniform buyer model holds no costs.
+            ({"environment": {"kind": "uniform", "cost1": 1.5}}, "costs must lie in [0, 1)"),
         ],
-        ids=["manipulator-schedule-short", "audit-cost-reversed", "audit-cost-negative"],
+        ids=["manipulator-schedule-short", "audit-cost-reversed", "audit-cost-negative", "uniform-cost-above-one"],
     )
     @pytest.mark.parametrize("command", ["simulate", "figures"])
     def test_rejected_config_leaves_no_output(self, tmp_path, capsys, command, config, message):
@@ -1037,9 +1039,9 @@ class TestExperimentBuilders:
     )
     def test_market_tables_are_built_once(self, tmp_path, monkeypatch, capsys, command, flags, most):
         # Two MWU learners on the table, as in the benchmark: the simulator,
-        # both learners' reward bounds and the ground truth read one build of
-        # the demand table. The one other build allowed is the equilibrium's,
-        # inside expected_payoff_matrix.
+        # both learners' reward bounds, the ground truth and the equilibrium
+        # read one build of the demand table. `most` is an upper bound;
+        # test_each_demand_table_is_built_once counts the oracle's calls exactly.
         builds = []
 
         def counting(oracle, levels):
@@ -1062,6 +1064,30 @@ class TestExperimentBuilders:
         assert main(argv) == 0
         capsys.readouterr()
         assert 1 <= len(builds) <= most
+
+    @pytest.mark.parametrize(
+        "argv, calls",
+        [
+            (["figures", "--preset", "duopoly", "--rounds", "200", "--replications", "2"], 19 * 19),
+            (["figures", "--preset", "manipulation", "--rounds", "420"], 4 * 4),
+            (["manipulate-demo", "--rounds", "100"], 4 * 4),
+        ],
+        ids=["figures-duopoly", "figures-manipulation", "manipulate-demo"],
+    )
+    def test_each_demand_table_is_built_once(self, tmp_path, monkeypatch, capsys, argv, calls):
+        # k * k oracle calls per command: the equilibrium reads market.demand,
+        # as the simulator, the learners and the ground truth do.
+        demands = []
+        for oracle in (UniformDuopoly, DiscreteValuationTable):
+            def counting(self, p1, p2, demand=oracle.demand):
+                demands.append((p1, p2))
+                return demand(self, p1, p2)
+
+            monkeypatch.setattr(oracle, "demand", counting)
+        extra = ["--sweep-points", "3"] if argv[0] == "figures" else []
+        assert main([*argv, *extra, "--out", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        assert len(demands) == calls
 
     def test_market_is_not_a_config_key(self, tmp_path):
         path = tmp_path / "config.json"

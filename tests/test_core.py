@@ -26,6 +26,7 @@ from regretaudit.core import (
     write_records,
     write_transcript,
 )
+from regretaudit.aggregate import read_price_series
 from regretaudit.figures import read_truth, write_truth
 from regretaudit.oracles import GroundTruth
 
@@ -299,6 +300,21 @@ class TestPersistence:
         path = tmp_path / "t.jsonl"
         write_transcript(tr, str(path))
         assert read_transcript(str(path)) == tr
+
+    def test_pathlib_paths_are_paths(self, tmp_path):
+        # Every reader and writer takes a pathlib.Path as it takes a str.
+        tr = make_simple_transcript()
+        write_transcript(tr, tmp_path / "t.jsonl")
+        assert read_transcript(tmp_path / "t.jsonl") == tr
+        truth = GroundTruth(tr.grid.levels, np.array([[0.5, 0.25, 0.0], [1.0, 0.5, 0.125]]), np.array([1, 0, 1]))
+        write_truth(truth, tmp_path / "truth.jsonl")
+        back = read_truth(tmp_path / "truth.jsonl")
+        assert back.levels == truth.levels and np.array_equal(back.table[back.index], truth.table[truth.index])
+        (tmp_path / "reduced.jsonl").write_text(
+            '{"grid": [0.3, 0.5, 0.7], "continuum_upper": null}\n{"t": 1, "posted": 2, "alloc": 0.25}\n'
+        )
+        grid, posted, alloc = read_price_series(tmp_path / "reduced.jsonl")
+        assert grid.levels == tr.grid.levels and posted.tolist() == [2] and alloc.tolist() == [0.25]
 
     def test_writers_give_each_round_its_rows_text_in_any_encoding(self, rng):
         # The same 2,500 rounds, several blocks of them, encoded three ways:

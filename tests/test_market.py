@@ -9,10 +9,8 @@ from regretaudit.market import (
     UniformDuopoly,
     best_pure_equilibrium,
     demand_table,
-    discrete_demand,
     expected_payoff_matrix,
     manipulation_valuation_table,
-    uniform_demand,
 )
 
 F = Fraction
@@ -34,8 +32,9 @@ EXPECTED_AFFINE = {
 
 def affine_payoffs(eps_probe=F(1, 100)):
     """Each matrix entry as exact (intercept, slope) pairs in the tilt."""
-    m0 = expected_payoff_matrix(manipulation_valuation_table(0), [1, 2, 3], (0, 0))
-    m1 = expected_payoff_matrix(manipulation_valuation_table(eps_probe), [1, 2, 3], (0, 0))
+    levels = [1, 2, 3]
+    m0 = expected_payoff_matrix(demand_table(manipulation_valuation_table(0), levels), levels, (0, 0))
+    m1 = expected_payoff_matrix(demand_table(manipulation_valuation_table(eps_probe), levels), levels, (0, 0))
     out = {}
     for i in range(3):
         for j in range(3):
@@ -64,7 +63,8 @@ class TestDiscreteMarket:
     def test_entries_are_affine_in_tilt(self):
         # A third probe point confirms affinity, not just two-point agreement.
         probe = F(1, 50)
-        m = expected_payoff_matrix(manipulation_valuation_table(probe), [1, 2, 3], (0, 0))
+        levels = [1, 2, 3]
+        m = expected_payoff_matrix(demand_table(manipulation_valuation_table(probe), levels), levels, (0, 0))
         for (i, j), ((b1, s1), (b2, s2)) in EXPECTED_AFFINE.items():
             assert (m[0][j][i], m[1][i][j]) == (b1 + s1 * probe, b2 + s2 * probe)
 
@@ -77,28 +77,28 @@ class TestDiscreteMarket:
 
     def test_same_price_demand_splits_tie_mass(self):
         tab = manipulation_valuation_table(0)
-        x1, x2 = discrete_demand(tab, 1, 1)
+        x1, x2 = tab.demand(1, 1)
         assert x1 == F(123, 200)  # 0.385 + half of the 0.46 tie mass
         assert x2 == F(77, 200)
 
     def test_demand_with_price_gap(self):
         tab = manipulation_valuation_table(F(1, 100))
-        x1, _ = discrete_demand(tab, 1, 2)
+        x1, _ = tab.demand(1, 2)
         assert x1 == F(85, 100) + F(1, 200)
 
     def test_buyer_always_buys(self):
         tab = manipulation_valuation_table(F(1, 200))
         for p1 in range(4):
             for p2 in range(4):
-                x1, x2 = discrete_demand(tab, p1, p2)
+                x1, x2 = tab.demand(p1, p2)
                 assert x1 + x2 == 1
 
     def test_price_outside_grid_rejected(self):
         tab = manipulation_valuation_table(0)
         with pytest.raises(ValueError):
-            discrete_demand(tab, 4, 1)
+            tab.demand(4, 1)
         with pytest.raises(ValueError):
-            discrete_demand(tab, 1, F(1, 2))
+            tab.demand(1, F(1, 2))
 
     def test_probabilities_sum_to_one_and_tilt_range(self):
         manipulation_valuation_table(F(1, 40))  # boundary is admissible
@@ -122,7 +122,8 @@ class TestDiscreteMarket:
         assert sum(p for row in tab2.joint_probs for p in row) == 1
 
     def test_zero_cost_seller_at_price_zero_earns_nothing(self):
-        m = expected_payoff_matrix(manipulation_valuation_table(0), [0, 1, 2, 3], (0, 0))
+        levels = [0, 1, 2, 3]
+        m = expected_payoff_matrix(demand_table(manipulation_valuation_table(0), levels), levels, (0, 0))
         assert all(m[0][j][0] == 0 for j in range(4))
         assert all(m[1][i][0] == 0 for i in range(4))
 
@@ -132,18 +133,18 @@ class TestUniformDuopoly:
         # The first payoff, 0.1595, sits exactly 5e-4 from the rounded 0.159;
         # a float half-ulp of slack keeps the boundary case inclusive.
         tol = 5e-4 + 1e-12
-        env = UniformDuopoly(0.1, 0.2)
-        x1, x2 = uniform_demand(env, 0.5, 0.55)
+        env = UniformDuopoly()
+        x1, x2 = env.demand(0.5, 0.55)
         assert x1 == pytest.approx(0.39875, abs=1e-12)
         assert x2 == pytest.approx(0.32625, abs=1e-12)
         assert (0.5 - 0.1) * x1 == pytest.approx(0.159, abs=tol)
         assert (0.55 - 0.2) * x2 == pytest.approx(0.114, abs=tol)
-        x1, x2 = uniform_demand(env, 0.6, 0.65)
+        x1, x2 = env.demand(0.6, 0.65)
         assert (0.6 - 0.1) * x1 == pytest.approx(0.169, abs=tol)
         assert (0.65 - 0.2) * x2 == pytest.approx(0.122, abs=tol)
 
     def test_against_monte_carlo(self, rng):
-        env = UniformDuopoly(0.1, 0.2)
+        env = UniformDuopoly()
         n = 10_000_000
         v1 = rng.random(n)
         v2 = rng.random(n)
@@ -153,26 +154,24 @@ class TestUniformDuopoly:
             m2 = v2 - p2
             mc1 = float(((m1 >= 0) & (m1 >= m2)).mean())
             mc2 = float(((m2 >= 0) & (m2 > m1)).mean())
-            x1, x2 = uniform_demand(env, p1, p2)
+            x1, x2 = env.demand(p1, p2)
             assert abs(x1 - mc1) <= 4e-4
             assert abs(x2 - mc2) <= 4e-4
 
     def test_price_bounds(self):
-        env = UniformDuopoly(0.0, 0.0)
+        env = UniformDuopoly()
         with pytest.raises(ValueError):
-            uniform_demand(env, 1.2, 0.5)
-        with pytest.raises(ValueError):
-            UniformDuopoly(1.0, 0.5)
+            env.demand(1.2, 0.5)
 
     def test_monotone_and_feasible(self, rng):
-        env = UniformDuopoly(0.3, 0.1)
+        env = UniformDuopoly()
         grid = np.linspace(0, 1, 21)
         for p2 in rng.random(5):
-            xs = [uniform_demand(env, p1, p2)[0] for p1 in grid]
+            xs = [env.demand(p1, p2)[0] for p1 in grid]
             assert all(b <= a + 1e-12 for a, b in zip(xs, xs[1:]))
         for _ in range(50):
             p1, p2 = rng.random(2)
-            x1, x2 = uniform_demand(env, p1, p2)
+            x1, x2 = env.demand(p1, p2)
             assert 0 <= x1 <= 1 and 0 <= x2 <= 1
             assert x1 + x2 <= 1 + 1e-12
 
@@ -199,7 +198,7 @@ class TestRealizedChoice:
             assert np.abs(average - np.array(rows, dtype=float)).max() <= 1e-15
 
     def test_uniform_choice_matches_demand_in_monte_carlo(self, rng):
-        env = UniformDuopoly(0.1, 0.2)
+        env = UniformDuopoly()
         levels = (0.1, 0.3, 0.5, 0.7, 0.9)
         lv = np.array(levels)
         n = 20_000
@@ -214,25 +213,24 @@ class TestDemandInvariants:
     def test_discrete_monotone_in_own_price(self):
         tab = manipulation_valuation_table(F(1, 100))
         for p2 in range(4):
-            xs = [discrete_demand(tab, p1, p2)[0] for p1 in range(4)]
+            xs = [tab.demand(p1, p2)[0] for p1 in range(4)]
             assert all(b <= a for a, b in zip(xs, xs[1:]))
-            ys = [discrete_demand(tab, p2, p1)[1] for p1 in range(4)]
+            ys = [tab.demand(p2, p1)[1] for p1 in range(4)]
             assert all(b <= a for a, b in zip(ys, ys[1:]))
 
 
 class TestEquilibrium:
     def test_equilibrium_of_discrete_game(self):
-        m = expected_payoff_matrix(
-            manipulation_valuation_table(F(1, 100)), [1, 2, 3], (0, 0)
-        )
+        levels = [1, 2, 3]
+        m = expected_payoff_matrix(demand_table(manipulation_valuation_table(F(1, 100)), levels), levels, (0, 0))
         pair, payoffs, _ = best_pure_equilibrium([1, 2, 3], m)
         assert pair == (2, 2)
         assert payoffs == (F(123, 100), F(77, 100))
 
     def test_equilibrium_of_duopoly_grid_game(self):
         grid = [round(0.05 * i, 2) for i in range(1, 20)]
-        env = UniformDuopoly(0.1, 0.2)
-        m = expected_payoff_matrix(env, grid, (0.1, 0.2))
+        env = UniformDuopoly()
+        m = expected_payoff_matrix(demand_table(env, grid), grid, (0.1, 0.2))
         pair, payoffs, _ = best_pure_equilibrium(grid, m)
         assert pair == (0.5, 0.55)
         assert payoffs[0] == pytest.approx(0.1595, abs=1e-6)

@@ -129,7 +129,7 @@ def q_transcript_and_truth(rounds: int):
     table = np.full((K, K), explore / K) + np.eye(K) * (1.0 - explore)
     greedy, posted, alloc = greedy_rounds(rounds, explore)
     opponent = np.random.default_rng(rounds + 1).integers(K, size=rounds)
-    truth = materialize_truth(Market(GRID, UniformDuopoly(0.1, 0.2), (0.1, 0.2)), opponent, 0)
+    truth = materialize_truth(Market(GRID, UniformDuopoly(), (0.1, 0.2)), opponent, 0)
     return Transcript(GRID, posted, alloc, greedy, table), truth
 
 
@@ -210,7 +210,7 @@ def test_price_series_reader_peak_grows_by_a_few_bytes_per_round(tmp_path):
 
 def q_duopoly(rounds: int):
     """simulate's arguments: two fresh Q-learners on the k = 19 duopoly."""
-    market = Market(GRID, UniformDuopoly(0.1, 0.2), (0.1, 0.2))
+    market = Market(GRID, UniformDuopoly(), (0.1, 0.2))
     strategies = tuple(QLearnerStrategy.standard(GRID, cost) for cost in market.costs)
     return market, strategies, rounds
 

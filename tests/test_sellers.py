@@ -223,7 +223,7 @@ class TestSimulate:
 
     def test_realized_feedback_uniform(self):
         grid = PriceGrid([round(0.1 * i, 1) for i in range(1, 10)])
-        env = UniformDuopoly(0.1, 0.2)
+        env = UniformDuopoly()
         q1 = QLearnerStrategy.standard(grid, 0.1)
         q2 = QLearnerStrategy.standard(grid, 0.2)
         res = simulate(Market(grid, env, (0.1, 0.2)), (q1, q2), 300, "realized", seed=5)
@@ -379,7 +379,7 @@ class TestSimulate:
         # truth, the payoff tables and the simulator's feedback.
         if market == "duopoly":
             grid = PriceGrid([round(0.05 * i, 2) for i in range(1, 20)])
-            oracle, costs = UniformDuopoly(0.1, 0.2), (0.1, 0.2)
+            oracle, costs = UniformDuopoly(), (0.1, 0.2)
         else:
             grid, oracle = self.grid_and_table()
             costs = (0.0, 0.5)
@@ -420,7 +420,7 @@ class TestRowEncoding:
 
     def test_q_learners_encode_each_distinct_row_once(self, monkeypatch):
         grid = TestPinnedOutput.DUOPOLY
-        market = Market(grid, UniformDuopoly(0.1, 0.2), (0.1, 0.2))
+        market = Market(grid, UniformDuopoly(), (0.1, 0.2))
         strategies = tuple(QLearnerStrategy.standard(grid, cost) for cost in market.costs)
         counts, result = self.encodings(monkeypatch, market, strategies, 8000)
         assert counts == [len(tr.dist_table) for tr in result.transcripts]
@@ -478,7 +478,7 @@ class TestPinnedOutput:
             fixed = strategy_from_config({"kind": "fixed", "index": 2}, market, 1, 400)
             strategies = (ManipulatorStrategy(sched, self.TABLE), fixed)
             return simulate(market, strategies, sched.total_rounds, seed=11)
-        env, costs = UniformDuopoly(0.1, 0.2), (0.1, 0.2)
+        env, costs = UniformDuopoly(), (0.1, 0.2)
         market = Market(self.DUOPOLY, env, costs)
         eps = 0.0 if name == "q-q-greedy" else 0.01
         sellers = [QLearnerStrategy.standard(self.DUOPOLY, c, explore_eps=eps) for c in costs]
@@ -718,7 +718,7 @@ class TestArrayLoopReference:
     def environment(self, market):
         if market == "table":
             return self.TABLE, manipulation_valuation_table(0.005), (0.0, 0.0)
-        return self.DUOPOLY, UniformDuopoly(0.1, 0.2), (0.1, 0.2)
+        return self.DUOPOLY, UniformDuopoly(), (0.1, 0.2)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("name", sorted(CASES))
