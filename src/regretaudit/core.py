@@ -580,31 +580,12 @@ def check_keys(obj: dict, allowed: dict[str, str], what: str, required: Iterable
             raise ValueError(f"{what} key {key!r} must be {allowed[key]}")
 
 
-def _grid_of(header, line_no: int) -> PriceGrid:
-    if not isinstance(header, dict) or "grid" not in header:
-        raise TranscriptParseError(line_no, 'header must be an object with a "grid" key')
-    levels, h = header["grid"], header.get("continuum_upper")
-    if not KINDS["a list of numbers"](levels):
-        raise TranscriptParseError(line_no, '"grid" must be a list of numbers')
-    if h is not None and not KINDS["a number"](h):
-        raise TranscriptParseError(line_no, '"continuum_upper" must be a number or null')
-    grid = PriceGrid(levels, h)
-    raise_violations(grid.violations(), [line_no])
-    return grid
-
-
 # A path is read with errors="surrogateescape": each byte that is not UTF-8
 # becomes one of these lone surrogates, which no UTF-8 text decodes to.
 _NOT_UTF8 = re.compile("[\udc80-\udcff]")
 
 # The array typecode of each scalar kind that read_records reads.
 _TYPECODES = {"an integer": "q", "a number": "d"}
-
-# How many tails of the records last decoded whole read_records keeps. A
-# Q-learner has one distinct row per greedy price, so on up to 64 prices
-# every row it draws from reaches the tail cache.
-_RECENT_TAILS = 64
-
 
 def _open(path: str) -> IO[str]:
     return open(path, "r", encoding="utf-8", errors="surrogateescape")
@@ -619,6 +600,28 @@ def _decode(line: str, line_no: int):
         return _DECODER.decode(line)
     except (ValueError, RecursionError) as e:
         raise TranscriptParseError(line_no, f"bad JSON: {getattr(e, 'msg', e)}") from e
+
+
+def _header(numbered: Iterator[tuple[int, str]]) -> tuple[PriceGrid, int]:
+    """The grid of the first non-blank line of `numbered`, (line number,
+    line) pairs, and that line's number; no such line raises
+    TranscriptParseError, and an invalid grid TranscriptValidationError."""
+    for line_no, line in numbered:
+        if not line.isspace():
+            break
+    else:
+        raise TranscriptParseError(1, "missing header line")
+    header = _decode(line, line_no)
+    if not isinstance(header, dict) or "grid" not in header:
+        raise TranscriptParseError(line_no, 'header must be an object with a "grid" key')
+    levels, h = header["grid"], header.get("continuum_upper")
+    if not KINDS["a list of numbers"](levels):
+        raise TranscriptParseError(line_no, '"grid" must be a list of numbers')
+    if h is not None and not KINDS["a number"](h):
+        raise TranscriptParseError(line_no, '"continuum_upper" must be a number or null')
+    grid = PriceGrid(levels, h)
+    raise_violations(grid.violations(), [line_no])
+    return grid, line_no
 
 
 def _holds_lists(tail: str, listed: list[tuple]) -> bool:
@@ -665,22 +668,22 @@ def read_records(
     for a row it cannot make, naming the line too; the first such error is
     raised once the file is read, unless the file is malformed further on.
 
-    Most lines decode only their head. A record's tail is the text after the
+    A line may decode only its head. A record's tail is the text after the
     first `, "<f>": `, where f is the first list field, to the end of the
-    line. When a line's tail is that of one of the last 64 lines decoded
-    whole, `{"<f>": ` + tail is decoded on its own. If that gives an object
-    holding exactly the list fields, each of its kind, the tail is cached
-    with that line's row, and the lines that carry it from then on decode
-    only their head, the text before the marker, + "}". Such a line is accepted if that
-    text is one object, with nothing around it, whose scalar fields pass and
-    whose "t" is the next round. The head then ends at a top-level member, so
-    the whole line would decode to the head's members followed by the
-    tail's, and the tail's list fields win over any in the head, as the last
-    duplicate key does in JSON. Other lines, and lines that are not ASCII,
-    are decoded whole. Only those 64 tails and the cached ones are kept: a
-    Q-learner's handful of rows is cached at each row's second line, and a
-    multiplicative-weights learner's rows, which never repeat, leave no
-    tail behind.
+    line. When a line decoded whole carries a tail and a row that earlier
+    lines already had, `{"<f>": ` + tail is decoded on its own; if that gives
+    an object holding exactly the list fields, each of its kind, the tail is
+    cached with that row. Each ASCII line that carries a cached tail then
+    decodes only its head, the text before the marker, + "}". If that text
+    is one non-empty object, with nothing around it, the head ends at a
+    top-level member, so the whole line would decode to the head's members
+    followed by the tail's, and the tail's list fields win over any in the
+    head, as the last duplicate key does in JSON. So the head's object is
+    checked as the record, over the scalar fields only, and raises what the
+    whole line would. Other lines are decoded whole. A Q-learner's row is
+    read whole at its first two lines and by head alone from its third; a
+    multiplicative-weights learner's rows, which never repeat, cache
+    nothing.
     """
     if isinstance(source, (str, bytes, os.PathLike)):
         with _open(source) as fh:
@@ -690,76 +693,63 @@ def read_records(
     for name, kind in fields.items():
         (listed if kind.startswith("a list") else scalars).append((name, KINDS[kind], kind))
     checks = scalars + listed
-    t_ok = scalars[0][1]
     columns = [array(_TYPECODES[kind]) for _, _, kind in scalars[1:]]
     record: list = []  # a record's "t", then its list values
     targets = [record, *columns, *[record] * len(listed)]
-    lines = array("q")
+    numbered = enumerate(source, 1)
+    grid, line_no = _header(numbered)
+    rows = DistinctRows(len(grid))
+    lines = array("q", [line_no])
     ids = array("q")  # each round's row id
     marker = f', "{listed[0][0]}": ' if listed else None
     tails: dict[str, int] = {}  # tail -> its row id, or -1: decode whole
-    recent: dict[str, int] = {}  # the tails of the last records decoded whole -> their rows
     held = None  # the first error that `row` raised
-    for line_no, line in enumerate(source, 1):
+    for line_no, line in numbered:
         if line.isspace():
             continue
         t = len(lines)
+        obj = None
         if marker:
             head, split, tail = line.partition(marker)
-            d = tails.get(tail) if split else -1
-            if d is None and tail in recent:
-                d = tails[tail] = recent[tail] if _holds_lists(tail, listed) else -1
-            if d is not None and d >= 0 and line.isascii():
+            d = tails.get(tail, -1) if split else -1
+            if d >= 0 and line.isascii():
                 # raw_decode skips decode's whitespace matches; a head that
-                # does not end at the closing brace takes the whole-line path.
+                # is empty or does not end at the closing brace takes the
+                # whole-line path.
                 text = head + "}"
                 try:
-                    head, end = _DECODER.raw_decode(text)
+                    obj, end = _DECODER.raw_decode(text)
                 except (ValueError, RecursionError):
-                    head, end = None, 0
-                if type(head) is dict and end == len(text) and t_ok(head.get("t")) and head["t"] == t:
-                    # A check that fails here fails on the whole line too,
-                    # which then raises below.
-                    for (name, ok, _), column in zip(scalars[1:], columns):
-                        value = head.get(name)
-                        if not ok(value):
-                            break
-                        column.append(value)
-                    else:
-                        ids.append(d)
-                        lines.append(line_no)
-                        continue
-        obj = _decode(line, line_no)
-        if not lines:
-            grid = _grid_of(obj, line_no)
-            rows = DistinctRows(len(grid))
-        elif type(obj) is not dict:
-            raise TranscriptParseError(line_no, "record must be a JSON object")
-        else:
-            record.clear()
-            for (name, ok, kind), target in zip(checks, targets):
-                value = obj.get(name)
-                if not ok(value):
-                    raise TranscriptParseError(line_no, _field_problem(obj, name, kind))
-                target.append(value)
-            if record[0] != t:
-                raise RoundOrderError(line_no, record[0], t)
-            # Reduced files have no list field; they skip the row.
-            if listed:
-                try:
-                    values = row(record[1:], rows.k, t, line_no)
-                except (TranscriptParseError, TranscriptValidationError) as e:
-                    held, d = held or e, -1
-                else:
-                    d = rows.add(values)
-                ids.append(d)
-                if split:
-                    recent[tail] = d
-                    if len(recent) > _RECENT_TAILS:
-                        del recent[next(iter(recent))]
+                    pass
+                if not (type(obj) is dict and obj and end == len(text)):
+                    obj = None
+        cached = obj is not None
+        if not cached:
+            obj = _decode(line, line_no)
+            if type(obj) is not dict:
+                raise TranscriptParseError(line_no, "record must be a JSON object")
+        record.clear()
+        for (name, ok, kind), target in zip(scalars if cached else checks, targets):
+            value = obj.get(name)
+            if not ok(value):
+                raise TranscriptParseError(line_no, _field_problem(obj, name, kind))
+            target.append(value)
+        if record[0] != t:
+            raise RoundOrderError(line_no, record[0], t)
+        # Reduced files have no list field; they skip the row.
+        if listed and not cached:
+            try:
+                values = row(record[1:], rows.k, t, line_no)
+            except (TranscriptParseError, TranscriptValidationError) as e:
+                held, d = held or e, -1
+            else:
+                seen = len(rows)
+                d = rows.add(values)
+                if split and d < seen and tail not in tails:
+                    tails[tail] = d if _holds_lists(tail, listed) else -1
+        if listed:
+            ids.append(d)
         lines.append(line_no)
-    if not lines:
-        raise TranscriptParseError(1, "missing header line")
     if held is not None:
         raise held
     out = [np.frombuffer(column, dtype=column.typecode) for column in columns]
@@ -773,10 +763,9 @@ def count_records(path: str) -> tuple[PriceGrid, int]:
     non-blank lines after the header, counted without decoding them. The
     header raises what read_records raises for it."""
     with _open(path) as fh:
-        for line_no, line in enumerate(fh, 1):
-            if not line.isspace():
-                return _grid_of(_decode(line, line_no), line_no), sum(not line.isspace() for line in fh)
-    raise TranscriptParseError(1, "missing header line")
+        numbered = enumerate(fh, 1)
+        grid, _ = _header(numbered)
+        return grid, sum(not line.isspace() for _, line in numbered)
 
 
 def _field_problem(obj: dict, name: str, kind: str) -> str:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import IO, Sequence, Union
@@ -38,21 +38,22 @@ class DiscreteValuationTable:
     """Joint distribution of buyer valuations (v1, v2) over discrete levels.
 
     Probability entries may depend affinely on the free parameter `epsilon`;
-    the table stores the entries already evaluated at that epsilon, exactly.
+    the table holds the entries already evaluated at that epsilon, exactly,
+    and `epsilon` is only checked to be non-negative, not kept.
     """
 
     v1_levels: tuple[Fraction, ...]
     v2_levels: tuple[Fraction, ...]
     joint_probs: tuple[tuple[Fraction, ...], ...]
-    epsilon: Fraction
+    epsilon: InitVar[Fraction]
 
-    def __post_init__(self):
+    def __post_init__(self, epsilon: Fraction):
         rows = len(self.v1_levels)
         if len(self.joint_probs) != rows or any(
             len(r) != len(self.v2_levels) for r in self.joint_probs
         ):
             raise ValueError("joint_probs shape does not match valuation levels")
-        if self.epsilon < 0:
+        if epsilon < 0:
             raise ValueError("epsilon must be non-negative")
         if any(p < 0 for row in self.joint_probs for p in row):
             raise ValueError("negative probability entry at this epsilon")

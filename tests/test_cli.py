@@ -766,6 +766,22 @@ class TestMalformedInputs:
         assert captured.err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("inline", [True, False], ids=["table", "table-file"])
+    def test_negative_table_epsilon(self, tmp_path, capsys, inline):
+        table = {"v1_levels": [0, 1], "v2_levels": [0, 1], "probs": [["1/4", "1/4"], ["1/4", "1/4"]]}
+        data = tmp_path / "table.json"
+        data.write_text(json.dumps({**table, "epsilon": -1}))
+        environment = {"kind": "table", "epsilon": -0.01} if inline else {"kind": "table_file", "path": str(data)}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**self.CONFIG, "environment": environment}))
+        out = tmp_path / "out"
+        code = main(["simulate", "--config", str(path), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: epsilon must be non-negative\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "levels, rounds, sweep, message",
         [
@@ -815,7 +831,7 @@ class TestMalformedInputs:
         [
             ("transcript", [GRID, DEEP], "line 2: bad JSON: "),
             ("transcript", [DEEP], "line 1: bad JSON: "),
-            # Rounds 2 and 3 cache the tail, so round 4 decodes only its head.
+            # Round 2 repeats round 1's row and caches the tail, so round 4 decodes only its head.
             ("transcript", [GRID, ROUND % (1, ""), ROUND % (2, ""), ROUND % (3, ""), ROUND % (4, f'"deep": {DEEP}, ')],
              "line 5: bad JSON: "),
             # Enough rounds for the count check, which precedes decoding.

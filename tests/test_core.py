@@ -1,5 +1,6 @@
 
 import io
+import json
 import math
 from fractions import Fraction
 
@@ -28,7 +29,9 @@ from regretaudit.core import (
 )
 from regretaudit.aggregate import read_price_series
 from regretaudit.figures import read_truth, write_truth
+from regretaudit.market import Market, UniformDuopoly, manipulation_valuation_table
 from regretaudit.oracles import GroundTruth
+from regretaudit.sellers import MWUStrategy, QLearnerStrategy, reward_bounds, simulate
 
 from conftest import dense_row, dyadic_distribution, sample_posted, transcript_from
 from witnesses import (
@@ -209,7 +212,7 @@ class TestPersistence:
         assert err.value.line_no == 2
 
     def test_cached_head_is_read_only_when_it_is_one_object(self):
-        # From its second sighting on, a line's tail is cached and only its
+        # From its third sighting on, a line's tail is cached and only its
         # head is decoded. A head whose object closes before the tail is bad
         # JSON as a whole line; a head with space before its object is read
         # whole, and accepted.
@@ -221,6 +224,49 @@ class TestPersistence:
         with pytest.raises(TranscriptParseError) as err:
             loads_transcript(closed)
         assert err.value.line_no == 4
+        # An empty head, "{", decodes to {} with the closing brace, but the
+        # whole line, "{, ...", is bad JSON.
+        with pytest.raises(TranscriptParseError, match="bad JSON") as err:
+            loads_transcript(good + record_line(3) + "{" + tail)
+        assert err.value.line_no == 5
+
+    @staticmethod
+    def decode_calls(monkeypatch, transcript):
+        """The transcript read back from its text, and how many times the
+        reader called json.JSONDecoder.decode."""
+        text, calls = dumps_transcript(transcript), []
+        decode = json.JSONDecoder.decode
+
+        def counted(self, s, *args, **kwargs):
+            calls.append(s)
+            return decode(self, s, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(json.JSONDecoder, "decode", counted)
+            read = loads_transcript(text)
+        return read, len(calls)
+
+    def test_repeated_rows_are_read_by_head_alone(self, monkeypatch):
+        # The header, each distinct row's first two lines and its tail are
+        # decoded whole; every later line decodes only its head.
+        grid = PriceGrid(np.linspace(0.05, 0.95, 19).tolist())
+        market = Market(grid, UniformDuopoly(), (0.1, 0.2))
+        learners = tuple(QLearnerStrategy.standard(grid, cost) for cost in market.costs)
+        transcript = simulate(market, learners, 8_000, seed=0).transcripts[0]
+        read, calls = self.decode_calls(monkeypatch, transcript)
+        assert read == transcript
+        assert calls <= 1 + 3 * len(transcript.dist_table)
+
+    def test_rows_that_never_repeat_cache_no_tail(self, monkeypatch):
+        # One whole decode per line and none of a tail, which is decoded on
+        # its own only when it is cached.
+        market = Market(PriceGrid([0, 1, 2, 3]), manipulation_valuation_table(0.005), (0.0, 0.0))
+        learners = tuple(MWUStrategy.fresh(4, 1e-3, *reward_bounds(market)) for _ in market.costs)
+        transcript = simulate(market, learners, 2_000, seed=0).transcripts[0]
+        read, calls = self.decode_calls(monkeypatch, transcript)
+        assert read == transcript
+        assert len(transcript.dist_table) == 2_000
+        assert calls == 1 + 2_000
 
     def test_missing_header(self):
         with pytest.raises(TranscriptParseError):

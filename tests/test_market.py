@@ -121,6 +121,15 @@ class TestDiscreteMarket:
         tab2 = DiscreteValuationTable.from_json(obj)
         assert sum(p for row in tab2.joint_probs for p in row) == 1
 
+    def test_epsilon_is_checked_not_kept(self):
+        # A table is its entries: the same probs at two epsilons are one table.
+        obj = {"v1_levels": [0, 1], "v2_levels": [0, 1], "probs": [["1/4", "1/4"], ["1/4", "1/4"]]}
+        at_zero = DiscreteValuationTable.from_json({**obj, "epsilon": 0})
+        at_tenth = DiscreteValuationTable.from_json({**obj, "epsilon": "1/10"})
+        assert at_zero == at_tenth and hash(at_zero) == hash(at_tenth)
+        with pytest.raises(ValueError, match="epsilon must be non-negative"):
+            DiscreteValuationTable.from_json({**obj, "epsilon": -1})
+
     def test_zero_cost_seller_at_price_zero_earns_nothing(self):
         levels = [0, 1, 2, 3]
         m = expected_payoff_matrix(demand_table(manipulation_valuation_table(0), levels), levels, (0, 0))
