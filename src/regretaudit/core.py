@@ -178,6 +178,12 @@ def _distribution_row(values: list, k: int, t: int, line_no: int) -> list:
     return row
 
 
+def check_ids(ids: np.ndarray, rows: int, name: str) -> None:
+    """Raise ValueError unless each of the ids is a row of a table of `rows` rows."""
+    if len(ids) and not (ids.min() >= 0 and ids.max() < rows):
+        raise ValueError(f"{name} must hold row ids in [0, {rows})")
+
+
 @dataclass(frozen=True, eq=False)
 class Transcript:
     """A grid plus per-round columns for rounds 1..T.
@@ -201,6 +207,7 @@ class Transcript:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
         if not len(self.posted) == len(self.alloc) == len(self.dist_index):
             raise ValueError("posted, alloc and dist_index need one entry per round")
+        check_ids(self.dist_index, len(self.dist_table), "dist_index")
 
     def __len__(self) -> int:
         return len(self.posted)
@@ -410,22 +417,18 @@ def block_lines(
     entries if `sparse`, else all of them. Each support's template is built
     once per call.
 
-    A round repeats a row when its id is at most the largest id of the
-    rounds before it: DistinctRows numbers rows in order of first
-    appearance, so then the row did occur before (any other order only adds
-    rows that are kept for nothing). A repeated row's text is kept, keyed by
-    its id; every other row is formatted in its block and dropped. So a row
-    is formatted at most twice, and nothing is kept per round, nor per row
-    of one round. A block formats its ids that have no text yet, each once,
-    in order of first appearance; nothing is sorted, as texts are looked up
-    by id. A block that repeats no row is one string, from one `%` call over
-    its numbers. Other blocks go as strings of about _CHUNK characters, each
+    A block lists its distinct ids in order of first appearance and formats
+    those that the block before it did not have in one `%` call, rows in a
+    run of one support sharing a template; the result splits into one text
+    per row. Only the block's own texts are kept for the next block, so
+    nothing is kept per round, and a row that recurs after a block without
+    it is formatted again. Lines go as strings of about _CHUNK characters,
+    as many lines as fit at the length of the block's first line, each
     from one `%` call that takes the rows' texts as %s arguments, so that a
-    long row is never copied into a block-sized string.
+    block of long rows is never one block-sized string.
     Rows are converted to float as float() converts them (an exact Fraction
     table included), and a non-finite entry or column value raises
     ValueError."""
-    texts: dict[int, str] = {}  # a repeated row's id -> its text
     bodies: dict[bytes, str] = {}  # a support, as its mask's bytes -> its body template
 
     def template(mask: np.ndarray) -> str:
@@ -435,46 +438,30 @@ def block_lines(
         return bodies[key]
 
     line = head + "%s}\n"
-    top = -1  # the largest id of the rounds before the block
+    texts: dict[int, str | None] = {}  # the block's ids -> their rows' texts
     for lo in range(0, len(index), _BLOCK):
-        ids = index[lo : lo + _BLOCK]
+        ids = index[lo : lo + _BLOCK].tolist()
         cols = [col[lo : lo + _BLOCK] for col in columns]
-        highest = np.maximum.accumulate(np.concatenate([[top], ids]))
-        repeated = ids <= highest[:-1]
-        top = int(highest[-1])
-        fast = not repeated.any()
-        # The rows to format: each round's if no round repeats one, else the
-        # block's distinct ids that have no text yet, in order of first
-        # appearance.
-        new = ids if fast else [d for d in dict.fromkeys(ids.tolist()) if d not in texts]
+        texts = {d: texts.get(d) for d in dict.fromkeys(ids)}  # None: no text yet
+        new = [d for d, text in texts.items() if text is None]
         rows = np.asarray(table[new], dtype=float)
         if not (np.isfinite(rows).all() and all(np.isfinite(col).all() for col in cols)):
             raise ValueError("non-finite float in transcript")
         masks = rows != 0 if sparse else np.ones(rows.shape, dtype=bool)
+        starts = np.ones(len(new), dtype=bool)
+        np.not_equal(masks[1:], masks[:-1]).any(axis=1, out=starts[1:])
+        starts = np.flatnonzero(starts).tolist()
+        runs = zip(starts, starts[1:] + [len(new)])
+        fmt = "".join((template(masks[s]) + "\n") * (e - s) for s, e in runs)
+        texts.update(zip(new, (fmt % tuple(rows[masks].tolist())).splitlines()))
         t = range(lo + 1, lo + len(ids) + 1)
-        if fast:
-            # rows[i] is round lo + i's row. The block's numbers in line
-            # order (t and the integer columns as floats, which %d writes as
-            # integers), and its lines' template, shared by rounds in a run
-            # of one support.
-            numbers = np.column_stack([t, *cols, rows])
-            taken = np.column_stack([np.ones((len(ids), 1 + len(cols)), dtype=bool), masks])
-            starts = [0, *(np.flatnonzero((masks[1:] != masks[:-1]).any(axis=1)) + 1).tolist()]
-            runs = zip(starts, starts[1:] + [len(ids)])
-            fmt = "".join((head + template(masks[s]) + "}\n") * (e - s) for s, e in runs)
-            yield fmt % tuple(numbers[taken].tolist())
-            continue
-        for d, row, mask in zip(new, rows, masks):
-            texts[d] = template(mask) % tuple(row[mask].tolist())
-        values = [t, *[col.tolist() for col in cols], [texts[d] for d in ids.tolist()]]
-        step = max(1, _CHUNK // (len(line) + len(values[-1][0])))  # lines of about _CHUNK characters
+        step = max(1, _CHUNK // (len(line) + len(texts[ids[0]])))  # lines of about _CHUNK characters
+        # Lists per chunk, so that only `texts` is left of this block while
+        # the next one formats its rows.
         for a in range(0, len(ids), step):
-            chunk = [v[a : a + step] for v in values]
-            yield (line * len(chunk[0])) % tuple(chain.from_iterable(zip(*chunk)))
-        repeats = set(ids[repeated].tolist())
-        for d in new:
-            if d not in repeats:  # a row first seen here, not repeated here
-                del texts[d]
+            part = slice(a, a + step)
+            rounds = zip(t[part], *[col[part].tolist() for col in cols], [texts[d] for d in ids[part]])
+            yield (line * len(t[part])) % tuple(chain.from_iterable(rounds))
 
 
 def _distribution_text(support: list[int]) -> str:

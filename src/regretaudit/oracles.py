@@ -16,7 +16,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .core import pair_counts
+from .core import check_ids, pair_counts
 from .market import Market
 
 Numeric = Union[int, float, Fraction]
@@ -34,6 +34,9 @@ class GroundTruth:
     levels: tuple[Numeric, ...]
     table: np.ndarray  # (m, k), object or float64
     index: np.ndarray  # (T,) int64 row ids
+
+    def __post_init__(self):
+        check_ids(np.asarray(self.index), len(self.table), "index")
 
     @property
     def rounds(self) -> int:

@@ -464,6 +464,27 @@ class TestWriters:
         truth = GroundTruth((0.5, 1.0, 1.5, 2.0), table, index)
         assert truth_text(truth) == reference_truth_text(truth)
 
+    def test_rows_longer_than_a_chunk(self, rng):
+        # k = 1,000: a dense row's text (about 22 KB) outgrows a chunk of
+        # lines, so a block that starts with it writes one line per chunk.
+        # A dense, a sparse and a one-entry row mix within block 0 and
+        # across the boundary at round 1,024, after a lead of one-entry
+        # rounds that keeps the per-value references quick.
+        k, lead = 1000, 1000
+        dense = rng.dirichlet(np.ones(k))
+        sparse = np.zeros(k)
+        sparse[rng.choice(k, 300, replace=False)] = rng.dirichlet(np.ones(300))
+        point = np.zeros(k)
+        point[k // 2] = 1.0
+        table = np.array([point, dense, sparse])
+        index = np.array([0] * lead + [1, 2, 0, 2, 1, 1, 0, 2] * 6)  # 24 rounds on each side
+        n = len(index)
+        grid = PriceGrid(np.linspace(0.001, 1.0, k).tolist())
+        transcript = Transcript(grid, np.full(n, k // 2), rng.random(n), index, table)
+        assert dumps_transcript(transcript) == reference_transcript_text(transcript)
+        truth = GroundTruth(grid.levels, table, index)
+        assert truth_text(truth) == reference_truth_text(truth)
+
     def test_exact_truth_writes_the_bytes_of_its_float_rounding(self):
         exact = np.array(
             [[Fraction(1, 3), Fraction(0), Fraction(2, 7)], [Fraction(1), Fraction(5, 9), Fraction(1, 10**20)]],
@@ -550,6 +571,17 @@ class TestConfigTypes:
         back = loads_transcript(dumps_transcript(tr))
         assert back.dist_index.tobytes() == tr.dist_index.tobytes()
         assert back.dist_table.tobytes() == tr.dist_table.tobytes()
+
+    @pytest.mark.parametrize("ids", [[0, -1], [0, 5]])
+    def test_row_ids_must_index_the_table(self, ids):
+        # Unchecked, -1 would read the table's last row from its end, so
+        # validate would find nothing wrong and the writer would write that
+        # row at round 2; 5 would make validate raise IndexError.
+        grid = PriceGrid([1.0, 2.0])
+        with pytest.raises(ValueError, match=r"^dist_index must hold row ids in \[0, 1\)$"):
+            Transcript(grid, [0, 0], [0.5, 0.5], ids, [[1.0, 0.0]])
+        assert validate(Transcript(grid, [0, 0], [0.5, 0.5], [0, 0], [[1.0, 0.0]])) == []
+        assert len(Transcript(grid, [], [], [], np.empty((0, 2)))) == 0
 
     def test_equality_compares_each_rounds_row(self):
         grid = PriceGrid([1.0, 2.0])

@@ -26,7 +26,7 @@ from regretaudit.aggregate import DriftAssumption, audit_aggregated, read_price_
 from regretaudit.audit import audit, regret_curve
 from regretaudit.figures import cost_sweep_rows, horizon_rows, log_spaced_horizons, write_truth
 from regretaudit.market import Market, UniformDuopoly, manipulation_valuation_table
-from regretaudit.oracles import materialize_truth
+from regretaudit.oracles import GroundTruth, materialize_truth
 from regretaudit.sellers import (
     MWUStrategy,
     QLearnerStrategy,
@@ -69,9 +69,11 @@ MAX_AUDIT_DISTINCT_GROWTH_BYTES_PER_ROUND = 48
 MAX_SIMULATE_GROWTH_BYTES_PER_ROUND = 96
 MAX_SIMULATE_DISTINCT_GROWTH_BYTES_PER_ROUND = 448
 # A walk a block of rounds at a time keeps nothing per round. A writer
-# keeps the texts of repeated rows only, so nothing per round either when
-# no row repeats (10.2 B per round when it kept two flags and a reference
-# per distinct row).
+# keeps only the texts of the block it writes, so nothing per round either,
+# whether no row repeats or each repeats once in the next round (111.8 B
+# per round for the latter when it kept every repeated row's text to the
+# end, 10.2 B for the former when it kept two flags and a reference per
+# distinct row).
 MAX_BLOCKED_GROWTH_BYTES_PER_ROUND = 2
 MAX_WRITE_DISTINCT_GROWTH_BYTES_PER_ROUND = 2
 TABLE_GRID = PriceGrid([0.0, 1.0, 2.0, 3.0])
@@ -248,6 +250,27 @@ def test_transcript_writer_peak_with_a_new_row_every_round(tmp_path):
         return distinct_rows_transcript(rounds), str(tmp_path / "mwu.jsonl")
 
     growth = growth_per_round(make_args, write_transcript, SMALL // 10, LARGE // 10)
+    assert growth <= MAX_WRITE_DISTINCT_GROWTH_BYTES_PER_ROUND
+
+
+def rows_repeated_twice(rounds: int) -> tuple[Transcript, GroundTruth]:
+    """A transcript and a truth whose rounds take the row ids 0, 0, 1, 1,
+    2, 2, ...: each row recurs once, in the next round."""
+    rng = np.random.default_rng(rounds)
+    rows = rng.dirichlet(np.ones(len(TABLE_GRID)), size=(rounds + 1) // 2)
+    index = np.arange(rounds) // 2
+    posted = rng.integers(len(TABLE_GRID), size=rounds)
+    transcript = Transcript(TABLE_GRID, posted, rng.random(rounds), index, rows)
+    return transcript, GroundTruth(TABLE_GRID.levels, rows, index)
+
+
+@pytest.mark.parametrize("writer", [write_transcript, write_truth], ids=["transcript", "truth"])
+def test_writer_peak_with_rows_repeated_twice(tmp_path, writer):
+    def make_args(rounds):
+        transcript, truth = rows_repeated_twice(rounds)
+        return transcript if writer is write_transcript else truth, str(tmp_path / "twice.jsonl")
+
+    growth = growth_per_round(make_args, writer, SMALL // 10, LARGE // 10)
     assert growth <= MAX_WRITE_DISTINCT_GROWTH_BYTES_PER_ROUND
 
 

@@ -88,6 +88,16 @@ class TestCalibratedRegret:
             with pytest.raises(ValueError):
                 true_calibrated_regret(table, index, truth, [F(0), F(1, 2)])
 
+    @pytest.mark.parametrize("index", [[0, -1], [1, 2], [3]])
+    def test_truth_row_ids_must_index_the_table(self, index):
+        # A negative id would count from the table's end, so -1 would stand
+        # for its last row in the regret; an id past the end has no row.
+        table = np.array([[0.0, 1.0], [0.5, 1.0]])
+        with pytest.raises(ValueError, match=r"^index must hold row ids in \[0, 2\)$"):
+            GroundTruth((1.0, 2.0), table, np.array(index))
+        assert GroundTruth((1.0, 2.0), table, np.array([1, 0, 1])).rounds == 3
+        assert GroundTruth((1.0, 2.0), table[:0], np.array([], dtype=np.int64)).rounds == 0
+
     @pytest.mark.slow
     @settings(derandomize=True, deadline=None, max_examples=60, database=None)
     @given(
