@@ -30,7 +30,7 @@ MIN_SUPPORT_PROB = 1e-15
 
 PROB_SUM_TOL = 1e-12
 _NEGATIVE_ZERO = struct.pack("d", -0.0)
-_BLOCK = 1024  # rows that validate sums, or rounds that a writer formats, at once
+_BLOCK = 1024  # rows validated, rounds written or ids moved by a growing index, at once
 _CHUNK = 1 << 14  # about this many characters of lines go into one `%` call of a writer
 # Entries per block of rows in the audits' walks and the mean-based check: a
 # float block is 64 KiB; eight times that raised the aggregated audit's peak
@@ -227,16 +227,24 @@ class DistinctRows:
     """Dense rows of k floats, dictionary-encoded: `add` returns a row's id.
     Each distinct row is packed once as float64, in order of first
     appearance; rows that compare equal (1 and 1.0, 0.0 and -0.0) share an
-    id, and the first one added is kept."""
+    id, and the first one added is kept: rows compare by their packed
+    bytes, each -0.0 read as 0.0.
+
+    Nothing else is kept per row but its hash: an open-addressing index of
+    ids, at most half full, finds a row by the hash of its bytes and
+    confirms it by comparing them with the packed copy. A row costs its
+    8k bytes, 8 for its hash and 16 to 32 for its slots, and no Python
+    object. A new row raises BufferError while a table() is alive."""
 
     def __init__(self, k: int):
         self.k = k
         self._row = struct.Struct(f"{k}d")
-        self._ids: dict[bytes, int] = {}  # a row's bytes, with -0.0 as 0.0 -> its id
-        self._packed = array("d")
+        self._packed = bytearray()
+        self._hashes = array("q")  # row d's hash, to move it when the index grows
+        self._slots = array("q", [-1]) * 8  # a row's id, or -1 for none
 
     def __len__(self) -> int:
-        return len(self._ids)
+        return len(self._hashes)
 
     def add(self, values) -> int:
         """The id of k numbers, any iterable of them (a list, or a 1-d array,
@@ -245,20 +253,56 @@ class DistinctRows:
             raw = self._row.pack(*values)
         except struct.error:
             raise ValueError(f"a distribution row must be {self.k} numbers, one per grid price") from None
-        d = self._ids.get(raw)
-        if d is None:  # a new row, or one holding -0.0, which is keyed as 0.0
-            key = raw
-            if _NEGATIVE_ZERO in raw:  # maybe -0.0; a false match only costs time
-                key = self._row.pack(*[v + 0.0 for v in self._row.unpack(raw)])
-                d = self._ids.get(key)
-            if d is None:
-                d = self._ids[key] = len(self._ids)
-                self._packed.frombytes(raw)
+        slots, hashes, packed, size = self._slots, self._hashes, self._packed, len(raw)
+        mask = len(slots) - 1
+        key = raw
+        while True:  # for raw, then, if raw may hold -0.0, for its key
+            h = hash(key)
+            i = h & mask
+            while (d := slots[i]) >= 0:
+                if hashes[d] == h and (
+                    packed.startswith(key, d * size) or self._key(packed[d * size : (d + 1) * size]) == key
+                ):
+                    return d
+                i = (i + 1) & mask
+            if key is not raw or raw.find(_NEGATIVE_ZERO) < 0:
+                break
+            key = self._key(raw)
+        d = len(hashes)
+        packed += raw
+        hashes.append(h)
+        slots[i] = d
+        if 2 * d >= mask:
+            self._grow()
         return d
 
     def table(self) -> np.ndarray:
         """The distinct rows, (n, k) float64, row d holding id d."""
         return np.frombuffer(self._packed).reshape(-1, self.k)
+
+    def _key(self, raw) -> bytes:
+        """A packed row's bytes with each -0.0 as 0.0: what rows compare by."""
+        if raw.find(_NEGATIVE_ZERO) < 0:  # a match may be a false one, which only costs time
+            return raw
+        return self._row.pack(*[v + 0.0 for v in self._row.unpack(raw)])
+
+    def _grow(self) -> None:
+        """Double the index and put every id back on the probe path of its
+        hash, a block of ids at a time: each round, each id of the block not
+        yet placed takes its slot if free (one per slot), and the others move
+        on one slot."""
+        self._slots = array("q", [-1]) * (2 * len(self._slots))
+        slots = np.frombuffer(self._slots, dtype=np.int64)
+        mask = len(slots) - 1
+        hashes = np.frombuffer(self._hashes, dtype=np.int64)
+        for start in range(0, len(hashes), _BLOCK):
+            at = hashes[start : start + _BLOCK] & mask
+            ids = np.arange(start, start + len(at))
+            while len(ids):
+                free = slots[at] < 0
+                slots[at[free]] = ids[free]
+                lost = slots[at] != ids
+                ids, at = ids[lost], (at[lost] + 1) & mask
 
 
 def pair_counts(first, second, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -646,8 +690,8 @@ def read_records(
     column of indices into the (n, k) float64 table of the distinct rows,
     encoded by DistinctRows (so 0.5 and 5e-1 share an id too). So a round
     costs a few typed bytes and no Python object: a distinct row is kept
-    once, packed as float64 in one buffer that becomes the table and as the
-    bytes key that finds it again.
+    once, packed as float64 in one buffer that becomes the table, and is
+    found again through its hash in a typed index of ids.
 
     Malformed input raises TranscriptParseError naming its line, in line
     order; an invalid grid or a "t" out of order raises

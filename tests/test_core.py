@@ -2,6 +2,8 @@
 import io
 import json
 import math
+import re
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -35,6 +37,7 @@ from regretaudit.sellers import MWUStrategy, QLearnerStrategy, reward_bounds, si
 
 from conftest import dense_row, dyadic_distribution, sample_posted, transcript_from
 from witnesses import (
+    ReferenceRows,
     dumps_transcript,
     loads_transcript,
     reference_transcript_text,
@@ -512,6 +515,87 @@ class TestWriters:
         }
         with pytest.raises(ValueError, match="^non-finite float in transcript$"):
             writes[where]()
+
+
+def float_of_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# A quiet NaN, one with a payload, a negative one and a signalling one.
+NANS = [float_of_bits(b) for b in (0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000001)]
+
+
+@st.composite
+def row_sequences(draw):
+    """A row length k and rows to add: new rows of specials and floats, with
+    repeats of earlier rows as given, with their zeros' signs swapped, with
+    integral entries as ints, as float32 or big-endian arrays, and rows of
+    the wrong length. Up to 150 rows: the index grows at 5, 9, 17, 33 and
+    65 distinct rows."""
+    k = draw(st.sampled_from([1, 2, 4, 19]))
+    entry = st.sampled_from([0.0, -0.0, 1.0, 0.5, 2.0, *NANS]) | st.floats(width=64)
+    rows: list = []
+    for _ in range(draw(st.integers(0, 150))):
+        earlier = draw(st.sampled_from(rows)) if rows else None
+        kind = draw(st.sampled_from(["new"] * 4 + ["repeat", "zeros", "ints", "float32", ">f8", "length"]))
+        if kind == "new" or earlier is None:
+            rows.append(draw(st.lists(entry, min_size=k, max_size=k)))
+        elif kind == "repeat":
+            rows.append(earlier)
+        elif kind == "zeros":
+            rows.append([-v if v == 0 else v for v in map(float, earlier)])
+        elif kind == "ints":
+            rows.append([int(v) if float(v).is_integer() else v for v in earlier])
+        elif kind == "float32":
+            values = st.floats(width=32, allow_nan=False) | st.sampled_from([math.nan, -0.0])
+            rows.append(np.array(draw(st.lists(values, min_size=k, max_size=k)), dtype=np.float32))
+        elif kind == ">f8":
+            rows.append(np.array(earlier, dtype=">f8"))
+        else:
+            size = draw(st.integers(0, 2 * k).filter(lambda n: n != k))
+            rows.append(draw(st.lists(entry, min_size=size, max_size=size)))
+    return k, rows
+
+
+class TestDistinctRows:
+    """DistinctRows gives the ids and table of the dictionary-keyed reference."""
+
+    @settings(derandomize=True, deadline=None, max_examples=60, database=None)
+    @given(case=row_sequences())
+    def test_ids_and_table_match_the_dict_keyed_reference(self, case):
+        k, rows = case
+        encoded, reference = DistinctRows(k), ReferenceRows(k)
+        for row in rows:
+            try:
+                expected = reference.add(row)
+            except ValueError as e:
+                with pytest.raises(ValueError, match=f"^{re.escape(str(e))}$"):
+                    encoded.add(row)
+            else:
+                assert encoded.add(row) == expected
+        assert (encoded.k, len(encoded)) == (k, len(reference.table()))
+        assert encoded.table().tobytes() == reference.table().tobytes()
+
+    def test_ids_survive_growths_past_a_block(self):
+        # At 2,049 rows the index grows to 8,192 slots and moves its ids in
+        # three blocks.
+        rows = np.random.default_rng(5).random((3000, 3)).tolist()
+        encoded = DistinctRows(3)
+        assert [encoded.add(row) for row in rows] == list(range(3000))
+        assert [encoded.add(row) for row in reversed(rows)] == list(range(2999, -1, -1))
+
+    def test_an_exported_table_takes_old_rows_only(self):
+        encoded = DistinctRows(2)
+        for n in range(20):
+            encoded.add([n, -0.0])
+        table = encoded.table()
+        assert encoded.add([7, 0.0]) == 7
+        with pytest.raises(BufferError):
+            encoded.add([0.25, 0.75])
+        assert len(encoded) == 20 and encoded.add([19.0, 0]) == 19
+        del table
+        assert encoded.add([0.25, 0.75]) == 20 and encoded.add([0.25, 0.75]) == 20
+        assert encoded.table()[[7, 20]].tolist() == [[7.0, -0.0], [0.25, 0.75]]
 
 
 class TestConfigTypes:

@@ -13,6 +13,14 @@ buffers to, between two horizons on inputs built beforehand: T = 20,000
 and 200,000 rounds for the audits, the reduced file, the oracle's figure
 rows and the demo's check, and 2,000 and 20,000 for the simulator and for
 full transcripts and truth sidecars, whose lines are about 20 times longer.
+
+When no row repeats, as for a multiplicative-weights learner, the
+simulator and the readers also keep each round's row once: its k floats
+packed in the table, its 8-byte hash, and the 16 to 32 bytes of slots
+that the table's index of ids holds for it (at most half full, doubling
+when it fills). No bytes key, int or dictionary entry is kept per row; a
+dictionary-keyed encoder, which kept them, took 175 B per row at k = 4
+and 416 B at k = 19, against 63 B and 187 B for the index.
 """
 
 from __future__ import annotations
@@ -51,10 +59,13 @@ SMALL, LARGE = 20_000, 200_000
 MAX_GROWTH_BYTES_PER_ROUND = 24
 # A reader holds the posted prices, the allocations, the line numbers and,
 # for a full transcript, the row ids: 8 B each per round. When no row
-# repeats, the bound also covers each round's row: k = 4 floats in the
-# table and a bytes key, about 120 B with its dictionary entry.
+# repeats, the bounds also cover each round's row: its k floats in the
+# table, its hash and its slots, 56 to 72 B at k = 4 and 176 to 192 B at
+# k = 19, plus the buffers' spare capacity (measured: 97.2 and 211.4 B per
+# round in all; 187.8 and 425.0 B with a dictionary-keyed encoder).
 MAX_READ_GROWTH_BYTES_PER_ROUND = 48
-MAX_READ_DISTINCT_GROWTH_BYTES_PER_ROUND = 224
+MAX_READ_DISTINCT_GROWTH_BYTES_PER_ROUND = 112
+MAX_READ_DISTINCT_K19_GROWTH_BYTES_PER_ROUND = 240
 # The exact audit keeps per distinct row its round count and its k
 # allocation sums, 40 B at k = 4, which is per round when no row repeats
 # (an 8-byte cell id per round stands in for the counts while the sums are
@@ -65,9 +76,11 @@ MAX_AUDIT_DISTINCT_GROWTH_BYTES_PER_ROUND = 48
 # The simulator keeps, per seller, the posted prices, the allocations, the
 # payoffs and the row ids, and the uniforms of both sellers' draws: 80 B per
 # round. When no row repeats, each seller's new row of k = 4 floats is
-# also kept in its table and as the bytes key of its dictionary entry.
+# also kept in its table, with its hash and its slots: 56 to 72 B per
+# seller (measured: 225.4 B per round in all; 390.5 B with a bytes key and
+# a dictionary entry per row).
 MAX_SIMULATE_GROWTH_BYTES_PER_ROUND = 96
-MAX_SIMULATE_DISTINCT_GROWTH_BYTES_PER_ROUND = 448
+MAX_SIMULATE_DISTINCT_GROWTH_BYTES_PER_ROUND = 256
 # A walk a block of rounds at a time keeps nothing per round. A writer
 # keeps only the texts of the block it writes, so nothing per round either,
 # whether no row repeats or each repeats once in the next round (111.8 B
@@ -168,12 +181,12 @@ def test_transcript_reader_peak_grows_by_a_few_bytes_per_round(tmp_path):
     assert growth <= MAX_READ_GROWTH_BYTES_PER_ROUND
 
 
-def distinct_rows_transcript(rounds: int) -> Transcript:
+def distinct_rows_transcript(rounds: int, grid: PriceGrid = TABLE_GRID) -> Transcript:
     """A multiplicative-weights learner's transcript: every round's row is new."""
     rng = np.random.default_rng(rounds)
-    rows = rng.dirichlet(np.ones(len(TABLE_GRID)), size=rounds)
-    posted = rng.integers(len(TABLE_GRID), size=rounds)
-    return Transcript(TABLE_GRID, posted, rng.random(rounds), np.arange(rounds), rows)
+    rows = rng.dirichlet(np.ones(len(grid)), size=rounds)
+    posted = rng.integers(len(grid), size=rounds)
+    return Transcript(grid, posted, rng.random(rounds), np.arange(rounds), rows)
 
 
 def test_audit_peak_with_a_new_row_every_round():
@@ -185,14 +198,22 @@ def test_audit_peak_with_a_new_row_every_round():
     assert growth_per_round(make_args, audit) <= MAX_AUDIT_DISTINCT_GROWTH_BYTES_PER_ROUND
 
 
-def test_transcript_reader_peak_with_a_new_row_every_round(tmp_path):
+def new_rows_read_growth(tmp_path, grid: PriceGrid) -> float:
     def make_args(rounds):
         path = str(tmp_path / f"mwu{rounds}.jsonl")
-        write_transcript(distinct_rows_transcript(rounds), path)
+        write_transcript(distinct_rows_transcript(rounds, grid), path)
         return (path,)
 
-    growth = growth_per_round(make_args, read_transcript, SMALL // 10, LARGE // 10)
-    assert growth <= MAX_READ_DISTINCT_GROWTH_BYTES_PER_ROUND
+    return growth_per_round(make_args, read_transcript, SMALL // 10, LARGE // 10)
+
+
+def test_transcript_reader_peak_with_a_new_row_every_round(tmp_path):
+    assert new_rows_read_growth(tmp_path, TABLE_GRID) <= MAX_READ_DISTINCT_GROWTH_BYTES_PER_ROUND
+
+
+def test_transcript_reader_peak_with_a_new_row_every_round_at_k19(tmp_path):
+    # The duopoly grid, on which a swap-regret learner plays a new row every round.
+    assert new_rows_read_growth(tmp_path, GRID) <= MAX_READ_DISTINCT_K19_GROWTH_BYTES_PER_ROUND
 
 
 @pytest.mark.slow

@@ -18,7 +18,8 @@ quantities it cannot compute, and the tests compute them here:
 - dense per-round views of the package's distinct-row tables (transcript
   distributions, ground truths and windowed estimates), and the way back:
   dense or Fraction rows as a table of distinct rows plus per-round ids,
-  and a transcript built from per-round rows.
+  and a transcript built from per-round rows;
+- the dictionary-keyed row encoder, the reference for DistinctRows' ids.
 
 Tests import this module as they import `conftest` helpers; its name does
 not match pytest's `test_*.py` pattern, so nothing here is collected. It
@@ -33,6 +34,7 @@ from __future__ import annotations
 import io
 import itertools
 import math
+import struct
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
@@ -99,6 +101,33 @@ def encode_rows(rows) -> tuple[np.ndarray, np.ndarray]:
     index = [ids.setdefault(tuple(row), len(ids)) for row in rows]
     exact = any(isinstance(v, Fraction) for row in ids for v in row)
     return np.array(list(ids), dtype=object if exact else float), np.array(index, dtype=np.int64)
+
+
+class ReferenceRows:
+    """DistinctRows' ids and table, from a dict keyed by each distinct
+    row's packed bytes with -0.0 as 0.0."""
+
+    def __init__(self, k: int):
+        self.k, self._row, self._ids, self._packed = k, struct.Struct(f"{k}d"), {}, array("d")
+
+    def add(self, values) -> int:
+        try:
+            raw = self._row.pack(*values)
+        except struct.error:
+            raise ValueError(f"a distribution row must be {self.k} numbers, one per grid price") from None
+        d = self._ids.get(raw)
+        if d is None:
+            key = raw
+            if struct.pack("d", -0.0) in raw:
+                key = self._row.pack(*[v + 0.0 for v in self._row.unpack(raw)])
+                d = self._ids.get(key)
+            if d is None:
+                d = self._ids[key] = len(self._ids)
+                self._packed.frombytes(raw)
+        return d
+
+    def table(self) -> np.ndarray:
+        return np.frombuffer(self._packed).reshape(-1, self.k)
 
 
 def transcript_from_rounds(grid: PriceGrid, posted, alloc, rows) -> Transcript:
