@@ -15,8 +15,6 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import cached_property
 from typing import Sequence
 
-import numpy as np
-
 from . import figures
 from .aggregate import DriftAssumption, audit_aggregated, check_horizon, read_price_series
 from .audit import audit, minimize_over_cost, regret_curve
@@ -181,8 +179,41 @@ def build_environment(spec: dict) -> Market:
 
 
 def replication_seed(base: int, replication: int) -> int:
-    """Stable per-replication stream key, independent of execution order."""
-    return int(np.random.SeedSequence(entropy=(int(base), int(replication))).generate_state(1, np.uint64)[0])
+    """A stream key per replication, whatever the order replications run in: numpy's
+    `SeedSequence(entropy=(base, replication)).generate_state(1, np.uint64)[0]`."""
+    entropy = []
+    for n in (int(base), int(replication)):
+        if n < 0:
+            raise ValueError("expected non-negative integer")
+        entropy += [n >> shift & 0xFFFFFFFF for shift in range(0, max(n.bit_length(), 1), 32)]
+    const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * 0x931E8875 & 0xFFFFFFFF
+        value = value * const & 0xFFFFFFFF
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & 0xFFFFFFFF
+        return value ^ value >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    key, const = 0, 0x8B51F9DD
+    for i, value in enumerate(pool[:2]):
+        value ^= const
+        const = const * 0x58F38DED & 0xFFFFFFFF
+        value = value * const & 0xFFFFFFFF
+        key |= (value ^ value >> 16) << 32 * i
+    return key
 
 
 def run_replication(config: ExperimentConfig, replication: int):

@@ -369,11 +369,50 @@ class SimulationResult:
     payoffs: tuple[np.ndarray, np.ndarray]
 
 
-def _stream(seed: int, tag: int) -> np.random.Generator:
-    # Counter-based generator keyed by (seed, role); round t reads the t-th
-    # entry of the pre-generated array, so draws depend only on
-    # (seed, round, role), never on evaluation order.
-    return np.random.Generator(np.random.Philox(key=[int(seed) % 2**64, tag]))
+# Philox4x64-10 (Salmon, Moraes, Dror and Shaw 2011): the round multipliers,
+# the key's Weyl increments, and the counter blocks computed at once.
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_CHUNK = 2**14
+
+
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low 64-bit words of m * x. The high one adds products of
+    32-bit halves, each partial sum under 2**64 (Warren, Hacker's Delight, 8-2)."""
+    m_lo, m_hi, x_lo, x_hi = m & 0xFFFFFFFF, m >> 32, x & 0xFFFFFFFF, x >> 32
+    low = m_hi * x_lo + (m_lo * x_lo >> 32)
+    mid = m_lo * x_hi + (low & 0xFFFFFFFF)
+    return m_hi * x_hi + (low >> 32) + (mid >> 32), m * x
+
+
+def philox_uniforms(seed: int, tag: int, n: int) -> np.ndarray:
+    """numpy's `Generator(Philox(key=[seed % 2**64, tag])).random(n)`, byte
+    for byte: a counter-based stream keyed by (seed, role), so a draw
+    depends only on (seed, round, role). Block i = 1, 2, ... gives four
+    words x, each drawn as (x >> 11) * 2**-53. As in numpy, whose key comes
+    from a list, a seed of 2**63 or more is rounded to float64 first, so
+    seeds that round alike share a stream; one that rounds to 2**64 gets
+    key 0 with no warning (numpy's invalid cast: key 0 and a RuntimeWarning
+    on x86, platform-defined elsewhere). The output is allocated first, so a
+    horizon too large to allocate fails at once, and filled 2**14 blocks at
+    a time, so the temporaries stay small.
+    """
+    key = int(seed) % 2**64
+    if key >= 2**63:
+        key = int(float(key)) % 2**64
+    out = np.empty(n)
+    blocks = -(-n // 4)
+    for start in range(0, blocks, _PHILOX_CHUNK):
+        c0 = np.arange(start + 1, min(start + _PHILOX_CHUNK, blocks) + 1, dtype=np.uint64)
+        c1 = c2 = c3 = np.zeros_like(c0)
+        k0, k1 = key, tag
+        for _ in range(10):
+            (hi0, lo0), (hi1, lo1) = _mulhilo(_PHILOX_M[0], c0), _mulhilo(_PHILOX_M[1], c2)
+            c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+            k0, k1 = (k0 + _PHILOX_W[0]) % 2**64, (k1 + _PHILOX_W[1]) % 2**64
+        words = np.stack((c0, c1, c2, c3), axis=1).ravel()[: n - 4 * start]
+        out[4 * start : 4 * start + len(words)] = (words >> 11) * 2.0**-53
+    return out
 
 
 def reward_bounds(market: Market, feedback_mode: str = "expected") -> tuple[float, float]:
@@ -455,10 +494,10 @@ def simulate(market: Market, strategies, rounds: int, feedback_mode: str = "expe
         raise ValueError("a strategy plays one simulation; build a new one for each run")
     # One draw per stream, before the loop: a horizon too large to allocate
     # fails here. Iterating a memoryview gives each uniform as a Python float.
-    uniforms = zip(memoryview(_stream(seed, 0).random(rounds)), memoryview(_stream(seed, 1).random(rounds)))
+    uniforms = zip(memoryview(philox_uniforms(seed, 0, rounds)), memoryview(philox_uniforms(seed, 1, rounds)))
     if feedback_mode == "realized":
         # Round t's buyer reads the stream's entries 3t, 3t + 1 and 3t + 2.
-        buyers = zip(*[iter(memoryview(_stream(seed, 2).random(3 * rounds)))] * 3)
+        buyers = zip(*[iter(memoryview(philox_uniforms(seed, 2, 3 * rounds)))] * 3)
         feedback = _realized_feedback(market, strategies)
     else:
         buyers = repeat(None)

@@ -19,6 +19,9 @@ simulator and the figures never import either audit.
 The market's decisions live in `market` alone: no other module builds a
 demand table or reads a valuation table's v1 - v2 distribution, by name or
 by string.
+No module names `np.random` or `numpy.random`, in code or text: its
+import costs every simulating command start-up time and memory, and the
+tests alone keep it, as the reference for the package's own generator.
 """
 
 import ast
@@ -26,6 +29,7 @@ import importlib
 import inspect
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -221,6 +225,7 @@ def test_rules_catch_offending_source():
         "v = o.demand(1, 2)\n"
     )
     assert market_decisions(decisions) == [1, 2, 3, 4]
+    assert numpy_random_lines("import numpy.random\nrng = np.random.default_rng()\nx = np.randomize\n") == [1, 2]
     assert package_imports(tree) == {"core"}
     other = ast.parse("from . import figures\nfrom regretaudit.audit import x\nimport json\n")
     assert package_imports(other) == {"figures", "audit"}
@@ -249,6 +254,16 @@ def test_markets_oracles_and_the_simulator_never_import_the_audits(module):
 @pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "market"], ids=lambda p: p.name)
 def test_only_the_market_builds_demand_or_reads_valuations(path):
     assert market_decisions(ast.parse(path.read_text())) == []
+
+
+def numpy_random_lines(source: str) -> list[int]:
+    """Lines that name np.random or numpy.random."""
+    return [i for i, line in enumerate(source.splitlines(), 1) if re.search(r"\b(np|numpy)\.random\b", line)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_names_numpy_random(path):
+    assert numpy_random_lines(path.read_text()) == []
 
 
 def non_modules(package: Path) -> list[str]:

@@ -6,7 +6,10 @@ from itertools import accumulate
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from regretaudit.cli import replication_seed
 from regretaudit.core import DistinctRows, PriceGrid, block_rows, running_sums
 from regretaudit.market import Market, UniformDuopoly, demand_table, manipulation_valuation_table
 from regretaudit.oracles import materialize_truth
@@ -25,6 +28,7 @@ from regretaudit.sellers import (
     mwu_step,
     optimistic_q_init,
     pairwise_sum,
+    philox_uniforms,
     reward_bounds,
     simulate,
     strategy_from_config,
@@ -400,6 +404,59 @@ class TestSimulate:
         assert own.alloc.tolist() == [float(demand[j][p]) for j, p in zip(opp.posted, own.posted)]
 
 
+def numpy_uniforms(seed, tag, n):
+    return np.random.Generator(np.random.Philox(key=[seed % 2**64, tag])).random(n)
+
+
+def numpy_replication_seed(base, replication):
+    return int(np.random.SeedSequence(entropy=(base, replication)).generate_state(1, np.uint64)[0])
+
+
+class TestGenerator:
+    """The simulator's Philox stream and the CLI's replication seed against
+    numpy, which the package itself never imports them from."""
+
+    CHUNK_DRAWS = 4 * 2**14
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**63 - 1, 2**63, 2**63 + 5, 2**64 - 5000])
+    @pytest.mark.parametrize("tag", [0, 1, 2])
+    def test_uniforms_match_numpy(self, seed, tag):
+        # Short streams, a partial last block, both sides of a chunk's end,
+        # and a stream of three chunks and two draws.
+        for n in (0, 1, 3, 4, 5, self.CHUNK_DRAWS - 1, self.CHUNK_DRAWS, self.CHUNK_DRAWS + 1, 3 * self.CHUNK_DRAWS + 2):
+            assert philox_uniforms(seed, tag, n).tobytes() == numpy_uniforms(seed, tag, n).tobytes()
+
+    @settings(derandomize=True, deadline=None, max_examples=200, database=None)
+    @given(
+        seed=st.integers(0, 2**64 - 2**11 - 1),
+        tag=st.integers(0, 2),
+        n=st.integers(0, 40),
+    )
+    def test_uniforms_match_numpy_for_any_seed(self, seed, tag, n):
+        assert philox_uniforms(seed, tag, n).tobytes() == numpy_uniforms(seed, tag, n).tobytes()
+
+    def test_seeds_2_to_the_11_apart_share_a_stream_past_2_to_the_63(self):
+        # numpy's float64 key: kept, so transcripts stay as they were.
+        assert philox_uniforms(2**63 + 2**12, 0, 8).tobytes() == philox_uniforms(2**63 + 2**12 + 1000, 0, 8).tobytes()
+        assert philox_uniforms(2**63, 0, 8).tobytes() != philox_uniforms(2**63 + 2**12, 0, 8).tobytes()
+        # A seed that rounds to 2**64 gets key 0, with no warning.
+        assert philox_uniforms(2**64 - 1, 1, 8).tobytes() == philox_uniforms(0, 1, 8).tobytes()
+
+    @pytest.mark.parametrize("base", [0, 1, 2**32 - 1, 2**32, 2**63 - 1])
+    def test_replication_seed_matches_numpy(self, base):
+        assert [replication_seed(base, r) for r in range(64)] == [numpy_replication_seed(base, r) for r in range(64)]
+
+    @settings(derandomize=True, deadline=None, max_examples=200, database=None)
+    @given(base=st.integers(0, 2**160), replication=st.integers(0, 2**70))
+    def test_replication_seed_matches_numpy_for_any_entropy(self, base, replication):
+        # Past 2**96 the entropy has more words than the pool.
+        assert replication_seed(base, replication) == numpy_replication_seed(base, replication)
+
+    def test_replication_seed_rejects_negative_entropy(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            replication_seed(-1, 0)
+
+
 class TestRowEncoding:
     """A strategy encodes a row in its table when it first plays it: once
     per distinct row for a Q-learner, whose rows are memoized by greedy
@@ -720,7 +777,8 @@ class TestArrayLoopReference:
             return self.TABLE, manipulation_valuation_table(0.005), (0.0, 0.0)
         return self.DUOPOLY, UniformDuopoly(), (0.1, 0.2)
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
+    # 2**63 + 12345: numpy rounds a key of 2**63 or more to float64.
+    @pytest.mark.parametrize("seed", [0, 1, 2, 2**63 + 12345])
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_simulate_matches_array_loop(self, name, seed):
         kind, specs, rounds, feedback = self.CASES[name]
