@@ -18,7 +18,6 @@ from .aggregate import (
 from .audit import (
     AuditReport,
     CellStats,
-    PWLInCost,
     audit,
     discretization_loss,
     error_margin,
@@ -30,6 +29,7 @@ from .core import (
     AuditConfig,
     CostRange,
     PriceGrid,
+    PWLInCost,
     Transcript,
     TranscriptParseError,
     TranscriptValidationError,

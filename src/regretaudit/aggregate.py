@@ -15,10 +15,11 @@ from typing import IO, Sequence, Union
 
 import numpy as np
 
-from .audit import AuditReport, CellStats, PWLInCost, audit_with_margin
+from .audit import AuditReport, CellStats, audit_with_margin
 from .core import (
     AuditConfig,
     PriceGrid,
+    PWLInCost,
     TranscriptValidationError,
     block_rows,
     raise_violations,

@@ -8,8 +8,9 @@ unknown cost c, with coefficients that depend on the transcript only through
 the k x k pair sums M[p, q] = sum_t pi_t(p) xhat_t(q), which `CellStats`
 builds from per-row sums. So the estimated regret (sum over p of the best
 substitution for p) is a convex piecewise-linear function of c, built from M
-alone. Minimizing it over the plausible cost range, adding a concentration
-margin, and comparing against twice the threshold gives the verdict.
+alone: `core.PWLInCost`, which evaluates the oracles' true regret too.
+Minimizing it over the plausible cost range, adding a concentration margin,
+and comparing against twice the threshold gives the verdict.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import AuditConfig, CostRange, PriceGrid, Transcript, block_rows
+from .core import AuditConfig, CostRange, PriceGrid, PWLInCost, Transcript, block_rows
 
 
 def _lead_prices(rows: np.ndarray) -> np.ndarray:
@@ -46,65 +47,6 @@ def estimate_allocations(transcript: Transcript) -> np.ndarray:
     weight = transcript.alloc / table[index, posted]
     np.copyto(xhat, weight[:, None], where=lead == posted[:, None])
     return xhat
-
-
-def _envelope_breakpoints(slopes: np.ndarray, intercepts: np.ndarray) -> list[float]:
-    """Costs where the upper envelope of the lines q -> slopes[q] * c + intercepts[q]
-    changes leader, in increasing order."""
-    # One candidate per distinct slope: the max intercept.
-    best: dict[float, float] = {}
-    for s, b in zip(slopes.tolist(), intercepts.tolist()):
-        best[s] = max(best.get(s, -math.inf), b)
-    hull: list[tuple[float, float, float]] = []  # (slope, intercept, c_from)
-    for s, b in sorted(best.items()):
-        while hull:
-            s0, b0, c0 = hull[-1]
-            x = (b0 - b) / (s - s0)  # new line overtakes hull top from x on
-            if x <= c0:
-                hull.pop()
-                continue
-            hull.append((s, b, x))
-            break
-        else:
-            hull.append((s, b, -math.inf))
-    return [c for _, _, c in hull[1:]]
-
-
-@dataclass(frozen=True)
-class PWLInCost:
-    """The estimated regret as a convex piecewise-linear function of cost."""
-
-    slopes: np.ndarray  # (k, k) substitution-benefit slopes
-    intercepts: np.ndarray  # (k, k)
-    breakpoints: tuple[float, ...]  # sorted costs where some per-p envelope changes leader
-
-    def values(self, cs: np.ndarray) -> np.ndarray:
-        cs = np.asarray(cs, dtype=float)
-        # best[i, p] = max_q of the line at cost cs[i], one p at a time, so a
-        # long sweep holds (n, k) floats, not (n, k, k).
-        best = np.empty((len(cs), len(self.slopes)))
-        for p, (s, b) in enumerate(zip(self.slopes, self.intercepts)):
-            best[:, p] = (s[None, :] * cs[:, None] + b[None, :]).max(axis=1)
-        return best.sum(axis=1)
-
-    @classmethod
-    def from_pair_sums(cls, m: np.ndarray, levels, rounds: int) -> "PWLInCost":
-        """The curve of the pair sums M over `rounds` rounds: substituting p
-        with q gains ((l_q - c) M[p, q] - (l_p - c) M[p, p]) / T."""
-        levels = np.asarray(levels, dtype=float)
-        own = np.diag(m)
-        slopes = (own[:, None] - m) / rounds
-        intercepts = (levels[None, :] * m - (levels * own)[:, None]) / rounds
-        bps: set[float] = set()
-        for p in range(len(levels)):
-            bps.update(_envelope_breakpoints(slopes[p], intercepts[p]))
-        return cls(slopes, intercepts, tuple(sorted(bps)))
-
-    def argmax_swap(self, c: float) -> tuple[int, ...]:
-        """Best substitution target per price at cost c, lowest q on ties."""
-        vals = self.slopes * c + self.intercepts
-        best = vals.max(axis=1, keepdims=True)
-        return tuple(int(np.argmax(row >= b)) for row, b in zip(vals, best))
 
 
 @dataclass(frozen=True)

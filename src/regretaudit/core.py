@@ -1,4 +1,6 @@
-"""Shared domain types, transcript validation, and transcript persistence.
+"""Shared domain types, transcript validation, transcript persistence, and
+the one evaluator of calibrated regret from pair sums, `PWLInCost`, which
+serves both the audits' estimate and the oracles' truth.
 
 A transcript is the sole input an auditor gets: per round, the posted price
 (as a grid index), the allocation observed at that price, and the price
@@ -423,6 +425,68 @@ def _row_problems(table: np.ndarray) -> dict[int, list[tuple[str, str]]]:
         if off_sum[d]:
             row.append(("probs", "probabilities do not sum to 1"))
     return out
+
+
+def _envelope_breakpoints(slopes: np.ndarray, intercepts: np.ndarray) -> list:
+    """Costs where the upper envelope of the lines q -> slopes[q] * c + intercepts[q]
+    changes leader, in increasing order: floats, or Fractions on Fractions."""
+    # One candidate per distinct slope: the max intercept.
+    best: dict[float, float] = {}
+    for s, b in zip(slopes.tolist(), intercepts.tolist()):
+        best[s] = max(best.get(s, -math.inf), b)
+    hull: list[tuple[float, float, float]] = []  # (slope, intercept, c_from)
+    for s, b in sorted(best.items()):
+        while hull:
+            s0, b0, c0 = hull[-1]
+            x = (b0 - b) / (s - s0)  # new line overtakes hull top from x on
+            if x <= c0:
+                hull.pop()
+                continue
+            hull.append((s, b, x))
+            break
+        else:
+            hull.append((s, b, -math.inf))
+    return [c for _, _, c in hull[1:]]
+
+
+@dataclass(frozen=True)
+class PWLInCost:
+    """Calibrated regret of pair sums as a convex piecewise-linear function of
+    cost: the audits' estimate from M-hat and the oracles' truth from M. Float
+    on a float M; exact on an object M of Fractions, levels and costs."""
+
+    slopes: np.ndarray  # (k, k) substitution-benefit slopes, M's dtype
+    intercepts: np.ndarray  # (k, k)
+    breakpoints: tuple  # sorted costs where some per-p envelope changes leader
+
+    def values(self, cs: np.ndarray) -> np.ndarray:
+        dtype = np.result_type(self.slopes, float)  # float64, or object for Fractions
+        cs = np.asarray(cs, dtype=dtype)
+        # best[i, p] = max_q of the line at cost cs[i], one p at a time, so a
+        # long sweep holds (n, k) values, not (n, k, k).
+        best = np.empty((len(cs), len(self.slopes)), dtype=dtype)
+        for p, (s, b) in enumerate(zip(self.slopes, self.intercepts)):
+            best[:, p] = (s[None, :] * cs[:, None] + b[None, :]).max(axis=1)
+        return best.sum(axis=1)
+
+    @classmethod
+    def from_pair_sums(cls, m: np.ndarray, levels, rounds: int) -> "PWLInCost":
+        """The curve of the pair sums M over `rounds` rounds: substituting p
+        with q gains ((l_q - c) M[p, q] - (l_p - c) M[p, p]) / T."""
+        levels = np.asarray(levels, dtype=np.result_type(m, float))
+        own = np.diag(m)
+        slopes = (own[:, None] - m) / rounds
+        intercepts = (levels[None, :] * m - (levels * own)[:, None]) / rounds
+        bps: set = set()
+        for p in range(len(levels)):
+            bps.update(_envelope_breakpoints(slopes[p], intercepts[p]))
+        return cls(slopes, intercepts, tuple(sorted(bps)))
+
+    def argmax_swap(self, c: float) -> tuple[int, ...]:
+        """Best substitution target per price at cost c, lowest q on ties."""
+        vals = self.slopes * c + self.intercepts
+        best = vals.max(axis=1, keepdims=True)
+        return tuple(int(np.argmax(row >= b)) for row, b in zip(vals, best))
 
 
 # ---------------------------------------------------------------------------

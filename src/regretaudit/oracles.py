@@ -1,7 +1,8 @@
 """Ground-truth quantities the auditor never sees.
 
 These back the simulator and the test suites: exact calibrated regret and
-best-in-hindsight regret.
+best-in-hindsight regret. The calibrated regret of the true pair sums M is
+evaluated by `core.PWLInCost`, the audits' curve, exact on Fractions.
 
 Exact paths run on fractions.Fraction; floats are converted exactly (every
 float is a dyadic rational), so equality assertions are meaningful.
@@ -16,7 +17,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .core import check_ids, pair_counts
+from .core import PWLInCost, check_ids, pair_counts
 from .market import Market
 
 Numeric = Union[int, float, Fraction]
@@ -109,27 +110,17 @@ def true_calibrated_regret(dist_table, dist_index, truth: GroundTruth, cost: Uni
     float table, or an object table of exact values such as Fractions.
     Decomposing (best replacement separately for each posted price) equals
     maximizing over all k^k swap maps because the objective is additive over
-    the posted price. The pair sums M do not depend on the cost, so a
-    sequence of costs is evaluated from one M and returns a list in order;
-    a single cost returns a Fraction on the exact path, else a float.
+    the posted price, so the regret is the audits' curve `PWLInCost` of the
+    true pair sums M. M does not depend on the cost, so a sequence of costs
+    is evaluated from one M and returns a list in order; a single cost
+    returns a Fraction on the exact path, else a float.
     """
     costs = [cost] if np.ndim(cost) == 0 else list(cost)
     exact = truth.exact or any(isinstance(c, Fraction) for c in costs)
     m = _pair_sums(dist_table, dist_index, truth, exact)
-    if exact:
-        levels = np.array([Fraction(v) for v in truth.levels], dtype=object)
-        cs = np.array([Fraction(c) for c in costs], dtype=object)
-    else:
-        levels = np.asarray(truth.levels, dtype=float)
-        cs = np.asarray(costs, dtype=float)
-    # best[i, p] = max_q of (l_q - c_i) M[p, q] - (l_p - c_i) M[p, p], one p
-    # at a time, so a long sweep holds (n, k) values, not (n, k, k).
-    margins = levels[None, :] - cs[:, None]
-    own = margins * np.diag(m)
-    best = np.empty(own.shape, dtype=m.dtype)
-    for p in range(len(levels)):
-        best[:, p] = (margins * m[p] - own[:, p, None]).max(axis=1)
-    regrets = (best.sum(axis=1) / truth.rounds).tolist()
+    levels = [Fraction(v) for v in truth.levels] if exact else truth.levels
+    costs = [Fraction(c) for c in costs] if exact else costs
+    regrets = PWLInCost.from_pair_sums(m, levels, truth.rounds).values(costs).tolist()
     return regrets[0] if np.ndim(cost) == 0 else regrets
 
 

@@ -16,6 +16,8 @@ them through a module attribute, where the tracer can wrap it.
 The auditor never sees a market or an oracle: `audit` imports only `core`,
 and `aggregate` only `core` and `audit`; and the market, the oracles, the
 simulator and the figures never import either audit.
+The calibrated regret of pair sums is evaluated in `core` alone: the audits'
+estimate and the oracles' truth share its one `PWLInCost`.
 The market's decisions live in `market` alone: no other module builds a
 demand table or reads a valuation table's v1 - v2 distribution, by name or
 by string.
@@ -249,6 +251,11 @@ def test_the_audits_import_only_core(module, allowed):
 @pytest.mark.parametrize("module", ["market", "oracles", "sellers", "figures"])
 def test_markets_oracles_and_the_simulator_never_import_the_audits(module):
     assert module_imports(module) & {"audit", "aggregate"} == set()
+
+
+def test_one_regret_evaluator_for_the_estimate_and_the_truth():
+    core, audit, oracles = (importlib.import_module(f"regretaudit.{m}") for m in ("core", "audit", "oracles"))
+    assert core.PWLInCost is audit.PWLInCost is oracles.PWLInCost
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "market"], ids=lambda p: p.name)

@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regretaudit.core import PriceGrid, pair_counts
+from regretaudit.core import PriceGrid, PWLInCost, pair_counts
 from regretaudit.market import Market, manipulation_valuation_table
 from regretaudit.oracles import GroundTruth, best_in_hindsight_regret, materialize_truth, true_calibrated_regret
 
 from conftest import dense_row, random_instance
 from witnesses import (
     SwapMap,
+    broadcast_values,
     brute_force_estimator_expectation,
     brute_force_realized_average,
     calibrated_regret_of_swap,
@@ -170,24 +171,26 @@ class TestCalibratedRegret:
         assert fast == pytest.approx(float(exact), abs=1e-12)
 
     def test_cost_sequence_matches_per_cost_float_formula(self, rng):
-        # Bit for bit against one cost at a time, on instances large enough
-        # for numpy's blocked summation over the k posted prices.
-        for _ in range(40):
+        # Bit for bit against the curve of M at one cost at a time, on
+        # instances large enough for numpy's blocked summation over the k
+        # posted prices; and, on every tenth instance (exact pair sums of
+        # 500 float rows take about 0.4 s), within 1e-12 relative of the
+        # exact path on the same floats.
+        for i in range(40):
             k, rounds = int(rng.integers(2, 25)), int(rng.integers(1, 501))
             raw = rng.random((rounds, k)) * (rng.random((rounds, k)) < 0.6)
             raw[np.arange(rounds), rng.integers(0, k, rounds)] += 0.1
             probs = raw / raw.sum(axis=1, keepdims=True)
             truth = per_round_truth(tuple(np.sort(rng.uniform(0.1, 3.0, k)).tolist()), rng.random((rounds, k)))
             costs = np.linspace(rng.uniform(-1, 1), rng.uniform(1, 3), 81).tolist()
-            levels = np.asarray(truth.levels)
-            m = probs.T @ per_round_allocations(truth)
-            expected = []
-            for c in costs:
-                gains = (levels[None, :] - c) * m - ((levels - c) * np.diag(m))[:, None]
-                expected.append(float(gains.max(axis=1).sum() / rounds).hex())
+            curve = PWLInCost.from_pair_sums(probs.T @ per_round_allocations(truth), truth.levels, rounds)
+            expected = [float(broadcast_values(curve, [c])[0]).hex() for c in costs]
             got = true_calibrated_regret(*encode_rows(probs), truth, costs)
             assert all(type(v) is float for v in got)
             assert [v.hex() for v in got] == expected
+            if i % 10 == 0:
+                exact = true_calibrated_regret(*encode_rows(probs), truth, [F(c) for c in costs])
+                assert all(abs(F(v) - e) <= abs(e) / 10**12 for v, e in zip(got, exact, strict=True))
 
     def test_float_and_exact_paths_agree(self, rng):
         _, dists, truth = random_instance(rng, k=3, rounds=4)

@@ -23,7 +23,10 @@ to dense references written on the test side:
   around the block size and windows shorter than a block, longer than one
   and as long as the horizon;
 - the cost sweeps that no longer build (n, k, k) arrays, bit for bit
-  against the broadcast expressions they replace.
+  against the broadcast expressions they replace. The true calibrated
+  regret is the curve of the true pair sums: bit for bit the curve's
+  broadcast on floats, within 1e-12 relative of the exact path on the same
+  floats, and on Fractions equal to the true regret written on its own.
 """
 
 from __future__ import annotations
@@ -45,17 +48,22 @@ from regretaudit.aggregate import (
 )
 from regretaudit.audit import (
     CellStats,
-    PWLInCost,
     audit,
     audit_with_margin,
     error_margin,
     estimate_allocations,
     regret_curve,
 )
-from regretaudit.core import AuditConfig, CostRange, PriceGrid, Transcript, block_rows
+from regretaudit.core import AuditConfig, CostRange, PriceGrid, PWLInCost, Transcript, block_rows
 from regretaudit.oracles import GroundTruth, true_calibrated_regret
 
-from witnesses import per_round_dists, per_round_freqs, transcript_from_rounds
+from witnesses import (
+    broadcast_true_regret,
+    broadcast_values,
+    per_round_dists,
+    per_round_freqs,
+    transcript_from_rounds,
+)
 
 F = Fraction
 M_REL_TOL = 1e-12
@@ -292,20 +300,6 @@ class TestBlockedEstimates:
             assert (c, v) == pytest.approx((c_ref, v_ref), rel=1e-9, abs=1e-12)
 
 
-def broadcast_values(curve: PWLInCost, cs) -> np.ndarray:
-    """The sweep as one (n, k, k) broadcast."""
-    cs = np.asarray(cs, dtype=float)
-    lines = curve.slopes[None, :, :] * cs[:, None, None] + curve.intercepts[None, :, :]
-    return lines.max(axis=2).sum(axis=1)
-
-
-def broadcast_true_regret(m: np.ndarray, levels: np.ndarray, cs: np.ndarray, rounds: int) -> list:
-    """The true calibrated regret at each cost as one (n, k, k) broadcast."""
-    margins = levels[None, :] - cs[:, None]
-    gains = margins[:, None, :] * m - (margins * np.diag(m))[:, :, None]
-    return (gains.max(axis=2).sum(axis=1) / rounds).tolist()
-
-
 class TestCostSweeps:
     @pytest.mark.parametrize("k", (1, 4, 19))
     def test_curve_values_equal_the_broadcast(self, rng, k):
@@ -326,7 +320,8 @@ class TestCostSweeps:
         truth = GroundTruth(tuple(levels.tolist()), values, np.arange(rounds))
         m = dists.T @ values
         ids = np.arange(rounds)  # a table row per round
-        assert true_calibrated_regret(dists, ids, truth, cs) == broadcast_true_regret(m, levels, cs, rounds)
+        floats = true_calibrated_regret(dists, ids, truth, cs)
+        assert floats == broadcast_values(PWLInCost.from_pair_sums(m, levels, rounds), cs).tolist()
         # Exact: the same floats, held as Fractions.
         table = np.array([[F(v) for v in row] for row in values.tolist()], dtype=object)
         exact = GroundTruth(truth.levels, table, truth.index)
@@ -339,6 +334,46 @@ class TestCostSweeps:
         cs_exact = np.array([F(c) for c in cs.tolist()], dtype=object)
         expected = broadcast_true_regret(m_exact, levels_exact, cs_exact, rounds)
         assert true_calibrated_regret(dists, ids, exact, cs.tolist()) == expected
+        assert all(abs(F(v) - e) <= abs(e) / 10**12 for v, e in zip(floats, expected, strict=True))
+
+    def test_exact_curve_of_fraction_pair_sums(self):
+        # Substituting 0 with 1 gains (3 - c) / 7 below c = 3, and 1 with 0
+        # gains (-9 - 14 c) / 7 below c = -9/14; floats give -0.642857...
+        m = np.array([[F(1), F(2)], [F(37), F(23)]], dtype=object)
+        levels = (F(1), F(2))
+        curve = PWLInCost.from_pair_sums(m, levels, 7)
+        assert curve.breakpoints == (F(-9, 14), F(3))
+        assert all(type(b) is Fraction for b in curve.breakpoints)
+        floats = PWLInCost.from_pair_sums(m.astype(float), levels, 7)
+        assert floats.breakpoints == pytest.approx((-9 / 14, 3.0), rel=1e-12)
+        cs = [F(-1), F(-9, 14), F(1, 3), F(3), F(4)]
+        values = curve.values(cs).tolist()
+        assert all(type(v) is Fraction for v in values)
+        assert values == broadcast_true_regret(m, np.array(levels, dtype=object), np.array(cs, dtype=object), 7)
+        assert values == [F(9, 7), F(51, 98), F(8, 21), F(0), F(0)]
+        assert floats.values(cs).tolist() == pytest.approx([float(v) for v in values], rel=1e-12)
+
+    @pytest.mark.parametrize("k", (1, 4, 19))
+    def test_exact_curve_values_equal_the_true_regret(self, rng, k):
+        # Pair sums, levels and costs with non-dyadic Fractions: the curve
+        # is exact, and the float curve of the same M rounded is within
+        # 1e-12 relative of it.
+        def fractions(shape, top):
+            size = int(np.prod(shape))
+            pairs = zip(rng.integers(0, top, size).tolist(), rng.integers(1, 30, size).tolist())
+            return np.array([F(n, d) for n, d in pairs], dtype=object).reshape(shape)
+
+        rounds = 50
+        m = fractions((k, k), 200)
+        levels = np.sort(fractions((k,), 60) + 1)
+        cs = fractions((9,), 30)
+        curve = PWLInCost.from_pair_sums(m, levels, rounds)
+        assert all(type(b) is Fraction for b in curve.breakpoints)
+        values = curve.values(cs).tolist()
+        assert all(type(v) is Fraction for v in values)
+        assert values == broadcast_true_regret(m, levels, cs, rounds)
+        floats = PWLInCost.from_pair_sums(m.astype(float), levels.astype(float), rounds).values(cs.astype(float))
+        assert all(abs(F(v) - e) <= abs(e) / 10**12 for v, e in zip(floats.tolist(), values, strict=True))
 
     def test_long_sweep_stays_small(self, rng):
         k = 19

@@ -19,7 +19,10 @@ quantities it cannot compute, and the tests compute them here:
   distributions, ground truths and windowed estimates), and the way back:
   dense or Fraction rows as a table of distinct rows plus per-round ids,
   and a transcript built from per-round rows;
-- the dictionary-keyed row encoder, the reference for DistinctRows' ids.
+- the dictionary-keyed row encoder, the reference for DistinctRows' ids;
+- cost sweeps as (n, k, k) broadcasts: the regret curve's lines, the
+  order `PWLInCost.values` keeps, and the true calibrated regret written
+  on its own, the formula that checks that one evaluator.
 
 Tests import this module as they import `conftest` helpers; its name does
 not match pytest's `test_*.py` pattern, so nothing here is collected. It
@@ -46,6 +49,7 @@ from regretaudit.aggregate import DistributionEstimate
 from regretaudit.core import (
     DistinctRows,
     PriceGrid,
+    PWLInCost,
     Transcript,
     draw,
     format_float,
@@ -488,3 +492,17 @@ def minimum_rounds_for_aggregated_audit(
     )
     term4 = (4.0 / support_floor**3) ** (2.0 / gamma)
     return max(t0, term2, term3, term4) + 1.0
+
+
+def broadcast_values(curve: PWLInCost, cs) -> np.ndarray:
+    """The sweep as one (n, k, k) broadcast."""
+    cs = np.asarray(cs, dtype=float)
+    lines = curve.slopes[None, :, :] * cs[:, None, None] + curve.intercepts[None, :, :]
+    return lines.max(axis=2).sum(axis=1)
+
+
+def broadcast_true_regret(m: np.ndarray, levels: np.ndarray, cs: np.ndarray, rounds: int) -> list:
+    """The true calibrated regret at each cost as one (n, k, k) broadcast."""
+    margins = levels[None, :] - cs[:, None]
+    gains = margins[:, None, :] * m - (margins * np.diag(m))[:, :, None]
+    return (gains.max(axis=2).sum(axis=1) / rounds).tolist()
